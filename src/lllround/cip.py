@@ -9,7 +9,7 @@ estimator positive, and so ends at a certified integral point.
 
 Cost budgets here cap the rounded increments c.(z - floor): the floor part is
 deterministic, so end-to-end callers convert a total budget by subtracting
-the floor cost first (see `round_cip`).
+the floor cost first (see `choose_parameters`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "ParameterError",
     "make_scheme",
     "choose_alpha_beta",
+    "choose_parameters",
     "standard_round",
     "row_failure_bound",
     "success_lower_bound",
@@ -44,7 +45,6 @@ __all__ = [
 
 NEAR_ONE_GUARD = 1e-12  # complement factors below this switch to direct handling
 BRANCH_TOL = 1e-9
-INVARIANT_TOL = 1e-12
 DEFAULT_SUBSET_ORDER_CAP = 6
 
 
@@ -65,7 +65,6 @@ class RoundingScheme:
     alpha: float
     floor: np.ndarray  # integer part of alpha * x
     frac: np.ndarray  # leftover Bernoulli means, in [0, 1)
-    mu: np.ndarray  # per-row mean load from the bits
     delta: np.ndarray  # per-row relative deviation to the residual demand
     residual: np.ndarray  # demand left after the floors
     satisfied: np.ndarray  # rows already covered by the floors alone
@@ -116,7 +115,6 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
         alpha=float(alpha),
         floor=floor,
         frac=frac,
-        mu=mu,
         delta=delta,
         residual=residual,
         satisfied=satisfied,
@@ -169,12 +167,10 @@ def _row_bounds(scheme: RoundingScheme, p: np.ndarray, rows=None) -> np.ndarray:
     """Clamped per-row failure bounds at bit probabilities p, in log space
     over each row's nonzero columns only.  Satisfied rows are 0."""
     instance = scheme.instance
-    if rows is None:
-        rows = range(instance.m)
-    out = np.zeros(len(rows) if hasattr(rows, "__len__") else instance.m)
+    rows = range(instance.m) if rows is None else rows
+    out = np.zeros(len(rows))
     for pos, i in enumerate(rows):
         if scheme.satisfied[i]:
-            out[pos] = 0.0
             continue
         cols = instance.row_cols[i]
         base = 1.0 - scheme.delta[i]
@@ -194,7 +190,6 @@ class _SubsetTables:
 
     def __init__(self, scheme: RoundingScheme, lambdas, ks, order_cap: int):
         instance = scheme.instance
-        self.m = instance.m
         self.calls = 0
         self.terms = []
         for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
@@ -264,10 +259,10 @@ class _SubsetTables:
         return lead - subtracted
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorState:
-    """Current bit probabilities plus cached row bounds for one scheme and
-    one family of budget terms."""
+    """Bit probabilities plus cached row bounds for one scheme and one family
+    of budget terms.  Frozen: `at` is the one way to move to a new point."""
 
     scheme: RoundingScheme
     p: np.ndarray
@@ -279,6 +274,23 @@ class EstimatorState:
     @property
     def evaluations(self) -> int:
         return self.tables.calls
+
+    def at(self, p) -> "EstimatorState":
+        """The state at bit probabilities p.  Only the rows of the columns
+        where p differs from self.p are recomputed; the rest keep their
+        cached bounds, which depend on no other column."""
+        p = np.array(p, dtype=float)
+        if p.shape != self.p.shape:
+            raise ValueError(f"expected {self.p.size} probabilities, got shape {p.shape}")
+        changed = np.flatnonzero(p != self.p)
+        if changed.size == 0:
+            return self
+        rows = np.unique(np.concatenate([self.scheme.instance.col_rows[j] for j in changed]))
+        chp = self.chp.copy()
+        chp[rows] = _row_bounds(self.scheme, p, rows)
+        p.setflags(write=False)
+        chp.setflags(write=False)
+        return replace(self, p=p, chp=chp)
 
 
 def make_estimator(
@@ -297,10 +309,11 @@ def make_estimator(
                 raise ValueError(f"budget must be positive, got {lam}")
         elif lam < k:
             raise ValueError(f"budget {lam} below subset order {k}")
-    p = scheme.frac.copy()
     tables = _SubsetTables(scheme, lambdas, ks, order_cap)
+    chp = _row_bounds(scheme, scheme.frac)
+    chp.setflags(write=False)
     return EstimatorState(
-        scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=_row_bounds(scheme, p), tables=tables
+        scheme=scheme, p=scheme.frac, lambdas=lambdas, ks=ks, chp=chp, tables=tables
     )
 
 
@@ -342,6 +355,11 @@ def standard_certificate(scheme: RoundingScheme, lambdas, ks):
     return closed_form > 0.0, closed_form, estimate
 
 
+def _subset_order(n_criteria: int) -> int:
+    """Subset order k = ceil(ln 2l) of every budget term for l cost vectors."""
+    return math.ceil(math.log(2.0 * n_criteria))
+
+
 def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: float):
     """Scale factor and subset orders for simultaneous budget caps.
 
@@ -358,10 +376,9 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
     if objective_values.shape != (n_criteria,):
         raise ValueError(f"expected {n_criteria} objective values")
     if np.any(objective_values <= 0.0):
-        raise ValueError("objective values must be positive")
-    k = math.ceil(math.log(2.0 * n_criteria))
+        raise ParameterError("objective values must be positive")
+    k = _subset_order(n_criteria)
     ks = [k] * n_criteria
-    gammas = [2.0] * n_criteria
     base = max((math.log(a) + math.log(math.log(2.0 * n_criteria))) / min_demand, 1.0)
     factor = 1.0
     chosen = None
@@ -395,10 +412,10 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
             f"scaled means fall below {threshold:.2f}; budget caps may be loose",
             stacklevel=2,
         )
-    return chosen, ks, gammas
+    return chosen, ks
 
 
-def derandomize(state: EstimatorState, check_invariants: bool = True) -> RoundedSolution:
+def derandomize(state: EstimatorState) -> RoundedSolution:
     """Fix the bits one by one, keeping the estimator positive throughout.
 
     Each fractional coordinate (lowest index first) is evaluated at both of
@@ -413,49 +430,29 @@ def derandomize(state: EstimatorState, check_invariants: bool = True) -> Rounded
     current = success_lower_bound(state)
     if current <= 0.0:
         raise EstimatorError(f"estimator must start positive, got {current}")
-    p = state.p.copy()
-    chp = state.chp.copy()
     trace = [current]
-    for j in range(instance.n):
-        if p[j] == 0.0 or p[j] == 1.0:
+    cols = np.arange(instance.n)
+    for j in cols:
+        if state.p[j] == 0.0 or state.p[j] == 1.0:
             continue
-        rows = instance.col_rows[j]
-        p_zero = p.copy()
-        p_zero[j] = 0.0
-        p_one = p.copy()
-        p_one[j] = 1.0
-        ch_zero = chp.copy()
-        ch_one = chp.copy()
-        ch_zero[rows] = _row_bounds(scheme, p_zero, rows)
-        ch_one[rows] = _row_bounds(scheme, p_one, rows)
-        if check_invariants:
-            if np.any(ch_one[rows] > ch_zero[rows] + INVARIANT_TOL):
-                raise EstimatorError("setting a bit must not raise a row failure bound")
-            mix = p[j] * ch_one[rows] + (1.0 - p[j]) * ch_zero[rows]
-            if np.any(chp[rows] < mix - INVARIANT_TOL):
-                raise EstimatorError("row bounds must be concave along each bit")
-            outside = np.setdiff1d(np.arange(instance.m), rows, assume_unique=False)
-            if outside.size:
-                fresh = _row_bounds(scheme, p_zero, outside)
-                if np.any(np.abs(fresh - chp[outside]) > INVARIANT_TOL):
-                    raise EstimatorError("rows off the touched column must not move")
-        phi_zero = state.tables.value(p_zero, ch_zero)
-        phi_one = state.tables.value(p_one, ch_one)
+        zero, one = (state.at(np.where(cols == j, bit, state.p)) for bit in (0.0, 1.0))
+        phi_zero = state.tables.value(zero.p, zero.chp)
+        phi_one = state.tables.value(one.p, one.chp)
         if max(phi_zero, phi_one) < current - BRANCH_TOL:
             raise EstimatorError(
                 f"both branches dropped below the current bound at bit {j}: "
                 f"{current} -> ({phi_zero}, {phi_one})"
             )
         if phi_one > phi_zero:
-            p, chp, current = p_one, ch_one, phi_one
+            state, current = one, phi_one
         else:
-            p, chp, current = p_zero, ch_zero, phi_zero
+            state, current = zero, phi_zero
         trace.append(current)
-    z = scheme.floor + p
+    z = scheme.floor + state.p
     loads = instance.a_matrix @ z
     if np.any(loads < instance.demands - BRANCH_TOL):
         raise EstimatorError("derandomized point misses a demand; estimator inconsistent")
-    increments = [float(c @ p) for c in instance.costs]
+    increments = [float(c @ state.p) for c in instance.costs]
     if any(inc > lam + BRANCH_TOL for inc, lam in zip(increments, state.lambdas)):
         raise EstimatorError("derandomized point exceeds a budget; estimator inconsistent")
     objectives = tuple(float(c @ z) for c in instance.costs)
@@ -468,22 +465,17 @@ def derandomize(state: EstimatorState, check_invariants: bool = True) -> Rounded
     )
 
 
-def round_cip(
-    instance: CipInstance,
-    x,
-    alpha: float | None = None,
-    beta: float | None = None,
-    total_budgets=None,
-    order_cap: int = DEFAULT_SUBSET_ORDER_CAP,
-):
-    """End-to-end deterministic rounding of a feasible fractional cover.
+def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
+                      beta: float | None = None, total_budgets=None):
+    """The one place the rounding parameters of a fractional cover are fixed.
 
     Single-criterion default: (alpha, beta) from `choose_alpha_beta` and a
-    total budget of alpha * beta * y*.  Multi-criterion default: scale from
-    `multicriteria_params` with budgets 3x the scaled means.  Total budgets
-    are converted to increment budgets by subtracting the floor costs.
+    total budget of alpha * beta * y*.  Multi-criterion default: scale and
+    subset orders from `multicriteria_params`, beta = 3 and budgets 3x the
+    scaled means.  Total budgets are converted to increment budgets by
+    subtracting the floor costs of the scheme.
 
-    Returns (solution, info dict with the parameters used).
+    Returns (scheme, increment budgets, subset orders, info dict).
     """
     x = np.asarray(x, dtype=float)
     stats = sparsity_stats(instance)
@@ -500,21 +492,16 @@ def round_cip(
             total_budgets = [alpha * beta * objective_values[0]]
     else:
         if alpha is None:
-            alpha, ks, _gammas = multicriteria_params(
-                objective_values, ell, stats.a, min_demand
-            )
+            alpha, ks = multicriteria_params(objective_values, ell, stats.a, min_demand)
         else:
-            ks = [math.ceil(math.log(2.0 * ell))] * ell
+            ks = [_subset_order(ell)] * ell
         beta = 3.0 if beta is None else beta
         if total_budgets is None:
             total_budgets = [3.0 * alpha * y for y in objective_values]
     scheme = make_scheme(instance, x, alpha)
-    floor_costs = scheme.floor_costs
-    lambdas = [float(b) - fc for b, fc in zip(total_budgets, floor_costs, strict=True)]
+    lambdas = [float(b) - fc for b, fc in zip(total_budgets, scheme.floor_costs, strict=True)]
     if any(lam <= 0.0 for lam in lambdas):
         raise ParameterError("a total budget falls below the floor cost; raise the budget")
-    state = make_estimator(scheme, lambdas, ks, order_cap=order_cap)
-    solution = derandomize(state)
     info = {
         "alpha": float(alpha),
         "beta": float(beta),
@@ -522,6 +509,19 @@ def round_cip(
         "lambdas": [float(l) for l in lambdas],
         "total_budgets": [float(b) for b in total_budgets],
         "y_star": [float(y) for y in objective_values],
-        "evaluations": state.evaluations,
     }
+    return scheme, lambdas, ks, info
+
+
+def round_cip(instance: CipInstance, x, alpha: float | None = None, beta: float | None = None,
+              total_budgets=None, order_cap: int = DEFAULT_SUBSET_ORDER_CAP):
+    """End-to-end deterministic rounding of a feasible fractional cover, with
+    the parameters from `choose_parameters`.
+
+    Returns (solution, info dict with the parameters used).
+    """
+    scheme, lambdas, ks, info = choose_parameters(instance, x, alpha, beta, total_budgets)
+    state = make_estimator(scheme, lambdas, ks, order_cap=order_cap)
+    solution = derandomize(state)
+    info["evaluations"] = state.evaluations
     return solution, info

@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated total budgets, one per cost vector")
     p_round.add_argument("--kmax", type=int, default=cip.DEFAULT_SUBSET_ORDER_CAP)
     p_round.add_argument("--seed", type=int, default=0)
-    p_round.add_argument("--workers", type=int, default=1)
     p_round.add_argument("--max-tries", type=int, default=10_000)
     p_round.add_argument("--out", required=True)
 
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated minimum demands to sweep")
     p_bench.add_argument("--seeds", default="0,1,2")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--out", required=True)
 
     p_replay = sub.add_parser("replay", help="re-execute a recorded manifest")
@@ -162,6 +160,15 @@ def _parse_lambdas(raw: str | None, ell: int) -> list[float] | None:
     return values
 
 
+def _relaxation(instance) -> model.FractionalSolution:
+    """The LP vertex of either kind of instance; exit 3 when there is none."""
+    solve = solve_cip_lp if isinstance(instance, model.CipInstance) else solve_mip_lp
+    report = solve(instance)
+    if report.status != "optimal" or report.solution is None:
+        raise _CliFailure(EXIT_INFEASIBLE, f"relaxation is {report.status}")
+    return report.solution
+
+
 def _fractional_point(instance, args) -> model.FractionalSolution:
     """LP solve, or ingest --solution; returns the validated fractional point."""
     from .lp import ingest_solution
@@ -175,13 +182,7 @@ def _fractional_point(instance, args) -> model.FractionalSolution:
                 EXIT_USAGE, f'--solution must be JSON {{"x": [...], "objective": ...}}: {exc}'
             ) from exc
         return ingest_solution(instance, x)
-    if isinstance(instance, model.CipInstance):
-        report = solve_cip_lp(instance)
-    else:
-        report = solve_mip_lp(instance)
-    if report.status != "optimal" or report.solution is None:
-        raise _CliFailure(EXIT_INFEASIBLE, f"relaxation is {report.status}")
-    return report.solution
+    return _relaxation(instance)
 
 
 def cmd_round(args, argv: list[str]) -> int:
@@ -196,45 +197,30 @@ def cmd_round(args, argv: list[str]) -> int:
     x = fractional.x
 
     if is_cip:
-        stats = model.sparsity_stats(instance)
         y_star = float(fractional.objective_values[0])
         total_budgets = _parse_lambdas(args.lambdas, instance.n_criteria)
-        if args.mode == "standard":
-            alpha = args.alpha
-            beta = args.beta
-            if alpha is None or beta is None:
-                auto_a, auto_b = cip.choose_alpha_beta(stats.a, float(instance.demands.min()))
-                alpha = alpha if alpha is not None else auto_a
-                beta = beta if beta is not None else auto_b
-            scheme = cip.make_scheme(instance, x, alpha)
-            solution = cip.standard_round(scheme, args.seed)
-            lambdas = total_budgets or [alpha * beta * y_star]
-            doc = {
-                "z": [int(v) for v in solution.z],
-                "objectives": [float(v) for v in solution.objective_values],
-                "lambda": [float(v) for v in lambdas],
-                "phi_trace": [],
-                "feasible": bool(solution.feasible),
-            }
-            value = solution.objective_values[0]
-            target = lambdas[0]
-        else:
-            try:
+        try:
+            if args.mode == "standard":
+                scheme, _, _, info = cip.choose_parameters(
+                    instance, x, alpha=args.alpha, beta=args.beta, total_budgets=total_budgets
+                )
+                solution = cip.standard_round(scheme, args.seed)
+            else:
                 solution, info = cip.round_cip(
                     instance, x, alpha=args.alpha, beta=args.beta,
                     total_budgets=total_budgets, order_cap=args.kmax,
                 )
-            except cip.ParameterError as exc:
-                raise _CliFailure(EXIT_USAGE, str(exc)) from exc
-            doc = {
-                "z": [int(v) for v in solution.z],
-                "objectives": [float(v) for v in solution.objective_values],
-                "lambda": [float(v) for v in info["lambdas"]],
-                "phi_trace": [float(v) for v in solution.trace],
-                "feasible": bool(solution.feasible),
-            }
-            value = solution.objective_values[0]
-            target = info["total_budgets"][0]
+        except cip.ParameterError as exc:
+            raise _CliFailure(EXIT_USAGE, str(exc)) from exc
+        doc = {
+            "z": [int(v) for v in solution.z],
+            "objectives": [float(v) for v in solution.objective_values],
+            "lambda": info["total_budgets"],
+            "phi_trace": [float(v) for v in solution.trace or ()],
+            "feasible": bool(solution.feasible),
+        }
+        value = solution.objective_values[0]
+        target = info["total_budgets"][0]
         _write_json(out, doc)
         _write_manifest(out, argv, args.seed, [str(out)])
         ratio = value / y_star if y_star > 0 else math.inf
@@ -295,19 +281,14 @@ def _verify_tail() -> list[oracle.VerifyReport]:
 
 
 def _verify_cip(instance, seed: int, which: str) -> list[oracle.VerifyReport]:
-    stats = model.sparsity_stats(instance)
-    lp = solve_cip_lp(instance)
-    if lp.status != "optimal" or lp.solution is None:
-        raise _CliFailure(EXIT_INFEASIBLE, f"relaxation is {lp.status}")
-    alpha, beta = cip.choose_alpha_beta(stats.a, float(instance.demands.min()))
-    scheme = cip.make_scheme(instance, lp.solution.x, alpha)
-    y_star = float(lp.objective)
-    floor_cost = scheme.floor_costs[0]
-    lam = alpha * beta * y_star - floor_cost
+    try:
+        scheme, lambdas, ks, _ = cip.choose_parameters(instance, _relaxation(instance).x)
+    except cip.ParameterError as exc:
+        raise _CliFailure(EXIT_USAGE, str(exc)) from exc
     reports: list[oracle.VerifyReport] = []
     rng = np.random.default_rng(seed)
     if which in ("all", "phi"):
-        state = cip.make_estimator(scheme, [lam], [1])
+        state = cip.make_estimator(scheme, lambdas, ks)
         reports.append(oracle.verify_phi_domination(state))
         fractional = [j for j in range(instance.n) if 0.0 < scheme.frac[j] < 1.0]
         for j in fractional[:3]:
@@ -326,11 +307,18 @@ def _verify_cip(instance, seed: int, which: str) -> list[oracle.VerifyReport]:
     return reports
 
 
+def _fixture_state(instance, doc) -> cip.EstimatorState:
+    """The estimator a counterexample fixture recorded, at its recorded point."""
+    x = _relaxation(instance).x
+    try:
+        scheme = cip.make_scheme(instance, x, float(doc["alpha"]))
+        return cip.make_estimator(scheme, doc["lambdas"], doc["ks"]).at(doc["p"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _CliFailure(EXIT_USAGE, f"fixture records no valid estimator: {exc!r}") from exc
+
+
 def _verify_mip(instance, seed: int) -> list[oracle.VerifyReport]:
-    lp = solve_mip_lp(instance)
-    if lp.status != "optimal" or lp.solution is None:
-        raise _CliFailure(EXIT_INFEASIBLE, f"relaxation is {lp.status}")
-    return [oracle.verify_extended_lll(instance, lp.solution.x, k=1)]
+    return [oracle.verify_extended_lll(instance, _relaxation(instance).x, k=1)]
 
 
 def cmd_verify(args, argv: list[str]) -> int:
@@ -347,16 +335,7 @@ def cmd_verify(args, argv: list[str]) -> int:
         is_cip = isinstance(instance, model.CipInstance)
         if "p" in doc and "claim" in doc and is_cip:
             # counterexample fixture: re-check domination at the recorded point
-            stats = model.sparsity_stats(instance)
-            lp = solve_cip_lp(instance)
-            if lp.status != "optimal" or lp.solution is None:
-                raise _CliFailure(EXIT_INFEASIBLE, f"relaxation is {lp.status}")
-            alpha, _ = cip.choose_alpha_beta(stats.a, float(instance.demands.min()))
-            scheme = cip.make_scheme(instance, lp.solution.x, alpha)
-            state = cip.make_estimator(scheme, [max(1.0, float(lp.objective))], [1])
-            state.p = np.asarray(doc["p"], dtype=float)
-            state.chp = cip._row_bounds(scheme, state.p)
-            reports.append(oracle.verify_phi_domination(state))
+            reports.append(oracle.verify_phi_domination(_fixture_state(instance, doc)))
         elif args.which == "lll":
             if is_cip:
                 raise _CliFailure(EXIT_USAGE, "lll checks need a minimax instance")

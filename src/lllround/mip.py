@@ -61,12 +61,11 @@ class BootstrapConfig:
 
     k0: float = 2.0
     k1: float = 4.0
-    k2: float = 1.0
     trials_per_iter: int = 200
     max_outer_iters: int | None = None  # None → ceil(log2 log2 max(t,4)) + 2
 
     def __post_init__(self):
-        if self.k0 <= 0 or self.k1 <= 0 or self.k2 <= 0:
+        if self.k0 <= 0 or self.k1 <= 0:
             raise ValueError("envelope constants must be positive")
         if self.trials_per_iter < 1:
             raise ValueError("need at least one trial per iteration")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cip import EstimatorState, RoundingScheme, _row_bounds
+from .cip import EstimatorState, RoundingScheme
 from .model import CipInstance, MipInstance, serialize_instance
 
 __all__ = [
@@ -101,6 +101,13 @@ def _fixture(instance, p, claim: str, lhs: float, rhs: float) -> dict:
          "lhs": float(lhs), "rhs": float(rhs)}
     )
     return doc
+
+
+def _estimator_fixture(state: EstimatorState, claim: str, lhs: float, rhs: float) -> dict:
+    """A fixture that also records the estimator, so a replay rebuilds it."""
+    return dict(_fixture(state.scheme.instance, state.p, claim, lhs, rhs),
+                alpha=float(state.scheme.alpha), lambdas=[float(v) for v in state.lambdas],
+                ks=[int(k) for k in state.ks])
 
 
 def _bit_chunks(n: int):
@@ -241,9 +248,7 @@ def verify_phi_domination(
         rhs=phi,
     )
     if not passed:
-        report.counterexample = _fixture(
-            state.scheme.instance, state.p, report.claim, probs.success, phi
-        )
+        report.counterexample = _estimator_fixture(state, report.claim, probs.success, phi)
     return report
 
 
@@ -252,7 +257,6 @@ def verify_branch_inequality(
 ) -> VerifyReport:
     """The estimator at p must not exceed its expectation over branching
     bit j to 0 or 1."""
-    scheme = state.scheme
     pj = float(state.p[j])
     if pj in (0.0, 1.0):
         return VerifyReport(
@@ -263,7 +267,8 @@ def verify_branch_inequality(
     for setting in (0.0, 1.0):
         q = state.p.copy()
         q[j] = setting
-        values[setting] = state.tables.value(q, _row_bounds(scheme, q))
+        branch = state.at(q)
+        values[setting] = state.tables.value(branch.p, branch.chp)
     mixture = pj * values[1.0] + (1.0 - pj) * values[0.0]
     phi = state.tables.value(state.p, state.chp)
     passed = phi <= mixture + tol
@@ -271,7 +276,7 @@ def verify_branch_inequality(
         claim="branch mixture dominates the estimator", passed=passed, lhs=phi, rhs=mixture
     )
     if not passed:
-        report.counterexample = _fixture(scheme.instance, state.p, report.claim, phi, mixture)
+        report.counterexample = _estimator_fixture(state, report.claim, phi, mixture)
     return report
 
 

@@ -6,7 +6,7 @@ replay exactly.
 
 import numpy as np
 
-from lllround import CipInstance, MipInstance, solve_cip_lp
+from lllround import CipInstance, MipInstance, gen_set_cover, solve_cip_lp
 
 
 def random_cip(seed, n_max=12, m_max=10, ell=1):
@@ -28,6 +28,13 @@ def random_cip(seed, n_max=12, m_max=10, ell=1):
     demands = 1.0 + rng.uniform(0.0, 0.6, size=m) * slack
     costs = [rng.uniform(0.1, 1.0, n) for _ in range(ell)]
     return CipInstance.create(a, demands, costs)
+
+
+def two_cost_cover():
+    """The 8-element, 16-set unit cover of seed 0 with a second cost vector
+    rising linearly from 0.5 to 1.5."""
+    base = gen_set_cover(8, 16, 5, 2, 0)
+    return CipInstance.create(base.a_matrix, base.demands, [base.costs[0], np.linspace(0.5, 1.5, 16)])
 
 
 def random_mip(seed, max_groups=4, max_slots=3, m_max=6):

@@ -13,7 +13,9 @@ from lllround import (
     ParameterError,
     binomial_real,
     choose_alpha_beta,
+    choose_parameters,
     derandomize,
+    gen_set_cover,
     lower_tail_bound,
     make_estimator,
     make_scheme,
@@ -25,7 +27,8 @@ from lllround import (
     standard_round,
     success_lower_bound,
 )
-from _builders import lp_point, random_cip
+from lllround.cip import _row_bounds
+from _builders import lp_point, random_cip, two_cost_cover
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure
@@ -47,8 +50,7 @@ def estimate_by_enumeration(scheme, p, lambdas, ks):
     """
     inst = scheme.instance
     p = np.asarray(p, dtype=float)
-    state = make_estimator(scheme, lambdas, ks)
-    state.p = p
+    state = make_estimator(scheme, lambdas, ks).at(p)
     ch = np.array([row_failure_bound(state, i) for i in range(inst.m)])
     unsat = [i for i in range(inst.m) if not scheme.satisfied[i]]
     lead = math.prod(1.0 - ch[i] for i in unsat)
@@ -69,9 +71,7 @@ def estimate_by_enumeration(scheme, p, lambdas, ks):
 
 def evaluate_at(state, p):
     """Estimator value at an arbitrary bit-probability vector."""
-    state.p = np.asarray(p, dtype=float)
-    state.chp = np.array([row_failure_bound(state, i) for i in range(state.scheme.instance.m)])
-    return success_lower_bound(state)
+    return success_lower_bound(state.at(p))
 
 
 class TestMakeScheme:
@@ -87,7 +87,7 @@ class TestMakeScheme:
         scheme = make_scheme(inst, [0.5, 0.5], 1.5)
         assert np.array_equal(scheme.floor, [0.0, 0.0])
         assert scheme.frac == pytest.approx([0.75, 0.75])
-        assert scheme.mu[0] == pytest.approx(1.5)
+        assert (inst.a_matrix @ scheme.frac)[0] == pytest.approx(1.5)
         assert scheme.residual[0] == pytest.approx(1.0)
         assert scheme.delta[0] == pytest.approx(1 / 3)
         assert not scheme.satisfied[0]
@@ -198,8 +198,7 @@ class TestStandardRound:
 class TestRowFailureBounds:
     def test_zero_mass_on_unsatisfied_row_is_certain_failure(self):
         scheme = tight_single_row()
-        state = make_estimator(scheme, [3.0], [1])
-        state.p = np.zeros(6)
+        state = make_estimator(scheme, [3.0], [1]).at(np.zeros(6))
         assert row_failure_bound(state, 0) == 1.0
 
     def test_satisfied_row_never_fails(self):
@@ -227,10 +226,10 @@ class TestRowFailureBounds:
             state = make_estimator(scheme, [float(inst.n)], [1])
             rng = np.random.default_rng(seed)
             for p in (scheme.frac, rng.uniform(0.0, 1.0, inst.n) * scheme.frac):
-                state.p = np.asarray(p, dtype=float)
-                exact = exact_event_probs(scheme, state.p)
+                moved = state.at(p)
+                exact = exact_event_probs(scheme, moved.p)
                 for i in range(inst.m):
-                    assert exact.row_fail[i] <= row_failure_bound(state, i) + 1e-9
+                    assert exact.row_fail[i] <= row_failure_bound(moved, i) + 1e-9
 
 
 class TestSuccessEstimator:
@@ -286,7 +285,7 @@ class TestSuccessEstimator:
         p[inst.row_cols[row]] = 0.0
         got = evaluate_at(state, p)
         want = estimate_by_enumeration(scheme, p, [float(inst.n)], [1])
-        assert row_failure_bound(state, row) == 1.0
+        assert row_failure_bound(state.at(p), row) == 1.0
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_budget_and_order_validation(self):
@@ -337,16 +336,15 @@ class TestStandardCertificate:
 
 class TestMulticriteriaParams:
     def test_subset_orders_follow_the_criterion_count(self):
-        _, ks, gammas = multicriteria_params([10.0], 1, 2, 4.0)
+        _, ks = multicriteria_params([10.0], 1, 2, 4.0)
         assert ks == [1]
-        assert gammas == [2.0]
-        alpha, ks, _ = multicriteria_params([40.0] * 20, 20, 2, 8.0)
+        alpha, ks = multicriteria_params([40.0] * 20, 20, 2, 8.0)
         assert ks == [4] * 20
         assert alpha > 1.0
 
     def test_scaled_means_feed_a_positive_start_bound(self):
         values = [6.0, 7.0, 5.5, 6.5]
-        alpha, ks, gammas = multicriteria_params(values, 4, 3, 6.0)
+        alpha, ks = multicriteria_params(values, 4, 3, 6.0)
         k = ks[0]
         q = lower_tail_bound(6.0, alpha)
         total = sum(
@@ -423,16 +421,89 @@ class TestDerandomize:
         leftover = int(np.count_nonzero(scheme.frac))
         assert info["evaluations"] == 2 * leftover + 1
 
-    def test_invariant_checks_pass_on_a_random_instance(self):
-        inst = random_cip(11)
-        x = lp_point(inst)
-        alpha, beta = choose_alpha_beta(sparsity_stats(inst).a, float(inst.demands.min()))
-        scheme = make_scheme(inst, x, alpha)
-        lam = alpha * beta * float(inst.costs[0] @ x) - scheme.floor_costs[0]
-        state = make_estimator(scheme, [lam], [1])
-        out = derandomize(state, check_invariants=True)
-        assert out.feasible
-        assert out.certificate >= out.trace[0] - 1e-9
+    @pytest.mark.parametrize(
+        "inst,alpha",
+        [
+            (gen_set_cover(8, 16, 5, 2, 0), 2.0),
+            (random_cip(1), 1.6),
+            (two_cost_cover(), 2.0),
+            (random_cip(2, ell=2), 1.6),
+        ],
+        ids=["set-cover", "single-cost", "two-cost-set-cover", "two-cost"],
+    )
+    def test_every_fixed_bit_keeps_row_bounds_monotone_concave_and_local(self, inst, alpha):
+        # Replays derandomize's path bit by bit and checks, on the rows of
+        # each fixed column, that the 1-branch bound never exceeds the
+        # 0-branch bound and that the current bound is at least their mix;
+        # on every other row, that a full recompute leaves it untouched.
+        # The flat interior point keeps rows unsatisfied by the floors, so
+        # the row bounds really move.
+        x = np.full(inst.n, float(np.max(inst.demands / inst.a_matrix.sum(axis=1))))
+        budgets = [4.0 * inst.n] * inst.n_criteria
+        scheme, lambdas, ks, _ = choose_parameters(inst, x, alpha=alpha, total_budgets=budgets)
+        state = make_estimator(scheme, lambdas, ks)
+        out = derandomize(state)
+        chosen = out.z - scheme.floor
+        step = moving = 0
+        for j in range(inst.n):
+            pj = state.p[j]
+            if pj in (0.0, 1.0):
+                continue
+            branches = []
+            for bit in (0.0, 1.0):
+                q = state.p.copy()
+                q[j] = bit
+                branches.append(state.at(q))
+            zero, one = branches
+            rows = inst.col_rows[j]
+            assert np.all(one.chp[rows] <= zero.chp[rows] + 1e-12)
+            mix = pj * one.chp[rows] + (1.0 - pj) * zero.chp[rows]
+            assert np.all(state.chp[rows] >= mix - 1e-12)
+            off = np.setdiff1d(np.arange(inst.m), rows)
+            for branch in (zero, one):
+                assert np.array_equal(_row_bounds(scheme, branch.p)[off], state.chp[off])
+            moving += bool(np.any(zero.chp[rows] != one.chp[rows]))
+            state = one if chosen[j] == 1.0 else zero
+            step += 1
+            assert success_lower_bound(state) == out.trace[step]
+        assert step == len(out.trace) - 1
+        assert np.array_equal(state.p, chosen)
+        assert moving > 0
+
+
+class TestEstimatorAt:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("moved", ["one column", "several columns", "all columns"])
+    def test_cached_bounds_equal_a_full_recompute(self, seed, moved):
+        ell = 1 + seed % 2
+        inst = random_cip(seed, ell=ell)
+        scheme = make_scheme(inst, lp_point(inst), 1.5)
+        state = make_estimator(scheme, [float(inst.n)] * ell, [1] * ell)
+        rng = np.random.default_rng(seed)
+        size = {"one column": 1, "several columns": 2, "all columns": inst.n}[moved]
+        cols = rng.choice(inst.n, size=size, replace=False)
+        q = state.p.copy()
+        q[cols] = rng.uniform(0.0, 1.0, size)
+        there = state.at(q)
+        assert np.array_equal(there.chp, _row_bounds(scheme, q))
+        assert np.array_equal(there.at(scheme.frac).chp, state.chp)
+
+    def test_leaves_the_original_state_and_the_callers_array_alone(self):
+        inst = random_cip(2)
+        scheme = make_scheme(inst, lp_point(inst), 1.5)
+        state = make_estimator(scheme, [float(inst.n)], [1])
+        before = state.chp.copy()
+        q = np.zeros(inst.n)
+        there = state.at(q)
+        q[:] = 1.0
+        assert np.array_equal(there.p, np.zeros(inst.n))
+        assert np.array_equal(state.p, scheme.frac)
+        assert np.array_equal(state.chp, before)
+        assert state.at(scheme.frac) is state
+        with pytest.raises(ValueError, match="read-only"):
+            there.p[0] = 0.5
+        with pytest.raises(ValueError, match="expected"):
+            state.at(np.zeros(inst.n + 1))
 
 
 class TestRoundCip:

@@ -5,14 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from lllround import parse_instance
+from lllround import CipInstance, choose_parameters, parse_instance, serialize_instance
 from lllround.cli import BENCH_COLUMNS, main
+from _builders import lp_point, two_cost_cover
 
 
 def gen(tmp_path, *extra, kind="set-cover", seed=3, name="inst.json"):
     out = tmp_path / name
     code = main(["gen", "--kind", kind, "--seed", str(seed), "--out", str(out), *extra])
     assert code == 0
+    return out
+
+
+def two_cost(tmp_path, name="two_cost.json"):
+    out = tmp_path / name
+    out.write_text(serialize_instance(two_cost_cover()))
     return out
 
 
@@ -78,6 +85,44 @@ class TestRound:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["phi_trace"] == []
+
+    @pytest.mark.parametrize("mode", ["standard", "derandomize"])
+    def test_lambda_holds_the_total_budgets(self, tmp_path, mode):
+        instance = two_cost_cover()
+        out = tmp_path / f"{mode}.json"
+        assert main(["round", str(two_cost(tmp_path)), "--mode", mode, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        _, _, _, info = choose_parameters(instance, lp_point(instance))
+        assert doc["lambda"] == info["total_budgets"]
+        assert len(doc["lambda"]) == 2
+        if mode == "derandomize":
+            assert all(v <= b + 1e-9 for v, b in zip(doc["objectives"], doc["lambda"]))
+
+    def test_budget_below_the_floor_cost_exits_2_in_both_modes(self, tmp_path, capsys):
+        inst = gen(tmp_path)
+        for mode in ("standard", "derandomize"):
+            code = main(["round", str(inst), "--mode", mode, "--lambda", "0.5",
+                         "--out", str(tmp_path / "r.json")])
+            assert code == 2
+            assert "below the floor cost" in capsys.readouterr().err
+
+    def test_zero_objective_at_the_relaxation_exits_2(self, tmp_path, capsys):
+        # the second cost is 0 on the LP support, so no multi-criteria scale exists
+        base = two_cost_cover()
+        second = np.where(lp_point(base) > 0.0, 0.0, 1.0)
+        inst = tmp_path / "zero.json"
+        inst.write_text(serialize_instance(
+            CipInstance.create(base.a_matrix, base.demands, [base.costs[0], second])))
+        for argv in (["round", str(inst), "--out", str(tmp_path / "d.json")],
+                     ["round", str(inst), "--mode", "standard", "--out", str(tmp_path / "s.json")],
+                     ["verify", str(inst)]):
+            assert main(argv) == 2
+            assert "objective values must be positive" in capsys.readouterr().err
+
+    def test_workers_option_is_gone(self, tmp_path):
+        inst = gen(tmp_path)
+        assert main(["round", str(inst), "--workers", "1", "--out", str(tmp_path / "r.json")]) == 2
+        assert main(["bench", "--workers", "1", "--out", str(tmp_path / "b.csv")]) == 2
 
     def test_ingested_solution_is_used(self, tmp_path):
         inst_path = gen(tmp_path)
@@ -155,6 +200,12 @@ class TestVerify:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
         assert len(lines) >= 4  # domination, branch bits, both correlation directions
 
+    def test_two_cost_cover_passes_all_checks(self, tmp_path, capsys):
+        assert main(["verify", str(two_cost(tmp_path))]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert len([l for l in out.splitlines() if l.startswith("PASS")]) >= 4
+
     def test_minimax_instance_lll_check(self, tmp_path, capsys):
         graph = gen(tmp_path, kind="hypergraph", name="graph.json")
         assert main(["verify", str(graph), "--which", "lll"]) == 0
@@ -169,23 +220,37 @@ class TestVerify:
     def test_injected_fault_writes_fixture_and_fixture_replays_clean(
         self, tmp_path, capsys, monkeypatch
     ):
-        inst = gen(tmp_path)
-        fixture_path = tmp_path / "bad.json"
         import lllround.cip as cip_module
 
         real = cip_module.success_lower_bound
-        monkeypatch.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
-        code = main(["verify", str(inst), "--which", "phi", "--out", str(fixture_path)])
-        assert code == 1
-        stdout = capsys.readouterr().out
-        assert "FAIL" in stdout
-        assert f"counterexample written to {fixture_path}" in stdout
-        assert fixture_path.exists()
+        for inst in (gen(tmp_path), two_cost(tmp_path)):
+            fixture_path = tmp_path / f"bad-{inst.name}"
+            monkeypatch.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
+            code = main(["verify", str(inst), "--which", "phi", "--out", str(fixture_path)])
+            assert code == 1
+            stdout = capsys.readouterr().out
+            assert "FAIL" in stdout
+            assert f"counterexample written to {fixture_path}" in stdout
+            fixture = json.loads(fixture_path.read_text())
+            instance = parse_instance(inst.read_text())
+            _, lambdas, ks, info = choose_parameters(instance, lp_point(instance))
+            assert fixture["alpha"] == info["alpha"]
+            assert fixture["lambdas"] == lambdas
+            assert fixture["ks"] == ks
 
-        monkeypatch.setattr(cip_module, "success_lower_bound", real)
-        assert main(["verify", str(fixture_path)]) == 0
-        replay_out = capsys.readouterr().out
-        assert "PASS" in replay_out and "FAIL" not in replay_out
+            monkeypatch.setattr(cip_module, "success_lower_bound", real)
+            assert main(["verify", str(fixture_path)]) == 0
+            replay_out = capsys.readouterr().out
+            assert "PASS" in replay_out and "FAIL" not in replay_out
+
+    def test_fixture_without_an_estimator_exits_2(self, tmp_path, capsys):
+        inst = gen(tmp_path)
+        doc = json.loads(inst.read_text())
+        doc.update({"p": [0.5] * doc["n"], "claim": "made up", "lhs": 0.0, "rhs": 1.0})
+        fixture = tmp_path / "old.json"
+        fixture.write_text(json.dumps(doc))
+        assert main(["verify", str(fixture)]) == 2
+        assert "records no valid estimator: KeyError('alpha')" in capsys.readouterr().err
 
     def test_budget_cap_exits_4(self, tmp_path, monkeypatch):
         inst = gen(tmp_path, "--n-sets", "12")

@@ -19,7 +19,6 @@ from lllround import (
     make_estimator,
     make_scheme,
     parse_instance,
-    row_failure_bound,
     solve_cip_lp,
     sparsity_stats,
     verify_branch_inequality,
@@ -43,13 +42,6 @@ def qualified_state(seed, n_max=10, m_max=5):
     scheme = make_scheme(inst, x, alpha)
     lam = alpha * beta * float(inst.costs[0] @ x) - scheme.floor_costs[0]
     return make_estimator(scheme, [lam], [1])
-
-
-def move_state_to(state, p):
-    state.p = np.asarray(p, dtype=float)
-    state.chp = np.array(
-        [row_failure_bound(state, i) for i in range(state.scheme.instance.m)]
-    )
 
 
 class TestExactEventProbs:
@@ -145,8 +137,8 @@ class TestPhiDomination:
         assert report.counterexample is None
         assert report.lhs >= report.rhs - 1e-9
         rng = np.random.default_rng(seed)
-        move_state_to(state, rng.uniform(0.0, 1.0, state.scheme.instance.n))
-        assert verify_phi_domination(state).passed
+        moved = state.at(rng.uniform(0.0, 1.0, state.scheme.instance.n))
+        assert verify_phi_domination(moved).passed
 
     def test_injected_fault_produces_a_replayable_counterexample(self, monkeypatch):
         state = qualified_state(0)
@@ -179,8 +171,9 @@ class TestBranchInequality:
 
     def test_integral_bit_short_circuits(self):
         state = qualified_state(1)
-        state.p = state.p.copy()
-        state.p[0] = 1.0
+        p = state.p.copy()
+        p[0] = 1.0
+        state = state.at(p)
         report = verify_branch_inequality(state, 0)
         assert report.passed
         assert report.status == "bit already integral"
