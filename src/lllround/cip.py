@@ -91,15 +91,15 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     x = np.asarray(x, dtype=float)
     if x.shape != (instance.n,):
         raise ValueError(f"expected {instance.n} values, got shape {x.shape}")
-    shortfall = instance.demands - instance.a_matrix @ x
+    shortfall = instance.demands - instance.loads(x)
     if shortfall.max(initial=0.0) > 1e-6:
         worst = int(np.argmax(shortfall))
         raise ValueError(f"fractional point infeasible: row {worst} short by {shortfall[worst]:.3e}")
     scaled = alpha * x
     floor = np.floor(scaled)
     frac = scaled - floor
-    mu = instance.a_matrix @ frac
-    residual = instance.demands - instance.a_matrix @ floor
+    mu = instance.loads(frac)
+    residual = instance.demands - instance.loads(floor)
     satisfied = residual <= 0.0
     delta = np.zeros(instance.m)
     active = ~satisfied
@@ -157,7 +157,7 @@ def standard_round(scheme: RoundingScheme, rng_seed) -> RoundedSolution:
     rng = np.random.default_rng(rng_seed)
     bits = rng.random(scheme.instance.n) < scheme.frac
     z = scheme.floor + bits
-    loads = scheme.instance.a_matrix @ z
+    loads = scheme.instance.loads(z)
     feasible = bool(np.all(loads >= scheme.instance.demands - 1e-9))
     objectives = tuple(float(c @ z) for c in scheme.instance.costs)
     return RoundedSolution(z=z, feasible=feasible, objective_values=objectives)
@@ -172,9 +172,9 @@ def _row_bounds(scheme: RoundingScheme, p: np.ndarray, rows=None) -> np.ndarray:
     for pos, i in enumerate(rows):
         if scheme.satisfied[i]:
             continue
-        cols = instance.row_cols[i]
+        span = slice(instance.row_ptr[i], instance.row_ptr[i + 1])
+        cols, coeff = instance.cols[span], instance.vals[span]
         base = 1.0 - scheme.delta[i]
-        coeff = instance.a_matrix[i, cols]
         factors = 1.0 - p[cols] * (1.0 - base**coeff)
         log_ch = float(np.log(factors).sum()) - scheme.residual[i] * math.log(base)
         out[pos] = min(1.0, math.exp(min(log_ch, 0.0)))
@@ -339,17 +339,13 @@ def standard_certificate(scheme: RoundingScheme, lambdas, ks):
     lambdas = np.asarray(lambdas, dtype=float)
     ks = np.asarray(ks, dtype=np.int64)
     stats = sparsity_stats(instance)
-    if instance.m:
-        q = lower_tail_bound(float(instance.demands.min()), scheme.alpha)
-        clear = (1.0 - q) ** instance.m
-        inflate = lambda k: (1.0 - q) ** (-stats.a * int(k))  # noqa: E731
-    else:  # degenerate: nothing to cover
-        clear = 1.0
-        inflate = lambda k: 1.0  # noqa: E731
+    q = lower_tail_bound(float(instance.demands.min()), scheme.alpha)
+    clear = (1.0 - q) ** instance.m
     total = 0.0
     for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
         mean = float(cost @ scheme.frac)
-        total += esym_mean_bound(instance.n, mean, int(k)) / binomial_real(float(lam), int(k)) * inflate(k)
+        inflate = (1.0 - q) ** (-stats.a * int(k))
+        total += esym_mean_bound(instance.n, mean, int(k)) / binomial_real(float(lam), int(k)) * inflate
     closed_form = clear * (1.0 - total)
     estimate = success_lower_bound(make_estimator(scheme, lambdas, ks, order_cap=max(int(ks.max()), 1)))
     return closed_form > 0.0, closed_form, estimate
@@ -449,7 +445,7 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
             state, current = zero, phi_zero
         trace.append(current)
     z = scheme.floor + state.p
-    loads = instance.a_matrix @ z
+    loads = instance.loads(z)
     if np.any(loads < instance.demands - BRANCH_TOL):
         raise EstimatorError("derandomized point misses a demand; estimator inconsistent")
     increments = [float(c @ state.p) for c in instance.costs]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cip, mip, model, oracle, tailbounds
-from .lp import InfeasibleError, solve_cip_lp, solve_mip_lp
+from .lp import InfeasibleError, ingest_solution, solve_cip_lp, solve_mip_lp
 
 __all__ = ["main", "entry"]
 
@@ -171,8 +171,6 @@ def _relaxation(instance) -> model.FractionalSolution:
 
 def _fractional_point(instance, args) -> model.FractionalSolution:
     """LP solve, or ingest --solution; returns the validated fractional point."""
-    from .lp import ingest_solution
-
     if args.solution:
         try:
             raw = json.loads(Path(args.solution).read_text())
@@ -317,8 +315,16 @@ def _fixture_state(instance, doc) -> cip.EstimatorState:
         raise _CliFailure(EXIT_USAGE, f"fixture records no valid estimator: {exc!r}") from exc
 
 
-def _verify_mip(instance, seed: int) -> list[oracle.VerifyReport]:
-    return [oracle.verify_extended_lll(instance, _relaxation(instance).x, k=1)]
+def _verify_mip(instance, fixture=None) -> list[oracle.VerifyReport]:
+    """The dependency check at the relaxation's vertex with slack 1, or at
+    the point and slack a counterexample fixture recorded."""
+    if fixture is None:
+        return [oracle.verify_extended_lll(instance, _relaxation(instance).x, k=1)]
+    try:
+        return [oracle.verify_extended_lll(instance, ingest_solution(instance, fixture["p"]).x,
+                                           k=int(fixture["k"]))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _CliFailure(EXIT_USAGE, f"fixture records no valid point: {exc!r}") from exc
 
 
 def cmd_verify(args, argv: list[str]) -> int:
@@ -333,13 +339,14 @@ def cmd_verify(args, argv: list[str]) -> int:
     else:
         instance = _load_instance(args.target)
         is_cip = isinstance(instance, model.CipInstance)
-        if "p" in doc and "claim" in doc and is_cip:
-            # counterexample fixture: re-check domination at the recorded point
-            reports.append(oracle.verify_phi_domination(_fixture_state(instance, doc)))
+        if "p" in doc and "claim" in doc:
+            # counterexample fixture: replay its check at the recorded point
+            reports.extend([oracle.verify_phi_domination(_fixture_state(instance, doc))]
+                           if is_cip else _verify_mip(instance, doc))
         elif args.which == "lll":
             if is_cip:
                 raise _CliFailure(EXIT_USAGE, "lll checks need a minimax instance")
-            reports.extend(_verify_mip(instance, args.seed))
+            reports.extend(_verify_mip(instance))
         elif args.which in ("phi", "fkg"):
             if not is_cip:
                 raise _CliFailure(EXIT_USAGE, f"{args.which} checks need a covering instance")
@@ -348,7 +355,7 @@ def cmd_verify(args, argv: list[str]) -> int:
             if is_cip:
                 reports.extend(_verify_cip(instance, args.seed, "all"))
             else:
-                reports.extend(_verify_mip(instance, args.seed))
+                reports.extend(_verify_mip(instance))
             reports.extend(_verify_tail())
     failed = [r for r in reports if not r.passed]
     for r in reports:

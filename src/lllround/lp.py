@@ -179,17 +179,24 @@ def solve_mip_lp(instance: MipInstance) -> LpReport:
 def ingest_solution(instance, x) -> FractionalSolution:
     """Validate an externally produced fractional point and wrap it.
 
+    Entries must be finite and at least -1e-6; the returned point clips them
+    at 0, and its objective values are those of the clipped point.
     Violations up to 1e-6 are tolerated (and recorded as slack); anything
     larger raises InfeasibleError naming the worst constraint.
     """
+    if not isinstance(instance, (CipInstance, MipInstance)):
+        raise TypeError(f"unsupported instance type {type(instance)!r}")
     x = np.asarray(x, dtype=float)
+    n = instance.shape[1]
+    if x.shape != (n,):
+        raise InfeasibleError(f"expected {n} values, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InfeasibleError("solution has non-finite entries")
+    if np.any(x < -INGEST_TOL):
+        raise InfeasibleError("solution has negative entries")
+    x = np.maximum(x, 0.0)
     if isinstance(instance, CipInstance):
-        if x.shape != (instance.n,):
-            raise InfeasibleError(f"expected {instance.n} values, got shape {x.shape}")
-        if np.any(x < -INGEST_TOL):
-            raise InfeasibleError("solution has negative entries")
-        loads = instance.a_matrix @ x
-        shortfall = instance.demands - loads
+        shortfall = instance.demands - instance.loads(x)
         worst = int(np.argmax(shortfall))
         slack = max(0.0, float(shortfall[worst]))
         if slack > INGEST_TOL:
@@ -197,20 +204,14 @@ def ingest_solution(instance, x) -> FractionalSolution:
                 f"row {worst} misses its demand by {slack:.3e} (beyond 1e-6)"
             )
         objectives = tuple(float(cost @ x) for cost in instance.costs)
-        return FractionalSolution(x=np.maximum(x, 0.0), objective_values=objectives, feasibility_slack=slack)
-    if isinstance(instance, MipInstance):
-        if x.shape != (instance.n_cols,):
-            raise InfeasibleError(f"expected {instance.n_cols} values, got shape {x.shape}")
-        if np.any(x < -INGEST_TOL):
-            raise InfeasibleError("solution has negative entries")
-        sums = np.array([x[instance.group_slice(g)].sum() for g in range(instance.n_groups)])
-        deviation = np.abs(sums - 1.0)
-        worst = int(np.argmax(deviation))
-        slack = float(deviation[worst])
-        if slack > INGEST_TOL:
-            raise InfeasibleError(
-                f"group {worst} mass sums to {sums[worst]:.9f} (beyond 1e-6 from 1)"
-            )
-        value = float((instance.a_matrix @ x).max())
-        return FractionalSolution(x=np.maximum(x, 0.0), objective_values=(value,), feasibility_slack=slack)
-    raise TypeError(f"unsupported instance type {type(instance)!r}")
+        return FractionalSolution(x=x, objective_values=objectives, feasibility_slack=slack)
+    sums = np.array([x[instance.group_slice(g)].sum() for g in range(instance.n_groups)])
+    deviation = np.abs(sums - 1.0)
+    worst = int(np.argmax(deviation))
+    slack = float(deviation[worst])
+    if slack > INGEST_TOL:
+        raise InfeasibleError(
+            f"group {worst} mass sums to {sums[worst]:.9f} (beyond 1e-6 from 1)"
+        )
+    value = float(instance.loads(x).max())
+    return FractionalSolution(x=x, objective_values=(value,), feasibility_slack=slack)

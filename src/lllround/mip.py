@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FractionalSolution, MipInstance
+from .model import FractionalSolution, MipInstance, _widths
 from .tailbounds import deviation_for_budget
 
 __all__ = [
@@ -116,20 +116,11 @@ class LasVegasReport:
 
 
 def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
-    """(a, t) restricted to the support of x: max rows touched by a single
-    live column, and max rows touched by any group's live columns."""
-    a = 1
-    t = 1
-    for g in range(instance.n_groups):
-        sl = instance.group_slice(g)
-        live = [j for j in range(sl.start, sl.stop) if x[j] > 0.0]
-        rows: set[int] = set()
-        for j in live:
-            touched = instance.col_rows[j]
-            rows.update(touched.tolist())
-            a = max(a, len(touched))
-        t = max(t, len(rows))
-    return a, t
+    """(a, t) restricted to the support of x, each at least 1: max rows
+    touched by a single live column, and max rows touched by any group's
+    live columns."""
+    a, t = _widths(instance, x[instance.cols] > 0.0)
+    return max(a, 1), max(t, 1)
 
 
 def mip_target(y_star: float, m: int, t: int) -> MipTarget:
@@ -187,7 +178,7 @@ def las_vegas_mip(
     x = np.asarray(x_star, dtype=float)
     if t is None:
         _, t = _support_stats(instance, x)
-    y_star = float((instance.a_matrix @ x).max())
+    y_star = float(instance.loads(x).max())
     target = mip_target(y_star, instance.m, t)
     best_value = math.inf
     best_z: np.ndarray | None = None
@@ -196,7 +187,7 @@ def las_vegas_mip(
     for trial in range(max_tries):
         trials_used = trial + 1
         z = group_round(instance, x, [rng_seed, trial])
-        value = float((instance.a_matrix @ z).max())
+        value = float(instance.loads(z).max())
         if value < best_value - 1e-9:
             best_value = value
             best_z = z
@@ -242,7 +233,7 @@ def bootstrap_reduce(
             raise ValueError(f"group {g} weights sum to {total}, not 1")
         x[sl] /= total
     a, t = _support_stats(instance, x)
-    y_star = float((instance.a_matrix @ x).max())
+    y_star = float(instance.loads(x).max())
     result = BootstrapResult(x=x, t_trace=[t], y_trace=[y_star])
     outer_cap = config.outer_cap(t)
     rng = np.random.default_rng([rng_seed, 0xB007])
@@ -273,7 +264,7 @@ def bootstrap_reduce(
             trials += 1
             bits = rng.random(instance.n_cols) < fracs
             z = floors + bits
-            loads = instance.a_matrix @ z
+            loads = instance.loads(z)
             if np.any(loads > row_cap):
                 continue
             sums_ok = True
@@ -308,7 +299,7 @@ def bootstrap_reduce(
         result.iterations.append(it)
         x = new_x
         a, new_t = _support_stats(instance, x)
-        y_star = float((instance.a_matrix @ x).max())
+        y_star = float(instance.loads(x).max())
         result.y_trace.append(y_star)
         if new_t >= t:
             result.t_trace.append(new_t)

@@ -52,56 +52,113 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _column_adjacency(a_matrix: np.ndarray) -> list[np.ndarray]:
-    return [_frozen(np.flatnonzero(a_matrix[:, j] > 0.0)) for j in range(a_matrix.shape[1])]
-
-
-def _row_adjacency(a_matrix: np.ndarray) -> list[np.ndarray]:
-    return [_frozen(np.flatnonzero(a_matrix[i] > 0.0)) for i in range(a_matrix.shape[0])]
+def _matrix_fields(shape, rows, cols, vals) -> dict:
+    """Check the (row, col)-sorted nonzero triplets of an m x n matrix with
+    entries in (0, 1], and derive the row pointer and the per-row and
+    per-column index lists (views of the stored arrays)."""
+    m, n = (int(d) for d in shape)
+    if m < 1 or n < 1:
+        raise InstanceError("instance needs at least one row and one column")
+    rows, cols = (_frozen(np.asarray(v, dtype=np.int64).reshape(-1)) for v in (rows, cols))
+    vals = _frozen(np.asarray(vals, dtype=float).reshape(-1))
+    if not rows.shape == cols.shape == vals.shape:
+        raise InstanceError("need one row, one column and one value per triplet")
+    bad = np.flatnonzero((rows < 0) | (rows >= m) | (cols < 0) | (cols >= n))
+    if bad.size:
+        raise InstanceError(f"triplet {bad[0]} at ({rows[bad[0]]}, {cols[bad[0]]}) lies outside "
+                            f"the {m} x {n} matrix")
+    bad = np.flatnonzero(~((vals > 0.0) & (vals <= 1.0)))
+    if bad.size:
+        raise InstanceError(f"triplet {bad[0]} has value {vals[bad[0]]}: constraint entries "
+                            "must lie in [0, 1], and zero entries are omitted")
+    keys = rows * n + cols
+    step = np.flatnonzero(np.diff(keys) <= 0)
+    if step.size:
+        pos = step[0] + 1
+        if keys[pos] == keys[pos - 1]:
+            raise InstanceError(f"triplet {pos} duplicates ({rows[pos]}, {cols[pos]})")
+        raise InstanceError("triplets must be sorted by (row, col)")
+    row_ptr = _frozen(np.searchsorted(rows, np.arange(m + 1)))
+    # a stable sort by column keeps each column's rows ascending
+    col_ptr = np.cumsum(np.bincount(cols, minlength=n))[:-1]
+    rows_by_col = _frozen(rows[np.argsort(cols, kind="stable")])
+    return dict(shape=(m, n), rows=rows, cols=cols, vals=vals, row_ptr=row_ptr,
+                row_cols=np.split(cols, row_ptr[1:-1]), col_rows=np.split(rows_by_col, col_ptr))
 
 
 @dataclass(frozen=True, eq=False)
-class CipInstance:
-    """A covering program.  Build through :meth:`create`, which validates and
-    normalizes; the raw constructor trusts its arguments."""
+class _SparseMatrix:
+    """The constraint matrix, stored once as its (row, col)-sorted nonzero
+    triplets; `row_cols[i]` and `col_rows[j]` are views of those arrays."""
 
-    a_matrix: np.ndarray  # (m, n), entries in [0, 1]
-    demands: np.ndarray  # (m,), each >= 1
-    costs: tuple[np.ndarray, ...]  # each max-normalized to 1
-    cost_scales: tuple[float, ...]  # divisor applied to each raw cost vector
-    col_rows: list[np.ndarray] = field(repr=False)
+    shape: tuple[int, int]
+    rows: np.ndarray  # row of each nonzero, nondecreasing
+    cols: np.ndarray  # column of each nonzero, increasing within a row
+    vals: np.ndarray  # each in (0, 1]
+    row_ptr: np.ndarray  # row i's nonzeros are [row_ptr[i], row_ptr[i + 1])
     row_cols: list[np.ndarray] = field(repr=False)
+    col_rows: list[np.ndarray] = field(repr=False)  # ascending rows of each column
 
     @property
     def m(self) -> int:
-        return self.a_matrix.shape[0]
+        return self.shape[0]
+
+    @property
+    def a_matrix(self) -> np.ndarray:
+        """A dense read-only copy, built on every call (for the simplex
+        tableau and the exhaustive oracles; rounding reads the triplets)."""
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.cols] = self.vals
+        return _frozen(dense)
+
+    def loads(self, x) -> np.ndarray:
+        """Row loads A x, summed over the nonzeros."""
+        x = np.asarray(x, dtype=float)
+        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.m)
+
+    @classmethod
+    def create(cls, a_matrix, *args):
+        """From a dense matrix with entries in [0, 1], through its nonzeros;
+        `args` are the rest of `from_triplets`' arguments: the demands and
+        cost vectors of a cover, or the group sizes of a minimax program."""
+        a_matrix = np.asarray(a_matrix, dtype=float)
+        if a_matrix.ndim != 2:
+            raise InstanceError("constraint matrix must be two-dimensional")
+        rows, cols = np.nonzero(a_matrix)
+        return cls.from_triplets(a_matrix.shape, rows, cols, a_matrix[rows, cols], *args)
+
+
+@dataclass(frozen=True, eq=False)
+class CipInstance(_SparseMatrix):
+    """A covering program.  Build through :meth:`create` or
+    :meth:`from_triplets`, which validate and normalize; the raw constructor
+    trusts its arguments."""
+
+    demands: np.ndarray  # (m,), each >= 1
+    costs: tuple[np.ndarray, ...]  # each max-normalized to 1
+    cost_scales: tuple[float, ...]  # divisor applied to each raw cost vector
 
     @property
     def n(self) -> int:
-        return self.a_matrix.shape[1]
+        return self.shape[1]
 
     @property
     def n_criteria(self) -> int:
         return len(self.costs)
 
     @classmethod
-    def create(cls, a_matrix, demands, costs) -> "CipInstance":
-        a_matrix = np.asarray(a_matrix, dtype=float)
+    def from_triplets(cls, shape, rows, cols, vals, demands, costs) -> "CipInstance":
+        """From the (row, col)-sorted nonzero triplets of an (m, n) matrix."""
+        matrix = _matrix_fields(shape, rows, cols, vals)
+        m, n = matrix["shape"]
         demands = np.asarray(demands, dtype=float)
-        if a_matrix.ndim != 2:
-            raise InstanceError("constraint matrix must be two-dimensional")
-        m, n = a_matrix.shape
-        if m < 1 or n < 1:
-            raise InstanceError("instance needs at least one row and one column")
-        if np.any(a_matrix < 0.0) or np.any(a_matrix > 1.0):
-            raise InstanceError("constraint entries must lie in [0, 1]")
         if demands.shape != (m,):
             raise InstanceError(f"expected {m} demands, got shape {demands.shape}")
-        if np.any(demands < 1.0):
-            raise InstanceError("every demand must be at least 1")
-        if not all(np.any(a_matrix[i] > 0.0) for i in range(m)):
+        if not np.all(np.isfinite(demands) & (demands >= 1.0)):
+            raise InstanceError("every demand must be finite and at least 1")
+        if np.any(np.diff(matrix["row_ptr"]) == 0):
             raise InstanceError("every row must have a positive entry")
-        if np.all((a_matrix == 0.0) | (a_matrix == 1.0)):
+        if np.all(matrix["vals"] == 1.0):
             rounded = np.rint(demands)
             if np.any(np.abs(demands - rounded) > DEMAND_INTEGRALITY_TOL):
                 raise InstanceError(
@@ -114,8 +171,8 @@ class CipInstance:
             cost = np.asarray(cost, dtype=float)
             if cost.shape != (n,):
                 raise InstanceError(f"cost vector {idx} must have length {n}")
-            if np.any(cost < 0.0):
-                raise InstanceError(f"cost vector {idx} has negative entries")
+            if not np.all(np.isfinite(cost) & (cost >= 0.0)):
+                raise InstanceError(f"cost vector {idx} has negative or non-finite entries")
             top = float(cost.max())
             if top <= 0.0:
                 raise InstanceError(f"cost vector {idx} must have a positive entry")
@@ -123,32 +180,20 @@ class CipInstance:
             scales.append(top)
         if not normalized:
             raise InstanceError("at least one cost vector is required")
-        return cls(
-            a_matrix=_frozen(a_matrix),
-            demands=_frozen(demands),
-            costs=tuple(normalized),
-            cost_scales=tuple(scales),
-            col_rows=_column_adjacency(a_matrix),
-            row_cols=_row_adjacency(a_matrix),
-        )
+        return cls(**matrix, demands=_frozen(demands), costs=tuple(normalized),
+                   cost_scales=tuple(scales))
 
 
 @dataclass(frozen=True, eq=False)
-class MipInstance:
+class MipInstance(_SparseMatrix):
     """A minimax program: one column per group is selected."""
 
-    a_matrix: np.ndarray  # (m, N), entries in [0, 1]
     group_sizes: tuple[int, ...]
     offsets: tuple[int, ...]  # column offset of each group's first slot
-    col_rows: list[np.ndarray] = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return self.a_matrix.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.a_matrix.shape[1]
+        return self.shape[1]
 
     @property
     def n_groups(self) -> int:
@@ -159,29 +204,19 @@ class MipInstance:
         return slice(start, start + self.group_sizes[group])
 
     @classmethod
-    def create(cls, a_matrix, group_sizes) -> "MipInstance":
-        a_matrix = np.asarray(a_matrix, dtype=float)
-        if a_matrix.ndim != 2:
-            raise InstanceError("constraint matrix must be two-dimensional")
+    def from_triplets(cls, shape, rows, cols, vals, group_sizes) -> "MipInstance":
+        """From the (row, col)-sorted nonzero triplets of an (m, N) matrix."""
         sizes = tuple(int(s) for s in group_sizes)
-        if any(s < 1 for s in sizes):
-            raise InstanceError("every group needs at least one slot")
-        if sum(sizes) != a_matrix.shape[1]:
+        if not sizes or min(sizes) < 1:
+            raise InstanceError("need at least one group, and every group needs at least one slot")
+        matrix = _matrix_fields(shape, rows, cols, vals)
+        if sum(sizes) != matrix["shape"][1]:
             raise InstanceError(
                 f"group sizes sum to {sum(sizes)} but the matrix has "
-                f"{a_matrix.shape[1]} columns"
+                f"{matrix['shape'][1]} columns"
             )
-        if a_matrix.shape[0] < 1:
-            raise InstanceError("instance needs at least one row")
-        if np.any(a_matrix < 0.0) or np.any(a_matrix > 1.0):
-            raise InstanceError("constraint entries must lie in [0, 1]")
-        offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-        return cls(
-            a_matrix=_frozen(a_matrix),
-            group_sizes=sizes,
-            offsets=offsets,
-            col_rows=_column_adjacency(a_matrix),
-        )
+        offsets = tuple(int(o) for o in np.cumsum((0,) + sizes[:-1]))
+        return cls(**matrix, group_sizes=sizes, offsets=offsets)
 
 
 @dataclass(frozen=True)
@@ -205,23 +240,21 @@ class SparsityStats:
     t: int
 
 
+def _widths(instance, live=slice(None)) -> tuple[int, int]:
+    """(a, t) over the nonzeros selected by `live`: the most rows of one
+    column, and the most rows met by one group's columns (a for covers)."""
+    rows, cols = instance.rows[live], instance.cols[live]
+    a = int(np.bincount(cols).max(initial=0))
+    if not isinstance(instance, MipInstance):
+        return a, a
+    group_of = np.repeat(np.arange(instance.n_groups), instance.group_sizes)
+    touched = np.unique(group_of[cols] * instance.m + rows)
+    return a, int(np.bincount(touched // instance.m).max(initial=0))
+
+
 def sparsity_stats(instance) -> SparsityStats:
-    counts = [len(rows) for rows in instance.col_rows]
-    a = max(counts) if counts else 0
-    g = float(instance.a_matrix.sum(axis=0).max()) if instance.a_matrix.size else 0.0
-    if isinstance(instance, MipInstance):
-        t = 0
-        for group in range(instance.n_groups):
-            sl = instance.group_slice(group)
-            touched = np.unique(
-                np.concatenate([instance.col_rows[j] for j in range(sl.start, sl.stop)])
-                if sl.stop > sl.start
-                else np.empty(0, dtype=int)
-            )
-            t = max(t, len(touched))
-        t = max(t, a)
-    else:
-        t = a
+    a, t = _widths(instance)
+    g = float(np.bincount(instance.cols, weights=instance.vals).max(initial=0.0))
     return SparsityStats(a=a, g=g, t=t)
 
 
@@ -231,17 +264,12 @@ def row_cover(instance, cols) -> set[int]:
     `cols` must be strictly increasing and in range; the result has at most
     a * len(cols) members.
     """
-    previous = -1
-    for c in cols:
-        if not 0 <= c < instance.a_matrix.shape[1]:
-            raise ValueError(f"column index {c} out of range")
-        if c <= previous:
-            raise ValueError("column indices must be strictly increasing")
-        previous = c
-    covered: set[int] = set()
-    for c in cols:
-        covered.update(int(r) for r in instance.col_rows[c])
-    return covered
+    cols = np.asarray(cols, dtype=np.int64)
+    if np.any((cols < 0) | (cols >= instance.shape[1])):
+        raise ValueError(f"a column index in {cols.tolist()} is out of range")
+    if np.any(np.diff(cols) <= 0):
+        raise ValueError("column indices must be strictly increasing")
+    return set(instance.rows[np.isin(instance.cols, cols)].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +314,9 @@ def gen_set_cover(n_elems: int, n_sets: int, max_set_size: int, demand: int, see
         if extras and pool:
             chosen = rng.choice(len(pool), size=min(extras, len(pool)), replace=False)
             members[s].update(pool[i] for i in chosen)
-    a_matrix = np.zeros((n_elems, n_sets))
-    for s, elems in enumerate(members):
-        for e in elems:
-            a_matrix[e, s] = 1.0
-    demands = np.full(n_elems, float(demand))
-    return CipInstance.create(a_matrix, demands, [np.ones(n_sets)])
+    rows, cols = zip(*sorted((e, s) for s, elems in enumerate(members) for e in elems))
+    return CipInstance.from_triplets((n_elems, n_sets), rows, cols, np.ones(len(rows)),
+                                     np.full(n_elems, float(demand)), [np.ones(n_sets)])
 
 
 def gen_facility_location(n_nodes: int, max_in_degree: int, demand: int, seed: int) -> CipInstance:
@@ -323,12 +348,10 @@ def gen_facility_location(n_nodes: int, max_in_degree: int, demand: int, seed: i
             out[v].add(v)  # self-loop tops up the row without charging in-degree
         if len(out[v]) < demand:
             raise GenerationError("could not reach the demanded out-degree")
-    a_matrix = np.zeros((n_nodes, n_nodes))
-    for v in range(n_nodes):
-        for u in out[v]:
-            a_matrix[v, u] = 1.0
+    rows, cols = zip(*sorted((v, u) for v in range(n_nodes) for u in out[v]))
     costs = rng.uniform(0.3, 1.0, n_nodes)
-    return CipInstance.create(a_matrix, np.full(n_nodes, float(demand)), [costs])
+    return CipInstance.from_triplets((n_nodes, n_nodes), rows, cols, np.ones(len(rows)),
+                                     np.full(n_nodes, float(demand)), [costs])
 
 
 def gen_hypergraph_partition(
@@ -359,15 +382,12 @@ def gen_hypergraph_partition(
             raise GenerationError("ran out of degree capacity while placing edges")
         deg[chosen] += 1
         edges.append(np.sort(chosen))
-    m = n_edges * n_parts
-    n_cols = n_verts * n_parts
-    a_matrix = np.zeros((m, n_cols))
-    for j, edge in enumerate(edges):
-        for part in range(n_parts):
-            row = j * n_parts + part
-            for v in edge:
-                a_matrix[row, v * n_parts + part] = 1.0
-    return MipInstance.create(a_matrix, [n_parts] * n_verts)
+    # row (edge j, part) holds slot `part` of each of edge j's vertices, so
+    # this order is already sorted by (row, col)
+    rows, cols = zip(*((j * n_parts + part, v * n_parts + part)
+                       for j, edge in enumerate(edges) for part in range(n_parts) for v in edge))
+    return MipInstance.from_triplets((n_edges * n_parts, n_verts * n_parts), rows, cols,
+                                     np.ones(len(rows)), [n_parts] * n_verts)
 
 
 # ---------------------------------------------------------------------------
@@ -382,32 +402,28 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _read_triplets(doc: dict, m: int, n: int) -> np.ndarray:
+def _floats(values, what: str) -> np.ndarray:
+    """Finite JSON numbers as floats; booleans, strings, NaN and infinities
+    (and integers too large for a float) are refused."""
+    top = float(np.finfo(float).max)  # a Python float compares exactly with any int
+    if all(type(v) in (int, float) and abs(v) <= top for v in values):
+        return np.array(values, dtype=float)
+    raise ParseError(f"{what} must hold finite numbers only")
+
+
+def _read_triplets(doc: dict):
+    """(rows, cols, vals) of field "A"; their ranges and order are checked
+    by the instance constructor."""
     triplets = _require(doc, "A")
     if not isinstance(triplets, list):
         raise ParseError('field "A" must be a list of [row, col, value] triplets')
-    a_matrix = np.zeros((m, n))
-    previous: tuple[int, int] | None = None
     for pos, entry in enumerate(triplets):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(f'field "A" entry {pos} is not a [row, col, value] triplet')
-        row, col, value = entry
-        if not isinstance(row, int) or not isinstance(col, int):
-            raise ParseError(f'field "A" entry {pos} has non-integer indices')
-        if not 0 <= row < m:
-            raise ParseError(f'field "A" entry {pos}: row {row} out of range [0, {m})')
-        if not 0 <= col < n:
-            raise ParseError(f'field "A" entry {pos}: col {col} out of range [0, {n})')
-        value = float(value)
-        if value == 0.0:
-            raise ParseError(f'field "A" entry {pos} has value 0; omit zero entries')
-        if previous is not None and (row, col) <= previous:
-            if (row, col) == previous:
-                raise ParseError(f'field "A" entry {pos} duplicates ({row}, {col})')
-            raise ParseError('field "A" triplets must be sorted by (row, col)')
-        previous = (row, col)
-        a_matrix[row, col] = value
-    return a_matrix
+        if not (isinstance(entry, list) and len(entry) == 3
+                and type(entry[0]) is int and type(entry[1]) is int):
+            raise ParseError(f'field "A" entry {pos} is not a [row, col, value] triplet '
+                             'with integer indices')
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return rows, cols, _floats(vals, 'the values of field "A"')
 
 
 def parse_instance(text: str):
@@ -420,45 +436,36 @@ def parse_instance(text: str):
         raise ParseError("instance document must be a JSON object")
     kind = _require(doc, "kind")
     m = _require(doc, "m")
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ParseError('field "m" must be a positive integer')
-    if kind == "cip":
-        n = _require(doc, "n")
-        if not isinstance(n, int) or n < 1:
-            raise ParseError('field "n" must be a positive integer')
-        a_matrix = _read_triplets(doc, m, n)
-        demands = _require(doc, "b")
-        costs = _require(doc, "costs")
-        if not isinstance(demands, list) or len(demands) != m:
-            raise ParseError(f'field "b" must be a list of {m} demands')
-        if not isinstance(costs, list) or not costs:
-            raise ParseError('field "costs" must be a non-empty list of cost vectors')
-        try:
-            return CipInstance.create(a_matrix, demands, costs)
-        except InstanceError as exc:
-            raise ParseError(str(exc)) from None
-    if kind == "mip":
-        groups = _require(doc, "groups")
-        if not isinstance(groups, list) or not groups:
-            raise ParseError('field "groups" must be a non-empty list of group sizes')
-        n = int(sum(groups))
-        a_matrix = _read_triplets(doc, m, n)
-        try:
-            return MipInstance.create(a_matrix, groups)
-        except InstanceError as exc:
-            raise ParseError(str(exc)) from None
+    try:
+        if kind == "cip":
+            n = _require(doc, "n")
+            if type(n) is not int or n < 1:
+                raise ParseError('field "n" must be a positive integer')
+            demands = _require(doc, "b")
+            costs = _require(doc, "costs")
+            if not isinstance(demands, list) or len(demands) != m:
+                raise ParseError(f'field "b" must be a list of {m} demands')
+            if not (isinstance(costs, list) and costs and all(isinstance(c, list) for c in costs)):
+                raise ParseError('field "costs" must be a non-empty list of cost vectors')
+            return CipInstance.from_triplets(
+                (m, n), *_read_triplets(doc), _floats(demands, 'field "b"'),
+                [_floats(cost, f'cost vector {i}') for i, cost in enumerate(costs)],
+            )
+        if kind == "mip":
+            groups = _require(doc, "groups")
+            if not (isinstance(groups, list) and groups and all(type(g) is int for g in groups)):
+                raise ParseError('field "groups" must be a non-empty list of group sizes')
+            return MipInstance.from_triplets((m, sum(groups)), *_read_triplets(doc), groups)
+    except InstanceError as exc:
+        raise ParseError(str(exc)) from None
     raise ParseError(f'field "kind" must be "cip" or "mip", got {kind!r}')
 
 
 def serialize_instance(instance) -> str:
     """Deterministic JSON for an instance; triplets sorted by (row, col)."""
-    a_matrix = instance.a_matrix
-    triplets = [
-        [int(r), int(c), float(a_matrix[r, c])]
-        for r in range(a_matrix.shape[0])
-        for c in range(a_matrix.shape[1])
-        if a_matrix[r, c] != 0.0
-    ]
+    triplets = list(zip(instance.rows.tolist(), instance.cols.tolist(), instance.vals.tolist()))
     if isinstance(instance, CipInstance):
         doc = {
             "kind": "cip",

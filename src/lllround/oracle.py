@@ -184,8 +184,7 @@ def exact_ilp(
     lexicographically smallest optimizer (objective ties at 1e-12)."""
     budget = budget or EnumerationBudget.from_env()
     a = instance.a_matrix
-    positive = a[a > 0.0]
-    box = int(math.ceil(instance.demands.max() / positive.min()))
+    box = int(math.ceil(instance.demands.max() / instance.vals.min()))
     box = min(box, budget.max_box)
     radix = box + 1
     total = radix**instance.n
@@ -367,11 +366,8 @@ def verify_fkg_and_antifkg(
 def _group_chunks(instance: MipInstance, budget: EnumerationBudget):
     """Yield (choices, rows) chunks over all slot assignments, mixed radix
     over groups; choices[r, g] is the slot picked in group g."""
-    sizes = [instance.group_slice(g).stop - instance.group_slice(g).start
-             for g in range(instance.n_groups)]
-    total = 1
-    for s in sizes:
-        total *= s
+    sizes = instance.group_sizes
+    total = math.prod(sizes)
     if total > (1 << budget.max_bits):
         raise BudgetExceeded(
             f"enumerating {total} assignments exceeds the {budget.max_bits}-bit budget"
@@ -406,12 +402,13 @@ def verify_extended_lll(
     if k < 1:
         raise ValueError("slack must be at least 1")
     x = np.asarray(x_star, dtype=float)
-    mu = instance.a_matrix @ x
+    a = instance.a_matrix
+    mu = a @ x
     # per-row, per-group mean contributions
     contrib = np.zeros((instance.m, instance.n_groups))
     for g in range(instance.n_groups):
         sl = instance.group_slice(g)
-        contrib[:, g] = instance.a_matrix[:, sl] @ x[sl]
+        contrib[:, g] = a[:, sl] @ x[sl]
     p_bounds = np.empty(instance.m)
     for i in range(instance.m):
         denom = binomial_real(float(mu[i] + k), k)
@@ -438,7 +435,7 @@ def verify_extended_lll(
         for g in range(instance.n_groups):
             sl = instance.group_slice(g)
             w *= x[sl.start + choices[:, g]]
-            loads += instance.a_matrix[:, sl.start + choices[:, g]].T
+            loads += a[:, sl.start + choices[:, g]].T
         mass_parts.append(float(w.sum()))
         good = (loads < mu[None, :] + k).all(axis=1)
         good_parts.append(float(w[good].sum()))
@@ -452,7 +449,7 @@ def verify_extended_lll(
         claim="no-bad-event probability >= (d/(d+1))^m", passed=passed, lhs=lhs, rhs=rhs
     )
     if not passed:
-        report.counterexample = _fixture(instance, x, report.claim, lhs, rhs)
+        report.counterexample = dict(_fixture(instance, x, report.claim, lhs, rhs), k=int(k))
     return report
 
 

@@ -316,23 +316,6 @@ class TestStandardCertificate:
         assert closed > 0.0
         assert closed <= estimate + 1e-12
 
-    def test_no_rows_reduces_to_one_minus_budget_mass(self):
-        inst = CipInstance(
-            a_matrix=np.zeros((0, 2)),
-            demands=np.zeros(0),
-            costs=(np.array([1.0, 0.5]),),
-            cost_scales=(1.0,),
-            col_rows=[np.array([], dtype=int), np.array([], dtype=int)],
-            row_cols=[],
-        )
-        scheme = make_scheme(inst, [0.4, 0.2], 1.5)
-        positive, closed, estimate = standard_certificate(scheme, [1.0], [1])
-        # frac = (0.6, 0.3): the only term left is the first-order budget
-        # mass c . p, so both values collapse to 1 - 0.75
-        assert closed == pytest.approx(0.25, abs=1e-12)
-        assert estimate == pytest.approx(0.25, abs=1e-12)
-        assert positive
-
 
 class TestMulticriteriaParams:
     def test_subset_orders_follow_the_criterion_count(self):

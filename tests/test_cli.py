@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lllround import CipInstance, choose_parameters, parse_instance, serialize_instance
+from lllround import CipInstance, MipInstance, choose_parameters, parse_instance, serialize_instance
 from lllround.cli import BENCH_COLUMNS, main
 from _builders import lp_point, two_cost_cover
 
@@ -143,6 +143,33 @@ class TestRound:
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_solution_exits_3(self, tmp_path, capsys, bad):
+        inst_path = gen(tmp_path)
+        n = parse_instance(inst_path.read_text()).n
+        point = tmp_path / "point.json"
+        point.write_text('{"x": [%s%s]}' % (bad, ", 1.0" * (n - 1)))
+        code = main(["round", str(inst_path), "--solution", str(point),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == "infeasible: solution has non-finite entries\n"
+
+    @pytest.mark.parametrize("where, bad", [
+        (("A", 0, 2), "x"), (("A", 0, 2), float("nan")), (("b", 0), "x"),
+        (("costs", 0, 0), float("nan")), (("costs", 0, 0), "a"),
+    ])
+    def test_non_numeric_or_non_finite_instance_values_exit_2(self, tmp_path, capsys, where, bad):
+        inst_path = gen(tmp_path)
+        doc = json.loads(inst_path.read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = bad
+        inst_path.write_text(json.dumps(doc))
+        assert main(["round", str(inst_path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed instance") and err.count("\n") == 1
+
     def test_malformed_solution_exits_2(self, tmp_path, capsys):
         inst_path = gen(tmp_path)
         point = tmp_path / "point.json"
@@ -242,6 +269,40 @@ class TestVerify:
             assert main(["verify", str(fixture_path)]) == 0
             replay_out = capsys.readouterr().out
             assert "PASS" in replay_out and "FAIL" not in replay_out
+
+    def test_minimax_fixture_replays_at_its_recorded_point_and_slack(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import lllround.cli as cli_module
+        import lllround.oracle as oracle_module
+
+        # light rows keep the dependency premise true at slack 1
+        inst = tmp_path / "light.json"
+        inst.write_text(serialize_instance(MipInstance.create(0.1 * np.eye(4), [2, 2])))
+        fixture_path = tmp_path / "bad-light.json"
+        monkeypatch.setattr(oracle_module, "INEQ_TOL", -2.0)
+        assert main(["verify", str(inst), "--which", "lll", "--out", str(fixture_path)]) == 1
+        assert f"counterexample written to {fixture_path}" in capsys.readouterr().out
+        fixture = json.loads(fixture_path.read_text())
+        assert fixture["k"] == 1
+        assert fixture["p"] == cli_module._relaxation(parse_instance(inst.read_text())).x.tolist()
+
+        fixture.update(p=[0.25, 0.75, 1.0, 0.0], k=2)
+        fixture_path.write_text(json.dumps(fixture))
+        monkeypatch.undo()
+        seen = []
+        real = oracle_module.verify_extended_lll
+        monkeypatch.setattr(oracle_module, "verify_extended_lll",
+                            lambda instance, x, k: seen.append((list(x), k)) or real(instance, x, k))
+        monkeypatch.setattr(cli_module, "_relaxation", None)  # replay must not re-solve
+        assert main(["verify", str(fixture_path)]) == 0
+        assert seen == [([0.25, 0.75, 1.0, 0.0], 2)]
+        assert "PASS" in capsys.readouterr().out
+
+        del fixture["k"]
+        fixture_path.write_text(json.dumps(fixture))
+        assert main(["verify", str(fixture_path)]) == 2
+        assert "fixture records no valid point: KeyError('k')" in capsys.readouterr().err
 
     def test_fixture_without_an_estimator_exits_2(self, tmp_path, capsys):
         inst = gen(tmp_path)

@@ -8,6 +8,7 @@ from lllround import (
     CipInstance,
     InfeasibleError,
     MipInstance,
+    gen_set_cover,
     ingest_solution,
     lp_vertex_optimum,
     solve_cip_lp,
@@ -159,3 +160,20 @@ class TestIngestSolution:
             ingest_solution(inst, [0.9, 0.4])
         sol = ingest_solution(inst, [0.25, 0.75])
         assert sol.objective_values[0] == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        for inst in (CipInstance.create(np.eye(2), np.ones(2), [np.ones(2)]),
+                     MipInstance.create(np.eye(2), [2])):
+            with pytest.raises(InfeasibleError, match="non-finite"):
+                ingest_solution(inst, [bad, 1.0])
+
+    def test_objectives_are_those_of_the_clipped_point(self):
+        # the simplex vertex of this cover has entries a few ulps below 0
+        inst = gen_set_cover(12, 20, 5, 2, 0)
+        sol = solve_cip_lp(inst).solution
+        assert np.all(sol.x >= 0.0)
+        assert sol.objective_values == (float(inst.costs[0] @ sol.x),)
+        again = ingest_solution(inst, np.where(sol.x == 0.0, -1e-9, sol.x))
+        np.testing.assert_array_equal(again.x, sol.x)
+        assert again.objective_values == sol.objective_values

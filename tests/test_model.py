@@ -15,13 +15,16 @@ from lllround import (
     gen_facility_location,
     gen_hypergraph_partition,
     gen_set_cover,
+    full_mip_pipeline,
+    ingest_solution,
     parse_instance,
+    round_cip,
     row_cover,
     serialize_instance,
     sparsity_stats,
 )
 
-from _builders import random_cip, random_mip
+from _builders import lp_point, random_cip, random_mip, two_cost_cover, uniform_group_weights
 
 
 class TestCipInstance:
@@ -53,6 +56,17 @@ class TestCipInstance:
         with pytest.raises(InstanceError, match="positive entry"):
             CipInstance.create(a, [1.0, 1.0], [np.ones(2)])
 
+    @pytest.mark.parametrize("a, demands, costs", [
+        ([[np.nan, 1.0]], [1.0], [[1.0, 1.0]]),
+        ([[1.0, 1.0]], [np.inf], [[1.0, 1.0]]),
+        ([[1.0, 1.0]], [np.nan], [[1.0, 1.0]]),
+        ([[1.0, 1.0]], [1.0], [[np.nan, 1.0]]),
+        ([[1.0, 1.0]], [1.0], [[np.inf, 1.0]]),
+    ])
+    def test_rejects_non_finite_input(self, a, demands, costs):
+        with pytest.raises(InstanceError):
+            CipInstance.create(a, demands, costs)
+
     def test_adjacency_matches_dense_scan(self):
         inst = random_cip(seed=4, ell=2)
         for j in range(inst.n):
@@ -77,10 +91,63 @@ class TestMipInstance:
     def test_rejects_bad_group_sizes(self):
         with pytest.raises(InstanceError):
             MipInstance.create(np.ones((1, 2)), [2, 0])
+        with pytest.raises(InstanceError, match="at least one group"):
+            MipInstance.create(np.ones((1, 0)), [])
 
     def test_rejects_entries_outside_unit_interval(self):
         with pytest.raises(InstanceError):
             MipInstance.create(np.array([[0.5, 1.2]]), [2])
+
+
+class TestStorage:
+    @pytest.mark.parametrize("inst", [gen_set_cover(12, 20, 5, 2, 0),
+                                      gen_hypergraph_partition(10, 8, 4, 2, 0)])
+    def test_no_attribute_is_a_dense_matrix(self, inst):
+        m, n = inst.shape
+        for name, value in vars(inst).items():
+            for array in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(array, np.ndarray):
+                    assert array.ndim == 1 and array.size < m * n, name
+
+    def test_triplets_loads_and_dense_view_agree(self):
+        for inst in (random_cip(seed=5, ell=2), random_mip(seed=5)):
+            dense = inst.a_matrix
+            rows, cols = np.nonzero(dense)
+            np.testing.assert_array_equal(inst.rows, rows)
+            np.testing.assert_array_equal(inst.cols, cols)
+            np.testing.assert_array_equal(inst.vals, dense[rows, cols])
+            x = np.random.default_rng(5).uniform(0.0, 2.0, inst.shape[1])
+            np.testing.assert_allclose(inst.loads(x), dense @ x, rtol=1e-15)
+            assert not dense.flags.writeable
+
+    def test_rounding_paths_build_no_dense_matrix(self, monkeypatch):
+        covers = [gen_set_cover(30, 24, 5, 2, 1), two_cost_cover()]
+        points = [lp_point(inst) for inst in covers]  # the simplex tableau is dense
+        texts = [serialize_instance(inst) for inst in covers]
+        partition = gen_hypergraph_partition(10, 8, 4, 2, 1)
+        weights, partition_text = uniform_group_weights(partition), serialize_instance(partition)
+        for cls in (CipInstance, MipInstance):
+            monkeypatch.setattr(cls, "a_matrix", property(lambda self: pytest.fail("dense view built")))
+        for text, x in zip(texts, points):
+            inst = parse_instance(text)
+            solution, _ = round_cip(inst, ingest_solution(inst, x).x)
+            assert solution.feasible
+        inst = parse_instance(partition_text)
+        report, _ = full_mip_pipeline(inst, x_star=ingest_solution(inst, weights).x)
+        assert report.success
+
+    def test_from_triplets_checks_the_triplets(self):
+        demands, costs = [1.0, 1.0], [np.ones(2)]
+        inst = CipInstance.from_triplets((2, 2), [0, 1], [1, 0], [0.5, 1.0], demands, costs)
+        np.testing.assert_array_equal(inst.a_matrix, [[0.0, 0.5], [1.0, 0.0]])
+        for rows, cols, vals, match in [
+            ([1, 0], [0, 1], [1.0, 1.0], "sorted"),
+            ([0, 0, 1], [1, 1, 0], [1.0, 1.0, 1.0], "duplicates"),
+            ([0, 1], [1, 2], [1.0, 1.0], "outside the 2 x 2 matrix"),
+            ([0, 1], [1, 0], [1.0], "one value per triplet"),
+        ]:
+            with pytest.raises(InstanceError, match=match):
+                CipInstance.from_triplets((2, 2), rows, cols, vals, demands, costs)
 
 
 class TestSparsityStats:
@@ -286,6 +353,32 @@ class TestSerialization:
     def test_bad_kind_rejected(self):
         with pytest.raises(ParseError, match="kind"):
             parse_instance('{"kind": "lp", "m": 1}')
+
+    @pytest.mark.parametrize("kind, where, bad", [
+        ("cip", ("A", 0, 2), "x"),
+        ("cip", ("A", 0, 2), True),
+        ("cip", ("A", 0, 2), float("nan")),
+        ("cip", ("A", 0, 1), True),
+        ("cip", ("b", 0), "x"),
+        ("cip", ("b", 0), True),
+        ("cip", ("b", 0), float("inf")),
+        ("cip", ("costs", 0, 0), "a"),
+        ("cip", ("costs", 0, 0), float("nan")),
+        pytest.param("cip", ("costs", 0, 0), 10**400, id="cip-where9-int-beyond-float"),
+        ("cip", ("costs", 0), 1.0),
+        ("mip", ("groups", 0), "a"),
+        ("mip", ("groups", 0), True),
+        ("mip", ("groups", 0), 2.0),
+        ("mip", ("A", 0, 2), float("-inf")),
+    ])
+    def test_non_numeric_boolean_and_non_finite_values_rejected(self, kind, where, bad):
+        doc = json.loads(serialize_instance(random_cip(seed=1) if kind == "cip" else random_mip(seed=1)))
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = bad
+        with pytest.raises(ParseError):
+            parse_instance(json.dumps(doc))
 
     def test_invalid_json_reports_line(self):
         with pytest.raises(ParseError, match="line"):
