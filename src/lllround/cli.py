@@ -305,26 +305,13 @@ def _verify_cip(instance, seed: int, which: str) -> list[oracle.VerifyReport]:
     return reports
 
 
-def _fixture_state(instance, doc) -> cip.EstimatorState:
-    """The estimator a counterexample fixture recorded, at its recorded point."""
+def _verify_mip(instance) -> list[oracle.VerifyReport]:
+    """The dependency check at the relaxation's vertex, with the slack k that
+    Las Vegas rounding targets there."""
     x = _relaxation(instance).x
-    try:
-        scheme = cip.make_scheme(instance, x, float(doc["alpha"]))
-        return cip.make_estimator(scheme, doc["lambdas"], doc["ks"]).at(doc["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliFailure(EXIT_USAGE, f"fixture records no valid estimator: {exc!r}") from exc
-
-
-def _verify_mip(instance, fixture=None) -> list[oracle.VerifyReport]:
-    """The dependency check at the relaxation's vertex with slack 1, or at
-    the point and slack a counterexample fixture recorded."""
-    if fixture is None:
-        return [oracle.verify_extended_lll(instance, _relaxation(instance).x, k=1)]
-    try:
-        return [oracle.verify_extended_lll(instance, ingest_solution(instance, fixture["p"]).x,
-                                           k=int(fixture["k"]))]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliFailure(EXIT_USAGE, f"fixture records no valid point: {exc!r}") from exc
+    _, t = mip._support_stats(instance, x)
+    k = mip.mip_target(float(instance.loads(x).max()), instance.m, t).k
+    return [oracle.verify_extended_lll(instance, x, k)]
 
 
 def cmd_verify(args, argv: list[str]) -> int:
@@ -339,10 +326,12 @@ def cmd_verify(args, argv: list[str]) -> int:
     else:
         instance = _load_instance(args.target)
         is_cip = isinstance(instance, model.CipInstance)
-        if "p" in doc and "claim" in doc:
-            # counterexample fixture: replay its check at the recorded point
-            reports.extend([oracle.verify_phi_domination(_fixture_state(instance, doc))]
-                           if is_cip else _verify_mip(instance, doc))
+        if oracle.is_fixture(doc):
+            try:
+                reports.extend(oracle.replay_fixture(doc, instance,
+                                                     lambda: _relaxation(instance).x))
+            except (LookupError, TypeError, ValueError, cip.EstimatorError) as exc:
+                raise _CliFailure(EXIT_USAGE, f"fixture records no valid check: {exc!r}") from exc
         elif args.which == "lll":
             if is_cip:
                 raise _CliFailure(EXIT_USAGE, "lll checks need a minimax instance")

@@ -2,11 +2,11 @@
 
 Everything here recomputes, by brute force and independently of the rounding
 code paths, the quantities the fast code only bounds: exact failure
-probabilities by weighted enumeration of all bit vectors, exact integer
-optima by box search, and direct checks of every inequality the estimator
-and the dependency-based existence argument rely on.  Verifiers return
-reports rather than raising, and a failed report carries a replayable
-counterexample fixture.
+probabilities by weighted enumeration of the bits that are still random,
+exact integer optima by box search, and direct checks of every inequality
+the estimator and the dependency-based existence argument rely on.
+Verifiers return reports rather than raising, and a failed report carries a
+counterexample fixture that `replay_fixture` turns back into the same check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cip import EstimatorState, RoundingScheme
+from .cip import EstimatorState, RoundingScheme, make_estimator, make_scheme
+from .lp import ingest_solution
 from .model import CipInstance, MipInstance, serialize_instance
 
 __all__ = [
@@ -32,6 +33,8 @@ __all__ = [
     "verify_branch_inequality",
     "verify_fkg_and_antifkg",
     "verify_extended_lll",
+    "is_fixture",
+    "replay_fixture",
     "lp_vertex_optimum",
 ]
 
@@ -94,39 +97,54 @@ class VerifyReport:
     counterexample: dict | None = field(default=None, repr=False)
 
 
-def _fixture(instance, p, claim: str, lhs: float, rhs: float) -> dict:
-    doc = json.loads(serialize_instance(instance))
-    doc.update(
-        {"p": [float(v) for v in np.asarray(p, dtype=float)], "claim": claim,
-         "lhs": float(lhs), "rhs": float(rhs)}
-    )
-    return doc
+def _with_fixture(report: VerifyReport, check: str, instance, p, **args) -> VerifyReport:
+    """Attach to a failed report the fixture `replay_fixture` turns back into
+    the same call: the instance, the check, the arguments it was called with
+    and the point `p`, plus the claim and both sides."""
+    if not report.passed:
+        doc = json.loads(serialize_instance(instance))
+        doc.update(args, check=check, p=[float(v) for v in np.asarray(p, dtype=float)],
+                   claim=report.claim, lhs=float(report.lhs), rhs=float(report.rhs))
+        report.counterexample = doc
+    return report
 
 
-def _estimator_fixture(state: EstimatorState, claim: str, lhs: float, rhs: float) -> dict:
-    """A fixture that also records the estimator, so a replay rebuilds it."""
-    return dict(_fixture(state.scheme.instance, state.p, claim, lhs, rhs),
-                alpha=float(state.scheme.alpha), lambdas=[float(v) for v in state.lambdas],
-                ks=[int(k) for k in state.ks])
+def _estimator_args(state: EstimatorState) -> dict:
+    return {"alpha": float(state.scheme.alpha), "lambdas": [float(v) for v in state.lambdas],
+            "ks": [int(k) for k in state.ks]}
 
 
-def _bit_chunks(n: int):
-    """Yield (bits, index_range) chunks covering all 2^n outcomes, each chunk
-    a (rows, n) 0/1 float matrix; bit j of the outcome index drives column j."""
-    total = 1 << n
-    step = 1 << min(_CHUNK_BITS, n)
-    shifts = np.arange(n, dtype=np.uint64)
+def _check_mass(parts: list[float], what: str) -> None:
+    mass = math.fsum(parts)
+    if abs(mass - 1.0) > PARTITION_TOL:
+        raise OracleError(f"{what} probabilities sum to {mass}, not 1")
+
+
+def _random_bit_chunks(p: np.ndarray, columns: np.ndarray, budget: EnumerationBudget):
+    """Yield (sums, w) chunks over every outcome z of the bits with
+    0 < p < 1, the other bits held at their values: sums[r] = z @ columns
+    for the chunk's r-th outcome and w[r] its probability.  Only the random
+    bits count against the budget; bit c of the outcome index drives the
+    c-th random column, and weights multiply over the random columns in
+    ascending order.  The total outcome mass is checked to be 1."""
+    if p.shape != columns.shape[:1] or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("need a probability per bit")
+    live = np.flatnonzero((p > 0.0) & (p < 1.0))
+    budget.check_bits(live.size)
+    held = (p == 1.0).astype(float) @ columns
+    total = 1 << live.size
+    step = 1 << min(_CHUNK_BITS, live.size)
+    shifts = np.arange(live.size, dtype=np.uint64)
+    mass_parts: list[float] = []
     for start in range(0, total, step):
         idx = np.arange(start, min(start + step, total), dtype=np.uint64)
         bits = ((idx[:, None] >> shifts) & 1).astype(float)
-        yield bits
-
-
-def _chunk_weights(bits: np.ndarray, p: np.ndarray) -> np.ndarray:
-    w = np.ones(bits.shape[0])
-    for j in range(bits.shape[1]):
-        w *= np.where(bits[:, j] > 0.5, p[j], 1.0 - p[j])
-    return w
+        w = np.ones(idx.size)
+        for c, j in enumerate(live):
+            w *= np.where(bits[:, c] > 0.5, p[j], 1.0 - p[j])
+        mass_parts.append(float(w.sum()))
+        yield held + bits @ columns[live], w
+    _check_mass(mass_parts, "outcome")
 
 
 def exact_event_probs(
@@ -136,39 +154,26 @@ def exact_event_probs(
     budget: EnumerationBudget | None = None,
 ) -> ExactProbs:
     """Exact per-row failure probabilities, the probability every row holds,
-    and (with budgets) the probability of full success, by enumerating all
-    bit vectors.  Chunk sums are combined with exact accumulation, and the
-    total outcome mass is checked to be 1."""
+    and (with budgets) the probability of full success, by enumerating every
+    outcome of the bits that are still random.  Chunk sums are combined with
+    exact accumulation."""
     budget = budget or EnumerationBudget.from_env()
     instance = scheme.instance
-    n = instance.n
-    budget.check_bits(n)
-    p = np.asarray(p, dtype=float)
-    if p.shape != (n,) or np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("need a probability per bit")
+    m = instance.m
     lam = None if lambdas is None else np.asarray(lambdas, dtype=float)
-    a_t = instance.a_matrix.T
-    cost_rows = np.array(instance.costs)
-    fail_parts: list[list[float]] = [[] for _ in range(instance.m)]
+    columns = np.vstack([instance.a_matrix, *instance.costs]).T  # loads, then increments
+    fail_parts: list[list[float]] = [[] for _ in range(m)]
     clear_parts: list[float] = []
     success_parts: list[float] = []
-    mass_parts: list[float] = []
-    for bits in _bit_chunks(n):
-        w = _chunk_weights(bits, p)
-        mass_parts.append(float(w.sum()))
-        loads = bits @ a_t  # (rows, m)
-        failing = loads < scheme.residual[None, :]
-        for i in range(instance.m):
+    for sums, w in _random_bit_chunks(np.asarray(p, dtype=float), columns, budget):
+        failing = sums[:, :m] < scheme.residual[None, :]
+        for i in range(m):
             fail_parts[i].append(float(w[failing[:, i]].sum()))
         clear = ~failing.any(axis=1)
         clear_parts.append(float(w[clear].sum()))
         if lam is not None:
-            increments = bits @ cost_rows.T  # (rows, ell)
-            fits = (increments <= lam[None, :]).all(axis=1)
+            fits = (sums[:, m:] <= lam[None, :]).all(axis=1)
             success_parts.append(float(w[clear & fits].sum()))
-    mass = math.fsum(mass_parts)
-    if abs(mass - 1.0) > PARTITION_TOL:
-        raise OracleError(f"outcome probabilities sum to {mass}, not 1")
     row_fail = np.array([math.fsum(parts) for parts in fail_parts])
     all_clear = math.fsum(clear_parts)
     success = math.fsum(success_parts) if lam is not None else None
@@ -184,8 +189,7 @@ def exact_ilp(
     lexicographically smallest optimizer (objective ties at 1e-12)."""
     budget = budget or EnumerationBudget.from_env()
     a = instance.a_matrix
-    box = int(math.ceil(instance.demands.max() / instance.vals.min()))
-    box = min(box, budget.max_box)
+    box = min(int(math.ceil(instance.demands.max() / instance.vals.min())), budget.max_box)
     radix = box + 1
     total = radix**instance.n
     if total > (1 << budget.max_bits):
@@ -195,17 +199,16 @@ def exact_ilp(
     cost = np.asarray(instance.costs[objective_index])
     place = radix ** np.arange(instance.n, dtype=np.int64)  # index digit j = variable j
 
-    def digits_of(idx: np.ndarray) -> np.ndarray:
-        return (idx[:, None] // place[None, :]) % radix
+    def feasible_points():
+        """Yield (z, z @ cost) over the feasible points of the box, in index order."""
+        for start in range(0, total, 1 << _CHUNK_BITS):
+            idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
+            z = ((idx[:, None] // place[None, :]) % radix).astype(float)
+            z = z[(z @ a.T >= instance.demands[None, :] - 1e-12).all(axis=1)]
+            yield z, z @ cost
 
-    step = 1 << _CHUNK_BITS
-    best = math.inf
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        z = digits_of(idx).astype(float)
-        feasible = (z @ a.T >= instance.demands[None, :] - 1e-12).all(axis=1)
-        if feasible.any():
-            best = min(best, float((z[feasible] @ cost).min()))
+    best = min((float(values.min()) for _, values in feasible_points() if values.size),
+               default=math.inf)
     if not math.isfinite(best):
         raise OracleError("box search found no feasible point; box too small?")
     # second pass: earliest index within tolerance of the optimum is the
@@ -214,11 +217,8 @@ def exact_ilp(
     flip = radix ** np.arange(instance.n - 1, -1, -1, dtype=np.int64)
     best_z: np.ndarray | None = None
     best_key: tuple | None = None
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        z = digits_of(idx).astype(float)
-        feasible = (z @ a.T >= instance.demands[None, :] - 1e-12).all(axis=1)
-        near = feasible & (z @ cost <= best + 1e-12)
+    for z, values in feasible_points():
+        near = values <= best + 1e-12
         if near.any():
             zn = z[near].astype(np.int64)
             keys = zn @ flip
@@ -239,16 +239,9 @@ def verify_phi_domination(
     phi = success_lower_bound(state)
     probs = exact_event_probs(state.scheme, state.p, lambdas=state.lambdas, budget=budget)
     assert probs.success is not None
-    passed = probs.success >= phi - INEQ_TOL
-    report = VerifyReport(
-        claim="exact success probability >= estimator value",
-        passed=passed,
-        lhs=probs.success,
-        rhs=phi,
-    )
-    if not passed:
-        report.counterexample = _estimator_fixture(state, report.claim, probs.success, phi)
-    return report
+    report = VerifyReport(claim="exact success probability >= estimator value",
+                          passed=probs.success >= phi - INEQ_TOL, lhs=probs.success, rhs=phi)
+    return _with_fixture(report, "phi", state.scheme.instance, state.p, **_estimator_args(state))
 
 
 def verify_branch_inequality(
@@ -270,13 +263,12 @@ def verify_branch_inequality(
         values[setting] = state.tables.value(branch.p, branch.chp)
     mixture = pj * values[1.0] + (1.0 - pj) * values[0.0]
     phi = state.tables.value(state.p, state.chp)
-    passed = phi <= mixture + tol
     report = VerifyReport(
-        claim="branch mixture dominates the estimator", passed=passed, lhs=phi, rhs=mixture
+        claim="branch mixture dominates the estimator", passed=phi <= mixture + tol,
+        lhs=phi, rhs=mixture,
     )
-    if not passed:
-        report.counterexample = _estimator_fixture(state, report.claim, phi, mixture)
-    return report
+    return _with_fixture(report, "branch", state.scheme.instance, state.p, j=int(j),
+                         **_estimator_args(state))
 
 
 def verify_fkg_and_antifkg(
@@ -288,7 +280,7 @@ def verify_fkg_and_antifkg(
     anti_cols,
     budget: EnumerationBudget | None = None,
 ) -> list[VerifyReport]:
-    """Two exact correlation checks on one instance.
+    """Two exact correlation checks on one instance, from one enumeration.
 
     Positive correlation: conditioning on other rows holding and on some
     bits forced to 1 must not hurt the chance that `row_block` rows hold,
@@ -299,88 +291,94 @@ def verify_fkg_and_antifkg(
     """
     budget = budget or EnumerationBudget.from_env()
     instance = scheme.instance
-    n = instance.n
-    budget.check_bits(n)
+    m = instance.m
     p = np.asarray(p, dtype=float)
-    row_block = list(row_block)
-    cond_rows = list(cond_rows)
-    cond_cols = list(cond_cols)
-    anti_cols = list(anti_cols)
-    a_t = instance.a_matrix.T
-    sums = {key: [] for key in ("mass", "cond", "joint", "clear", "anti")}
-    for bits in _bit_chunks(n):
-        w = _chunk_weights(bits, p)
-        sums["mass"].append(float(w.sum()))
-        loads = bits @ a_t
-        holding = loads >= scheme.residual[None, :]
-        cond = np.ones(bits.shape[0], dtype=bool)
-        if cond_rows:
-            cond &= holding[:, cond_rows].all(axis=1)
-        if cond_cols:
-            cond &= (bits[:, cond_cols] > 0.5).all(axis=1)
-        block = holding[:, row_block].all(axis=1) if row_block else np.ones(bits.shape[0], bool)
-        sums["cond"].append(float(w[cond].sum()))
-        sums["joint"].append(float(w[cond & block].sum()))
+    row_block, cond_rows, cond_cols, anti_cols = (
+        [int(v) for v in arg] for arg in (row_block, cond_rows, cond_cols, anti_cols))
+    touched = sorted({int(r) for j in anti_cols for r in instance.col_rows[j]})
+    # two indicator columns count the ones among cond_cols and anti_cols
+    marks = np.zeros((instance.n, 2))
+    marks[cond_cols, 0] = 1.0
+    marks[anti_cols, 1] = 1.0
+    need = marks.sum(axis=0)
+    fail_parts: dict[int, list[float]] = {i: [] for i in set(row_block) | set(touched)}
+    event_parts = {key: [] for key in ("cond", "joint", "clear", "anti")}
+    for sums, w in _random_bit_chunks(p, np.hstack([instance.a_matrix.T, marks]), budget):
+        holding = sums[:, :m] >= scheme.residual[None, :]
+        for i, parts in fail_parts.items():
+            parts.append(float(w[~holding[:, i]].sum()))
+        cond = holding[:, cond_rows].all(axis=1) & (sums[:, m] == need[0])
         clear = holding.all(axis=1)
-        sums["clear"].append(float(w[clear].sum()))
-        anti = (bits[:, anti_cols] > 0.5).all(axis=1) if anti_cols else np.ones(bits.shape[0], bool)
-        sums["anti"].append(float(w[clear & anti].sum()))
-    mass = math.fsum(sums["mass"])
-    if abs(mass - 1.0) > PARTITION_TOL:
-        raise OracleError(f"outcome probabilities sum to {mass}, not 1")
-    probs = exact_event_probs(scheme, p, budget=budget)
-    reports = []
+        event_parts["cond"].append(float(w[cond].sum()))
+        event_parts["joint"].append(float(w[cond & holding[:, row_block].all(axis=1)].sum()))
+        event_parts["clear"].append(float(w[clear].sum()))
+        event_parts["anti"].append(float(w[clear & (sums[:, m + 1] == need[1])].sum()))
+    row_fail = {i: math.fsum(parts) for i, parts in fail_parts.items()}
 
-    cond_mass = math.fsum(sums["cond"])
+    cond_mass = math.fsum(event_parts["cond"])
     if cond_mass <= 0.0:
         raise ValueError("conditioning event has zero probability")
-    lhs = math.fsum(sums["joint"]) / cond_mass
-    rhs = float(np.prod([1.0 - probs.row_fail[i] for i in row_block])) if row_block else 1.0
+    lhs = math.fsum(event_parts["joint"]) / cond_mass
+    rhs = float(np.prod([1.0 - row_fail[i] for i in row_block]))
     rep = VerifyReport(
         claim="conditional block survival >= product of marginals",
         passed=lhs >= rhs - INEQ_TOL, lhs=lhs, rhs=rhs,
     )
-    if not rep.passed:
-        rep.counterexample = _fixture(instance, p, rep.claim, lhs, rhs)
-    reports.append(rep)
 
-    clear_mass = math.fsum(sums["clear"])
+    clear_mass = math.fsum(event_parts["clear"])
     if clear_mass <= 0.0:
         raise ValueError("all-rows-hold event has zero probability")
-    touched = sorted({int(r) for j in anti_cols for r in instance.col_rows[j]})
-    if any(probs.row_fail[i] >= 1.0 for i in touched):
+    if any(row_fail[i] >= 1.0 for i in touched):
         raise ValueError("a touched row fails almost surely; bound undefined")
-    lhs2 = math.fsum(sums["anti"]) / clear_mass
-    rhs2 = float(np.prod([p[j] for j in anti_cols])) if anti_cols else 1.0
-    rhs2 /= float(np.prod([1.0 - probs.row_fail[i] for i in touched])) if touched else 1.0
+    lhs2 = math.fsum(event_parts["anti"]) / clear_mass
+    rhs2 = float(np.prod(p[anti_cols])) / float(np.prod([1.0 - row_fail[i] for i in touched]))
     rep2 = VerifyReport(
         claim="conditional all-ones probability <= inflated product",
         passed=lhs2 <= rhs2 + INEQ_TOL, lhs=lhs2, rhs=rhs2,
     )
-    if not rep2.passed:
-        rep2.counterexample = _fixture(instance, p, rep2.claim, lhs2, rhs2)
-    reports.append(rep2)
-    return reports
+    args = dict(alpha=float(scheme.alpha), row_block=row_block, cond_rows=cond_rows,
+                cond_cols=cond_cols, anti_cols=anti_cols)
+    return [_with_fixture(r, "fkg", instance, p, **args) for r in (rep, rep2)]
 
 
-def _group_chunks(instance: MipInstance, budget: EnumerationBudget):
-    """Yield (choices, rows) chunks over all slot assignments, mixed radix
-    over groups; choices[r, g] is the slot picked in group g."""
-    sizes = instance.group_sizes
-    total = math.prod(sizes)
+def _assignment_chunks(instance: MipInstance, x: np.ndarray, budget: EnumerationBudget):
+    """Yield (loads, w) chunks over every assignment of the groups to their
+    live slots (x > 0), mixed radix over the groups with two or more: loads[r]
+    are the row loads of the chunk's r-th assignment and w[r] its
+    probability.  A group with one live slot is fixed, so its load and
+    weight enter every assignment once.  The total mass is checked to be 1."""
+    a_t = instance.a_matrix.T
+    held_loads = np.zeros(instance.m)
+    held_weight = 1.0
+    live = []
+    for g in range(instance.n_groups):
+        sl = instance.group_slice(g)
+        slots = sl.start + np.flatnonzero(x[sl] > 0.0)
+        if slots.size == 0:
+            raise OracleError(f"group {g} has no slot with positive mass")
+        if slots.size == 1:
+            held_loads += a_t[slots[0]]
+            held_weight *= x[slots[0]]
+        else:
+            live.append(slots)
+    total = math.prod(slots.size for slots in live)
     if total > (1 << budget.max_bits):
         raise BudgetExceeded(
             f"enumerating {total} assignments exceeds the {budget.max_bits}-bit budget"
         )
-    place = np.ones(instance.n_groups, dtype=np.int64)
-    for g in range(instance.n_groups - 1):
-        place[g + 1] = place[g] * sizes[g]
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    step = 1 << _CHUNK_BITS
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        choices = (idx[:, None] // place[None, :]) % sizes_arr[None, :]
-        yield choices
+    mass_parts: list[float] = []
+    for start in range(0, total, 1 << _CHUNK_BITS):
+        idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
+        w = np.full(idx.size, held_weight)
+        loads = np.tile(held_loads, (idx.size, 1))
+        for slots in live:
+            pick = slots[idx % slots.size]
+            idx = idx // slots.size
+            w *= x[pick]
+            loads += a_t[pick]
+        mass_parts.append(float(w.sum()))
+        yield loads, w
+    _check_mass(mass_parts, "assignment")
 
 
 def verify_extended_lll(
@@ -420,37 +418,46 @@ def verify_extended_lll(
     premise = math.e * p_bounds * (d + 1)
     if np.any(premise > 1.0):
         worst = int(np.argmax(premise))
-        return VerifyReport(
-            claim="no-bad-event probability >= (d/(d+1))^m",
-            passed=True,
-            lhs=float(premise[worst]),
-            rhs=1.0,
-            status="hypothesis unmet",
-        )
-    mass_parts: list[float] = []
-    good_parts: list[float] = []
-    for choices in _group_chunks(instance, budget):
-        w = np.ones(choices.shape[0])
-        loads = np.zeros((choices.shape[0], instance.m))
-        for g in range(instance.n_groups):
-            sl = instance.group_slice(g)
-            w *= x[sl.start + choices[:, g]]
-            loads += a[:, sl.start + choices[:, g]].T
-        mass_parts.append(float(w.sum()))
-        good = (loads < mu[None, :] + k).all(axis=1)
-        good_parts.append(float(w[good].sum()))
-    mass = math.fsum(mass_parts)
-    if abs(mass - 1.0) > PARTITION_TOL:
-        raise OracleError(f"assignment probabilities sum to {mass}, not 1")
+        return VerifyReport(claim="no-bad-event probability >= (d/(d+1))^m", passed=True,
+                            lhs=float(premise[worst]), rhs=1.0, status="hypothesis unmet")
+    good_parts = [float(w[(loads < mu[None, :] + k).all(axis=1)].sum())
+                  for loads, w in _assignment_chunks(instance, x, budget)]
     lhs = math.fsum(good_parts)
     rhs = (d / (d + 1)) ** instance.m if d > 0 else 0.0
-    passed = lhs >= rhs - INEQ_TOL
     report = VerifyReport(
-        claim="no-bad-event probability >= (d/(d+1))^m", passed=passed, lhs=lhs, rhs=rhs
+        claim="no-bad-event probability >= (d/(d+1))^m", passed=lhs >= rhs - INEQ_TOL,
+        lhs=lhs, rhs=rhs,
     )
-    if not passed:
-        report.counterexample = dict(_fixture(instance, x, report.claim, lhs, rhs), k=int(k))
-    return report
+    return _with_fixture(report, "lll", instance, x, k=int(k))
+
+
+def is_fixture(doc: dict) -> bool:
+    """Whether a parsed instance document is a counterexample fixture."""
+    return "p" in doc and "claim" in doc
+
+
+_CHECK_KINDS = {"phi": CipInstance, "branch": CipInstance, "fkg": CipInstance, "lll": MipInstance}
+
+
+def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
+    """Rerun the check a counterexample fixture records, with the arguments
+    it records.  A covering check rebuilds its scheme from `relaxation()`,
+    the fractional point the recorded alpha scales; the dependency check
+    runs at the fixture's own point and never calls it."""
+    check = doc["check"]
+    if not isinstance(instance, _CHECK_KINDS.get(check, ())):
+        raise ValueError(f"no {check!r} check runs on a {type(instance).__name__}")
+    if check == "lll":
+        return [verify_extended_lll(instance, ingest_solution(instance, doc["p"]).x,
+                                    int(doc["k"]))]
+    scheme = make_scheme(instance, relaxation(), float(doc["alpha"]))
+    if check == "fkg":
+        return verify_fkg_and_antifkg(scheme, doc["p"], doc["row_block"], doc["cond_rows"],
+                                      doc["cond_cols"], doc["anti_cols"])
+    state = make_estimator(scheme, doc["lambdas"], doc["ks"]).at(doc["p"])
+    if check == "phi":
+        return [verify_phi_domination(state)]
+    return [verify_branch_inequality(state, int(doc["j"]))]
 
 
 def lp_vertex_optimum(costs, a_ub, b_ub) -> tuple[np.ndarray, float]:

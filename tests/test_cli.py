@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from lllround import CipInstance, MipInstance, choose_parameters, parse_instance, serialize_instance
+from lllround import (
+    CipInstance,
+    MipInstance,
+    choose_parameters,
+    las_vegas_mip,
+    parse_instance,
+    serialize_instance,
+    solve_mip_lp,
+)
 from lllround.cli import BENCH_COLUMNS, main
 from _builders import lp_point, two_cost_cover
 
@@ -302,7 +310,7 @@ class TestVerify:
         del fixture["k"]
         fixture_path.write_text(json.dumps(fixture))
         assert main(["verify", str(fixture_path)]) == 2
-        assert "fixture records no valid point: KeyError('k')" in capsys.readouterr().err
+        assert "fixture records no valid check: KeyError('k')" in capsys.readouterr().err
 
     def test_fixture_without_an_estimator_exits_2(self, tmp_path, capsys):
         inst = gen(tmp_path)
@@ -311,15 +319,107 @@ class TestVerify:
         fixture = tmp_path / "old.json"
         fixture.write_text(json.dumps(doc))
         assert main(["verify", str(fixture)]) == 2
-        assert "records no valid estimator: KeyError('alpha')" in capsys.readouterr().err
+        assert "records no valid check: KeyError('check')" in capsys.readouterr().err
 
     def test_budget_cap_exits_4(self, tmp_path, monkeypatch):
         inst = gen(tmp_path, "--n-sets", "12")
-        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "8")
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "6")
         assert main(["verify", str(inst), "--which", "phi"]) == 4
 
     def test_unreadable_target_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
+
+    def test_wide_cover_enumerates_only_its_random_bits(self, tmp_path, capsys):
+        # 40 columns, 17 of them fractional at the relaxation's vertex
+        inst = gen(tmp_path, "--n-elems", "30", "--n-sets", "40", seed=0)
+        assert main(["verify", str(inst)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and len([l for l in out.splitlines() if l.startswith("PASS")]) == 8
+
+    def test_lll_check_runs_at_the_las_vegas_slack(self, tmp_path, capsys, monkeypatch):
+        import lllround.oracle as oracle_module
+
+        graph = gen(tmp_path, "--n-verts", "30", "--n-edges", "30", kind="hypergraph", seed=0)
+        instance = parse_instance(graph.read_text())
+        x = solve_mip_lp(instance).solution.x
+        slack = las_vegas_mip(instance, x, 1, 0).target.k
+        seen = []
+        real = oracle_module.verify_extended_lll
+        monkeypatch.setattr(oracle_module, "verify_extended_lll",
+                            lambda instance, x, k: seen.append(k) or real(instance, x, k))
+        assert main(["verify", str(graph), "--which", "lll"]) == 0
+        assert seen == [slack] and slack > 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("PASS  no-bad-event probability")
+        assert "[hypothesis unmet]" not in last
+
+    @pytest.mark.parametrize("check", ["phi", "branch", "fkg", "lll"])
+    def test_every_fixture_replays_the_check_that_wrote_it(
+        self, tmp_path, capsys, monkeypatch, check
+    ):
+        import lllround.cip as cip_module
+        import lllround.oracle as oracle_module
+
+        if check == "lll":
+            target = gen(tmp_path, "--n-verts", "30", "--n-edges", "30", kind="hypergraph", seed=0)
+        else:
+            target = gen(tmp_path)
+        verifiers = {"phi": "verify_phi_domination", "branch": "verify_branch_inequality",
+                     "fkg": "verify_fkg_and_antifkg", "lll": "verify_extended_lll"}
+        real = {name: getattr(oracle_module, attr) for name, attr in verifiers.items()}
+        calls = []
+        for name, attr in verifiers.items():
+            monkeypatch.setattr(oracle_module, attr, lambda *args, _name=name:
+                                calls.append((_name, args)) or real[_name](*args))
+        fixture_path = tmp_path / "bad.json"
+        with monkeypatch.context() as forced:
+            if check == "phi":
+                forced.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
+            elif check == "branch":  # its tolerance is a default argument
+                forced.setattr(real["branch"], "__defaults__", (-2.0,))
+            else:
+                forced.setattr(oracle_module, "INEQ_TOL", -2.0)
+            which = {"branch": "phi"}.get(check, check)
+            assert main(["verify", str(target), "--which", which, "--out", str(fixture_path)]) == 1
+        assert f"counterexample written to {fixture_path}" in capsys.readouterr().out
+        assert json.loads(fixture_path.read_text())["check"] == check
+        written = next(args for name, args in calls if name == check)  # the first call failed
+
+        calls.clear()
+        assert main(["verify", str(fixture_path)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        [(name, replayed)] = calls
+        assert name == check
+        if check == "lll":
+            assert replayed[1].tolist() == written[1].tolist() and replayed[2] == written[2] > 1
+        elif check == "fkg":
+            assert replayed[0].alpha == written[0].alpha
+            assert np.array_equal(replayed[0].residual, written[0].residual)
+            assert list(replayed[1]) == written[1].tolist() and replayed[2:] == written[2:]
+        else:
+            state, original = replayed[0], written[0]
+            assert state.p.tolist() == original.p.tolist()
+            assert state.scheme.alpha == original.scheme.alpha
+            assert state.lambdas.tolist() == original.lambdas.tolist()
+            assert state.ks.tolist() == original.ks.tolist()
+            assert replayed[1:] == written[1:]  # the branch bit j
+        if check != "lll":  # an edited point replays as written, too
+            fixture = json.loads(fixture_path.read_text())
+            fixture["p"] = [v / 2 for v in fixture["p"]]
+            fixture_path.write_text(json.dumps(fixture))
+            calls.clear()
+            assert main(["verify", str(fixture_path)]) == 0
+            [(_, moved)] = calls
+            assert list(moved[1] if check == "fkg" else moved[0].p) == fixture["p"]
+
+    def test_fixture_on_the_wrong_kind_or_with_an_unknown_check_exits_2(self, tmp_path, capsys):
+        doc = json.loads(gen(tmp_path).read_text())
+        doc.update({"p": [0.5] * doc["n"], "claim": "made up", "lhs": 0.0, "rhs": 1.0, "k": 1})
+        fixture = tmp_path / "odd.json"
+        for check in ("lll", "tail"):
+            fixture.write_text(json.dumps(dict(doc, check=check)))
+            assert main(["verify", str(fixture)]) == 2
+            assert f"no {check!r} check runs on a CipInstance" in capsys.readouterr().err
 
 
 class TestBenchAndReplay:

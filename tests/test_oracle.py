@@ -329,3 +329,117 @@ class TestLpVertexOptimum:
         report = solve_cip_lp(inst)
         _, value = lp_vertex_optimum(inst.costs[0], inst.a_matrix, inst.demands)
         assert value == pytest.approx(report.solution.objective_values[0], abs=1e-6)
+
+
+def cover_by_brute_force(scheme, p, lam, row_block, cond_rows, cond_cols, anti_cols):
+    """Every quantity the cover enumerations report, from a loop over all 2^n
+    bit vectors, frozen bits included."""
+    inst = scheme.instance
+    a, costs = inst.a_matrix, np.array(inst.costs)
+    fail = np.zeros(inst.m)
+    clear = success = cond = joint = anti = 0.0
+    for z in itertools.product((0.0, 1.0), repeat=inst.n):
+        z = np.array(z)
+        w = math.prod(p[j] if z[j] else 1.0 - p[j] for j in range(inst.n))
+        holding = a @ z >= scheme.residual
+        fail += w * ~holding
+        clear += w * holding.all()
+        success += w * (holding.all() and np.all(costs @ z <= lam))
+        given = holding[cond_rows].all() and z[cond_cols].all()
+        cond += w * given
+        joint += w * (given and holding[row_block].all())
+        anti += w * (holding.all() and z[anti_cols].all())
+    touched = sorted({int(r) for j in anti_cols for r in inst.col_rows[j]})
+    ratios = (joint / cond, np.prod(1.0 - fail[row_block]),
+              anti / clear, np.prod(p[anti_cols]) / np.prod(1.0 - fail[touched]))
+    return fail, clear, success, ratios
+
+
+class TestEnumerationOfRandomBitsOnly:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_covers_with_frozen_bits_match_the_full_loop(self, seed):
+        # a flat feasible point leaves most rows to the random bits
+        inst = random_cip(seed, n_max=10, m_max=5, ell=2)
+        flat = np.full(inst.n, float(np.max(inst.demands / inst.a_matrix.sum(axis=1))))
+        scheme = make_scheme(inst, flat, 1.05)
+        rng = np.random.default_rng(seed + 40)
+        p = rng.uniform(0.3, 0.9, inst.n)
+        frozen = rng.choice(inst.n, size=inst.n // 3 + 1, replace=False)
+        p[frozen] = rng.integers(0, 2, size=frozen.size)
+        lam = 1.2 * np.array(inst.costs) @ p
+        rows = list(rng.permutation(inst.m))
+        row_block, cond_rows = sorted(rows[: inst.m // 2]), sorted(rows[inst.m // 2 :])
+        live = [int(j) for j in rng.permutation(np.flatnonzero(p > 0.0))]
+        cond_cols, anti_cols = sorted(live[:1]), sorted(live[1:3])
+        fail, clear, success, ratios = cover_by_brute_force(
+            scheme, p, lam, row_block, cond_rows, cond_cols, anti_cols)
+
+        probs = exact_event_probs(scheme, p, lambdas=lam)
+        assert np.allclose(probs.row_fail, fail, rtol=0.0, atol=1e-12)
+        assert probs.all_clear == pytest.approx(clear, rel=0.0, abs=1e-12)
+        assert probs.success == pytest.approx(success, rel=0.0, abs=1e-12)
+        first, second = verify_fkg_and_antifkg(
+            scheme, p, row_block, cond_rows, cond_cols, anti_cols)
+        got = (first.lhs, first.rhs, second.lhs, second.rhs)
+        assert got == pytest.approx(ratios, rel=0.0, abs=1e-12)
+
+    def test_budget_counts_only_the_random_bits(self):
+        inst = CipInstance.create(np.ones((1, 30)), [1.0], [np.ones(30)])
+        scheme = make_scheme(inst, np.full(30, 1 / 30), 1.5)
+        p = np.zeros(30)
+        p[:4] = 0.5
+        probs = exact_event_probs(scheme, p, budget=EnumerationBudget(max_bits=4))
+        assert probs.all_clear == pytest.approx(1.0 - 0.5**4, abs=1e-15)
+        with pytest.raises(BudgetExceeded, match="2\\^4 outcomes exceeds the 3-bit budget"):
+            exact_event_probs(scheme, p, budget=EnumerationBudget(max_bits=3))
+
+    @pytest.mark.parametrize("q", [0.2, 0.25])
+    def test_minimax_with_single_slot_groups_matches_the_full_loop(self, q):
+        # Rows 0 and 1 each take one slot of weight q from four of six
+        # three-slot groups; group 6 puts all its mass on one slot (fixed),
+        # group 7 splits it over two slots and leaves one empty.
+        a = np.zeros((2, 24))
+        for g in range(4):
+            a[0, 3 * g] = 1.0
+        for g in range(2, 6):
+            a[1, 3 * g + 1] = 1.0
+        a[0, 18], a[0, 19], a[1, 21] = 0.5, 0.3, 0.25
+        inst = MipInstance.create(a, [3] * 8)
+        x = np.zeros(24)
+        for g in range(6):
+            x[3 * g] = q if g < 4 else (1 - q) / 2
+            x[3 * g + 1] = q if g >= 2 else (1 - q) / 2
+            x[3 * g + 2] = 1.0 - x[3 * g] - x[3 * g + 1]
+        x[18:24] = [1.0, 0.0, 0.0, 0.5, 0.0, 0.5]
+        k = 3
+        report = verify_extended_lll(inst, x, k)
+        assert report.status == "checked"
+
+        mu = a @ x
+        good = 0.0
+        for slots in itertools.product(range(3), repeat=8):
+            picks = [3 * g + s for g, s in enumerate(slots)]
+            w = math.prod(x[j] for j in picks)
+            good += w * bool(np.all(a[:, picks].sum(axis=1) < mu + k))
+        assert 0.0 < good < 1.0
+        assert report.lhs == pytest.approx(good, rel=0.0, abs=1e-12)
+
+    def test_single_slot_groups_leave_the_assignment_budget(self):
+        # 30 two-slot groups, 29 of them fixed: two assignments, not 2^30
+        inst = MipInstance.create(0.1 * np.eye(60), [2] * 30)
+        x = np.tile([1.0, 0.0], 30)
+        x[:2] = 0.5
+        report = verify_extended_lll(inst, x, k=1, budget=EnumerationBudget(max_bits=1))
+        assert report.status == "checked" and report.lhs == pytest.approx(1.0)
+
+    def test_correlation_checks_enumerate_once(self, monkeypatch):
+        import lllround.oracle as oracle_module
+
+        calls = []
+        real = oracle_module._random_bit_chunks
+        monkeypatch.setattr(oracle_module, "_random_bit_chunks",
+                            lambda *args: calls.append(args) or real(*args))
+        inst = random_cip(3, n_max=8, m_max=4)
+        scheme = make_scheme(inst, lp_point(inst), 1.5)
+        verify_fkg_and_antifkg(scheme, np.full(inst.n, 0.5), [0], [1], [0], [1])
+        assert len(calls) == 1
