@@ -202,23 +202,18 @@ class _SubsetTables:
             denom = binomial_real(float(lam), int(k))
             if denom <= 0.0:
                 raise ParameterError(f"budget {lam} too small for subset order {k}")
-            if not subsets:
-                # fewer positive-cost bits than the subset order: the budget
-                # holds vacuously, so there is nothing to subtract
-                self.terms.append(("empty", denom))
-                continue
-            cols = np.array(subsets, dtype=np.int64)  # (n_subsets, k)
+            # (n_subsets, k); with fewer positive-cost bits than k the table
+            # is empty and the term subtracts nothing
+            cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), k)
             row_lists = [
                 np.unique(np.concatenate([instance.col_rows[j] for j in subset]))
                 for subset in subsets
             ]
             lengths = np.array([len(r) for r in row_lists], dtype=np.int64)
-            flat_rows = (
-                np.concatenate(row_lists) if lengths.sum() else np.empty(0, dtype=np.int64)
-            )
+            flat_rows = np.concatenate([np.empty(0, dtype=np.int64), *row_lists])
             ends = np.cumsum(lengths)
             starts = ends - lengths
-            self.terms.append(("table", denom, cost, cols, flat_rows, starts, ends))
+            self.terms.append((denom, cost, cols, flat_rows, starts, ends))
 
     def value(self, p: np.ndarray, chp: np.ndarray) -> float:
         """Estimator value: the all-rows-survive product minus the budget
@@ -232,22 +227,13 @@ class _SubsetTables:
         total_log = float(log_clear.sum())
         lead = math.exp(total_log) if n_dead == 0 else 0.0
         subtracted = 0.0
-        for term in self.terms:
-            if term[0] == "empty":
-                continue
-            _, denom, cost, cols, flat_rows, starts, ends = term
+        for denom, cost, cols, flat_rows, starts, ends in self.terms:
             with np.errstate(divide="ignore"):
                 log_w = np.log(cost[cols] * p[cols]).sum(axis=1)  # -inf prunes zeros
-            if flat_rows.size:
-                gathered = log_clear[flat_rows]
-                cs = np.concatenate([[0.0], np.cumsum(gathered)])
-                seg_log = cs[ends] - cs[starts]
-                dead_gathered = dead[flat_rows].astype(np.int64)
-                dcs = np.concatenate([[0], np.cumsum(dead_gathered)])
-                seg_dead = dcs[ends] - dcs[starts]
-            else:
-                seg_log = np.zeros(cols.shape[0])
-                seg_dead = np.zeros(cols.shape[0], dtype=np.int64)
+            cs = np.concatenate([[0.0], np.cumsum(log_clear[flat_rows])])
+            seg_log = cs[ends] - cs[starts]
+            dcs = np.concatenate([[0], np.cumsum(dead[flat_rows].astype(np.int64))])
+            seg_dead = dcs[ends] - dcs[starts]
             complement_ok = seg_dead == n_dead  # every dead row sits inside the subset's cover
             with np.errstate(invalid="ignore"):
                 contrib = np.where(

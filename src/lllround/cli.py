@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_round = sub.add_parser("round", help="solve the relaxation and round it")
     p_round.add_argument("instance")
     p_round.add_argument("--mode", default="derandomize",
-                         choices=["standard", "derandomize", "mip", "bootstrap"])
+                         choices=["standard", "derandomize", "mip"])
     p_round.add_argument("--solution", help="JSON file with a fractional point to ingest")
     p_round.add_argument("--alpha", type=float)
     p_round.add_argument("--beta", type=float)
@@ -187,10 +187,9 @@ def cmd_round(args, argv: list[str]) -> int:
     instance = _load_instance(args.instance)
     out = Path(args.out)
     is_cip = isinstance(instance, model.CipInstance)
-    if args.mode in ("standard", "derandomize") and not is_cip:
-        raise _CliFailure(EXIT_USAGE, f"mode {args.mode} needs a covering instance")
-    if args.mode in ("mip", "bootstrap") and is_cip:
-        raise _CliFailure(EXIT_USAGE, f"mode {args.mode} needs a minimax instance")
+    needs = "minimax" if args.mode == "mip" else "covering"
+    if is_cip == (args.mode == "mip"):
+        raise _CliFailure(EXIT_USAGE, f"mode {args.mode} needs a {needs} instance")
     fractional = _fractional_point(instance, args)
     x = fractional.x
 
@@ -226,20 +225,9 @@ def cmd_round(args, argv: list[str]) -> int:
               f"ratio={ratio:.4f}  feasible={doc['feasible']}")
         return EXIT_OK
 
-    if args.mode == "mip":
-        report = mip.las_vegas_mip(instance, x, args.max_tries, args.seed)
-        summary = {
-            "value": float(report.value),
-            "target_t42": float(report.target.target),
-            "target_t44": float(report.target.target),
-            "trials_used": int(report.trials_used),
-            "t_trace": [int(report.target.t)],
-            "success": bool(report.success),
-        }
-    else:
-        report, summary = mip.full_mip_pipeline(
-            instance, rng_seed=args.seed, x_star=x, max_tries=args.max_tries
-        )
+    _, summary = mip.full_mip_pipeline(
+        instance, x, rng_seed=args.seed, max_tries=args.max_tries
+    )
     _write_json(out, summary)
     _write_manifest(out, argv, args.seed, [str(out)])
     print(f"mode={args.mode}  value={summary['value']:.6g}  "

@@ -1,13 +1,14 @@
 """Minimax rounding: pick one slot per group so the worst row load stays
 near the fractional optimum.
 
-Two layers.  `las_vegas_mip` retries independent categorical roundings until
+One path, `full_mip_pipeline`, in two layers.  `bootstrap_reduce` shrinks
+the support of a fractional solution first — scale up, round coordinates
+independently, accept only trials whose row loads and group sums stay inside
+explicit envelopes, renormalize, repeat while the group/row interaction width
+t keeps falling — and returns at once when the point is already in its easy
+regime.  `las_vegas_mip` then retries independent categorical roundings until
 one meets the additive slack target (the slack follows from the tail-kernel
-inverse at failure budget 1/(e*t)).  `bootstrap_reduce` shrinks the support
-of a fractional solution first — scale up, round coordinates independently,
-accept only trials whose row loads and group sums stay inside explicit
-envelopes, renormalize, repeat while the group/row interaction width t keeps
-falling — so the retry layer faces a much smaller t.
+inverse at failure budget 1/(e*t)), so it faces the reduced t.
 
 Logarithms in the bootstrap scalings are base 2.
 """
@@ -19,12 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FractionalSolution, MipInstance, _widths
+from .model import MipInstance, _widths
 from .tailbounds import deviation_for_budget
 
 __all__ = [
     "MipTarget",
-    "BootstrapConfig",
     "BootstrapResult",
     "LasVegasReport",
     "mip_target",
@@ -35,7 +35,12 @@ __all__ = [
 ]
 
 GROUP_SUM_TOL = 1e-6
-RENORM_TOL = 1e-12
+# Support-reduction constants.  The guarantees behind them are asymptotic and
+# leave them free: K0 bounds the easy regime's width from below, K1 sets the
+# row and group-sum envelopes, and a step draws at most BOOTSTRAP_TRIALS trials.
+BOOTSTRAP_K0 = 2.0
+BOOTSTRAP_K1 = 4.0
+BOOTSTRAP_TRIALS = 200
 
 
 @dataclass(frozen=True)
@@ -53,31 +58,6 @@ class MipTarget:
         return value <= math.ceil(self.target) + 1e-9
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
-    """Envelope and budget constants for the support-reduction loop.  All of
-    them are knobs: the underlying guarantees are asymptotic and leave the
-    constants free."""
-
-    k0: float = 2.0
-    k1: float = 4.0
-    trials_per_iter: int = 200
-    max_outer_iters: int | None = None  # None → ceil(log2 log2 max(t,4)) + 2
-
-    def __post_init__(self):
-        if self.k0 <= 0 or self.k1 <= 0:
-            raise ValueError("envelope constants must be positive")
-        if self.trials_per_iter < 1:
-            raise ValueError("need at least one trial per iteration")
-        if self.max_outer_iters is not None and self.max_outer_iters < 1:
-            raise ValueError("need at least one outer iteration")
-
-    def outer_cap(self, t: int) -> int:
-        if self.max_outer_iters is not None:
-            return self.max_outer_iters
-        return math.ceil(math.log2(math.log2(max(t, 4)))) + 2
-
-
 @dataclass
 class BootstrapIteration:
     t: int
@@ -86,23 +66,15 @@ class BootstrapIteration:
     scale: float
     trials: int
     accepted: bool
-    max_support: int
 
 
 @dataclass
 class BootstrapResult:
-    x: np.ndarray
+    x: np.ndarray  # the renormalized input, or the last point whose step lowered t
     t_trace: list[int]
     y_trace: list[float]
     iterations: list[BootstrapIteration] = field(default_factory=list)
-    exhausted: bool = False
     stop_reason: str = ""
-
-    @property
-    def solution(self) -> FractionalSolution:
-        return FractionalSolution(
-            x=self.x, objective_values=(self.y_trace[-1],), feasibility_slack=0.0
-        )
 
 
 @dataclass(frozen=True)
@@ -160,14 +132,9 @@ def group_round(instance: MipInstance, x_star, rng_seed) -> np.ndarray:
     return z
 
 
-def las_vegas_mip(
-    instance: MipInstance,
-    x_star,
-    max_tries: int,
-    rng_seed,
-    t: int | None = None,
-) -> LasVegasReport:
-    """Retry group rounding until the max row load meets the slack target.
+def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> LasVegasReport:
+    """Retry group rounding until the max row load meets the slack target
+    at the interaction width t of x_star's support.
 
     Trials are seeded independently as (rng_seed, trial) so any prefix of
     the trial stream is reproducible; the best value and the earliest trial
@@ -176,8 +143,7 @@ def las_vegas_mip(
     success flag, not raised.
     """
     x = np.asarray(x_star, dtype=float)
-    if t is None:
-        _, t = _support_stats(instance, x)
+    _, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
     target = mip_target(y_star, instance.m, t)
     best_value = math.inf
@@ -205,40 +171,41 @@ def las_vegas_mip(
     )
 
 
-def _easy_regime(y_star: float, t: int, a: int, k0: float) -> bool:
-    return y_star >= t ** (1.0 / 7.0) or t <= max(k0, 2.0) or t <= a**4
+def _easy_regime(y_star: float, t: int, a: int) -> bool:
+    return y_star >= t ** (1.0 / 7.0) or t <= BOOTSTRAP_K0 or t <= a**4
 
 
-def bootstrap_reduce(
-    instance: MipInstance, x_star, config: BootstrapConfig, rng_seed
-) -> BootstrapResult:
+def _outer_cap(t: int) -> int:
+    """Most support-reduction steps from width t: ceil(log2 log2 max(t, 4)) + 2."""
+    return math.ceil(math.log2(math.log2(max(t, 4)))) + 2
+
+
+def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult:
     """Shrink the support of a fractional solution while roughly preserving
     row loads, by repeated scale-up / independent-round / renormalize steps.
 
-    Each iteration scales the current point (by y*^2 * log^5 t when y* >= 1,
-    by log^5 t / y* when t^(-1/7) < y* < 1), rounds every coordinate to
-    floor or ceiling independently, and accepts the trial only when all row
-    loads sit inside a multiplicative envelope and all group sums inside an
-    additive one (constants from the config).  Accepted trials renormalize
-    each group to sum exactly 1.  The loop stops when the interaction width
-    t reaches the easy regime, stops decreasing, or y* drops to t^(-1/7);
-    exhausting the per-iteration trial budget returns the current point
-    flagged as exhausted.
+    Each step scales the current point (by y*^2 * log^5 t when y* >= 1, by
+    log^5 t / y* when t^(-1/7) < y* < 1), rounds every coordinate to floor
+    or ceiling independently, and accepts the trial only when all row loads
+    sit inside a multiplicative envelope and all group sums inside an
+    additive one.  An accepted trial is renormalized so that each group sums
+    to exactly 1.  The loop stops when the interaction width t reaches the
+    easy regime, when y* drops to t^(-1/7), when a step's trials are all
+    rejected, or when a step does not lower t.  The traces record every
+    accepted step; the returned point is the last one that lowered t.
     """
-    x = np.asarray(x_star, dtype=float).copy()
-    for g in range(instance.n_groups):
-        sl = instance.group_slice(g)
-        total = x[sl].sum()
-        if abs(total - 1.0) > GROUP_SUM_TOL:
-            raise ValueError(f"group {g} weights sum to {total}, not 1")
-        x[sl] /= total
+    x = np.asarray(x_star, dtype=float)
+    totals = np.add.reduceat(x, instance.offsets)
+    off = np.flatnonzero(np.abs(totals - 1.0) > GROUP_SUM_TOL)
+    if off.size:
+        raise ValueError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
+    x = x / np.repeat(totals, instance.group_sizes)
     a, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
     result = BootstrapResult(x=x, t_trace=[t], y_trace=[y_star])
-    outer_cap = config.outer_cap(t)
     rng = np.random.default_rng([rng_seed, 0xB007])
-    for outer in range(outer_cap):
-        if _easy_regime(y_star, t, a, config.k0):
+    for _ in range(_outer_cap(t)):
+        if _easy_regime(y_star, t, a):
             result.stop_reason = "easy regime"
             return result
         if y_star <= t ** (-1.0 / 7.0):
@@ -248,98 +215,61 @@ def bootstrap_reduce(
         if y_star >= 1.0:
             case = "large"
             scale = y_star**2 * log_t**5
-            row_cap = y_star**3 * log_t**5 * (1.0 + config.k1 / (y_star**1.5 * log_t**2))
-            sum_slack = config.k1 * y_star * log_t**3
+            row_cap = y_star**3 * log_t**5 * (1.0 + BOOTSTRAP_K1 / (y_star**1.5 * log_t**2))
+            sum_slack = BOOTSTRAP_K1 * y_star * log_t**3
         else:
             case = "small"
             scale = log_t**5 / y_star
-            row_cap = log_t**5 * (1.0 + config.k1 / log_t**2)
-            sum_slack = config.k1 * log_t**3 / math.sqrt(y_star)
+            row_cap = log_t**5 * (1.0 + BOOTSTRAP_K1 / log_t**2)
+            sum_slack = BOOTSTRAP_K1 * log_t**3 / math.sqrt(y_star)
         scaled = scale * x
         floors = np.floor(scaled)
         fracs = scaled - floors
         accepted = None
         trials = 0
-        for _ in range(config.trials_per_iter):
+        for _ in range(BOOTSTRAP_TRIALS):
             trials += 1
-            bits = rng.random(instance.n_cols) < fracs
-            z = floors + bits
-            loads = instance.loads(z)
-            if np.any(loads > row_cap):
-                continue
-            sums_ok = True
-            for g in range(instance.n_groups):
-                sl = instance.group_slice(g)
-                if abs(z[sl].sum() - scale) > sum_slack:
-                    sums_ok = False
-                    break
-            if sums_ok and np.all([z[instance.group_slice(g)].sum() > 0 for g in range(instance.n_groups)]):
+            z = floors + (rng.random(instance.n_cols) < fracs)
+            sums = np.add.reduceat(z, instance.offsets)  # exact: z is integral
+            if (np.all(instance.loads(z) <= row_cap) and np.all(np.abs(sums - scale) <= sum_slack)
+                    and np.all(sums > 0.0)):
                 accepted = z
                 break
-        it = BootstrapIteration(
+        result.iterations.append(BootstrapIteration(
             t=t, y_star=y_star, case=case, scale=scale, trials=trials,
-            accepted=accepted is not None, max_support=0,
-        )
+            accepted=accepted is not None,
+        ))
         if accepted is None:
-            result.iterations.append(it)
-            result.exhausted = True
             result.stop_reason = "trial budget exhausted"
             return result
-        new_x = np.zeros_like(x)
-        max_support = 0
-        for g in range(instance.n_groups):
-            sl = instance.group_slice(g)
-            seg = accepted[sl]
-            seg_sum = seg.sum()
-            new_x[sl] = seg / seg_sum
-            max_support = max(max_support, int(np.count_nonzero(seg)))
-            if abs(new_x[sl].sum() - 1.0) > RENORM_TOL:
-                raise AssertionError("renormalized group sum drifted from 1")
-        it.max_support = max_support
-        result.iterations.append(it)
-        x = new_x
-        a, new_t = _support_stats(instance, x)
-        y_star = float(instance.loads(x).max())
-        result.y_trace.append(y_star)
-        if new_t >= t:
-            result.t_trace.append(new_t)
-            result.x = x
+        x_next = accepted / np.repeat(sums, instance.group_sizes)
+        a_next, t_next = _support_stats(instance, x_next)
+        y_next = float(instance.loads(x_next).max())
+        result.t_trace.append(t_next)
+        result.y_trace.append(y_next)
+        if t_next >= t:
             result.stop_reason = "t stopped decreasing"
             return result
-        t = new_t
-        result.t_trace.append(t)
+        x, a, t, y_star = x_next, a_next, t_next, y_next
         result.x = x
-    result.x = x
     result.stop_reason = "outer iteration cap"
     return result
 
 
 def full_mip_pipeline(
-    instance: MipInstance,
-    config: BootstrapConfig | None = None,
-    rng_seed=0,
-    x_star=None,
-    max_tries: int = 10_000,
+    instance: MipInstance, x_star, rng_seed=0, max_tries: int = 10_000
 ) -> tuple[LasVegasReport, dict]:
-    """Bootstrap support reduction followed by the Las Vegas rounding loop.
+    """Bootstrap support reduction of the fractional point x_star, followed
+    by the Las Vegas rounding loop at the reduced point.
 
-    Solves the fractional relaxation internally when no starting point is
-    given.  Returns the rounding report plus a JSON-ready summary comparing
-    the achieved value against the slack target at the final interaction
-    width and against the sparsity-based target (which needs a >= 2 to be
-    finite; otherwise the width-based target is reported there too).
+    Returns the rounding report plus a JSON-ready summary comparing the
+    achieved value against the slack target at the final interaction width
+    and against the sparsity-based target (which needs a >= 2 to be finite;
+    otherwise the width-based target is reported there too).
     """
-    config = config or BootstrapConfig()
-    if x_star is None:
-        from .lp import InfeasibleError, solve_mip_lp
-
-        lp = solve_mip_lp(instance)
-        if lp.status != "optimal" or lp.solution is None:
-            raise InfeasibleError(f"relaxation is {lp.status}")
-        x_star = lp.solution.x
-    boot = bootstrap_reduce(instance, x_star, config, rng_seed)
-    a, t = _support_stats(instance, boot.x)
-    report = las_vegas_mip(instance, boot.x, max_tries, rng_seed, t=t)
+    boot = bootstrap_reduce(instance, x_star, rng_seed)
+    report = las_vegas_mip(instance, boot.x, max_tries, rng_seed)
+    a, _ = _support_stats(instance, boot.x)
     y0 = boot.y_trace[0]
     mu = min(y0, float(instance.m))
     if a >= 2:

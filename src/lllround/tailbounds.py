@@ -52,8 +52,7 @@ def deviation_for_budget(mu: float, budget: float) -> float:
     ratio 1.001.  An exponential search (doubling the deviation per probe)
     brackets the answer, then a linear scan of the final bracket returns the
     first grid point satisfying the inequality; the ceil factor makes the
-    predicate non-monotone at integer boundaries, hence the scan.  The
-    defining inequality is re-checked at the returned point.
+    predicate non-monotone at integer boundaries, hence the scan.
     """
     if mu <= 0.0:
         raise ValueError(f"mean must be positive, got {mu}")
@@ -78,7 +77,6 @@ def deviation_for_budget(mu: float, budget: float) -> float:
     for index in range(low + 1, high + 1):
         delta = grid(index)
         if inside(delta):
-            assert inside(delta), "returned deviation must satisfy the budget"
             return delta
     raise AssertionError("bracket end satisfied the budget")  # pragma: no cover
 

@@ -239,6 +239,27 @@ class TestSuccessEstimator:
         state = make_estimator(scheme, [1.0], [1])
         assert success_lower_bound(state) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha,lam", [(1.5, 12.0), (2.5, 6.0)])
+    def test_cost_with_fewer_positive_entries_than_k_subtracts_nothing(self, alpha, lam):
+        # The second cost is positive on one column only, below the subset
+        # order 2, so its budget holds on every outcome: its table is empty.
+        from lllround import exact_event_probs
+
+        base = gen_set_cover(8, 16, 5, 2, 0)
+        sparse_cost = np.zeros(16)
+        sparse_cost[3] = 1.0
+        two = CipInstance.create(base.a_matrix, base.demands, [base.costs[0], sparse_cost])
+        one = CipInstance.create(base.a_matrix, base.demands, [base.costs[0]])
+        x = lp_point(two)
+        scheme_two, scheme_one = make_scheme(two, x, alpha), make_scheme(one, x, alpha)
+        state_two = make_estimator(scheme_two, [lam, 2.0], [2, 2])
+        state_one = make_estimator(scheme_one, [lam], [2])
+        rng = np.random.default_rng(0)
+        for p in (scheme_two.frac, rng.uniform(0.0, 1.0, 16) * scheme_two.frac):
+            value = success_lower_bound(state_two.at(p))
+            assert value == success_lower_bound(state_one.at(p))
+            assert value <= exact_event_probs(scheme_two, p, lambdas=[lam, 2.0]).success + 1e-12
+
     def test_order_one_closed_formula(self):
         scheme = tight_single_row()
         lam = 2.5

@@ -207,14 +207,43 @@ class TestRound:
         assert doc["success"] is True
         assert "trials_used=" in capsys.readouterr().out
 
-    def test_bootstrap_mode(self, tmp_path):
-        graph = gen(tmp_path, kind="hypergraph", name="graph.json")
-        out = tmp_path / "boot.json"
-        assert main(["round", str(graph), "--mode", "bootstrap",
-                     "--out", str(out)]) == 0
+    def test_mip_mode_runs_a_bootstrap_step(self, tmp_path, monkeypatch):
+        # Group 0 puts one slot on each of 16 rows; groups 1..15 each hold
+        # one slot of weight 0.7 on rows 1..15.  The LP spreads group 0 over
+        # all 16 rows (y* = 0.71875, t = 16, column sparsity 1), outside the
+        # bootstrap's easy regime, so one support-reduction step runs; it
+        # does not lower t.
+        import lllround.mip as mip_module
+
+        a = np.zeros((16, 31))
+        for i in range(16):
+            a[i, i] = 1.0
+        for g in range(1, 16):
+            a[g, 15 + g] = 0.7
+        instance = MipInstance.create(a, [16] + [1] * 15)
+        assert solve_mip_lp(instance).objective == pytest.approx(0.71875)
+        path = tmp_path / "spread.json"
+        path.write_text(serialize_instance(instance))
+        steps = []
+        real = mip_module.bootstrap_reduce
+        monkeypatch.setattr(mip_module, "bootstrap_reduce",
+                            lambda *args: steps.append(real(*args)) or steps[-1])
+        out = tmp_path / "spread-round.json"
+        assert main(["round", str(path), "--mode", "mip", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
+        assert doc["t_trace"] == [16, 16]
         assert doc["success"] is True
-        assert len(doc["t_trace"]) >= 1
+        [result] = steps
+        assert result.y_trace[0] == pytest.approx(0.71875)
+        assert [it.accepted for it in result.iterations] == [True]
+
+    def test_bootstrap_mode_is_gone(self, tmp_path):
+        graph = gen(tmp_path, kind="hypergraph", name="graph.json")
+        argv = ["round", str(graph), "--mode", "bootstrap", "--out", str(tmp_path / "boot.json")]
+        assert main(argv) == 2
+        manifest = tmp_path / "boot.json.manifest.json"
+        manifest.write_text(json.dumps({"command": argv, "seed": 0, "outputs": []}))
+        assert main(["replay", str(manifest)]) == 2
 
     def test_missing_instance_file_exits_2(self, tmp_path):
         assert main(["round", str(tmp_path / "absent.json"),

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import lllround.mip as mip_module
 from lllround import (
-    BootstrapConfig,
     MipInstance,
     bootstrap_reduce,
     deviation_for_budget,
@@ -128,16 +128,14 @@ class TestLasVegas:
         long = las_vegas_mip(inst, x, 50, rng_seed=3)
         assert long.value <= short.value + 1e-12
 
-    def test_interaction_width_override_changes_the_target(self):
+    def test_target_width_comes_from_the_support_of_the_point(self):
         inst = disjoint_pairs()
-        x = [0.5, 0.5, 0.5, 0.5]
-        assert las_vegas_mip(inst, x, 10, 0, t=7).target.t == 7
+        assert las_vegas_mip(inst, [1.0, 0.0, 1.0, 0.0], 10, 0).target.t == 1
+        assert las_vegas_mip(inst, [1.0, 0.0, 0.5, 0.5], 10, 0).target.t == 2
 
     def test_failure_is_reported_not_raised(self, monkeypatch):
         # Inject an unmeetable target: the loop must burn every trial, keep
         # the best assignment, and report failure through the flag.
-        import lllround.mip as mip_module
-
         def impossible_target(y_star, m, t):
             return mip_module.MipTarget(y_star=y_star, t=t, k=0, target=y_star - 1.0)
 
@@ -162,18 +160,17 @@ class TestBootstrap:
     def test_small_instance_is_already_easy(self):
         inst = random_mip(0)
         x = uniform_group_weights(inst)
-        result = bootstrap_reduce(inst, x, BootstrapConfig(), rng_seed=0)
+        result = bootstrap_reduce(inst, x, rng_seed=0)
         assert result.stop_reason == "easy regime"
         assert result.iterations == []
         assert len(result.t_trace) == 1
-        assert not result.exhausted
         assert result.x == pytest.approx(x)
 
     def test_small_value_case_accepts_and_stops_on_flat_width(self):
         inst = single_group_identity(16)
         x = np.full(16, 0.2 / 15)
         x[0] = 0.8
-        result = bootstrap_reduce(inst, x, BootstrapConfig(), rng_seed=1)
+        result = bootstrap_reduce(inst, x, rng_seed=1)
         assert result.stop_reason == "t stopped decreasing"
         assert len(result.iterations) == 1
         it = result.iterations[0]
@@ -181,7 +178,28 @@ class TestBootstrap:
         assert it.accepted
         assert it.scale == pytest.approx(math.log2(16) ** 5 / 0.8, rel=1e-9)
         assert result.t_trace == [16, 16]
+        assert len(result.y_trace) == 2
+        # the step kept t, so the point returned is the input, not the step's
+        assert result.x == pytest.approx(x)
         assert result.x.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_accepted_steps_renormalize_every_group_to_one(self):
+        # Two groups of four slots on the same four rows; each group puts
+        # 0.005 on three slots, which the first scaled rounding mostly zeroes.
+        a = np.zeros((4, 8))
+        for g in range(2):
+            for j in range(4):
+                a[j, 4 * g + j] = 1.0
+        inst = MipInstance.create(a, [4, 4])
+        x = np.array([0.985, 0.005, 0.005, 0.005, 0.005, 0.005, 0.005, 0.985])
+        result = bootstrap_reduce(inst, x, rng_seed=3)
+        assert result.t_trace == [4, 3, 2]
+        assert [it.accepted for it in result.iterations] == [True, True]
+        assert result.stop_reason == "easy regime"
+        assert not np.allclose(result.x, x)
+        for g in range(inst.n_groups):
+            assert abs(result.x[inst.group_slice(g)].sum() - 1.0) <= 1e-12
+        assert float(inst.loads(result.x).max()) == pytest.approx(result.y_trace[-1])
 
     def test_large_value_case_is_deterministic_on_integral_scaling(self):
         # Four groups, slot j of each group on row j: uniform weights load
@@ -194,7 +212,7 @@ class TestBootstrap:
                 a[j, 4 * g + j] = 1.0
         inst = MipInstance.create(a, [4, 4, 4, 4])
         x = np.full(16, 0.25)
-        result = bootstrap_reduce(inst, x, BootstrapConfig(), rng_seed=9)
+        result = bootstrap_reduce(inst, x, rng_seed=9)
         assert result.stop_reason == "t stopped decreasing"
         it = result.iterations[0]
         assert it.case == "large"
@@ -202,7 +220,7 @@ class TestBootstrap:
         assert it.trials == 1 and it.accepted
         assert result.x == pytest.approx(x)
 
-    def test_rejecting_every_trial_reports_exhaustion(self):
+    def test_rejecting_every_trial_reports_exhaustion(self, monkeypatch):
         # The group sum after rounding is an integer, but the scale has
         # fractional part bounded away from 0; with a hair-thin sum envelope
         # no trial can be accepted.
@@ -211,35 +229,40 @@ class TestBootstrap:
         x[0] = 0.8
         scale = math.log2(17) ** 5 / 0.8
         assert min(scale % 1.0, 1.0 - scale % 1.0) > 1e-3
-        config = BootstrapConfig(k1=1e-9, trials_per_iter=200)
-        result = bootstrap_reduce(inst, x, config, rng_seed=5)
-        assert result.exhausted
+        monkeypatch.setattr(mip_module, "BOOTSTRAP_K1", 1e-9)
+        result = bootstrap_reduce(inst, x, rng_seed=5)
         assert result.stop_reason == "trial budget exhausted"
         assert len(result.iterations) == 1
         assert result.iterations[0].trials == 200
         assert not result.iterations[0].accepted
         assert result.x == pytest.approx(x / x.sum())
 
+    def test_input_is_renormalized_group_by_group(self):
+        inst = random_mip(5)
+        x = uniform_group_weights(inst) * (1.0 + 5e-7)
+        expected = x.copy()
+        for g in range(inst.n_groups):
+            sl = inst.group_slice(g)
+            expected[sl] = x[sl] / x[sl].sum()
+        result = bootstrap_reduce(inst, x, rng_seed=0)
+        assert result.stop_reason == "easy regime"
+        np.testing.assert_array_equal(result.x, expected)
+
     def test_group_sums_must_be_one(self):
         inst = single_group_identity(3)
         with pytest.raises(ValueError, match="group 0 weights sum"):
-            bootstrap_reduce(inst, [0.5, 0.3, 0.1], BootstrapConfig(), 0)
+            bootstrap_reduce(inst, [0.5, 0.3, 0.1], 0)
 
-    def test_config_validation_and_outer_cap(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            BootstrapConfig(k0=0.0)
-        with pytest.raises(ValueError, match="at least one trial"):
-            BootstrapConfig(trials_per_iter=0)
-        with pytest.raises(ValueError, match="at least one outer"):
-            BootstrapConfig(max_outer_iters=0)
-        assert BootstrapConfig().outer_cap(16) == 4
-        assert BootstrapConfig(max_outer_iters=3).outer_cap(10**6) == 3
+    def test_outer_cap(self):
+        assert mip_module._outer_cap(2) == 3
+        assert mip_module._outer_cap(16) == 4
+        assert mip_module._outer_cap(2**16) == 6
 
 
 class TestFullPipeline:
     def test_disjoint_instance_summary(self):
         inst = disjoint_pairs()
-        report, summary = full_mip_pipeline(inst, rng_seed=0)
+        report, summary = full_mip_pipeline(inst, solve_mip_lp(inst).solution.x, rng_seed=0)
         assert report.success
         assert summary["value"] == 1.0
         assert summary["success"] is True
@@ -265,7 +288,7 @@ class TestFullPipeline:
             for sl, c in zip(slices, choice):
                 z[sl.start + c] = 1.0
             best = min(best, float((inst.a_matrix @ z).max()))
-        report, summary = full_mip_pipeline(inst, rng_seed=seed, max_tries=3000)
+        report, summary = full_mip_pipeline(inst, lp.solution.x, rng_seed=seed, max_tries=3000)
         assert report.value >= best - 1e-9
         assert report.value >= lp.solution.objective_values[0] - 1e-9
         assert summary["value"] == pytest.approx(report.value)
