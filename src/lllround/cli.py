@@ -7,7 +7,8 @@ files byte for byte (benchmark wall-clock readings are echoed from the
 manifest on replay, since timing is the one thing a rerun cannot repeat).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or malformed input,
-3 infeasible instance or solution, 4 enumeration budget exceeded.
+3 infeasible instance or solution (or a relaxation stopped at the simplex's
+iteration limit, which its message tells apart), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -164,6 +165,12 @@ def _relaxation(instance) -> model.FractionalSolution:
     """The LP vertex of either kind of instance; exit 3 when there is none."""
     solve = solve_cip_lp if isinstance(instance, model.CipInstance) else solve_mip_lp
     report = solve(instance)
+    if report.status == "iteration-limit":
+        raise _CliFailure(
+            EXIT_INFEASIBLE,
+            f"relaxation stopped at the iteration limit after {report.iterations} pivots"
+            " (not a proof of infeasibility)",
+        )
     if report.status != "optimal" or report.solution is None:
         raise _CliFailure(EXIT_INFEASIBLE, f"relaxation is {report.status}")
     return report.solution
@@ -190,6 +197,8 @@ def cmd_round(args, argv: list[str]) -> int:
     needs = "minimax" if args.mode == "mip" else "covering"
     if is_cip == (args.mode == "mip"):
         raise _CliFailure(EXIT_USAGE, f"mode {args.mode} needs a {needs} instance")
+    if args.mode == "mip" and args.max_tries < 1:
+        raise _CliFailure(EXIT_USAGE, f"--max-tries must be at least 1, got {args.max_tries}")
     fractional = _fractional_point(instance, args)
     x = fractional.x
 

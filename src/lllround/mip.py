@@ -142,6 +142,8 @@ def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> La
     met.  Failure to meet the target within max_tries is reported in the
     success flag, not raised.
     """
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     x = np.asarray(x_star, dtype=float)
     _, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
@@ -160,7 +162,6 @@ def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> La
             best_trial = trial
         if target.met_by(best_value):
             break
-    assert best_z is not None
     return LasVegasReport(
         z=best_z,
         value=best_value,

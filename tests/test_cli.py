@@ -245,6 +245,41 @@ class TestRound:
         manifest.write_text(json.dumps({"command": argv, "seed": 0, "outputs": []}))
         assert main(["replay", str(manifest)]) == 2
 
+    def test_iteration_limit_is_not_reported_as_infeasible(self, tmp_path, capsys, monkeypatch):
+        import lllround.lp as lp_module
+
+        real = lp_module._two_phase
+        monkeypatch.setattr(lp_module, "_two_phase",
+                            lambda costs, lhs, rhs, limit: real(costs, lhs, rhs, 3))
+        cover = gen(tmp_path)
+        graph = gen(tmp_path, kind="hypergraph", name="graph.json")
+        for inst, mode in ((cover, "derandomize"), (graph, "mip")):
+            code = main(["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")])
+            assert code == 3
+            assert capsys.readouterr().err == (
+                "error: relaxation stopped at the iteration limit after 3 pivots"
+                " (not a proof of infeasibility)\n"
+            )
+
+    def test_infeasible_relaxation_message(self, tmp_path, capsys, monkeypatch):
+        import lllround.cli as cli_module
+        from lllround.lp import LpReport
+
+        monkeypatch.setattr(cli_module, "solve_cip_lp",
+                            lambda instance: LpReport(None, float("nan"), 7, "infeasible"))
+        code = main(["round", str(gen(tmp_path)), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: relaxation is infeasible\n"
+
+    @pytest.mark.parametrize("tries", ["0", "-5"])
+    def test_max_tries_below_one_exits_2(self, tmp_path, capsys, tries):
+        graph = gen(tmp_path, kind="hypergraph", name="graph.json")
+        code = main(["round", str(graph), "--mode", "mip", "--max-tries", tries,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --max-tries must be at least 1, got {tries}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_instance_file_exits_2(self, tmp_path):
         assert main(["round", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r.json")]) == 2

@@ -1,13 +1,17 @@
-"""Simplex relaxation solver against closed-form cases and brute-force
-reference optima."""
+"""Simplex relaxation solver against closed-form cases, brute-force
+reference optima, HiGHS, and the scalar Bland simplex it replaced."""
+
+import math
 
 import numpy as np
 import pytest
 
+import lllround.lp as lp
 from lllround import (
     CipInstance,
     InfeasibleError,
     MipInstance,
+    gen_hypergraph_partition,
     gen_set_cover,
     ingest_solution,
     lp_vertex_optimum,
@@ -177,3 +181,181 @@ class TestIngestSolution:
         again = ingest_solution(inst, np.where(sol.x == 0.0, -1e-9, sol.x))
         np.testing.assert_array_equal(again.x, sol.x)
         assert again.objective_values == sol.objective_values
+
+
+def _reference_pivot(tableau, row, col):
+    """Row-by-row elimination: the pivot before it became one rank-1 update."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def _reference_run_simplex(tableau, basis, allowed, budget):
+    """Bland's rule scanning every column and every row one scalar at a time."""
+    iterations = 0
+    n_cols = tableau.shape[1] - 1
+    while iterations < budget:
+        entering = -1
+        for j in range(n_cols):
+            if allowed[j] and tableau[-1, j] < -lp.PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return iterations, "optimal"
+        best_ratio = math.inf
+        leaving = -1
+        for i in range(tableau.shape[0] - 1):
+            coeff = tableau[i, entering]
+            if coeff > lp.PIVOT_TOL:
+                ratio = tableau[i, -1] / coeff
+                if ratio < best_ratio - lp.PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= lp.PIVOT_TOL
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise RuntimeError("objective unbounded")
+        _reference_pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+        iterations += 1
+    return iterations, "iteration-limit"
+
+
+def _with_reference_simplex(monkeypatch, solve, instance):
+    with monkeypatch.context() as patched:
+        patched.setattr(lp, "_pivot", _reference_pivot)
+        patched.setattr(lp, "_run_simplex", _reference_run_simplex)
+        return solve(instance)
+
+
+EQUIVALENCE_CASES = (
+    [("cip", lambda s=s: random_cip(s + 500, n_max=30, m_max=20)) for s in range(8)]
+    + [("mip", lambda s=s: random_mip(s + 500, max_groups=8, max_slots=4, m_max=10))
+       for s in range(8)]
+    + [("cip", lambda s=s: gen_set_cover(60, 60, 5, 2, s)) for s in range(2)]
+    + [("mip", lambda s=s: gen_hypergraph_partition(20, 20, 4, 2, s)) for s in range(2)]
+)
+
+
+class TestSameAsTheScalarSimplex:
+    @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
+    def test_status_pivots_and_vertex_bits_match(self, monkeypatch, kind, build):
+        instance = build()
+        solve = solve_cip_lp if kind == "cip" else solve_mip_lp
+        new = solve(instance)
+        reference = _with_reference_simplex(monkeypatch, solve, instance)
+        assert (new.status, new.iterations) == (reference.status, reference.iterations)
+        assert new.status == "optimal"
+        assert new.solution.x.tobytes() == reference.solution.x.tobytes()
+        assert new.objective == reference.objective
+
+    def test_degenerate_systems_that_drive_artificials_out(self, monkeypatch):
+        # Zero right-hand sides leave artificials basic at level 0 after
+        # phase 1.  Each pivot that drives one out must take the first
+        # structural column with a nonzero entry, as the scalar scan did.
+        rng = np.random.default_rng(0)
+        real_pivot, real_run = lp._pivot, lp._run_simplex
+        state = {"in_simplex": False, "n": 0, "drive_outs": 0}
+
+        def run(*args):
+            state["in_simplex"] = True
+            try:
+                return real_run(*args)
+            finally:
+                state["in_simplex"] = False
+
+        def pivot(tableau, row, col):
+            if not state["in_simplex"]:
+                state["drive_outs"] += 1
+                row_values = tableau[row, : state["n"]]
+                assert col == next(j for j, v in enumerate(row_values) if abs(v) > lp.PIVOT_TOL)
+            real_pivot(tableau, row, col)
+
+        for _ in range(300):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(2, 8))
+            lhs = rng.integers(-1, 2, size=(m, n)).astype(float)
+            rhs = rng.integers(0, 3, size=m).astype(float)
+            costs = rng.integers(-1, 3, size=n).astype(float)
+            with monkeypatch.context() as patched:
+                patched.setattr(lp, "_pivot", _reference_pivot)
+                patched.setattr(lp, "_run_simplex", _reference_run_simplex)
+                try:
+                    reference = lp._two_phase(costs, lhs, rhs, 100)
+                except RuntimeError:  # unbounded
+                    continue
+            with monkeypatch.context() as patched:
+                patched.setattr(lp, "_pivot", pivot)
+                patched.setattr(lp, "_run_simplex", run)
+                state["n"] = n
+                x, iterations, status = lp._two_phase(costs, lhs, rhs, 100)
+            assert (iterations, status) == reference[1:]
+            assert (x is None) == (reference[0] is None)
+            if x is not None:
+                # equal values; a zero may differ in sign until
+                # ingest_solution clips the point
+                np.testing.assert_array_equal(x, reference[0])
+        assert state["drive_outs"] >= 10
+
+    def test_run_cut_off_by_the_iteration_limit_leaves_the_same_tableau(self, monkeypatch):
+        instance = gen_set_cover(60, 60, 5, 2, 0)
+        real_two_phase, real_run = lp._two_phase, lp._run_simplex
+        monkeypatch.setattr(lp, "_two_phase", lambda costs, lhs, rhs, limit:
+                            real_two_phase(costs, lhs, rhs, 40))
+        states = []
+
+        def recording(run):
+            def run_and_record(tableau, basis, allowed, budget):
+                result = run(tableau, basis, allowed, budget)
+                states.append((tableau.copy(), list(basis), result))
+                return result
+            return run_and_record
+
+        monkeypatch.setattr(lp, "_run_simplex", recording(real_run))
+        new = solve_cip_lp(instance)
+        monkeypatch.setattr(lp, "_run_simplex", recording(_reference_run_simplex))
+        reference = solve_cip_lp(instance)
+        assert (new.status, new.iterations) == (reference.status, reference.iterations)
+        assert (new.status, new.iterations, new.solution) == ("iteration-limit", 40, None)
+        (tableau, basis, result), (ref_tableau, ref_basis, ref_result) = states
+        assert (basis, result) == (ref_basis, ref_result)
+        # equal values; only the sign of a zero entry may differ
+        assert np.array_equal(tableau, ref_tableau)
+
+
+class TestAgainstHighs:
+    """Optima against scipy's HiGHS, a test-only dependency."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_set_cover(40, 40, 5, 2, 1),
+        lambda: gen_set_cover(100, 100, 5, 2, 2),
+        lambda: gen_set_cover(60, 90, 5, 3, 3),
+        lambda: random_cip(77, n_max=30, m_max=20),
+    ])
+    def test_cover_optimum_and_feasibility(self, build):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        instance = build()
+        report = solve_cip_lp(instance)
+        highs = linprog(instance.costs[0], A_ub=-instance.a_matrix, b_ub=-instance.demands,
+                        bounds=(0, None), method="highs")
+        assert report.status == "optimal" and highs.status == 0
+        assert report.objective == pytest.approx(highs.fun, rel=1e-6)
+        assert report.solution.feasibility_slack <= lp.FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("edges, seed", [(15, 4), (20, 5), (30, 6)])
+    def test_partition_optimum(self, edges, seed):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        instance = gen_hypergraph_partition(edges, edges, 4, 2, seed)
+        m, n = instance.m, instance.n_cols
+        assert m <= 60
+        report = solve_mip_lp(instance)
+        # variables: the assignment x, then W; rows A x - W <= 0, group sums = 1
+        a_ub = np.hstack([instance.a_matrix, -np.ones((m, 1))])
+        a_eq = np.zeros((instance.n_groups, n + 1))
+        for g in range(instance.n_groups):
+            a_eq[g, instance.group_slice(g)] = 1.0
+        highs = linprog(np.eye(n + 1)[n], A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
+                        b_eq=np.ones(instance.n_groups), bounds=(0, None), method="highs")
+        assert report.status == "optimal" and highs.status == 0
+        assert report.objective == pytest.approx(highs.fun, rel=1e-6)

@@ -146,6 +146,12 @@ class TestLasVegas:
         assert report.trials_used == 5
         assert report.value == pytest.approx(float((inst.a_matrix @ report.z).max()))
 
+    @pytest.mark.parametrize("tries", [0, -1])
+    def test_fewer_than_one_try_is_rejected(self, tries):
+        inst = disjoint_pairs()
+        with pytest.raises(ValueError, match="max_tries must be at least 1"):
+            las_vegas_mip(inst, [0.5, 0.5, 0.5, 0.5], tries, rng_seed=0)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_generated_partition_instances_meet_the_target(self, seed):
         inst = gen_hypergraph_partition(10, 8, 3, 2, seed)
