@@ -53,7 +53,7 @@ class EstimatorError(RuntimeError):
 
 
 class ParameterError(ValueError):
-    """No admissible rounding parameters exist in the searched range."""
+    """Rounding parameters are out of range, or none exist in the searched range."""
 
 
 @dataclass(frozen=True)
@@ -453,9 +453,11 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
 
     Single-criterion default: (alpha, beta) from `choose_alpha_beta` and a
     total budget of alpha * beta * y*.  Multi-criterion default: scale and
-    subset orders from `multicriteria_params`, beta = 3 and budgets 3x the
-    scaled means.  Total budgets are converted to increment budgets by
-    subtracting the floor costs of the scheme.
+    subset orders from `multicriteria_params`, beta = 3 and budgets beta
+    times the scaled means.  Total budgets are converted to increment budgets
+    by subtracting the floor costs of the scheme.  Raises ParameterError for
+    an alpha that is not finite or not above 1, and for a beta or a total
+    budget that is not finite.
 
     Returns (scheme, increment budgets, subset orders, info dict).
     """
@@ -479,7 +481,13 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
             ks = [_subset_order(ell)] * ell
         beta = 3.0 if beta is None else beta
         if total_budgets is None:
-            total_budgets = [3.0 * alpha * y for y in objective_values]
+            total_budgets = [beta * alpha * y for y in objective_values]
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise ParameterError(f"alpha must be finite and above 1, got {alpha}")
+    if not math.isfinite(beta):
+        raise ParameterError(f"beta must be finite, got {beta}")
+    if not all(math.isfinite(b) for b in total_budgets):
+        raise ParameterError("every total budget must be finite")
     scheme = make_scheme(instance, x, alpha)
     lambdas = [float(b) - fc for b, fc in zip(total_budgets, scheme.floor_costs, strict=True)]
     if any(lam <= 0.0 for lam in lambdas):

@@ -358,9 +358,22 @@ def cmd_verify(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
+def _parse_ints(raw: str, flag: str, least: int) -> list[int]:
+    """A comma-separated list of integers, each at least `least`; exit 2 otherwise."""
+    try:
+        values = [int(v) for v in raw.split(",")]
+    except ValueError:
+        values = []
+    if not values or min(values) < least:
+        raise _CliFailure(
+            EXIT_USAGE, f"{flag} needs comma-separated integers of at least {least}, got {raw!r}"
+        )
+    return values
+
+
 def _bench_rows(args, recorded_times: list[float] | None):
-    sizes = [int(v) for v in str(args.sizes).split(",")]
-    seeds = [int(v) for v in str(args.seeds).split(",")]
+    sizes = _parse_ints(args.sizes, "--sizes", 1)
+    seeds = _parse_ints(args.seeds, "--seeds", 0)
     rows = []
     index = 0
     for b in sizes:
@@ -371,16 +384,15 @@ def _bench_rows(args, recorded_times: list[float] | None):
             instance = model.gen_set_cover(n_elems, n_sets, max_set_size, b, seed)
             stats = model.sparsity_stats(instance)
             started = time.perf_counter()
-            lp = solve_cip_lp(instance)
-            assert lp.status == "optimal" and lp.solution is not None
-            solution, info = cip.round_cip(instance, lp.solution.x)
+            fractional = _relaxation(instance)
+            solution, _ = cip.round_cip(instance, fractional.x)
             elapsed = time.perf_counter() - started
             if recorded_times is not None:
                 elapsed = recorded_times[index]
             eps = math.log(stats.a + 1.0) / b
             envelope = 1.0 + 6.0 * max(eps, math.sqrt(eps))
             value = solution.objective_values[0]
-            y_star = float(lp.objective)
+            y_star = float(fractional.objective_values[0])
             rows.append({
                 "family": args.family,
                 "n_elems": n_elems,

@@ -2,7 +2,9 @@
 
 A dense two-phase primal simplex with Bland's rule, so it cannot cycle.  Each
 pivot is one rank-1 update of the whole tableau, which produces the same pivot
-sequence and the same values as eliminating row by row.  Downstream rounding
+sequence and the same values as eliminating row by row.  The artificial
+columns are dropped when phase 1 ends; no pivot reads them after that, so the
+pivots and values are the same as if they were kept.  Downstream rounding
 needs basic optimal solutions (vertices), and the test oracles re-derive the
 same optima by brute-force vertex enumeration.
 """
@@ -47,14 +49,14 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(column, tableau[row])
 
 
-def _run_simplex(tableau, basis, allowed, budget: int) -> tuple[int, str]:
+def _run_simplex(tableau, basis, budget: int) -> tuple[int, str]:
     """Bland's rule on a tableau whose last row holds reduced costs.
 
     Returns (iterations used, status); mutates tableau and basis in place.
     """
     iterations = 0
     while iterations < budget:
-        eligible = np.flatnonzero(allowed & (tableau[-1, :-1] < -PIVOT_TOL))
+        eligible = np.flatnonzero(tableau[-1, :-1] < -PIVOT_TOL)
         if eligible.size == 0:
             return iterations, "optimal"
         entering = int(eligible[0])
@@ -84,29 +86,29 @@ def _two_phase(
     eq_rhs: np.ndarray,
     iteration_limit: int,
 ) -> tuple[np.ndarray | None, int, str]:
-    """min costs.x over {eq_lhs x = eq_rhs, x >= 0}; returns (x, iters, status)."""
-    m, n = eq_lhs.shape
-    lhs = eq_lhs.copy()
-    rhs = eq_rhs.copy()
-    flip = rhs < 0.0
-    lhs[flip] *= -1.0
-    rhs[flip] *= -1.0
+    """min costs.x over {eq_lhs x = eq_rhs, x >= 0}; returns (x, iters, status).
 
-    width = n + m  # structural columns then one artificial per row
-    tableau = np.zeros((m + 1, width + 1))
-    tableau[:m, :n] = lhs
+    Requires eq_rhs >= 0, so the artificial basis starts feasible; both
+    builders give that.  The artificial columns are deleted once phase 1
+    ends, so phase 2 prices the structural columns only; an artificial left
+    basic on a redundant row keeps its label (n or more), which loses Bland's
+    ties and gives no entry of x.
+    """
+    m, n = eq_lhs.shape
+    tableau = np.zeros((m + 1, n + m + 1))  # structural columns, one artificial per row, rhs
+    tableau[:m, :n] = eq_lhs
     tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = rhs
+    tableau[:m, -1] = eq_rhs
     basis = list(range(n, n + m))
     tableau[-1, n : n + m] = 1.0
     for i in range(m):  # price out the artificial basis
         tableau[-1] -= tableau[i]
-    allowed = np.ones(width, dtype=bool)
-    used, status = _run_simplex(tableau, basis, allowed, iteration_limit)
+    used, status = _run_simplex(tableau, basis, iteration_limit)
     if status != "optimal":
         return None, used, status
     if -tableau[-1, -1] > 1e-7:
         return None, used, "infeasible"
+    tableau = np.delete(tableau, np.s_[n : n + m], axis=1)
     # Drive surviving artificials out of the basis where a structural pivot exists.
     for i in range(m):
         if basis[i] >= n:
@@ -114,14 +116,13 @@ def _two_phase(
             if structural.size:
                 basis[i] = int(structural[0])
                 _pivot(tableau, i, basis[i])
-    allowed[n:] = False
 
     tableau[-1, :] = 0.0
     tableau[-1, :n] = costs
     for i in range(m):
         if basis[i] < n and tableau[-1, basis[i]] != 0.0:
             tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
-    used2, status = _run_simplex(tableau, basis, allowed, iteration_limit - used)
+    used2, status = _run_simplex(tableau, basis, iteration_limit - used)
     if status != "optimal":
         return None, used + used2, status
     x = np.zeros(n)
@@ -131,21 +132,23 @@ def _two_phase(
     return x, used + used2, "optimal"
 
 
-def solve_cip_lp(instance: CipInstance, objective_index: int = 0) -> LpReport:
-    """Relaxation min c.x s.t. A x >= b, x >= 0, solved to a vertex."""
-    if not 0 <= objective_index < instance.n_criteria:
-        raise ValueError(f"objective index {objective_index} out of range")
+def _solve(instance, costs, eq_lhs, eq_rhs, limit: int) -> LpReport:
+    """Solve the built relaxation; its leading columns are the instance's."""
+    x_full, iterations, status = _two_phase(costs, eq_lhs, eq_rhs, limit)
+    if status != "optimal":
+        return LpReport(None, math.nan, iterations, status)
+    solution = ingest_solution(instance, x_full[: instance.shape[1]])
+    return LpReport(solution, solution.objective_values[0], iterations, status)
+
+
+def solve_cip_lp(instance: CipInstance) -> LpReport:
+    """Relaxation min c.x s.t. A x >= b, x >= 0 under the first cost vector,
+    solved to a vertex."""
     m, n = instance.m, instance.n
     # A x - surplus = b
     eq_lhs = np.hstack([instance.a_matrix, -np.eye(m)])
-    costs = np.concatenate([instance.costs[objective_index], np.zeros(m)])
-    limit = 50 * (m + n)
-    x_full, iterations, status = _two_phase(costs, eq_lhs, instance.demands.copy(), limit)
-    if status != "optimal":
-        return LpReport(None, math.nan, iterations, status)
-    x = x_full[:n]
-    solution = ingest_solution(instance, x)
-    return LpReport(solution, solution.objective_values[objective_index], iterations, status)
+    costs = np.concatenate([instance.costs[0], np.zeros(m)])
+    return _solve(instance, costs, eq_lhs, instance.demands, 50 * (m + n))
 
 
 def solve_mip_lp(instance: MipInstance) -> LpReport:
@@ -158,22 +161,14 @@ def solve_mip_lp(instance: MipInstance) -> LpReport:
     n_groups = instance.n_groups
     # Rows: group sums = 1, then A x - W + slack = 0.
     eq_lhs = np.zeros((n_groups + m, n + 1 + m))
-    eq_rhs = np.zeros(n_groups + m)
-    for g in range(n_groups):
-        eq_lhs[g, instance.group_slice(g)] = 1.0
-        eq_rhs[g] = 1.0
+    eq_lhs[np.repeat(np.arange(n_groups), instance.group_sizes), np.arange(n)] = 1.0
     eq_lhs[n_groups:, :n] = instance.a_matrix
     eq_lhs[n_groups:, n] = -1.0
     eq_lhs[n_groups:, n + 1 :] = np.eye(m)
+    eq_rhs = np.concatenate([np.ones(n_groups), np.zeros(m)])
     costs = np.zeros(n + 1 + m)
     costs[n] = 1.0
-    limit = 50 * (n_groups + m + n + 1)
-    x_full, iterations, status = _two_phase(costs, eq_lhs, eq_rhs, limit)
-    if status != "optimal":
-        return LpReport(None, math.nan, iterations, status)
-    x = x_full[:n]
-    solution = ingest_solution(instance, x)
-    return LpReport(solution, solution.objective_values[0], iterations, status)
+    return _solve(instance, costs, eq_lhs, eq_rhs, 50 * (n_groups + m + n + 1))
 
 
 def ingest_solution(instance, x) -> FractionalSolution:

@@ -543,6 +543,35 @@ class TestRoundCip:
         for value, y in zip(out.objective_values, info["y_star"]):
             assert value <= 3.0 * info["alpha"] * y + 1e-9
 
+    def test_beta_scales_the_multi_cost_budgets(self):
+        inst = two_cost_cover()
+        x = lp_point(inst)
+        default, default_info = round_cip(inst, x)
+        alpha, ys = default_info["alpha"], default_info["y_star"]
+        assert default_info["beta"] == 3.0
+        assert default_info["total_budgets"] == [3.0 * alpha * y for y in ys]
+        three, three_info = round_cip(inst, x, beta=3.0)
+        assert three_info == default_info
+        assert three.z.tobytes() == default.z.tobytes() and three.trace == default.trace
+        _, five_info = round_cip(inst, x, beta=5.0)
+        assert five_info["alpha"] == alpha and five_info["beta"] == 5.0
+        assert five_info["total_budgets"] == [5.0 * alpha * y for y in ys]
+
+    @pytest.mark.parametrize("inst", [random_cip(5), two_cost_cover()], ids=["one", "two"])
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alpha": 1.0}, "alpha must be finite and above 1"),
+        ({"alpha": math.nan}, "alpha must be finite and above 1"),
+        ({"alpha": math.inf}, "alpha must be finite and above 1"),
+        ({"beta": math.nan}, "beta must be finite"),
+        ({"beta": -math.inf}, "beta must be finite"),
+        ({"total_budgets": [math.nan, math.inf]}, "every total budget must be finite"),
+    ])
+    def test_out_of_range_or_non_finite_parameters_raise(self, inst, kwargs, match):
+        if "total_budgets" in kwargs:
+            kwargs = {"total_budgets": kwargs["total_budgets"][: inst.n_criteria]}
+        with pytest.raises(ParameterError, match=match):
+            choose_parameters(inst, lp_point(inst), **kwargs)
+
     def test_budget_below_floor_cost_raises(self):
         inst = CipInstance.create(np.eye(2), [2.0, 2.0], [np.ones(2)])
         with pytest.raises(ParameterError, match="below the floor cost"):

@@ -280,6 +280,22 @@ class TestRound:
         assert capsys.readouterr().err == f"error: --max-tries must be at least 1, got {tries}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--alpha", "0.5"], "alpha must be finite and above 1, got 0.5"),
+        (["--mode", "standard", "--alpha", "0.9"], "alpha must be finite and above 1, got 0.9"),
+        (["--alpha", "nan"], "alpha must be finite and above 1, got nan"),
+        (["--alpha", "inf"], "alpha must be finite and above 1, got inf"),
+        (["--beta", "nan"], "beta must be finite, got nan"),
+        (["--lambda", "nan"], "every total budget must be finite"),
+        (["--lambda", "inf"], "every total budget must be finite"),
+    ])
+    def test_out_of_range_or_non_finite_parameters_exit_2(self, tmp_path, capsys, extra, message):
+        inst = gen(tmp_path)
+        code = main(["round", str(inst), *extra, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_instance_file_exits_2(self, tmp_path):
         assert main(["round", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r.json")]) == 2
@@ -503,6 +519,32 @@ class TestBenchAndReplay:
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
         assert len(manifest["wall_times"]) == 4
         assert "worst ratio/envelope" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, raw, least", [
+        ("--sizes", "x", 1), ("--sizes", "0", 1), ("--sizes", "1,,2", 1),
+        ("--seeds", "", 0), ("--seeds", "-3", 0), ("--seeds", "1.5", 0),
+    ])
+    def test_bad_sizes_or_seeds_exit_2(self, tmp_path, capsys, flag, raw, least):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", flag, raw, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} needs comma-separated integers of at least {least}, got {raw!r}\n"
+        )
+        assert not out.exists()
+
+    def test_bench_stops_at_the_iteration_limit_with_exit_3(self, tmp_path, capsys, monkeypatch):
+        import lllround.lp as lp_module
+
+        real = lp_module._two_phase
+        monkeypatch.setattr(lp_module, "_two_phase",
+                            lambda costs, lhs, rhs, limit: real(costs, lhs, rhs, 3))
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "1", "--seeds", "0", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: relaxation stopped at the iteration limit after 3 pivots"
+            " (not a proof of infeasibility)\n"
+        )
+        assert not out.exists()
 
     def test_replay_reproduces_bench_bytes(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -57,16 +57,6 @@ class TestCoveringRelaxation:
         assert again.feasibility_slack <= 1e-9
         np.testing.assert_allclose(again.x, report.solution.x)
 
-    def test_secondary_objective_index(self):
-        inst = random_cip(seed=7, ell=2)
-        report = solve_cip_lp(inst, objective_index=1)
-        assert report.status == "optimal"
-        assert report.objective == pytest.approx(
-            float(inst.costs[1] @ report.solution.x), abs=1e-9
-        )
-        with pytest.raises(ValueError):
-            solve_cip_lp(inst, objective_index=2)
-
 
 def _grid_minimax(instance, steps):
     """Reference optimum for two-group, two-slot instances by scanning the
@@ -191,14 +181,14 @@ def _reference_pivot(tableau, row, col):
             tableau[r] -= tableau[r, col] * tableau[row]
 
 
-def _reference_run_simplex(tableau, basis, allowed, budget):
+def _reference_run_simplex(tableau, basis, budget):
     """Bland's rule scanning every column and every row one scalar at a time."""
     iterations = 0
     n_cols = tableau.shape[1] - 1
     while iterations < budget:
         entering = -1
         for j in range(n_cols):
-            if allowed[j] and tableau[-1, j] < -lp.PIVOT_TOL:
+            if tableau[-1, j] < -lp.PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -306,8 +296,8 @@ class TestSameAsTheScalarSimplex:
         states = []
 
         def recording(run):
-            def run_and_record(tableau, basis, allowed, budget):
-                result = run(tableau, basis, allowed, budget)
+            def run_and_record(tableau, basis, budget):
+                result = run(tableau, basis, budget)
                 states.append((tableau.copy(), list(basis), result))
                 return result
             return run_and_record
@@ -322,6 +312,45 @@ class TestSameAsTheScalarSimplex:
         assert (basis, result) == (ref_basis, ref_result)
         # equal values; only the sign of a zero entry may differ
         assert np.array_equal(tableau, ref_tableau)
+
+
+class TestTwoPhaseInputs:
+    @pytest.mark.parametrize("kind, build", [
+        ("cip", lambda: gen_set_cover(60, 60, 5, 2, 0)),
+        ("mip", lambda: gen_hypergraph_partition(20, 20, 4, 2, 0)),
+    ])
+    def test_phase_two_runs_without_the_artificial_columns(self, monkeypatch, kind, build):
+        real_two_phase, real_run = lp._two_phase, lp._run_simplex
+        systems, shapes = [], []
+
+        def two_phase(costs, lhs, rhs, limit):
+            systems.append(lhs.shape)
+            return real_two_phase(costs, lhs, rhs, limit)
+
+        def run(tableau, basis, budget):
+            shapes.append(tableau.shape)
+            return real_run(tableau, basis, budget)
+
+        monkeypatch.setattr(lp, "_two_phase", two_phase)
+        monkeypatch.setattr(lp, "_run_simplex", run)
+        report = (solve_cip_lp if kind == "cip" else solve_mip_lp)(build())
+        assert report.status == "optimal"
+        [(m, n)] = systems
+        assert shapes == [(m + 1, n + m + 1), (m + 1, n + 1)]
+
+    @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
+    def test_builders_give_a_nonnegative_right_hand_side(self, monkeypatch, kind, build):
+        real_two_phase = lp._two_phase
+        right_hand_sides = []
+
+        def two_phase(costs, lhs, rhs, limit):
+            right_hand_sides.append(np.array(rhs))
+            return real_two_phase(costs, lhs, rhs, limit)
+
+        monkeypatch.setattr(lp, "_two_phase", two_phase)
+        (solve_cip_lp if kind == "cip" else solve_mip_lp)(build())
+        [rhs] = right_hand_sides
+        assert np.all(rhs >= 0.0)
 
 
 class TestAgainstHighs:
