@@ -7,142 +7,20 @@ estimator and derandomizer (:mod:`lllround.cip`), minimax rounding on one
 path, support bootstrapping then Las Vegas retries (:mod:`lllround.mip`),
 exhaustive verification oracles (:mod:`lllround.oracle`), and the
 command-line front end (:mod:`lllround.cli`).
+
+The package's public names are those its modules list in their `__all__`.
 """
 
-from .cip import (
-    EstimatorError,
-    EstimatorState,
-    ParameterError,
-    RoundedSolution,
-    RoundingScheme,
-    choose_alpha_beta,
-    choose_parameters,
-    derandomize,
-    make_estimator,
-    make_scheme,
-    multicriteria_params,
-    round_cip,
-    row_failure_bound,
-    standard_certificate,
-    standard_round,
-    success_lower_bound,
-)
-from .lp import InfeasibleError, LpReport, ingest_solution, solve_cip_lp, solve_mip_lp
-from .mip import (
-    BootstrapResult,
-    LasVegasReport,
-    MipTarget,
-    bootstrap_reduce,
-    full_mip_pipeline,
-    group_round,
-    las_vegas_mip,
-    mip_target,
-)
-from .model import (
-    CipInstance,
-    FractionalSolution,
-    GenerationError,
-    InstanceError,
-    MipInstance,
-    ParseError,
-    SparsityStats,
-    gen_facility_location,
-    gen_hypergraph_partition,
-    gen_set_cover,
-    parse_instance,
-    row_cover,
-    serialize_instance,
-    sparsity_stats,
-)
-from .oracle import (
-    BudgetExceeded,
-    EnumerationBudget,
-    ExactProbs,
-    OracleError,
-    VerifyReport,
-    exact_event_probs,
-    exact_ilp,
-    is_fixture,
-    lp_vertex_optimum,
-    replay_fixture,
-    verify_branch_inequality,
-    verify_extended_lll,
-    verify_fkg_and_antifkg,
-    verify_phi_domination,
-)
-from .tailbounds import (
-    binomial_real,
-    deviation_for_budget,
-    elementary_symmetric,
-    esym_mean_bound,
-    lower_tail_bound,
-    upper_tail_bound,
-)
+from . import cip, lp, mip, model, oracle, tailbounds
+from .cip import *  # noqa: F403
+from .lp import *  # noqa: F403
+from .mip import *  # noqa: F403
+from .model import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .tailbounds import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BootstrapResult",
-    "BudgetExceeded",
-    "CipInstance",
-    "EnumerationBudget",
-    "EstimatorError",
-    "EstimatorState",
-    "ExactProbs",
-    "FractionalSolution",
-    "GenerationError",
-    "InfeasibleError",
-    "InstanceError",
-    "LasVegasReport",
-    "LpReport",
-    "MipInstance",
-    "MipTarget",
-    "OracleError",
-    "ParameterError",
-    "ParseError",
-    "RoundedSolution",
-    "RoundingScheme",
-    "SparsityStats",
-    "VerifyReport",
-    "binomial_real",
-    "bootstrap_reduce",
-    "choose_alpha_beta",
-    "choose_parameters",
-    "derandomize",
-    "deviation_for_budget",
-    "elementary_symmetric",
-    "esym_mean_bound",
-    "exact_event_probs",
-    "exact_ilp",
-    "full_mip_pipeline",
-    "gen_facility_location",
-    "gen_hypergraph_partition",
-    "gen_set_cover",
-    "group_round",
-    "ingest_solution",
-    "is_fixture",
-    "las_vegas_mip",
-    "lower_tail_bound",
-    "lp_vertex_optimum",
-    "make_estimator",
-    "make_scheme",
-    "mip_target",
-    "multicriteria_params",
-    "parse_instance",
-    "replay_fixture",
-    "round_cip",
-    "row_cover",
-    "row_failure_bound",
-    "serialize_instance",
-    "solve_cip_lp",
-    "solve_mip_lp",
-    "sparsity_stats",
-    "standard_certificate",
-    "standard_round",
-    "success_lower_bound",
-    "upper_tail_bound",
-    "verify_branch_inequality",
-    "verify_extended_lll",
-    "verify_fkg_and_antifkg",
-    "verify_phi_domination",
+    *cip.__all__, *lp.__all__, *mip.__all__, *model.__all__, *oracle.__all__, *tailbounds.__all__
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "choose_alpha_beta",
     "choose_parameters",
     "standard_round",
-    "row_failure_bound",
     "success_lower_bound",
     "standard_certificate",
     "multicriteria_params",
@@ -45,7 +44,9 @@ __all__ = [
 
 NEAR_ONE_GUARD = 1e-12  # complement factors below this switch to direct handling
 BRANCH_TOL = 1e-9
-DEFAULT_SUBSET_ORDER_CAP = 6
+# Largest subset order the budget tables enumerate.  The order ceil(ln 2l)
+# first exceeds it at l = 202 cost vectors.
+SUBSET_ORDER_CAP = 6
 
 
 class EstimatorError(RuntimeError):
@@ -188,20 +189,17 @@ class _SubsetTables:
     flattened once; evaluation is then a couple of vectorized gathers.
     """
 
-    def __init__(self, scheme: RoundingScheme, lambdas, ks, order_cap: int):
+    def __init__(self, scheme: RoundingScheme, lambdas, ks):
         instance = scheme.instance
         self.calls = 0
         self.terms = []
         for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
-            if k > order_cap:
-                raise ParameterError(
-                    f"subset order {k} exceeds the cap {order_cap}; raise the cap explicitly"
-                )
+            if k > SUBSET_ORDER_CAP:
+                raise ParameterError(f"subset order {k} exceeds the cap {SUBSET_ORDER_CAP}")
             support = np.flatnonzero(cost > 0.0)
             subsets = list(itertools.combinations(support.tolist(), k))
+            # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
             denom = binomial_real(float(lam), int(k))
-            if denom <= 0.0:
-                raise ParameterError(f"budget {lam} too small for subset order {k}")
             # (n_subsets, k); with fewer positive-cost bits than k the table
             # is empty and the term subtracts nothing
             cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), k)
@@ -279,33 +277,30 @@ class EstimatorState:
         return replace(self, p=p, chp=chp)
 
 
-def make_estimator(
-    scheme: RoundingScheme, lambdas, ks, order_cap: int = DEFAULT_SUBSET_ORDER_CAP
-) -> EstimatorState:
+def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
+    """The estimator at the scheme's bit probabilities.  Raises
+    ParameterError unless there is one budget and one subset order per cost
+    vector, each order in [1, min(n, SUBSET_ORDER_CAP)], and each budget
+    positive at order 1 and at least the order above it."""
     instance = scheme.instance
     lambdas = np.asarray(lambdas, dtype=float)
     ks = np.asarray(ks, dtype=np.int64)
     if lambdas.shape != (instance.n_criteria,) or ks.shape != (instance.n_criteria,):
-        raise ValueError("need one budget and one subset order per cost vector")
+        raise ParameterError("need one budget and one subset order per cost vector")
     for lam, k in zip(lambdas, ks):
         if k < 1 or k > instance.n:
-            raise ValueError(f"subset order {k} out of range [1, {instance.n}]")
+            raise ParameterError(f"subset order {k} out of range [1, {instance.n}]")
         if k == 1:
             if lam <= 0.0:
-                raise ValueError(f"budget must be positive, got {lam}")
+                raise ParameterError(f"budget must be positive, got {lam}")
         elif lam < k:
-            raise ValueError(f"budget {lam} below subset order {k}")
-    tables = _SubsetTables(scheme, lambdas, ks, order_cap)
+            raise ParameterError(f"budget {lam} below subset order {k}")
+    tables = _SubsetTables(scheme, lambdas, ks)
     chp = _row_bounds(scheme, scheme.frac)
     chp.setflags(write=False)
     return EstimatorState(
         scheme=scheme, p=scheme.frac, lambdas=lambdas, ks=ks, chp=chp, tables=tables
     )
-
-
-def row_failure_bound(state: EstimatorState, row: int) -> float:
-    """Clamped bound on row `row` failing its residual demand at state.p."""
-    return float(_row_bounds(state.scheme, state.p, [row])[0])
 
 
 def success_lower_bound(state: EstimatorState) -> float:
@@ -333,7 +328,7 @@ def standard_certificate(scheme: RoundingScheme, lambdas, ks):
         inflate = (1.0 - q) ** (-stats.a * int(k))
         total += esym_mean_bound(instance.n, mean, int(k)) / binomial_real(float(lam), int(k)) * inflate
     closed_form = clear * (1.0 - total)
-    estimate = success_lower_bound(make_estimator(scheme, lambdas, ks, order_cap=max(int(ks.max()), 1)))
+    estimate = success_lower_bound(make_estimator(scheme, lambdas, ks))
     return closed_form > 0.0, closed_form, estimate
 
 
@@ -404,14 +399,18 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
     its integral settings; the better branch is kept, ties going to 0.  The
     estimator is convex along each coordinate, so the better branch never
     drops more than round-off below the current value — asserted at 1e-9.
-    The final point is re-validated: every demand covered and every cost
-    increment within its budget, else an internal-consistency error.
+    A start at or below 0 certifies nothing, so the parameters are too
+    tight: ParameterError.  The final point is re-validated: every demand
+    covered and every cost increment within its budget, else an
+    internal-consistency error.
     """
     scheme = state.scheme
     instance = scheme.instance
     current = success_lower_bound(state)
     if current <= 0.0:
-        raise EstimatorError(f"estimator must start positive, got {current}")
+        raise ParameterError(
+            f"estimator must start positive, got {current:.4g}; raise the budgets"
+        )
     trace = [current]
     cols = np.arange(instance.n)
     for j in cols:
@@ -504,14 +503,14 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
 
 
 def round_cip(instance: CipInstance, x, alpha: float | None = None, beta: float | None = None,
-              total_budgets=None, order_cap: int = DEFAULT_SUBSET_ORDER_CAP):
+              total_budgets=None):
     """End-to-end deterministic rounding of a feasible fractional cover, with
     the parameters from `choose_parameters`.
 
     Returns (solution, info dict with the parameters used).
     """
     scheme, lambdas, ks, info = choose_parameters(instance, x, alpha, beta, total_budgets)
-    state = make_estimator(scheme, lambdas, ks, order_cap=order_cap)
+    state = make_estimator(scheme, lambdas, ks)
     solution = derandomize(state)
     info["evaluations"] = state.evaluations
     return solution, info

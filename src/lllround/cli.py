@@ -1,19 +1,22 @@
 """Command-line front end: generate instances, round them, verify the
 numerical inequalities, and benchmark the integrality-gap behaviour.
 
-Every run writes a manifest next to its outputs recording the exact argument
-vector and seed; `replay MANIFEST` re-executes it and reproduces the output
-files byte for byte (benchmark wall-clock readings are echoed from the
-manifest on replay, since timing is the one thing a rerun cannot repeat).
+Every gen, round and bench run writes a manifest next to its output recording
+the exact argument vector (and the seed of gen and round); `replay MANIFEST`
+re-executes it and reproduces the output files byte for byte (benchmark
+wall-clock readings are echoed from the manifest on replay, since timing is
+the one thing a rerun cannot repeat).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or malformed input,
-3 infeasible instance or solution (or a relaxation stopped at the simplex's
-iteration limit, which its message tells apart), 4 enumeration budget exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage, malformed input or
+rounding parameters out of range, 3 infeasible instance or solution (or a
+relaxation stopped at the simplex's iteration limit, which its message tells
+apart), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,16 +48,13 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _write_manifest(out_path: Path, argv: list[str], seed: int, outputs: list[str],
-                    extra: dict | None = None) -> None:
+def _write_manifest(out_path: Path, argv: list[str], **extra) -> None:
     doc = {
         "command": argv,
-        "seed": int(seed),
-        "outputs": outputs,
+        "outputs": [str(out_path)],
         "created_at": datetime.now(timezone.utc).isoformat(),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
     manifest_path = out_path.with_name(out_path.name + ".manifest.json")
     manifest_path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
@@ -76,8 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rounding covering and minimax integer programs with certified bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Whole option names only: a recorded abbreviation would silently name
+    # another option once the option set changes (`bench --seed` read as --seeds).
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_gen = sub.add_parser("gen", help="generate a random instance file")
+    p_gen = command("gen", help="generate a random instance file")
     p_gen.add_argument("--kind", required=True, choices=["set-cover", "facility", "hypergraph"])
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
@@ -92,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--degree-cap", type=int, default=4)
     p_gen.add_argument("--n-parts", type=int, default=2)
 
-    p_round = sub.add_parser("round", help="solve the relaxation and round it")
+    p_round = command("round", help="solve the relaxation and round it")
     p_round.add_argument("instance")
     p_round.add_argument("--mode", default="derandomize",
                          choices=["standard", "derandomize", "mip"])
@@ -101,26 +104,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--beta", type=float)
     p_round.add_argument("--lambda", dest="lambdas",
                          help="comma-separated total budgets, one per cost vector")
-    p_round.add_argument("--kmax", type=int, default=cip.DEFAULT_SUBSET_ORDER_CAP)
     p_round.add_argument("--seed", type=int, default=0)
     p_round.add_argument("--max-tries", type=int, default=10_000)
     p_round.add_argument("--out", required=True)
 
-    p_verify = sub.add_parser("verify", help="run oracle checks on an instance or fixture")
+    p_verify = command("verify", help="run oracle checks on an instance or fixture")
     p_verify.add_argument("target")
     p_verify.add_argument("--which", default="all", choices=["all", "phi", "fkg", "lll", "tail"])
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", help="where to write a counterexample fixture on failure")
 
-    p_bench = sub.add_parser("bench", help="sweep a family and emit a CSV")
-    p_bench.add_argument("--family", default="set-cover", choices=["set-cover"])
+    p_bench = command("bench", help="sweep set-cover demands and emit a CSV")
     p_bench.add_argument("--sizes", default="1,2,3,4",
                          help="comma-separated minimum demands to sweep")
     p_bench.add_argument("--seeds", default="0,1,2")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True)
 
-    p_replay = sub.add_parser("replay", help="re-execute a recorded manifest")
+    p_replay = command("replay", help="re-execute a recorded manifest")
     p_replay.add_argument("manifest")
     return parser
 
@@ -143,7 +143,7 @@ def cmd_gen(args, argv: list[str]) -> int:
         raise _CliFailure(EXIT_USAGE, f"cannot generate: {exc}") from exc
     out = Path(args.out)
     out.write_text(model.serialize_instance(instance))
-    _write_manifest(out, argv, args.seed, [str(out)])
+    _write_manifest(out, argv, seed=args.seed)
     kind = "covering" if isinstance(instance, model.CipInstance) else "minimax"
     print(f"wrote {kind} instance with {instance.m} rows to {out}")
     return EXIT_OK
@@ -205,19 +205,15 @@ def cmd_round(args, argv: list[str]) -> int:
     if is_cip:
         y_star = float(fractional.objective_values[0])
         total_budgets = _parse_lambdas(args.lambdas, instance.n_criteria)
-        try:
-            if args.mode == "standard":
-                scheme, _, _, info = cip.choose_parameters(
-                    instance, x, alpha=args.alpha, beta=args.beta, total_budgets=total_budgets
-                )
-                solution = cip.standard_round(scheme, args.seed)
-            else:
-                solution, info = cip.round_cip(
-                    instance, x, alpha=args.alpha, beta=args.beta,
-                    total_budgets=total_budgets, order_cap=args.kmax,
-                )
-        except cip.ParameterError as exc:
-            raise _CliFailure(EXIT_USAGE, str(exc)) from exc
+        if args.mode == "standard":
+            scheme, _, _, info = cip.choose_parameters(
+                instance, x, alpha=args.alpha, beta=args.beta, total_budgets=total_budgets
+            )
+            solution = cip.standard_round(scheme, args.seed)
+        else:
+            solution, info = cip.round_cip(
+                instance, x, alpha=args.alpha, beta=args.beta, total_budgets=total_budgets
+            )
         doc = {
             "z": [int(v) for v in solution.z],
             "objectives": [float(v) for v in solution.objective_values],
@@ -228,7 +224,7 @@ def cmd_round(args, argv: list[str]) -> int:
         value = solution.objective_values[0]
         target = info["total_budgets"][0]
         _write_json(out, doc)
-        _write_manifest(out, argv, args.seed, [str(out)])
+        _write_manifest(out, argv, seed=args.seed)
         ratio = value / y_star if y_star > 0 else math.inf
         print(f"mode={args.mode}  value={value:.6g}  target={target:.6g}  "
               f"ratio={ratio:.4f}  feasible={doc['feasible']}")
@@ -238,7 +234,7 @@ def cmd_round(args, argv: list[str]) -> int:
         instance, x, rng_seed=args.seed, max_tries=args.max_tries
     )
     _write_json(out, summary)
-    _write_manifest(out, argv, args.seed, [str(out)])
+    _write_manifest(out, argv, seed=args.seed)
     print(f"mode={args.mode}  value={summary['value']:.6g}  "
           f"target={summary['target_t42']:.6g}  trials_used={summary['trials_used']}  "
           f"success={summary['success']}")
@@ -276,10 +272,7 @@ def _verify_tail() -> list[oracle.VerifyReport]:
 
 
 def _verify_cip(instance, seed: int, which: str) -> list[oracle.VerifyReport]:
-    try:
-        scheme, lambdas, ks, _ = cip.choose_parameters(instance, _relaxation(instance).x)
-    except cip.ParameterError as exc:
-        raise _CliFailure(EXIT_USAGE, str(exc)) from exc
+    scheme, lambdas, ks, _ = cip.choose_parameters(instance, _relaxation(instance).x)
     reports: list[oracle.VerifyReport] = []
     rng = np.random.default_rng(seed)
     if which in ("all", "phi"):
@@ -394,7 +387,7 @@ def _bench_rows(args, recorded_times: list[float] | None):
             value = solution.objective_values[0]
             y_star = float(fractional.objective_values[0])
             rows.append({
-                "family": args.family,
+                "family": "set-cover",
                 "n_elems": n_elems,
                 "n_sets": n_sets,
                 "seed": seed,
@@ -415,8 +408,6 @@ BENCH_COLUMNS = ["family", "n_elems", "n_sets", "seed", "a", "B",
 
 
 def cmd_bench(args, argv: list[str], recorded_times: list[float] | None = None) -> int:
-    if args.family != "set-cover":  # pragma: no cover - argparse restricts choices
-        raise _CliFailure(EXIT_USAGE, f"unknown family {args.family}")
     rows = _bench_rows(args, recorded_times)
     out = Path(args.out)
     lines = [",".join(BENCH_COLUMNS)]
@@ -426,8 +417,7 @@ def cmd_bench(args, argv: list[str], recorded_times: list[float] | None = None) 
             for c in BENCH_COLUMNS
         ))
     out.write_text("\n".join(lines) + "\n")
-    _write_manifest(out, argv, args.seed, [str(out)],
-                    extra={"wall_times": [row["wall_time_s"] for row in rows]})
+    _write_manifest(out, argv, wall_times=[row["wall_time_s"] for row in rows])
     worst = max(row["ratio"] / row["envelope"] for row in rows)
     print(f"wrote {len(rows)} rows to {out}; worst ratio/envelope = {worst:.4f}")
     return EXIT_OK
@@ -446,6 +436,8 @@ def cmd_replay(args) -> int:
 def _dispatch(argv: list[str], recorded_times: list[float] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        raise _CliFailure(EXIT_USAGE, f"--seed must be a non-negative integer, got {args.seed}")
     if args.subcommand == "gen":
         return cmd_gen(args, argv)
     if args.subcommand == "round":
@@ -468,7 +460,8 @@ def main(argv=None) -> int:
     except _CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (model.ParseError, model.GenerationError, model.InstanceError) as exc:
+    except (model.ParseError, model.GenerationError, model.InstanceError,
+            cip.ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

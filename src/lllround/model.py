@@ -24,7 +24,6 @@ __all__ = [
     "FractionalSolution",
     "SparsityStats",
     "sparsity_stats",
-    "row_cover",
     "gen_set_cover",
     "gen_facility_location",
     "gen_hypergraph_partition",
@@ -256,20 +255,6 @@ def sparsity_stats(instance) -> SparsityStats:
     a, t = _widths(instance)
     g = float(np.bincount(instance.cols, weights=instance.vals).max(initial=0.0))
     return SparsityStats(a=a, g=g, t=t)
-
-
-def row_cover(instance, cols) -> set[int]:
-    """Rows with a nonzero coefficient on any of the given columns.
-
-    `cols` must be strictly increasing and in range; the result has at most
-    a * len(cols) members.
-    """
-    cols = np.asarray(cols, dtype=np.int64)
-    if np.any((cols < 0) | (cols >= instance.shape[1])):
-        raise ValueError(f"a column index in {cols.tolist()} is out of range")
-    if np.any(np.diff(cols) <= 0):
-        raise ValueError("column indices must be strictly increasing")
-    return set(instance.rows[np.isin(instance.cols, cols)].tolist())
 
 
 # ---------------------------------------------------------------------------

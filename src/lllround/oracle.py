@@ -26,6 +26,7 @@ __all__ = [
     "EnumerationBudget",
     "BudgetExceeded",
     "ExactProbs",
+    "OracleError",
     "VerifyReport",
     "exact_event_probs",
     "exact_ilp",
@@ -39,9 +40,12 @@ __all__ = [
 ]
 
 HARD_BIT_CAP = 26
+MAX_BOX = 6  # per-variable upper end of exact_ilp's box search
 PARTITION_TOL = 1e-10
 INEQ_TOL = 1e-9
-_CHUNK_BITS = 16
+# Entries (outcomes x array width) per enumeration chunk: about 32 MB per
+# float array, whatever the instance's width.
+_CHUNK_ENTRIES = 1 << 22
 BUDGET_ENV_VAR = "LLLROUND_BUDGET_BITS"
 
 
@@ -56,13 +60,10 @@ class OracleError(RuntimeError):
 @dataclass(frozen=True)
 class EnumerationBudget:
     max_bits: int = 22
-    max_box: int = 6
 
     def __post_init__(self):
         if not 1 <= self.max_bits <= HARD_BIT_CAP:
             raise ValueError(f"max_bits must be in [1, {HARD_BIT_CAP}], got {self.max_bits}")
-        if self.max_box < 1:
-            raise ValueError("max_box must be at least 1")
 
     @classmethod
     def from_env(cls) -> "EnumerationBudget":
@@ -120,6 +121,14 @@ def _check_mass(parts: list[float], what: str) -> None:
         raise OracleError(f"{what} probabilities sum to {mass}, not 1")
 
 
+def _chunk_ranges(total: int, width: int):
+    """Yield (start, stop) ranges covering range(total) in order, each with at
+    most _CHUNK_ENTRIES // width members (at least one)."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    for start in range(0, total, step):
+        yield start, min(start + step, total)
+
+
 def _random_bit_chunks(p: np.ndarray, columns: np.ndarray, budget: EnumerationBudget):
     """Yield (sums, w) chunks over every outcome z of the bits with
     0 < p < 1, the other bits held at their values: sums[r] = z @ columns
@@ -132,12 +141,10 @@ def _random_bit_chunks(p: np.ndarray, columns: np.ndarray, budget: EnumerationBu
     live = np.flatnonzero((p > 0.0) & (p < 1.0))
     budget.check_bits(live.size)
     held = (p == 1.0).astype(float) @ columns
-    total = 1 << live.size
-    step = 1 << min(_CHUNK_BITS, live.size)
     shifts = np.arange(live.size, dtype=np.uint64)
     mass_parts: list[float] = []
-    for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.uint64)
+    for start, stop in _chunk_ranges(1 << live.size, live.size + columns.shape[1]):
+        idx = np.arange(start, stop, dtype=np.uint64)
         bits = ((idx[:, None] >> shifts) & 1).astype(float)
         w = np.ones(idx.size)
         for c, j in enumerate(live):
@@ -181,28 +188,27 @@ def exact_event_probs(
 
 
 def exact_ilp(
-    instance: CipInstance,
-    objective_index: int = 0,
-    budget: EnumerationBudget | None = None,
+    instance: CipInstance, budget: EnumerationBudget | None = None
 ) -> tuple[np.ndarray, float]:
-    """Brute-force integer optimum over a per-variable box, returning the
-    lexicographically smallest optimizer (objective ties at 1e-12)."""
+    """Brute-force optimum of the first cost over a per-variable box,
+    returning the lexicographically smallest optimizer (objective ties at
+    1e-12)."""
     budget = budget or EnumerationBudget.from_env()
     a = instance.a_matrix
-    box = min(int(math.ceil(instance.demands.max() / instance.vals.min())), budget.max_box)
+    box = min(int(math.ceil(instance.demands.max() / instance.vals.min())), MAX_BOX)
     radix = box + 1
     total = radix**instance.n
     if total > (1 << budget.max_bits):
         raise BudgetExceeded(
             f"box search of {total} points exceeds the {budget.max_bits}-bit budget"
         )
-    cost = np.asarray(instance.costs[objective_index])
+    cost = np.asarray(instance.costs[0])
     place = radix ** np.arange(instance.n, dtype=np.int64)  # index digit j = variable j
 
     def feasible_points():
         """Yield (z, z @ cost) over the feasible points of the box, in index order."""
-        for start in range(0, total, 1 << _CHUNK_BITS):
-            idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
+        for start, stop in _chunk_ranges(total, instance.n + instance.m):
+            idx = np.arange(start, stop, dtype=np.int64)
             z = ((idx[:, None] // place[None, :]) % radix).astype(float)
             z = z[(z @ a.T >= instance.demands[None, :] - 1e-12).all(axis=1)]
             yield z, z @ cost
@@ -367,8 +373,8 @@ def _assignment_chunks(instance: MipInstance, x: np.ndarray, budget: Enumeration
             f"enumerating {total} assignments exceeds the {budget.max_bits}-bit budget"
         )
     mass_parts: list[float] = []
-    for start in range(0, total, 1 << _CHUNK_BITS):
-        idx = np.arange(start, min(start + (1 << _CHUNK_BITS), total), dtype=np.int64)
+    for start, stop in _chunk_ranges(total, instance.m + 1):
+        idx = np.arange(start, stop, dtype=np.int64)
         w = np.full(idx.size, held_weight)
         loads = np.tile(held_loads, (idx.size, 1))
         for slots in live:

@@ -9,7 +9,6 @@ import pytest
 
 from lllround import (
     CipInstance,
-    EstimatorError,
     ParameterError,
     binomial_real,
     choose_alpha_beta,
@@ -21,12 +20,12 @@ from lllround import (
     make_scheme,
     multicriteria_params,
     round_cip,
-    row_failure_bound,
     sparsity_stats,
     standard_certificate,
     standard_round,
     success_lower_bound,
 )
+from lllround import cip
 from lllround.cip import _row_bounds
 from _builders import lp_point, random_cip, two_cost_cover
 
@@ -44,14 +43,14 @@ def tight_single_row():
 def estimate_by_enumeration(scheme, p, lambdas, ks):
     """The success estimator recomputed with plain loops over all subsets.
 
-    Row bounds are taken from the public per-row function; everything past
+    Row bounds are taken from the state's cached `chp`; everything past
     them (subset sums, complements, budget denominators) is re-derived here
     independently of the vectorized tables.
     """
     inst = scheme.instance
     p = np.asarray(p, dtype=float)
     state = make_estimator(scheme, lambdas, ks).at(p)
-    ch = np.array([row_failure_bound(state, i) for i in range(inst.m)])
+    ch = state.chp
     unsat = [i for i in range(inst.m) if not scheme.satisfied[i]]
     lead = math.prod(1.0 - ch[i] for i in unsat)
     total = 0.0
@@ -199,14 +198,14 @@ class TestRowFailureBounds:
     def test_zero_mass_on_unsatisfied_row_is_certain_failure(self):
         scheme = tight_single_row()
         state = make_estimator(scheme, [3.0], [1]).at(np.zeros(6))
-        assert row_failure_bound(state, 0) == 1.0
+        assert state.chp[0] == 1.0
 
     def test_satisfied_row_never_fails(self):
         inst = CipInstance.create(np.eye(2), [1.0, 1.0], [np.ones(2)])
         scheme = make_scheme(inst, [1.0, 1.0], 2.0)
         state = make_estimator(scheme, [1.0], [1])
-        assert row_failure_bound(state, 0) == 0.0
-        assert row_failure_bound(state, 1) == 0.0
+        assert state.chp[0] == 0.0
+        assert state.chp[1] == 0.0
 
     def test_bound_at_standard_probabilities_stays_below_tail_envelope(self):
         for seed in range(8):
@@ -229,7 +228,7 @@ class TestRowFailureBounds:
                 moved = state.at(p)
                 exact = exact_event_probs(scheme, moved.p)
                 for i in range(inst.m):
-                    assert exact.row_fail[i] <= row_failure_bound(moved, i) + 1e-9
+                    assert exact.row_fail[i] <= moved.chp[i] + 1e-9
 
 
 class TestSuccessEstimator:
@@ -264,7 +263,7 @@ class TestSuccessEstimator:
         scheme = tight_single_row()
         lam = 2.5
         state = make_estimator(scheme, [lam], [1])
-        ch = row_failure_bound(state, 0)
+        ch = state.chp[0]
         by_hand = (1.0 - ch) - sum(0.5 * 1.0 for _ in range(6)) / lam
         # every column touches the single row, so each first-order term
         # drops the whole complement product
@@ -306,10 +305,10 @@ class TestSuccessEstimator:
         p[inst.row_cols[row]] = 0.0
         got = evaluate_at(state, p)
         want = estimate_by_enumeration(scheme, p, [float(inst.n)], [1])
-        assert row_failure_bound(state.at(p), row) == 1.0
+        assert state.at(p).chp[row] == 1.0
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_budget_and_order_validation(self):
+    def test_budget_and_order_validation(self, monkeypatch):
         scheme = tight_single_row()
         with pytest.raises(ValueError, match="out of range"):
             make_estimator(scheme, [3.0], [7])
@@ -319,8 +318,9 @@ class TestSuccessEstimator:
             make_estimator(scheme, [0.0], [1])
         with pytest.raises(ValueError, match="one budget and one subset order"):
             make_estimator(scheme, [3.0, 3.0], [1, 1])
+        monkeypatch.setattr(cip, "SUBSET_ORDER_CAP", 2)
         with pytest.raises(ParameterError, match="exceeds the cap"):
-            make_estimator(scheme, [8.0], [3], order_cap=2)
+            make_estimator(scheme, [8.0], [3])
 
 
 class TestStandardCertificate:
@@ -407,7 +407,7 @@ class TestDerandomize:
 
     def test_nonpositive_start_raises(self):
         state = self.tie_break_setup(0.4)
-        with pytest.raises(EstimatorError, match="start positive"):
+        with pytest.raises(ParameterError, match="start positive"):
             derandomize(state)
 
     @pytest.mark.parametrize("seed", range(6))

@@ -296,9 +296,58 @@ class TestRound:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("case, extra, message", [
+        ("cover", ["--lambda", "19"], "estimator must start positive, got -0.09026"),
+        ("two-cost", ["--lambda", "9.5,6.66"], "budget 1.5 below subset order 2"),
+        ("four-cost", [], "subset order 3 out of range [1, 2]"),
+    ])
+    @pytest.mark.filterwarnings("ignore:scaled means fall below")
+    def test_tight_parameters_exit_2(self, tmp_path, capsys, case, extra, message):
+        if case == "cover":  # floor cost 18, so 1 is left for the rounded bits
+            inst = gen(tmp_path, seed=0)
+        elif case == "two-cost":
+            inst = two_cost(tmp_path)
+        else:  # four cost vectors need subset order ceil(ln 8) = 3 > 2 columns
+            inst = tmp_path / "four.json"
+            costs = [np.ones(2), np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([1.0, 3.0])]
+            inst.write_text(serialize_instance(
+                CipInstance.create([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [2.0, 1.0, 1.0], costs)))
+        capsys.readouterr()
+        code = main(["round", str(inst), *extra, "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_kmax_option_is_gone(self, tmp_path):
+        argv = ["round", str(gen(tmp_path)), "--kmax", "6", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        manifest = tmp_path / "r.json.manifest.json"
+        manifest.write_text(json.dumps({"command": argv, "seed": 0, "outputs": []}))
+        assert main(["replay", str(manifest)]) == 2
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_instance_file_exits_2(self, tmp_path):
         assert main(["round", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r.json")]) == 2
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", [
+        ["gen", "--kind", "set-cover", "--seed", "-3"],
+        ["round", "{cover}", "--mode", "standard", "--seed", "-1"],
+        ["round", "{graph}", "--mode", "mip", "--seed", "-1"],
+        ["verify", "{cover}", "--which", "fkg", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        paths = {"cover": gen(tmp_path), "graph": gen(tmp_path, kind="hypergraph", name="g.json")}
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = [arg.format(**paths) for arg in command] + ["--out", str(out)]
+        assert main(argv) == 2
+        seed = command[command.index("--seed") + 1]
+        assert capsys.readouterr().err == f"error: --seed must be a non-negative integer, got {seed}\n"
+        assert not out.exists()
 
 
 class TestVerify:
@@ -325,6 +374,10 @@ class TestVerify:
         graph = gen(tmp_path, kind="hypergraph", name="graph.json")
         assert main(["verify", str(graph), "--which", "lll"]) == 0
         assert "PASS" in capsys.readouterr().out
+        assert main(["verify", str(graph)]) == 0  # --which all: the lll and tail checks
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert [l.split()[1] for l in out.splitlines()] == ["no-bad-event", "inverse", "kernel"]
 
     def test_which_kind_mismatch_exits_2(self, tmp_path):
         cover = gen(tmp_path)
@@ -570,7 +623,30 @@ class TestBenchAndReplay:
     def test_replay_missing_manifest_exits_2(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.manifest.json")]) == 2
 
-    def test_bad_lambda_list_exits_2(self, tmp_path):
+    def test_bad_lambda_list_exits_2(self, tmp_path, capsys):
         inst = gen(tmp_path)
         assert main(["round", str(inst), "--lambda", "a,b",
                      "--out", str(tmp_path / "r.json")]) == 2
+        capsys.readouterr()
+        assert main(["round", str(inst), "--lambda", "30,40",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "error: --lambda needs 1 values, got 2\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("option", [["--family", "set-cover"], ["--seed", "0"]])
+    def test_bench_family_and_seed_options_are_gone(self, tmp_path, option):
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--sizes", "1", "--seeds", "0", *option, "--out", str(out)]
+        assert main(argv) == 2
+        manifest = tmp_path / "bench.csv.manifest.json"
+        manifest.write_text(json.dumps({"command": argv, "seed": 0, "outputs": [str(out)],
+                                        "wall_times": [0.1]}))
+        assert main(["replay", str(manifest)]) == 2
+        assert not out.exists()
+
+    def test_bench_manifest_records_no_seed(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "1", "--seeds", "0", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert set(manifest) == {"command", "outputs", "created_at", "wall_times"}
+        assert out.read_text().splitlines()[1].startswith("set-cover,")

@@ -19,7 +19,6 @@ from lllround import (
     ingest_solution,
     parse_instance,
     round_cip,
-    row_cover,
     serialize_instance,
     sparsity_stats,
 )
@@ -184,35 +183,6 @@ class TestSparsityStats:
             assert stats.a == dense_a
             assert stats.g == pytest.approx(dense_g)
             assert stats.t == dense_a  # covering instances report the column stat
-
-
-class TestRowCover:
-    def test_empty_union(self):
-        inst = random_cip(seed=1)
-        assert row_cover(inst, []) == set()
-
-    def test_identity_single_column(self):
-        inst = CipInstance.create(np.eye(3), np.ones(3), [np.ones(3)])
-        assert row_cover(inst, [2]) == {2}
-
-    def test_rejects_duplicates_and_out_of_range(self):
-        inst = random_cip(seed=1)
-        with pytest.raises(ValueError):
-            row_cover(inst, [0, 0])
-        with pytest.raises(ValueError):
-            row_cover(inst, [inst.n])
-
-    def test_cardinality_bound_and_dense_recount(self):
-        rng = np.random.default_rng(17)
-        for seed in range(10):
-            inst = random_cip(seed + 100)
-            stats = sparsity_stats(inst)
-            size = int(rng.integers(1, inst.n + 1))
-            cols = sorted(int(c) for c in rng.choice(inst.n, size=size, replace=False))
-            cover = row_cover(inst, cols)
-            dense = set(np.nonzero(inst.a_matrix[:, cols].sum(axis=1))[0].tolist())
-            assert cover == dense
-            assert len(cover) <= stats.a * len(cols)
 
 
 class TestSetCoverGenerator:

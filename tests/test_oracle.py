@@ -304,8 +304,6 @@ class TestEnumerationBudget:
     def test_hard_caps(self):
         with pytest.raises(ValueError, match="max_bits"):
             EnumerationBudget(max_bits=27)
-        with pytest.raises(ValueError, match="max_box"):
-            EnumerationBudget(max_box=0)
         with pytest.raises(BudgetExceeded):
             EnumerationBudget(max_bits=3).check_bits(4)
 
@@ -443,3 +441,44 @@ class TestEnumerationOfRandomBitsOnly:
         scheme = make_scheme(inst, lp_point(inst), 1.5)
         verify_fkg_and_antifkg(scheme, np.full(inst.n, 0.5), [0], [1], [0], [1])
         assert len(calls) == 1
+
+
+class TestChunkSize:
+    def test_chunks_tile_the_outcomes_within_the_entry_cap(self):
+        from lllround.oracle import _CHUNK_ENTRIES, _chunk_ranges
+
+        for total, width in ((1 << 20, 1000), (1 << 16, 12), (5, 1 << 23), (1, 3)):
+            ranges = list(_chunk_ranges(total, width))
+            assert ranges[0][0] == 0 and ranges[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            sizes = [stop - start for start, stop in ranges]
+            assert max(sizes) * width <= _CHUNK_ENTRIES or max(sizes) == 1
+
+    def test_one_outcome_chunks_give_the_same_results(self, monkeypatch):
+        import lllround.oracle as oracle_module
+
+        inst = random_cip(5, n_max=10, m_max=5, ell=2)
+        scheme = make_scheme(inst, lp_point(inst), 1.5)
+        p = np.random.default_rng(5).uniform(0.2, 0.8, inst.n)  # 2^9 outcomes
+        lam = 1.2 * np.array(inst.costs) @ p
+        tie = CipInstance.create([[1.0, 1.0]], [1.0], [np.ones(2)])
+        graph = random_mip(5)
+        x = uniform_group_weights(graph)
+
+        def run():
+            probs = exact_event_probs(scheme, p, lambdas=lam)
+            chunks = list(oracle_module._assignment_chunks(graph, x, EnumerationBudget()))
+            return probs, exact_ilp(tie), chunks
+
+        probs, ilp, chunks = run()
+        monkeypatch.setattr(oracle_module, "_CHUNK_ENTRIES", 1)
+        probs1, ilp1, chunks1 = run()
+        assert len(chunks) == 1 and all(w.size == 1 for _, w in chunks1) and len(chunks1) > 1
+        assert np.allclose(probs1.row_fail, probs.row_fail, rtol=0.0, atol=1e-12)
+        assert probs1.all_clear == pytest.approx(probs.all_clear, rel=0.0, abs=1e-12)
+        assert probs1.success == pytest.approx(probs.success, rel=0.0, abs=1e-12)
+        assert np.array_equal(ilp1[0], ilp[0]) and ilp1[0].tolist() == [0.0, 1.0]
+        assert ilp1[1] == ilp[1]
+        assert np.allclose(np.vstack([l for l, _ in chunks1]), chunks[0][0], rtol=0.0, atol=1e-12)
+        assert np.allclose(np.concatenate([w for _, w in chunks1]), chunks[0][1],
+                           rtol=0.0, atol=1e-12)
