@@ -182,38 +182,105 @@ def _row_bounds(scheme: RoundingScheme, p: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _BudgetTerm:
+    """One cost's order-k column subsets with positive costs: their columns,
+    the ascending union of their rows as segments of `flat_rows`, and for
+    each column the subsets that hold it."""
+
+    denom: float  # C(lambda, k)
+    cost: np.ndarray
+    cols: np.ndarray  # (n_subsets, k), in lexicographic order
+    flat_rows: np.ndarray  # subset s covers flat_rows[starts[s]:ends[s]]
+    starts: np.ndarray
+    ends: np.ndarray
+    filled: np.ndarray  # subsets with at least one row
+    by_col: np.ndarray  # subsets holding column j: by_col[col_ptr[j]:col_ptr[j + 1]]
+    col_ptr: np.ndarray
+
+    def log_weights(self, p: np.ndarray, subsets=slice(None)) -> np.ndarray:
+        """log prod_{j in S} c_j p_j of the given subsets; -inf prunes zeros."""
+        cols = self.cols[subsets]
+        with np.errstate(divide="ignore"):
+            return np.log(self.cost[cols] * p[cols]).sum(axis=1)
+
+    def moved(self, log_w: np.ndarray, p: np.ndarray, changed: np.ndarray) -> np.ndarray:
+        """`log_w` moved to p, recomputed only on the subsets that hold a
+        changed column (a subset hit twice is recomputed twice, harmlessly)."""
+        hit = np.concatenate([self.by_col[self.col_ptr[j]:self.col_ptr[j + 1]] for j in changed])
+        if hit.size == 0:
+            return log_w
+        out = log_w.copy()
+        out[hit] = self.log_weights(p, hit)
+        out.setflags(write=False)
+        return out
+
+    def segment_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of values over each subset's rows, segment by segment; 0 for
+        a subset that covers no row."""
+        out = np.zeros(self.starts.size, dtype=values.dtype)
+        if self.filled.size:
+            out[self.filled] = np.add.reduceat(values[self.flat_rows], self.starts[self.filled])
+        return out
+
+
+def _padded_col_rows(instance: CipInstance) -> np.ndarray:
+    """(n, max column degree) matrix of each column's ascending rows,
+    padded with the sentinel m."""
+    degree = np.array([rows.size for rows in instance.col_rows], dtype=np.int64)
+    padded = np.full((instance.n, int(degree.max(initial=0))), instance.m, dtype=np.int64)
+    first = np.repeat(np.cumsum(degree) - degree, degree)
+    slot = np.arange(first.size) - first
+    padded[np.repeat(np.arange(instance.n), degree), slot] = np.concatenate(instance.col_rows)
+    return padded
+
+
 class _SubsetTables:
     """Precomputed subset enumeration for the estimator's budget terms.
 
     For each criterion, all order-k column subsets with positive costs are
-    flattened once; evaluation is then a couple of vectorized gathers.
+    enumerated once into arrays; evaluation is then a gather and one
+    segmented sum per term.
     """
 
     def __init__(self, scheme: RoundingScheme, lambdas, ks):
         instance = scheme.instance
+        padded = _padded_col_rows(instance)
         self.calls = 0
-        self.terms = []
+        self.terms: list[_BudgetTerm] = []
         for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
             if k > SUBSET_ORDER_CAP:
                 raise ParameterError(f"subset order {k} exceeds the cap {SUBSET_ORDER_CAP}")
-            support = np.flatnonzero(cost > 0.0)
-            subsets = list(itertools.combinations(support.tolist(), k))
-            # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
-            denom = binomial_real(float(lam), int(k))
-            # (n_subsets, k); with fewer positive-cost bits than k the table
-            # is empty and the term subtracts nothing
-            cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), k)
-            row_lists = [
-                np.unique(np.concatenate([instance.col_rows[j] for j in subset]))
-                for subset in subsets
-            ]
-            lengths = np.array([len(r) for r in row_lists], dtype=np.int64)
-            flat_rows = np.concatenate([np.empty(0, dtype=np.int64), *row_lists])
+            k = int(k)
+            support = np.flatnonzero(cost > 0.0).tolist()
+            # with fewer positive-cost bits than k the table is empty and
+            # the term subtracts nothing
+            cols = np.fromiter(
+                itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
+            ).reshape(-1, k)
+            # each subset's rows, sorted, keeping the first copy of each below m
+            rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
+            rows.sort(axis=1)
+            keep = rows < instance.m
+            keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+            lengths = keep.sum(axis=1)
             ends = np.cumsum(lengths)
             starts = ends - lengths
-            self.terms.append((denom, cost, cols, flat_rows, starts, ends))
+            counts = np.bincount(cols.ravel(), minlength=instance.n)
+            self.terms.append(_BudgetTerm(
+                # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
+                denom=binomial_real(float(lam), k),
+                cost=cost,
+                cols=cols,
+                flat_rows=rows[keep],
+                starts=starts,
+                ends=ends,
+                filled=np.flatnonzero(ends > starts),
+                by_col=np.argsort(cols, axis=None, kind="stable") // k,
+                col_ptr=np.concatenate([[0], np.cumsum(counts)]),
+            ))
 
-    def value(self, p: np.ndarray, chp: np.ndarray) -> float:
+    def value(self, log_w, chp: np.ndarray) -> float:
         """Estimator value: the all-rows-survive product minus the budget
         overflow terms, with near-one row bounds handled exactly."""
         self.calls += 1
@@ -225,34 +292,28 @@ class _SubsetTables:
         total_log = float(log_clear.sum())
         lead = math.exp(total_log) if n_dead == 0 else 0.0
         subtracted = 0.0
-        for denom, cost, cols, flat_rows, starts, ends in self.terms:
-            with np.errstate(divide="ignore"):
-                log_w = np.log(cost[cols] * p[cols]).sum(axis=1)  # -inf prunes zeros
-            cs = np.concatenate([[0.0], np.cumsum(log_clear[flat_rows])])
-            seg_log = cs[ends] - cs[starts]
-            dcs = np.concatenate([[0], np.cumsum(dead[flat_rows].astype(np.int64))])
-            seg_dead = dcs[ends] - dcs[starts]
-            complement_ok = seg_dead == n_dead  # every dead row sits inside the subset's cover
-            with np.errstate(invalid="ignore"):
-                contrib = np.where(
-                    complement_ok & np.isfinite(log_w),
-                    np.exp(np.where(np.isfinite(log_w), log_w, 0.0) + (total_log - seg_log)),
-                    0.0,
-                )
-            subtracted += float(contrib.sum()) / denom
+        for term, term_log_w in zip(self.terms, log_w, strict=True):
+            # exp(-inf) = 0 drops the subsets with a zero weight
+            contrib = np.exp(term_log_w + (total_log - term.segment_sums(log_clear)))
+            if n_dead:
+                # a subset counts only if its rows hold every dead row
+                contrib[term.segment_sums(dead.astype(np.int64)) != n_dead] = 0.0
+            subtracted += float(contrib.sum()) / term.denom
         return lead - subtracted
 
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Bit probabilities plus cached row bounds for one scheme and one family
-    of budget terms.  Frozen: `at` is the one way to move to a new point."""
+    """Bit probabilities plus cached row bounds and subset weights for one
+    scheme and one family of budget terms.  Frozen: `at` is the one way to
+    move to a new point."""
 
     scheme: RoundingScheme
     p: np.ndarray
     lambdas: np.ndarray  # increment budgets, one per criterion
     ks: np.ndarray  # subset orders, one per criterion
     chp: np.ndarray  # cached clamped row failure bounds at p
+    log_w: tuple[np.ndarray, ...] = field(repr=False)  # per term, each subset's log weight at p
     tables: _SubsetTables = field(repr=False)
 
     @property
@@ -260,9 +321,9 @@ class EstimatorState:
         return self.tables.calls
 
     def at(self, p) -> "EstimatorState":
-        """The state at bit probabilities p.  Only the rows of the columns
-        where p differs from self.p are recomputed; the rest keep their
-        cached bounds, which depend on no other column."""
+        """The state at bit probabilities p.  Only the rows and the subsets
+        of the columns where p differs from self.p are recomputed; the rest
+        keep their cached values, which depend on no other column."""
         p = np.array(p, dtype=float)
         if p.shape != self.p.shape:
             raise ValueError(f"expected {self.p.size} probabilities, got shape {p.shape}")
@@ -272,9 +333,10 @@ class EstimatorState:
         rows = np.unique(np.concatenate([self.scheme.instance.col_rows[j] for j in changed]))
         chp = self.chp.copy()
         chp[rows] = _row_bounds(self.scheme, p, rows)
+        log_w = tuple(term.moved(w, p, changed) for term, w in zip(self.tables.terms, self.log_w))
         p.setflags(write=False)
         chp.setflags(write=False)
-        return replace(self, p=p, chp=chp)
+        return replace(self, p=p, chp=chp, log_w=log_w)
 
 
 def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
@@ -298,14 +360,17 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
     tables = _SubsetTables(scheme, lambdas, ks)
     chp = _row_bounds(scheme, scheme.frac)
     chp.setflags(write=False)
+    log_w = tuple(term.log_weights(scheme.frac) for term in tables.terms)
+    for w in log_w:
+        w.setflags(write=False)
     return EstimatorState(
-        scheme=scheme, p=scheme.frac, lambdas=lambdas, ks=ks, chp=chp, tables=tables
+        scheme=scheme, p=scheme.frac, lambdas=lambdas, ks=ks, chp=chp, log_w=log_w, tables=tables
     )
 
 
 def success_lower_bound(state: EstimatorState) -> float:
     """Lower bound on Pr(all demands hold and all increment budgets hold)."""
-    return state.tables.value(state.p, state.chp)
+    return state.tables.value(state.log_w, state.chp)
 
 
 def standard_certificate(scheme: RoundingScheme, lambdas, ks):
@@ -392,6 +457,12 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
     return chosen, ks
 
 
+def _with_bit(p: np.ndarray, j: int, bit: float) -> np.ndarray:
+    q = p.copy()
+    q[j] = bit
+    return q
+
+
 def derandomize(state: EstimatorState) -> RoundedSolution:
     """Fix the bits one by one, keeping the estimator positive throughout.
 
@@ -412,13 +483,12 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
             f"estimator must start positive, got {current:.4g}; raise the budgets"
         )
     trace = [current]
-    cols = np.arange(instance.n)
-    for j in cols:
+    for j in range(instance.n):
         if state.p[j] == 0.0 or state.p[j] == 1.0:
             continue
-        zero, one = (state.at(np.where(cols == j, bit, state.p)) for bit in (0.0, 1.0))
-        phi_zero = state.tables.value(zero.p, zero.chp)
-        phi_one = state.tables.value(one.p, one.chp)
+        zero, one = (state.at(_with_bit(state.p, j, bit)) for bit in (0.0, 1.0))
+        phi_zero = state.tables.value(zero.log_w, zero.chp)
+        phi_one = state.tables.value(one.log_w, one.chp)
         if max(phi_zero, phi_one) < current - BRANCH_TOL:
             raise EstimatorError(
                 f"both branches dropped below the current bound at bit {j}: "

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -451,8 +452,19 @@ def _dispatch(argv: list[str], recorded_times: list[float] | None = None) -> int
     raise _CliFailure(EXIT_USAGE, f"unknown subcommand {args.subcommand}")  # pragma: no cover
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    with warnings.catch_warnings():
+        # one line per warning, as for errors, instead of Python's source echo
+        warnings.showwarning = _print_warning
+        return _main(argv)
+
+
+def _main(argv: list[str]) -> int:
     try:
         return _dispatch(argv)
     except SystemExit as exc:  # argparse errors (code 2) and --help (code 0)

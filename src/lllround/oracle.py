@@ -266,9 +266,9 @@ def verify_branch_inequality(
         q = state.p.copy()
         q[j] = setting
         branch = state.at(q)
-        values[setting] = state.tables.value(branch.p, branch.chp)
+        values[setting] = state.tables.value(branch.log_w, branch.chp)
     mixture = pj * values[1.0] + (1.0 - pj) * values[0.0]
-    phi = state.tables.value(state.p, state.chp)
+    phi = state.tables.value(state.log_w, state.chp)
     report = VerifyReport(
         claim="branch mixture dominates the estimator", passed=phi <= mixture + tol,
         lhs=phi, rhs=mixture,

@@ -37,6 +37,20 @@ def two_cost_cover():
     return CipInstance.create(base.a_matrix, base.demands, [base.costs[0], np.linspace(0.5, 1.5, 16)])
 
 
+def four_cost_cover(n_sets, seed):
+    """A 4-cost cover shaped like the benchmark's multi-cost ones: 12
+    elements of demand 8, a first cost in [0.6, 1] and three more with
+    exactly 10% zeros."""
+    base = gen_set_cover(12, n_sets, 5, 8, seed)
+    rng = np.random.default_rng(seed)
+    costs = [rng.uniform(0.6, 1.0, n_sets)]
+    for _ in range(3):
+        cost = rng.uniform(0.6, 1.0, n_sets)
+        cost[rng.choice(n_sets, size=round(0.1 * n_sets), replace=False)] = 0.0
+        costs.append(cost)
+    return CipInstance.create(base.a_matrix, base.demands, costs)
+
+
 def random_mip(seed, max_groups=4, max_slots=3, m_max=6):
     """Random minimax instance: a few groups, real-valued coefficients."""
     rng = np.random.default_rng(seed)

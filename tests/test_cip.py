@@ -1,6 +1,7 @@
 """Covering rounding: schemes, parameter choices, the success estimator, and
 the deterministic fixing loop."""
 
+import functools
 import itertools
 import math
 
@@ -27,7 +28,8 @@ from lllround import (
 )
 from lllround import cip
 from lllround.cip import _row_bounds
-from _builders import lp_point, random_cip, two_cost_cover
+from _builders import four_cost_cover, lp_point, random_cip, two_cost_cover
+from _reference_estimator import reference_derandomize, reference_terms
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure
@@ -308,6 +310,36 @@ class TestSuccessEstimator:
         assert state.at(p).chp[row] == 1.0
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("case", ["empty column at k = 1", "support below k", "dead row"])
+    def test_table_edge_cases_match_enumeration(self, case):
+        # Column 3 touches no row, and the second cost is positive on column
+        # 2 only.  At x = 0.6 and scale 1.5 the other bits are 0.9 and no
+        # floor covers a row.
+        a = np.array([[1.0, 0.6, 0.5, 0.0, 0.0],
+                      [0.5, 1.0, 0.8, 0.0, 0.0],
+                      [0.0, 0.7, 0.0, 0.0, 1.0]])
+        costs = [np.array([1.0, 0.5, 0.8, 0.9, 0.6]), np.array([0.0, 0.0, 0.7, 0.0, 0.0])]
+        inst = CipInstance.create(a, [1.0, 1.0, 1.0], costs)
+        scheme = make_scheme(inst, [0.6, 0.6, 0.6, 0.0, 0.6], 1.5)
+        p = scheme.frac.copy()
+        p[3] = 0.5  # a random bit whose subsets cover no row
+        lambdas = [4.0, 3.0]
+        ks = {"empty column at k = 1": [1, 1], "support below k": [2, 2], "dead row": [2, 1]}[case]
+        if case == "dead row":
+            # bits this small leave row 2's failure bound clamped at 1, yet
+            # their subsets keep positive weights
+            p[inst.row_cols[2]] = 0.01
+        state = make_estimator(scheme, lambdas, ks).at(p)
+        first, second = state.tables.terms
+        if case == "empty column at k = 1":
+            assert np.any(first.starts == first.ends) and second.cols.shape == (1, 1)
+        elif case == "support below k":
+            assert second.cols.shape == (0, 2) and second.flat_rows.size == 0
+        else:
+            assert state.chp[2] == 1.0 and state.chp[:2].max() < 1.0 - 1e-12
+        want = estimate_by_enumeration(scheme, p, lambdas, ks)
+        assert success_lower_bound(state) == pytest.approx(want, abs=1e-12)
+
     def test_budget_and_order_validation(self, monkeypatch):
         scheme = tight_single_row()
         with pytest.raises(ValueError, match="out of range"):
@@ -492,6 +524,22 @@ class TestEstimatorAt:
         assert np.array_equal(there.chp, _row_bounds(scheme, q))
         assert np.array_equal(there.at(scheme.frac).chp, state.chp)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_weights_are_path_independent(self, seed):
+        inst = random_cip(seed, ell=2)
+        scheme = make_scheme(inst, lp_point(inst), 1.5)
+        lambdas, ks = [float(inst.n)] * 2, [2, 2]
+        rng = np.random.default_rng(seed)
+        p1, p2 = rng.uniform(0.0, 1.0, (2, inst.n))
+        p1[rng.random(inst.n) < 0.3] = 0.0
+        p2[rng.random(inst.n) < 0.3] = 0.0
+        via = make_estimator(scheme, lambdas, ks).at(p1).at(p2)
+        direct = make_estimator(scheme, lambdas, ks).at(p2)
+        assert success_lower_bound(via) == success_lower_bound(direct)
+        for term, w_via, w_direct in zip(direct.tables.terms, via.log_w, direct.log_w):
+            assert np.array_equal(w_via, w_direct)
+            assert np.array_equal(w_direct, term.log_weights(p2))
+
     def test_leaves_the_original_state_and_the_callers_array_alone(self):
         inst = random_cip(2)
         scheme = make_scheme(inst, lp_point(inst), 1.5)
@@ -576,3 +624,36 @@ class TestRoundCip:
         inst = CipInstance.create(np.eye(2), [2.0, 2.0], [np.ones(2)])
         with pytest.raises(ParameterError, match="below the floor cost"):
             round_cip(inst, [2.0, 2.0], alpha=1.2, beta=1.1, total_budgets=[1.0])
+
+
+REFERENCE_CASES = {
+    **{f"random-{seed}-ell{ell}": functools.partial(random_cip, seed, ell=ell)
+       for ell in (1, 2, 3) for seed in (0, 1, 2, 34, 42)},
+    "two-cost": two_cost_cover,
+    **{f"four-cost-12x{n}-s{s}": functools.partial(four_cost_cover, n, s)
+       for n, s in ((24, 0), (30, 1))},
+}
+
+
+class TestAgainstReference:
+    def test_cases_include_empty_columns(self):
+        assert any(r.size == 0 for r in REFERENCE_CASES["random-34-ell1"]().col_rows)
+        assert any(r.size == 0 for r in REFERENCE_CASES["random-42-ell3"]().col_rows)
+
+    @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
+    @pytest.mark.parametrize("name", list(REFERENCE_CASES))
+    def test_tables_and_fixing_path_match_the_reference(self, name):
+        inst = REFERENCE_CASES[name]()
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
+        state = make_estimator(scheme, lambdas, ks)
+        reference = reference_terms(scheme, lambdas, ks)
+        for term, (_, _, cols, flat_rows, starts, ends) in zip(state.tables.terms, reference,
+                                                                strict=True):
+            assert np.array_equal(term.cols, cols)
+            assert np.array_equal(term.flat_rows, flat_rows)
+            assert np.array_equal(term.starts, starts)
+            assert np.array_equal(term.ends, ends)
+        out = derandomize(state)
+        z, trace = reference_derandomize(state)
+        assert np.array_equal(out.z, z)
+        assert out.trace == pytest.approx(trace, rel=1e-12, abs=0.0)

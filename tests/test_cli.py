@@ -114,6 +114,21 @@ class TestRound:
             assert code == 2
             assert "below the floor cost" in capsys.readouterr().err
 
+    # the interpreter's default filter, under which a warning reaches the user
+    @pytest.mark.filterwarnings("always::UserWarning")
+    def test_warning_prints_one_line_before_the_error(self, tmp_path, capsys):
+        # 4 costs on 2 columns: the scaled means fall below the cap threshold,
+        # and the subset order ceil(ln 8) = 3 exceeds the column count
+        inst = tmp_path / "four_costs.json"
+        inst.write_text(serialize_instance(CipInstance.create(
+            [[1.0, 1.0], [1.0, 0.5], [0.5, 1.0]], [1.0, 1.0, 1.0],
+            [np.ones(2), [1.0, 2.0], [2.0, 1.0], [1.0, 1.5]])))
+        assert main(["round", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "warning: scaled means fall below 9.00; budget caps may be loose\n"
+            "error: subset order 3 out of range [1, 2]\n"
+        )
+
     def test_zero_objective_at_the_relaxation_exits_2(self, tmp_path, capsys):
         # the second cost is 0 on the LP support, so no multi-criteria scale exists
         base = two_cost_cover()
