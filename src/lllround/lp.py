@@ -1,12 +1,20 @@
 """Desk-scale linear relaxations.
 
-A dense two-phase primal simplex with Bland's rule, so it cannot cycle.  Each
-pivot is one rank-1 update of the whole tableau, which produces the same pivot
-sequence and the same values as eliminating row by row.  The artificial
-columns are dropped when phase 1 ends; no pivot reads them after that, so the
-pivots and values are the same as if they were kept.  Downstream rounding
-needs basic optimal solutions (vertices), and the test oracles re-derive the
-same optima by brute-force vertex enumeration.
+A dense primal simplex with Bland's rule, so it cannot cycle.  Each pivot is
+one rank-1 update of the whole tableau.  Every valid instance has a feasible
+relaxation, so each relaxation starts from a basis that is feasible by
+construction, and there is no phase 1:
+
+- A cover, min c.x s.t. A x >= b, x >= 0, is solved through its dual,
+  max b.y s.t. A^T y <= c, y >= 0, from the slack basis: y = 0 is feasible
+  because c >= 0.  At the optimum the reduced costs of the slack columns are
+  the complementary primal basic solution, so the returned x is a vertex.
+- The minimax relaxation starts from a greedy crash basis: each group in
+  order takes the slot that raises the current max load least, W is basic in
+  the max-load row, and every other load row's slack is basic.
+
+Downstream rounding needs basic optimal solutions (vertices), and the test
+oracles re-derive the same optima by brute-force vertex enumeration.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ class LpReport:
     solution: FractionalSolution | None
     objective: float
     iterations: int
-    status: str  # "optimal" | "infeasible" | "iteration-limit"
+    status: str  # "optimal" | "iteration-limit"
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -73,82 +81,48 @@ def _run_simplex(tableau, basis, budget: int) -> tuple[int, str]:
                 best_ratio = ratio
                 leaving = i
         if leaving < 0:
-            raise RuntimeError("objective unbounded; not reachable for covering data")
+            raise RuntimeError("objective unbounded; not reachable on valid instances")
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
         iterations += 1
     return iterations, "iteration-limit"
 
 
-def _two_phase(
-    costs: np.ndarray,
-    eq_lhs: np.ndarray,
-    eq_rhs: np.ndarray,
-    iteration_limit: int,
-) -> tuple[np.ndarray | None, int, str]:
-    """min costs.x over {eq_lhs x = eq_rhs, x >= 0}; returns (x, iters, status).
-
-    Requires eq_rhs >= 0, so the artificial basis starts feasible; both
-    builders give that.  The artificial columns are deleted once phase 1
-    ends, so phase 2 prices the structural columns only; an artificial left
-    basic on a redundant row keeps its label (n or more), which loses Bland's
-    ties and gives no entry of x.
-    """
-    m, n = eq_lhs.shape
-    tableau = np.zeros((m + 1, n + m + 1))  # structural columns, one artificial per row, rhs
-    tableau[:m, :n] = eq_lhs
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = eq_rhs
-    basis = list(range(n, n + m))
-    tableau[-1, n : n + m] = 1.0
-    for i in range(m):  # price out the artificial basis
-        tableau[-1] -= tableau[i]
-    used, status = _run_simplex(tableau, basis, iteration_limit)
-    if status != "optimal":
-        return None, used, status
-    if -tableau[-1, -1] > 1e-7:
-        return None, used, "infeasible"
-    tableau = np.delete(tableau, np.s_[n : n + m], axis=1)
-    # Drive surviving artificials out of the basis where a structural pivot exists.
-    for i in range(m):
-        if basis[i] >= n:
-            structural = np.flatnonzero(np.abs(tableau[i, :n]) > PIVOT_TOL)
-            if structural.size:
-                basis[i] = int(structural[0])
-                _pivot(tableau, i, basis[i])
-
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = costs
-    for i in range(m):
-        if basis[i] < n and tableau[-1, basis[i]] != 0.0:
-            tableau[-1] -= tableau[-1, basis[i]] * tableau[i]
-    used2, status = _run_simplex(tableau, basis, iteration_limit - used)
-    if status != "optimal":
-        return None, used + used2, status
-    x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tableau[i, -1]
-    return x, used + used2, "optimal"
-
-
-def _solve(instance, costs, eq_lhs, eq_rhs, limit: int) -> LpReport:
-    """Solve the built relaxation; its leading columns are the instance's."""
-    x_full, iterations, status = _two_phase(costs, eq_lhs, eq_rhs, limit)
+def _solve(instance, tableau, basis, limit: int, read_x) -> LpReport:
+    """Run Bland's rule from a feasible basis whose cost row is priced, then
+    read the instance's point from the optimal tableau with `read_x`."""
+    iterations, status = _run_simplex(tableau, basis, limit)
     if status != "optimal":
         return LpReport(None, math.nan, iterations, status)
-    solution = ingest_solution(instance, x_full[: instance.shape[1]])
+    solution = ingest_solution(instance, read_x(tableau, basis))
     return LpReport(solution, solution.objective_values[0], iterations, status)
 
 
 def solve_cip_lp(instance: CipInstance) -> LpReport:
     """Relaxation min c.x s.t. A x >= b, x >= 0 under the first cost vector,
-    solved to a vertex."""
+    solved to a vertex through its dual."""
     m, n = instance.m, instance.n
-    # A x - surplus = b
-    eq_lhs = np.hstack([instance.a_matrix, -np.eye(m)])
-    costs = np.concatenate([instance.costs[0], np.zeros(m)])
-    return _solve(instance, costs, eq_lhs, instance.demands, 50 * (m + n))
+    # A^T y + s = c; the slack basis costs 0, so the cost row -b is priced
+    tableau = np.zeros((n + 1, m + n + 1))
+    tableau[:n, :m] = instance.a_matrix.T
+    tableau[:n, m:-1] = np.eye(n)
+    tableau[:n, -1] = instance.costs[0]
+    tableau[-1, :m] = -instance.demands
+    return _solve(instance, tableau, list(range(m, m + n)), 50 * (m + n),
+                  lambda t, _: t[-1, m:-1])
+
+
+def _crash_slots(instance: MipInstance, a: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Each group in order takes the slot that raises the current max load
+    least (the first on ties); returns the slots and the loads they make."""
+    loads = np.zeros(instance.m)
+    slots = []
+    for g in range(instance.n_groups):
+        sl = instance.group_slice(g)
+        slot = sl.start + int(np.argmin((loads[:, None] + a[:, sl]).max(axis=0)))
+        loads += a[:, slot]
+        slots.append(slot)
+    return slots, loads
 
 
 def solve_mip_lp(instance: MipInstance) -> LpReport:
@@ -159,16 +133,30 @@ def solve_mip_lp(instance: MipInstance) -> LpReport:
     """
     m, n = instance.m, instance.n_cols
     n_groups = instance.n_groups
-    # Rows: group sums = 1, then A x - W + slack = 0.
-    eq_lhs = np.zeros((n_groups + m, n + 1 + m))
-    eq_lhs[np.repeat(np.arange(n_groups), instance.group_sizes), np.arange(n)] = 1.0
-    eq_lhs[n_groups:, :n] = instance.a_matrix
-    eq_lhs[n_groups:, n] = -1.0
-    eq_lhs[n_groups:, n + 1 :] = np.eye(m)
-    eq_rhs = np.concatenate([np.ones(n_groups), np.zeros(m)])
-    costs = np.zeros(n + 1 + m)
-    costs[n] = 1.0
-    return _solve(instance, costs, eq_lhs, eq_rhs, 50 * (n_groups + m + n + 1))
+    a = instance.a_matrix
+    # Rows: group sums = 1, then A x - W + slack = 0; the cost row holds W's 1.
+    tableau = np.zeros((n_groups + m + 1, n + 1 + m + 1))
+    tableau[np.repeat(np.arange(n_groups), instance.group_sizes), np.arange(n)] = 1.0
+    tableau[:n_groups, -1] = 1.0
+    tableau[n_groups:-1, :n] = a
+    tableau[n_groups:-1, n] = -1.0
+    tableau[n_groups:-1, n + 1 : -1] = np.eye(m)
+    tableau[-1, n] = 1.0
+    slots, loads = _crash_slots(instance, a)
+    top = n_groups + int(np.argmax(loads))
+    basis = slots + list(range(n + 1, n + 1 + m))
+    basis[top] = n
+    # Pivot the crash basis in, which also prices the cost row; these pivots
+    # are not simplex iterations.
+    for row in [*range(n_groups), top]:
+        _pivot(tableau, row, basis[row])
+
+    def read_x(tableau, basis):
+        x = np.zeros(n + 1 + m)
+        x[basis] = tableau[:-1, -1]
+        return x[:n]
+
+    return _solve(instance, tableau, basis, 50 * (n_groups + m + n + 1), read_x)
 
 
 def ingest_solution(instance, x) -> FractionalSolution:

@@ -96,15 +96,16 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
 
 
 def mip_target(y_star: float, m: int, t: int) -> MipTarget:
-    """Slack k = ceil(min(y*, m) * H(min(y*, m), 1/(e*t))), target y* + k."""
-    if y_star <= 0.0:
-        raise ValueError(f"fractional value must be positive, got {y_star}")
+    """Slack k = ceil(min(y*, m) * H(min(y*, m), 1/(e*t))), at least 1;
+    target y* + k.  At y* = 0 the support loads no row, and k is 1."""
+    if y_star < 0.0:
+        raise ValueError(f"fractional value must be nonnegative, got {y_star}")
     if t < 1 or m < 1:
         raise ValueError("need at least one row and interaction width 1")
     mu = min(y_star, float(m))
-    budget = 1.0 / (math.e * t)
-    k = math.ceil(mu * deviation_for_budget(mu, budget))
-    k = max(k, 1)
+    k = 1
+    if mu > 0.0:
+        k = max(math.ceil(mu * deviation_for_budget(mu, 1.0 / (math.e * t))), 1)
     return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k)
 
 

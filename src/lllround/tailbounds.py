@@ -112,13 +112,13 @@ def binomial_real(x: float, r: int) -> float:
 
 
 def elementary_symmetric(values: Sequence[float], k: int) -> float:
-    """k-th elementary symmetric polynomial of nonnegative values.
+    """k-th elementary symmetric polynomial of nonnegative values; 0 when
+    there are fewer than k values.
 
     One-pass prefix recurrence, O(n*k) time, O(k) space.
     """
-    n = len(values)
-    if not 0 <= k <= n:
-        raise ValueError(f"order must lie in [0, {n}], got {k}")
+    if k < 0:
+        raise ValueError(f"order must be nonnegative, got {k}")
     prefix = [0.0] * (k + 1)
     prefix[0] = 1.0
     for value in values:

@@ -31,6 +31,11 @@ def two_cost(tmp_path, name="two_cost.json"):
     return out
 
 
+FEWER_GROUPS_THAN_SLACK = ('{"A":[[0,0,0.62],[1,1,0.797],[2,0,0.839],[2,2,0.468],[3,0,0.258]],'
+                           '"groups":[3],"kind":"mip","m":5}')
+UNLOADED_SLOT = '{"A":[[0,0,0.5]],"groups":[2],"kind":"mip","m":1}'
+
+
 class TestGen:
     def test_writes_instance_and_manifest(self, tmp_path, capsys):
         out = gen(tmp_path)
@@ -263,11 +268,12 @@ class TestRound:
     def test_iteration_limit_is_not_reported_as_infeasible(self, tmp_path, capsys, monkeypatch):
         import lllround.lp as lp_module
 
-        real = lp_module._two_phase
-        monkeypatch.setattr(lp_module, "_two_phase",
-                            lambda costs, lhs, rhs, limit: real(costs, lhs, rhs, 3))
+        real = lp_module._run_simplex
+        monkeypatch.setattr(lp_module, "_run_simplex",
+                            lambda tableau, basis, limit: real(tableau, basis, 3))
         cover = gen(tmp_path)
-        graph = gen(tmp_path, kind="hypergraph", name="graph.json")
+        # seed 4: the crash basis is 8 pivots from the optimum
+        graph = gen(tmp_path, kind="hypergraph", name="graph.json", seed=4)
         for inst, mode in ((cover, "derandomize"), (graph, "mip")):
             code = main(["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")])
             assert code == 3
@@ -276,15 +282,14 @@ class TestRound:
                 " (not a proof of infeasibility)\n"
             )
 
-    def test_infeasible_relaxation_message(self, tmp_path, capsys, monkeypatch):
-        import lllround.cli as cli_module
-        from lllround.lp import LpReport
-
-        monkeypatch.setattr(cli_module, "solve_cip_lp",
-                            lambda instance: LpReport(None, float("nan"), 7, "infeasible"))
-        code = main(["round", str(gen(tmp_path)), "--out", str(tmp_path / "r.json")])
-        assert code == 3
-        assert capsys.readouterr().err == "error: relaxation is infeasible\n"
+    def test_relaxation_of_zero_rounds_to_max_load_zero(self, tmp_path, capsys):
+        # slot 1 loads no row, so the relaxation's optimum is 0
+        inst = tmp_path / "unloaded.json"
+        inst.write_text(UNLOADED_SLOT)
+        out = tmp_path / "r.json"
+        assert main(["round", str(inst), "--mode", "mip", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["value"] == 0.0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("tries", ["0", "-5"])
     def test_max_tries_below_one_exits_2(self, tmp_path, capsys, tries):
@@ -313,14 +318,14 @@ class TestRound:
 
     @pytest.mark.parametrize("case, extra, message", [
         ("cover", ["--lambda", "19"], "estimator must start positive, got -0.09026"),
-        ("two-cost", ["--lambda", "9.5,6.66"], "budget 1.5 below subset order 2"),
+        ("two-cost", ["--lambda", "10.5,6.66"], "budget 1.5 below subset order 2"),
         ("four-cost", [], "subset order 3 out of range [1, 2]"),
     ])
     @pytest.mark.filterwarnings("ignore:scaled means fall below")
     def test_tight_parameters_exit_2(self, tmp_path, capsys, case, extra, message):
         if case == "cover":  # floor cost 18, so 1 is left for the rounded bits
             inst = gen(tmp_path, seed=0)
-        elif case == "two-cost":
+        elif case == "two-cost":  # floor cost 9 under the first cost leaves 1.5
             inst = two_cost(tmp_path)
         else:  # four cost vectors need subset order ceil(ln 8) = 3 > 2 columns
             inst = tmp_path / "four.json"
@@ -470,9 +475,22 @@ class TestVerify:
         assert "records no valid check: KeyError('check')" in capsys.readouterr().err
 
     def test_budget_cap_exits_4(self, tmp_path, monkeypatch):
+        # the scheme at the relaxation's vertex has 6 random bits, one above the cap
         inst = gen(tmp_path, "--n-sets", "12")
-        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "6")
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "5")
         assert main(["verify", str(inst), "--which", "phi"]) == 4
+
+    @pytest.mark.parametrize("doc", [FEWER_GROUPS_THAN_SLACK, UNLOADED_SLOT])
+    def test_minimax_corner_cases_print_one_line_per_check(self, tmp_path, capsys, doc):
+        # one group against slack 2 (an order-2 polynomial of one value is
+        # 0), and a relaxation of 0: the dependency check plus two tail checks
+        inst = tmp_path / "corner.json"
+        inst.write_text(doc)
+        assert main(["verify", str(inst)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 3 and all(line.startswith("PASS") for line in lines)
+        assert captured.err == ""
 
     def test_unreadable_target_exits_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "absent.json")]) == 2
@@ -603,9 +621,9 @@ class TestBenchAndReplay:
     def test_bench_stops_at_the_iteration_limit_with_exit_3(self, tmp_path, capsys, monkeypatch):
         import lllround.lp as lp_module
 
-        real = lp_module._two_phase
-        monkeypatch.setattr(lp_module, "_two_phase",
-                            lambda costs, lhs, rhs, limit: real(costs, lhs, rhs, 3))
+        real = lp_module._run_simplex
+        monkeypatch.setattr(lp_module, "_run_simplex",
+                            lambda tableau, basis, limit: real(tableau, basis, 3))
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "1", "--seeds", "0", "--out", str(out)]) == 3
         assert capsys.readouterr().err == (

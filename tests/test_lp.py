@@ -1,10 +1,12 @@
 """Simplex relaxation solver against closed-form cases, brute-force
-reference optima, HiGHS, and the scalar Bland simplex it replaced."""
+reference optima, HiGHS, and a scalar Bland simplex."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lllround.lp as lp
 from lllround import (
@@ -241,68 +243,18 @@ class TestSameAsTheScalarSimplex:
         assert new.solution.x.tobytes() == reference.solution.x.tobytes()
         assert new.objective == reference.objective
 
-    def test_degenerate_systems_that_drive_artificials_out(self, monkeypatch):
-        # Zero right-hand sides leave artificials basic at level 0 after
-        # phase 1.  Each pivot that drives one out must take the first
-        # structural column with a nonzero entry, as the scalar scan did.
-        rng = np.random.default_rng(0)
-        real_pivot, real_run = lp._pivot, lp._run_simplex
-        state = {"in_simplex": False, "n": 0, "drive_outs": 0}
-
-        def run(*args):
-            state["in_simplex"] = True
-            try:
-                return real_run(*args)
-            finally:
-                state["in_simplex"] = False
-
-        def pivot(tableau, row, col):
-            if not state["in_simplex"]:
-                state["drive_outs"] += 1
-                row_values = tableau[row, : state["n"]]
-                assert col == next(j for j, v in enumerate(row_values) if abs(v) > lp.PIVOT_TOL)
-            real_pivot(tableau, row, col)
-
-        for _ in range(300):
-            m, n = int(rng.integers(2, 6)), int(rng.integers(2, 8))
-            lhs = rng.integers(-1, 2, size=(m, n)).astype(float)
-            rhs = rng.integers(0, 3, size=m).astype(float)
-            costs = rng.integers(-1, 3, size=n).astype(float)
-            with monkeypatch.context() as patched:
-                patched.setattr(lp, "_pivot", _reference_pivot)
-                patched.setattr(lp, "_run_simplex", _reference_run_simplex)
-                try:
-                    reference = lp._two_phase(costs, lhs, rhs, 100)
-                except RuntimeError:  # unbounded
-                    continue
-            with monkeypatch.context() as patched:
-                patched.setattr(lp, "_pivot", pivot)
-                patched.setattr(lp, "_run_simplex", run)
-                state["n"] = n
-                x, iterations, status = lp._two_phase(costs, lhs, rhs, 100)
-            assert (iterations, status) == reference[1:]
-            assert (x is None) == (reference[0] is None)
-            if x is not None:
-                # equal values; a zero may differ in sign until
-                # ingest_solution clips the point
-                np.testing.assert_array_equal(x, reference[0])
-        assert state["drive_outs"] >= 10
-
     def test_run_cut_off_by_the_iteration_limit_leaves_the_same_tableau(self, monkeypatch):
         instance = gen_set_cover(60, 60, 5, 2, 0)
-        real_two_phase, real_run = lp._two_phase, lp._run_simplex
-        monkeypatch.setattr(lp, "_two_phase", lambda costs, lhs, rhs, limit:
-                            real_two_phase(costs, lhs, rhs, 40))
         states = []
 
         def recording(run):
             def run_and_record(tableau, basis, budget):
-                result = run(tableau, basis, budget)
+                result = run(tableau, basis, 40)
                 states.append((tableau.copy(), list(basis), result))
                 return result
             return run_and_record
 
-        monkeypatch.setattr(lp, "_run_simplex", recording(real_run))
+        monkeypatch.setattr(lp, "_run_simplex", recording(lp._run_simplex))
         new = solve_cip_lp(instance)
         monkeypatch.setattr(lp, "_run_simplex", recording(_reference_run_simplex))
         reference = solve_cip_lp(instance)
@@ -314,43 +266,47 @@ class TestSameAsTheScalarSimplex:
         assert np.array_equal(tableau, ref_tableau)
 
 
-class TestTwoPhaseInputs:
-    @pytest.mark.parametrize("kind, build", [
-        ("cip", lambda: gen_set_cover(60, 60, 5, 2, 0)),
-        ("mip", lambda: gen_hypergraph_partition(20, 20, 4, 2, 0)),
-    ])
-    def test_phase_two_runs_without_the_artificial_columns(self, monkeypatch, kind, build):
-        real_two_phase, real_run = lp._two_phase, lp._run_simplex
-        systems, shapes = [], []
-
-        def two_phase(costs, lhs, rhs, limit):
-            systems.append(lhs.shape)
-            return real_two_phase(costs, lhs, rhs, limit)
+class TestStartingBases:
+    @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
+    def test_simplex_starts_from_a_feasible_priced_basis(self, monkeypatch, kind, build):
+        real_run = lp._run_simplex
+        starts = []
 
         def run(tableau, basis, budget):
-            shapes.append(tableau.shape)
+            starts.append((tableau.copy(), list(basis)))
             return real_run(tableau, basis, budget)
 
-        monkeypatch.setattr(lp, "_two_phase", two_phase)
         monkeypatch.setattr(lp, "_run_simplex", run)
-        report = (solve_cip_lp if kind == "cip" else solve_mip_lp)(build())
-        assert report.status == "optimal"
-        [(m, n)] = systems
-        assert shapes == [(m + 1, n + m + 1), (m + 1, n + 1)]
+        instance = build()
+        (solve_cip_lp if kind == "cip" else solve_mip_lp)(instance)
+        [(tableau, basis)] = starts
+        rows = tableau.shape[0] - 1
+        np.testing.assert_array_equal(tableau[:-1, basis], np.eye(rows))
+        assert np.all(tableau[:-1, -1] >= 0.0)
+        assert np.all(tableau[-1, basis] == 0.0)
+        if kind == "cip":  # the dual from its slack basis
+            m, n = instance.m, instance.n
+            assert tableau.shape == (n + 1, m + n + 1)
+            assert basis == list(range(m, m + n))
 
-    @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
-    def test_builders_give_a_nonnegative_right_hand_side(self, monkeypatch, kind, build):
-        real_two_phase = lp._two_phase
-        right_hand_sides = []
+    def test_crash_takes_the_slot_that_raises_the_max_load_least(self):
+        a = np.array([[1.0, 0.5, 0.0, 0.0, 0.3],
+                      [0.0, 0.0, 1.0, 0.6, 0.3]])
+        instance = MipInstance.create(a, [2, 2, 1])
+        slots, loads = lp._crash_slots(instance, instance.a_matrix)
+        # group 0 takes slot 1 (max load 0.5, not 1); group 1 then takes
+        # slot 3 (max 0.6, not 1); group 2 has one slot
+        assert slots == [1, 3, 4]
+        np.testing.assert_allclose(loads, [0.8, 0.9])
 
-        def two_phase(costs, lhs, rhs, limit):
-            right_hand_sides.append(np.array(rhs))
-            return real_two_phase(costs, lhs, rhs, limit)
-
-        monkeypatch.setattr(lp, "_two_phase", two_phase)
-        (solve_cip_lp if kind == "cip" else solve_mip_lp)(build())
-        [rhs] = right_hand_sides
-        assert np.all(rhs >= 0.0)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crash_pivots_are_not_iterations(self, monkeypatch, seed):
+        instance = random_mip(seed + 500, max_groups=8, max_slots=4, m_max=10)
+        real_pivot = lp._pivot
+        pivots = []
+        monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
+        report = solve_mip_lp(instance)
+        assert len(pivots) == report.iterations + instance.n_groups + 1
 
 
 class TestAgainstHighs:
@@ -361,30 +317,56 @@ class TestAgainstHighs:
         lambda: gen_set_cover(100, 100, 5, 2, 2),
         lambda: gen_set_cover(60, 90, 5, 3, 3),
         lambda: random_cip(77, n_max=30, m_max=20),
+        # the benchmark's fixed cover, 939 pivots from its dual's slack basis
+        lambda: gen_set_cover(200, 128, 5, 2, 0),
     ])
     def test_cover_optimum_and_feasibility(self, build):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         instance = build()
         report = solve_cip_lp(instance)
-        highs = linprog(instance.costs[0], A_ub=-instance.a_matrix, b_ub=-instance.demands,
-                        bounds=(0, None), method="highs")
-        assert report.status == "optimal" and highs.status == 0
-        assert report.objective == pytest.approx(highs.fun, rel=1e-6)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(_highs_optimum(instance), rel=1e-6)
         assert report.solution.feasibility_slack <= lp.FEASIBILITY_TOL
 
-    @pytest.mark.parametrize("edges, seed", [(15, 4), (20, 5), (30, 6)])
-    def test_partition_optimum(self, edges, seed):
-        linprog = pytest.importorskip("scipy.optimize").linprog
-        instance = gen_hypergraph_partition(edges, edges, 4, 2, seed)
-        m, n = instance.m, instance.n_cols
-        assert m <= 60
+    @pytest.mark.parametrize("args", [
+        (15, 15, 4, 2, 4), (20, 20, 4, 2, 5), (30, 30, 4, 2, 6),
+        # 120 and 140 rows at W = 2, 71 and 141 pivots from the crash basis
+        (60, 60, 4, 2, 5287266), (70, 70, 4, 2, 9),
+    ])
+    def test_partition_optimum(self, args):
+        instance = gen_hypergraph_partition(*args)
         report = solve_mip_lp(instance)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(_highs_optimum(instance), rel=1e-6)
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["cip", "mip"]))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_random_instances_reach_the_highs_optimum_at_a_vertex(self, seed, kind):
+        if kind == "cip":
+            instance = random_cip(seed, n_max=30, m_max=20)
+            report, basis_size = solve_cip_lp(instance), instance.m
+        else:
+            instance = random_mip(seed, max_groups=8, max_slots=4, m_max=10)
+            report, basis_size = solve_mip_lp(instance), instance.n_groups + instance.m
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(_highs_optimum(instance), rel=1e-9)
+        assert report.solution.feasibility_slack <= lp.FEASIBILITY_TOL
+        assert np.count_nonzero(report.solution.x > 0.0) <= basis_size
+
+
+def _highs_optimum(instance) -> float:
+    """The relaxation's optimum from scipy's HiGHS, a test-only dependency."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    if isinstance(instance, CipInstance):
+        highs = linprog(instance.costs[0], A_ub=-instance.a_matrix, b_ub=-instance.demands,
+                        bounds=(0, None), method="highs")
+    else:
         # variables: the assignment x, then W; rows A x - W <= 0, group sums = 1
+        m, n = instance.m, instance.n_cols
         a_ub = np.hstack([instance.a_matrix, -np.ones((m, 1))])
         a_eq = np.zeros((instance.n_groups, n + 1))
         for g in range(instance.n_groups):
             a_eq[g, instance.group_slice(g)] = 1.0
         highs = linprog(np.eye(n + 1)[n], A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
                         b_eq=np.ones(instance.n_groups), bounds=(0, None), method="highs")
-        assert report.status == "optimal" and highs.status == 0
-        assert report.objective == pytest.approx(highs.fun, rel=1e-6)
+    assert highs.status == 0
+    return highs.fun

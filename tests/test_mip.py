@@ -52,9 +52,15 @@ class TestMipTarget:
         assert out.met_by(math.ceil(out.target))
         assert not out.met_by(math.ceil(out.target) + 0.5)
 
+    def test_zero_value_gets_slack_one(self):
+        # a support that loads no row rounds to max load 0
+        out = mip_target(0.0, 4, 2)
+        assert (out.k, out.target) == (1, 1.0)
+        assert out.met_by(0.0)
+
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            mip_target(0.0, 4, 2)
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            mip_target(-0.5, 4, 2)
         with pytest.raises(ValueError, match="at least one row"):
             mip_target(1.0, 0, 2)
         with pytest.raises(ValueError, match="at least one row"):

@@ -218,9 +218,13 @@ class TestElementarySymmetric:
         # frozen subset-enumeration oracle: C(10,3) * 0.5^3 = 15
         assert elementary_symmetric([0.5] * 10, 3) == pytest.approx(15.0, abs=1e-12)
 
-    def test_rejects_order_above_length(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric([1.0, 2.0], 3)
+    def test_order_above_length_is_zero(self):
+        assert elementary_symmetric([1.0, 2.0], 3) == 0.0
+        assert elementary_symmetric([], 1) == 0.0
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            elementary_symmetric([1.0, 2.0], -1)
 
     @given(
         values=st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=8),
