@@ -71,8 +71,16 @@ def _load_instance(path: str):
         raise _CliFailure(EXIT_USAGE, f"malformed instance {path}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one line, as every other error does, instead of
+    argparse's usage block (its subparsers are made with this class too)."""
+
+    def error(self, message):
+        raise _CliFailure(EXIT_USAGE, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lllround",
         description="Rounding covering and minimax integer programs with certified bounds.",
     )
@@ -465,7 +473,7 @@ def main(argv=None) -> int:
 def _main(argv: list[str]) -> int:
     try:
         return _dispatch(argv)
-    except SystemExit as exc:  # argparse errors (code 2) and --help (code 0)
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else EXIT_OK
     except _CliFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -263,6 +263,28 @@ def sparsity_stats(instance) -> SparsityStats:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_triplets(rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated (row, col) pairs of distinct nonzeros, sorted by
+    (row, col)."""
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
+
+
+def _least_loaded(loads, candidates, jitter, count) -> np.ndarray:
+    """The first `count` candidates by (load, jitter); a stable sort, so
+    ties break by position as `sorted` would."""
+    keys = loads[candidates]
+    # load + jitter, rounded, never decreases along the (load, jitter) order
+    # (jitter < 1), so the candidates whose sum is at most the count-th
+    # smallest sum include the first `count`; only those are sorted exactly
+    merged = keys + jitter
+    if count < len(merged):
+        near = np.flatnonzero(merged <= np.partition(merged, count - 1)[count - 1])
+        candidates, keys, jitter = candidates[near], keys[near], jitter[near]
+    return candidates[np.lexsort((jitter, keys))[:count]]
+
+
 def gen_set_cover(n_elems: int, n_sets: int, max_set_size: int, demand: int, seed: int) -> CipInstance:
     """Unit-cost covering instance over random sets.
 
@@ -278,28 +300,33 @@ def gen_set_cover(n_elems: int, n_sets: int, max_set_size: int, demand: int, see
             "capacity n_sets*max_set_size cannot cover every element demand+1 times"
         )
     rng = np.random.default_rng(seed)
-    members: list[set[int]] = [set() for _ in range(n_sets)]
     loads = np.zeros(n_sets, dtype=int)
+    spread = np.empty((n_elems, demand + 1), dtype=np.int64)  # each element's sets
     for elem in range(n_elems):
-        open_sets = [s for s in range(n_sets) if loads[s] < max_set_size]
+        open_sets = np.flatnonzero(loads < max_set_size)
         jitter = rng.random(len(open_sets))
-        ranked = sorted(range(len(open_sets)), key=lambda i: (loads[open_sets[i]], jitter[i]))
-        if len(ranked) < demand + 1:
+        if len(open_sets) < demand + 1:
             raise GenerationError("ran out of set capacity while spreading coverage")
-        for i in ranked[: demand + 1]:
-            members[open_sets[i]].add(elem)
-            loads[open_sets[i]] += 1
+        spread[elem] = _least_loaded(loads, open_sets, jitter, demand + 1)
+        loads[spread[elem]] += 1
+    rows = [np.repeat(np.arange(n_elems), demand + 1)]
+    cols = [spread.ravel()]
+    # each set's members, ascending: a stable sort by set keeps element order
+    members = np.split(rows[0][np.argsort(cols[0], kind="stable")], np.cumsum(loads)[:-1])
     # Sprinkle extra memberships into the remaining capacity for texture.
     for s in range(n_sets):
         spare = max_set_size - loads[s]
         if spare <= 0:
             continue
         extras = rng.integers(0, spare + 1)
-        pool = [e for e in range(n_elems) if e not in members[s]]
-        if extras and pool:
-            chosen = rng.choice(len(pool), size=min(extras, len(pool)), replace=False)
-            members[s].update(pool[i] for i in chosen)
-    rows, cols = zip(*sorted((e, s) for s, elems in enumerate(members) for e in elems))
+        pool_len = n_elems - len(members[s])  # the pool is the ascending complement
+        if extras and pool_len:
+            chosen = rng.choice(pool_len, size=min(extras, pool_len), replace=False)
+            # pool entry i is element i plus the members at or below it
+            below = members[s] - np.arange(len(members[s]))
+            rows.append(chosen + np.searchsorted(below, chosen, side="right"))
+            cols.append(np.full(len(chosen), s))
+    rows, cols = _sorted_triplets(rows, cols)
     return CipInstance.from_triplets((n_elems, n_sets), rows, cols, np.ones(len(rows)),
                                      np.full(n_elems, float(demand)), [np.ones(n_sets)])
 
@@ -319,21 +346,22 @@ def gen_facility_location(n_nodes: int, max_in_degree: int, demand: int, seed: i
         raise GenerationError("need more nodes than the demand")
     rng = np.random.default_rng(seed)
     in_deg = np.zeros(n_nodes, dtype=int)
-    out: list[set[int]] = [set() for _ in range(n_nodes)]
+    rows, cols = [], []
     for v in rng.permutation(n_nodes):
-        v = int(v)
         want = int(rng.integers(demand, max_in_degree + 1))
-        candidates = [u for u in range(n_nodes) if u != v and in_deg[u] < max_in_degree]
+        open_heads = in_deg < max_in_degree
+        open_heads[v] = False
+        candidates = np.flatnonzero(open_heads)
         jitter = rng.random(len(candidates))
-        ranked = sorted(range(len(candidates)), key=lambda i: (in_deg[candidates[i]], jitter[i]))
-        for i in ranked[:want]:
-            out[v].add(candidates[i])
-            in_deg[candidates[i]] += 1
-        if len(out[v]) < demand:
-            out[v].add(v)  # self-loop tops up the row without charging in-degree
-        if len(out[v]) < demand:
+        heads = _least_loaded(in_deg, candidates, jitter, want)
+        in_deg[heads] += 1
+        if len(heads) < demand:
+            heads = np.append(heads, v)  # self-loop tops up the row without charging in-degree
+        if len(heads) < demand:
             raise GenerationError("could not reach the demanded out-degree")
-    rows, cols = zip(*sorted((v, u) for v in range(n_nodes) for u in out[v]))
+        rows.append(np.full(len(heads), v))
+        cols.append(heads)
+    rows, cols = _sorted_triplets(rows, cols)
     costs = rng.uniform(0.3, 1.0, n_nodes)
     return CipInstance.from_triplets((n_nodes, n_nodes), rows, cols, np.ones(len(rows)),
                                      np.full(n_nodes, float(demand)), [costs])
@@ -351,10 +379,10 @@ def gen_hypergraph_partition(
     rng = np.random.default_rng(seed)
     capacity = n_verts * degree_cap
     sizes = rng.integers(2, min(4, n_verts) + 1, size=n_edges)
-    for e in range(n_edges):  # shrink until the capacity precheck is honoured
-        if sizes.sum() <= capacity:
-            break
-        sizes[e] = 2
+    # shrink the fewest leading edges to size 2 that honours the capacity
+    # precheck; shrinking all of them always does
+    totals = sizes.sum() - np.concatenate(([0], np.cumsum(sizes - 2)))
+    sizes[: np.argmax(totals <= capacity)] = 2
     deg = np.zeros(n_verts, dtype=int)
     edges: list[np.ndarray] = []
     for size in sizes:
@@ -362,15 +390,15 @@ def gen_hypergraph_partition(
         # which makes running out of capacity impossible while sum(sizes) fits
         order = rng.permutation(n_verts)
         order = order[np.argsort(deg[order], kind="stable")]
-        chosen = np.array([v for v in order if deg[v] < degree_cap][: int(size)])
+        chosen = order[deg[order] < degree_cap][:size]
         if len(chosen) < size:
             raise GenerationError("ran out of degree capacity while placing edges")
         deg[chosen] += 1
         edges.append(np.sort(chosen))
-    # row (edge j, part) holds slot `part` of each of edge j's vertices, so
-    # this order is already sorted by (row, col)
-    rows, cols = zip(*((j * n_parts + part, v * n_parts + part)
-                       for j, edge in enumerate(edges) for part in range(n_parts) for v in edge))
+    # row (edge j, part) holds slot `part` of each of edge j's vertices
+    parts = np.arange(n_parts)[:, None]
+    rows, cols = _sorted_triplets([(np.repeat(np.arange(n_edges), sizes) * n_parts + parts).ravel()],
+                                  [(np.concatenate(edges) * n_parts + parts).ravel()])
     return MipInstance.from_triplets((n_edges * n_parts, n_verts * n_parts), rows, cols,
                                      np.ones(len(rows)), [n_parts] * n_verts)
 

@@ -1,9 +1,15 @@
 """Command-line behaviour: exit codes, file outputs, manifests, and replay."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllround import (
     CipInstance,
@@ -12,6 +18,7 @@ from lllround import (
     las_vegas_mip,
     parse_instance,
     serialize_instance,
+    solve_cip_lp,
     solve_mip_lp,
 )
 from lllround.cli import BENCH_COLUMNS, main
@@ -666,6 +673,17 @@ class TestBenchAndReplay:
         assert capsys.readouterr().err == "error: --lambda needs 1 values, got 2\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_usage_errors_print_one_line(self, tmp_path, capsys):
+        # "-1,0" is not a negative number to argparse, so it reads as an option
+        inst = gen(tmp_path)
+        assert main(["round", str(inst), "--lambda", "-1,0", "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: lllround round: argument --lambda: expected one argument\n"
+        )
+        assert main(["frob"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert main(["gen", "--help"]) == 0
+
     @pytest.mark.parametrize("option", [["--family", "set-cover"], ["--seed", "0"]])
     def test_bench_family_and_seed_options_are_gone(self, tmp_path, option):
         out = tmp_path / "bench.csv"
@@ -683,3 +701,125 @@ class TestBenchAndReplay:
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
         assert set(manifest) == {"command", "outputs", "created_at", "wall_times"}
         assert out.read_text().splitlines()[1].startswith("set-cover,")
+
+
+# Small valid instances with empty columns, zero costs, one-slot groups and
+# zero-load slots.
+ENTRIES = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0)
+COSTS = st.sampled_from([0.0, 0.3, 0.6, 1.0]) | st.floats(0.05, 1.0)
+BAD_VALUES = st.sampled_from([0.5, 0.0, -1.0, float("nan"), float("inf")])
+
+
+def _matrix(draw, m, n) -> np.ndarray:
+    return np.array(draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                                  min_size=m, max_size=m)))
+
+
+@st.composite
+def cover_texts(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    a = _matrix(draw, m, n)
+    for i in np.flatnonzero(~a.any(axis=1)):  # every row needs a positive entry
+        a[i, draw(st.integers(0, n - 1))] = draw(ENTRIES.filter(bool))
+    demands = np.array(draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+                                     min_size=m, max_size=m)))
+    if np.all((a == 0.0) | (a == 1.0)):
+        demands = np.ceil(demands)  # a 0/1 matrix needs integral demands
+    costs = []
+    for _ in range(draw(st.integers(1, 3))):
+        cost = np.array(draw(st.lists(COSTS, min_size=n, max_size=n)))
+        if not cost.any():
+            cost[draw(st.integers(0, n - 1))] = 1.0
+        costs.append(cost)
+    return serialize_instance(CipInstance.create(a, demands, costs))
+
+
+@st.composite
+def partition_texts(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    return serialize_instance(MipInstance.create(_matrix(draw, draw(st.integers(1, 4)), sum(sizes)),
+                                                 sizes))
+
+
+def _option_value(draw, valid):
+    """Mostly no value, else a valid one or an out-of-range one."""
+    pick = draw(st.sampled_from(["none", "none", "none", "valid", "valid", "bad"]))
+    return None if pick == "none" else draw(valid if pick == "valid" else BAD_VALUES)
+
+
+@st.composite
+def cli_cases(draw):
+    """(instance text, [command, options that follow the instance path],
+    --solution kind)."""
+    covering = draw(st.sampled_from(["cover", "partition"])) == "cover"
+    text = draw(cover_texts() if covering else partition_texts())
+    if draw(st.sampled_from(["round", "round", "round", "verify"])) == "verify":
+        which = draw(st.sampled_from(["all", "phi", "fkg", "lll", "tail"]))
+        return text, ["verify", "--which", which, "--seed", str(draw(st.integers(0, 3)))], None
+    # every mode, the ones the instance's kind takes most often
+    modes = ["standard", "derandomize"] * 3 if covering else ["mip"] * 3
+    argv = ["round", "--mode", draw(st.sampled_from(modes + ["standard", "derandomize", "mip"])),
+            "--seed", str(draw(st.integers(0, 3)))]
+    for flag in ("--alpha", "--beta"):
+        value = _option_value(draw, st.floats(1.0, 8.0))
+        if value is not None:
+            argv += [flag, repr(value)]
+    ell = len(json.loads(text).get("costs", [()]))
+    budget = _option_value(draw, st.floats(10.0, 60.0))
+    if budget is not None:
+        count = ell + draw(st.sampled_from([0, 0, 0, 0, 0, 1]))  # sometimes one too many
+        budgets = [budget] + draw(st.lists(st.floats(10.0, 60.0) | BAD_VALUES,
+                                           min_size=count - 1, max_size=count - 1))
+        argv += ["--lambda", ",".join(map(repr, budgets))]
+    solution = draw(st.sampled_from([None, None, "vertex", "double", "half", "short"]))
+    return text, argv, solution
+
+
+def _solution_file(text, how, path) -> list[str]:
+    """`--solution` with the relaxation's vertex, a multiple of it, or one
+    entry short; no option for `how` None."""
+    if how is None:
+        return []
+    instance = parse_instance(text)
+    solve = solve_cip_lp if isinstance(instance, CipInstance) else solve_mip_lp
+    x = solve(instance).solution.x
+    x = {"vertex": x, "double": 2.0 * x, "half": 0.5 * x, "short": x[:-1]}[how]
+    path.write_text(json.dumps({"x": x.tolist()}))
+    return ["--solution", str(path)]
+
+
+def _run(argv) -> tuple[int, str]:
+    """main's exit code and standard error; any exception escapes."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestContractFuzzer:
+    """Every valid input ends in a documented exit code with at most one
+    line of error, never a traceback, and a successful `round` replays."""
+
+    @given(case=cli_cases())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("always")  # as the interpreter shows them to a user
+    def test_exit_codes_messages_and_replay(self, case):
+        text, (command, *options), solution = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            inst = tmp / "inst.json"
+            inst.write_text(text)
+            out = tmp / "out.json"
+            extra = _solution_file(text, solution, tmp / "x.json")
+            argv = [command, str(inst), *options, *extra, "--out", str(out)]
+            code, err = _run(argv)
+            assert code in (0, 1, 2, 3, 4), (argv, err)
+            errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            assert len(errors) <= 1, (argv, err)
+            if code == 3:
+                assert extra, (argv, err)  # every relaxation here is feasible and small
+            if command == "round" and code == 0:
+                first = out.read_bytes()
+                out.unlink()
+                assert _run(["replay", str(tmp / "out.json.manifest.json")])[0] == 0
+                assert out.read_bytes() == first

@@ -3,9 +3,11 @@ generated instances, pinned so that a change to how instances are stored,
 generated or written cannot silently alter the wire format or the
 instances themselves.
 
-Covers the three generators at the CLI defaults, the randomized test
-builders, and the benchmark's 4-cost covers, which rebuild a generated cover
-through `CipInstance.create(base.a_matrix, ...)`.
+Covers the three generators at the CLI defaults and at the benchmark's
+sizes, the randomized test builders, and the benchmark's workloads at seed 0:
+each 4-cost cover (rebuilt from a generated cover through
+`CipInstance.create(base.a_matrix, ...)`) on its own, and one digest over the
+concatenated serializations of each other workload.
 """
 
 import hashlib
@@ -49,29 +51,50 @@ GOLDEN = {
     "multicost-12x45-s7": "bc3dea46155bd5da56c674b973533bb17584b477ce5d88823dfc854b23c4b61b",
     "multicost-12x60-s8": "18f0ea5216d5330bc357c39cf55b0c6aa2c438cdba0dc83ed659b56b6d53f474",
     "multicost-12x75-s9": "ba50f5c42c51a9bd76e7dc5cef1af0a9bb908faf903f65bf92373e8bfd1731ba",
+    "set-cover-200x128-s0": "988bdab6863ff8ecb173bd42e744d63a077896cf654ea5ec03d7dcd3b2bc5a1b",
+    "set-cover-1000x1800-s0": "667858696d5499ad41152242a4b1c61712f298d6e6b9c6849908cef817608f20",
+    "facility-300-s0": "2a36d34f7d428befe61293cfd9ed3c8c53842560abbedf54d6ae666f030c3846",
+    "hypergraph-50x50-s0": "68bd8fdd69c56284029936000afe97867db9793d3b1eebb5a40bd8993955f6b9",
+    "workload-cover-lp-s0": "57e9df9861a54ecc4ff278cb2759986f0634f9b2d1e48a69dba414c81e115b56",
+    "workload-cover-large-s0": "667858696d5499ad41152242a4b1c61712f298d6e6b9c6849908cef817608f20",
+    "workload-minimax-s0": "ac3f2e7c52299bd4e315d3d7b5bb6fc8e18019ddaf1949820149a5e7cdd766f0",
 }
 
 
-def _instances():
-    for s in range(3):
-        yield f"set-cover-s{s}", gen_set_cover(12, 20, 5, 2, s)
-        yield f"facility-s{s}", gen_facility_location(15, 4, 2, s)
-        yield f"hypergraph-s{s}", gen_hypergraph_partition(10, 8, 4, 2, s)
-    for s in range(5):
-        yield f"random-cip-s{s}", random_cip(s)
-        yield f"random-mip-s{s}", random_mip(s)
+def _workloads():
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    yield from workloads.cover_multicost(lllround, 0)
+    return workloads
+
+
+def _instances():
+    """(label, instances) pairs; each label's digest is over the
+    concatenated serializations of its instances."""
+    for s in range(3):
+        yield f"set-cover-s{s}", [gen_set_cover(12, 20, 5, 2, s)]
+        yield f"facility-s{s}", [gen_facility_location(15, 4, 2, s)]
+        yield f"hypergraph-s{s}", [gen_hypergraph_partition(10, 8, 4, 2, s)]
+    for s in range(5):
+        yield f"random-cip-s{s}", [random_cip(s)]
+        yield f"random-mip-s{s}", [random_mip(s)]
+    yield "set-cover-200x128-s0", [gen_set_cover(200, 128, 5, 2, 0)]
+    yield "set-cover-1000x1800-s0", [gen_set_cover(1000, 1800, 5, 2, 0)]
+    yield "facility-300-s0", [gen_facility_location(300, 4, 2, 0)]
+    yield "hypergraph-50x50-s0", [gen_hypergraph_partition(50, 50, 4, 2, 0)]
+    workloads = _workloads()
+    for label, inst in workloads.cover_multicost(lllround, 0):
+        yield label, [inst]
+    for name in ("cover-lp", "cover-large", "minimax"):
+        yield f"workload-{name}-s0", [inst for _, inst in workloads.WORKLOADS[name](lllround, 0)]
 
 
 @pytest.fixture(scope="module")
 def digests():
-    return {label: hashlib.sha256(serialize_instance(inst).encode()).hexdigest()
-            for label, inst in _instances()}
+    return {label: hashlib.sha256("".join(map(serialize_instance, insts)).encode()).hexdigest()
+            for label, insts in _instances()}
 
 
 def test_the_golden_set_is_complete(digests):

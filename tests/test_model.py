@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lllround import (
     CipInstance,
@@ -23,6 +25,7 @@ from lllround import (
     sparsity_stats,
 )
 
+import _reference_generators
 from _builders import lp_point, random_cip, random_mip, two_cost_cover, uniform_group_weights
 
 
@@ -271,6 +274,66 @@ class TestHypergraphGenerator:
         inst = gen_hypergraph_partition(9, 7, 4, 3, seed=2)
         assert inst.m == 7 * 3
         assert inst.n_groups == 9
+
+
+def _triplets_are_sorted_and_distinct(inst) -> bool:
+    keys = inst.rows * inst.shape[1] + inst.cols
+    return bool(np.all(np.diff(keys) > 0))
+
+
+class TestGeneratorsAtScale:
+    """Structural invariants at sizes the loop-by-loop reference generators
+    take 1 to 12 s to build."""
+
+    def test_set_cover_2000_by_3600(self):
+        inst = gen_set_cover(2000, 3600, 5, 2, 0)
+        assert np.diff(inst.row_ptr).min() >= 3  # demand + 1 sets per element
+        assert np.bincount(inst.cols, minlength=3600).max() <= 5
+        assert _triplets_are_sorted_and_distinct(inst)
+
+    def test_facility_location_3000_nodes(self):
+        inst = gen_facility_location(3000, 4, 2, 0)
+        assert np.diff(inst.row_ptr).min() >= 2
+        # in-degree at most 4, plus a self-loop
+        assert np.bincount(inst.cols, minlength=3000).max() <= 5
+        assert _triplets_are_sorted_and_distinct(inst)
+
+    def test_hypergraph_partition_2000_edges(self):
+        inst = gen_hypergraph_partition(2000, 2000, 4, 2, 0)
+        assert np.bincount(inst.cols, minlength=4000).max() <= 4  # vertex degree
+        assert np.all(np.diff(inst.row_ptr) >= 2)  # every edge has 2 to 4 vertices
+        assert np.all(np.diff(inst.row_ptr) <= 4)
+        assert _triplets_are_sorted_and_distinct(inst)
+
+
+REFERENCE_PAIRS = {
+    "set_cover": (gen_set_cover, _reference_generators.reference_set_cover),
+    "facility_location": (gen_facility_location, _reference_generators.reference_facility_location),
+    "hypergraph_partition": (gen_hypergraph_partition,
+                             _reference_generators.reference_hypergraph_partition),
+}
+GENERATOR_CALLS = st.one_of(
+    st.tuples(st.just("set_cover"), st.integers(1, 30), st.integers(1, 40),
+              st.integers(1, 8), st.integers(1, 4)),
+    st.tuples(st.just("facility_location"), st.integers(1, 30), st.integers(1, 6),
+              st.integers(1, 4)),
+    st.tuples(st.just("hypergraph_partition"), st.integers(1, 20), st.integers(1, 30),
+              st.integers(1, 5), st.integers(1, 4)),
+)
+
+
+class TestSameAsTheReferenceGenerators:
+    @given(call=GENERATOR_CALLS, seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=700, deadline=None)
+    def test_same_bytes_or_same_error(self, call, seed):
+        name, *args = call
+        outcomes = []
+        for generate in REFERENCE_PAIRS[name]:
+            try:
+                outcomes.append(serialize_instance(generate(*args, seed)))
+            except GenerationError as exc:
+                outcomes.append(f"GenerationError: {exc}")
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSerialization:
