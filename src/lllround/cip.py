@@ -238,22 +238,25 @@ def _padded_col_rows(instance: CipInstance) -> np.ndarray:
 class _SubsetTables:
     """Precomputed subset enumeration for the estimator's budget terms.
 
-    For each criterion, all order-k column subsets with positive costs are
-    enumerated once into arrays; evaluation is then a gather and one
-    segmented sum per term.
+    For each criterion, the order-k subsets of the columns with a positive
+    cost and p > 0 at the build point are enumerated once into arrays;
+    evaluation is then a gather and one segmented sum per term.  Any other
+    subset holds a bit at p = 0 and weighs exactly 0; a point positive on
+    another column needs new tables (see `EstimatorState.at`).
     """
 
-    def __init__(self, scheme: RoundingScheme, lambdas, ks):
+    def __init__(self, scheme: RoundingScheme, lambdas, ks, p: np.ndarray):
         instance = scheme.instance
         padded = _padded_col_rows(instance)
         self.calls = 0
+        self.random = p > 0.0  # the columns the tables enumerate over
         self.terms: list[_BudgetTerm] = []
         for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
             if k > SUBSET_ORDER_CAP:
                 raise ParameterError(f"subset order {k} exceeds the cap {SUBSET_ORDER_CAP}")
             k = int(k)
-            support = np.flatnonzero(cost > 0.0).tolist()
-            # with fewer positive-cost bits than k the table is empty and
+            support = np.flatnonzero((cost > 0.0) & self.random).tolist()
+            # with fewer positive-cost random bits than k the table is empty and
             # the term subtracts nothing
             cols = np.fromiter(
                 itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
@@ -321,22 +324,39 @@ class EstimatorState:
         return self.tables.calls
 
     def at(self, p) -> "EstimatorState":
-        """The state at bit probabilities p.  Only the rows and the subsets
-        of the columns where p differs from self.p are recomputed; the rest
-        keep their cached values, which depend on no other column."""
+        """The state at bit probabilities p.  While p is positive only on
+        the tables' random bits, only the rows and the subsets of the columns
+        where p differs from self.p are recomputed; the rest keep their
+        cached values, which depend on no other column.  Otherwise the
+        state is built afresh at p."""
         p = np.array(p, dtype=float)
         if p.shape != self.p.shape:
             raise ValueError(f"expected {self.p.size} probabilities, got shape {p.shape}")
         changed = np.flatnonzero(p != self.p)
         if changed.size == 0:
             return self
+        p.setflags(write=False)
+        if np.any(p[~self.tables.random] > 0.0):
+            return _state_at(self.scheme, self.lambdas, self.ks, p)
         rows = np.unique(np.concatenate([self.scheme.instance.col_rows[j] for j in changed]))
         chp = self.chp.copy()
         chp[rows] = _row_bounds(self.scheme, p, rows)
         log_w = tuple(term.moved(w, p, changed) for term, w in zip(self.tables.terms, self.log_w))
-        p.setflags(write=False)
         chp.setflags(write=False)
         return replace(self, p=p, chp=chp, log_w=log_w)
+
+
+def _state_at(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
+              p: np.ndarray) -> EstimatorState:
+    """A fresh state, tables included, at read-only bit probabilities p."""
+    tables = _SubsetTables(scheme, lambdas, ks, p)
+    chp = _row_bounds(scheme, p)
+    chp.setflags(write=False)
+    log_w = tuple(term.log_weights(p) for term in tables.terms)
+    for w in log_w:
+        w.setflags(write=False)
+    return EstimatorState(scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=chp, log_w=log_w,
+                          tables=tables)
 
 
 def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
@@ -357,15 +377,7 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
                 raise ParameterError(f"budget must be positive, got {lam}")
         elif lam < k:
             raise ParameterError(f"budget {lam} below subset order {k}")
-    tables = _SubsetTables(scheme, lambdas, ks)
-    chp = _row_bounds(scheme, scheme.frac)
-    chp.setflags(write=False)
-    log_w = tuple(term.log_weights(scheme.frac) for term in tables.terms)
-    for w in log_w:
-        w.setflags(write=False)
-    return EstimatorState(
-        scheme=scheme, p=scheme.frac, lambdas=lambdas, ks=ks, chp=chp, log_w=log_w, tables=tables
-    )
+    return _state_at(scheme, lambdas, ks, scheme.frac)
 
 
 def success_lower_bound(state: EstimatorState) -> float:
@@ -487,8 +499,7 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
         if state.p[j] == 0.0 or state.p[j] == 1.0:
             continue
         zero, one = (state.at(_with_bit(state.p, j, bit)) for bit in (0.0, 1.0))
-        phi_zero = state.tables.value(zero.log_w, zero.chp)
-        phi_one = state.tables.value(one.log_w, one.chp)
+        phi_zero, phi_one = success_lower_bound(zero), success_lower_bound(one)
         if max(phi_zero, phi_one) < current - BRANCH_TOL:
             raise EstimatorError(
                 f"both branches dropped below the current bound at bit {j}: "

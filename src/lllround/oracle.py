@@ -261,14 +261,15 @@ def verify_branch_inequality(
             claim="branch mixture dominates the estimator", passed=True, lhs=0.0, rhs=0.0,
             status="bit already integral",
         )
+    from .cip import success_lower_bound
+
     values = {}
     for setting in (0.0, 1.0):
         q = state.p.copy()
         q[j] = setting
-        branch = state.at(q)
-        values[setting] = state.tables.value(branch.log_w, branch.chp)
+        values[setting] = success_lower_bound(state.at(q))
     mixture = pj * values[1.0] + (1.0 - pj) * values[0.0]
-    phi = state.tables.value(state.log_w, state.chp)
+    phi = success_lower_bound(state)
     report = VerifyReport(
         claim="branch mixture dominates the estimator", passed=phi <= mixture + tol,
         lhs=phi, rhs=mixture,

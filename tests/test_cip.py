@@ -29,7 +29,7 @@ from lllround import (
 from lllround import cip
 from lllround.cip import _row_bounds
 from _builders import four_cost_cover, lp_point, random_cip, two_cost_cover
-from _reference_estimator import reference_derandomize, reference_terms
+from _reference_estimator import reference_derandomize, reference_terms, reference_value
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure
@@ -68,6 +68,19 @@ def estimate_by_enumeration(scheme, p, lambdas, ks):
             rest = math.prod(1.0 - ch[r] for r in unsat if r not in touched)
             total += weight * rest / denom
     return lead - total
+
+
+def random_subsets(terms, p):
+    """Reference terms cut to the subsets whose columns all have p > 0, row
+    segments included."""
+    out = []
+    for denom, cost, cols, flat_rows, starts, ends in terms:
+        keep = np.all(p[cols] > 0.0, axis=1)
+        lengths = ends - starts
+        kept_ends = np.cumsum(lengths[keep])
+        out.append((denom, cost, cols[keep], flat_rows[np.repeat(keep, lengths)],
+                    kept_ends - lengths[keep], kept_ends))
+    return out
 
 
 def evaluate_at(state, p):
@@ -646,7 +659,7 @@ class TestAgainstReference:
         inst = REFERENCE_CASES[name]()
         scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
         state = make_estimator(scheme, lambdas, ks)
-        reference = reference_terms(scheme, lambdas, ks)
+        reference = random_subsets(reference_terms(scheme, lambdas, ks), scheme.frac)
         for term, (_, _, cols, flat_rows, starts, ends) in zip(state.tables.terms, reference,
                                                                 strict=True):
             assert np.array_equal(term.cols, cols)
@@ -657,3 +670,30 @@ class TestAgainstReference:
         z, trace = reference_derandomize(state)
         assert np.array_equal(out.z, z)
         assert out.trace == pytest.approx(trace, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tables_enumerate_the_random_bits_only(self, seed):
+        inst = four_cost_cover(75, seed)
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
+        state = make_estimator(scheme, lambdas, ks)
+        for cost, k, term in zip(inst.costs, ks, state.tables.terms, strict=True):
+            random = int(np.count_nonzero((cost > 0.0) & (scheme.frac > 0.0)))
+            assert random < np.count_nonzero(cost > 0.0)
+            assert term.cols.shape == (math.comb(random, k), k)
+
+    @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
+    @pytest.mark.parametrize("name", ["random-34-ell2", "random-42-ell3", "two-cost",
+                                      "four-cost-12x24-s0"])
+    def test_a_point_outside_the_random_bits_matches_the_full_reference(self, name):
+        inst = REFERENCE_CASES[name]()
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
+        state = make_estimator(scheme, lambdas, ks)
+        rng = np.random.default_rng(len(name))
+        p = rng.uniform(0.0, 1.0, inst.n)
+        p[rng.random(inst.n) < 0.2] = 0.0
+        assert np.any((p > 0.0) & (scheme.frac == 0.0))
+        there = state.at(p)
+        assert there.tables is not state.tables
+        want = reference_value(reference_terms(scheme, lambdas, ks), there.p, there.chp)
+        assert success_lower_bound(there) == pytest.approx(want, rel=1e-12, abs=1e-12)
