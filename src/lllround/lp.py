@@ -1,17 +1,21 @@
 """Desk-scale linear relaxations.
 
-A dense primal simplex with Bland's rule, so it cannot cycle.  Each pivot is
-one rank-1 update of the whole tableau.  Every valid instance has a feasible
-relaxation, so each relaxation starts from a basis that is feasible by
-construction, and there is no phase 1:
+A dense primal simplex; each pivot is one rank-1 update of the whole
+tableau.  Every valid instance has a feasible relaxation, so each relaxation
+starts from a basis that is feasible by construction, and there is no
+phase 1:
 
 - A cover, min c.x s.t. A x >= b, x >= 0, is solved through its dual,
   max b.y s.t. A^T y <= c, y >= 0, from the slack basis: y = 0 is feasible
   because c >= 0.  At the optimum the reduced costs of the slack columns are
   the complementary primal basic solution, so the returned x is a vertex.
+  It is priced by Dantzig's rule (the most negative reduced cost enters),
+  with Bland's rule after 50 degenerate pivots in a row until the next
+  nondegenerate one, so it cannot cycle.
 - The minimax relaxation starts from a greedy crash basis: each group in
   order takes the slot that raises the current max load least, W is basic in
-  the max-load row, and every other load row's slack is basic.
+  the max-load row, and every other load row's slack is basic.  It is priced
+  by Bland's rule throughout, whose vertices round to lower max loads.
 
 Downstream rounding needs basic optimal solutions (vertices), and the test
 oracles re-derive the same optima by brute-force vertex enumeration.
@@ -57,17 +61,22 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(column, tableau[row])
 
 
-def _run_simplex(tableau, basis, budget: int) -> tuple[int, str]:
-    """Bland's rule on a tableau whose last row holds reduced costs.
+def _run_simplex(tableau, basis, budget: int, stall_limit: int) -> tuple[int, str]:
+    """Price a tableau whose last row holds reduced costs.
 
-    Returns (iterations used, status); mutates tableau and basis in place.
+    Dantzig's rule enters the most negative reduced cost; after
+    `stall_limit` degenerate pivots in a row (ratio at most PIVOT_TOL),
+    Bland's rule enters the first negative one until the next nondegenerate
+    pivot, so no basis repeats.  A stall limit of 0 is Bland's rule
+    throughout.  Returns (iterations used, status); mutates tableau and
+    basis in place.
     """
-    iterations = 0
+    iterations = stalled = 0
     while iterations < budget:
-        eligible = np.flatnonzero(tableau[-1, :-1] < -PIVOT_TOL)
-        if eligible.size == 0:
+        costs = tableau[-1, :-1]
+        entering = int(np.argmin(costs) if stalled < stall_limit else np.argmax(costs < -PIVOT_TOL))
+        if costs[entering] >= -PIVOT_TOL:
             return iterations, "optimal"
-        entering = int(eligible[0])
         column = tableau[:-1, entering]
         rows = np.flatnonzero(column > PIVOT_TOL)
         ratios = tableau[rows, -1] / column[rows]
@@ -85,13 +94,14 @@ def _run_simplex(tableau, basis, budget: int) -> tuple[int, str]:
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
         iterations += 1
+        stalled = stalled + 1 if best_ratio <= PIVOT_TOL else 0
     return iterations, "iteration-limit"
 
 
-def _solve(instance, tableau, basis, limit: int, read_x) -> LpReport:
-    """Run Bland's rule from a feasible basis whose cost row is priced, then
+def _solve(instance, tableau, basis, limit: int, stall_limit: int, read_x) -> LpReport:
+    """Run the simplex from a feasible basis whose cost row is priced, then
     read the instance's point from the optimal tableau with `read_x`."""
-    iterations, status = _run_simplex(tableau, basis, limit)
+    iterations, status = _run_simplex(tableau, basis, limit, stall_limit)
     if status != "optimal":
         return LpReport(None, math.nan, iterations, status)
     solution = ingest_solution(instance, read_x(tableau, basis))
@@ -108,7 +118,7 @@ def solve_cip_lp(instance: CipInstance) -> LpReport:
     tableau[:n, m:-1] = np.eye(n)
     tableau[:n, -1] = instance.costs[0]
     tableau[-1, :m] = -instance.demands
-    return _solve(instance, tableau, list(range(m, m + n)), 50 * (m + n),
+    return _solve(instance, tableau, list(range(m, m + n)), 50 * (m + n), 50,
                   lambda t, _: t[-1, m:-1])
 
 
@@ -129,34 +139,38 @@ def solve_mip_lp(instance: MipInstance) -> LpReport:
     """Relaxation: minimize the max row load W over the product of simplices.
 
     Variables are the fractional assignments plus W; the returned point is a
-    vertex, so at most m assignment entries are strictly fractional.
+    vertex, so at most m assignment entries are strictly fractional.  The
+    tableau is written with the crash slots already basic, then W is pivoted
+    in; Bland's rule runs from there.
     """
     m, n = instance.m, instance.n_cols
     n_groups = instance.n_groups
     a = instance.a_matrix
-    # Rows: group sums = 1, then A x - W + slack = 0; the cost row holds W's 1.
+    group_of = np.repeat(np.arange(n_groups), instance.group_sizes)
+    slots, loads = _crash_slots(instance, a)
+    # Rows: group sums = 1, then A x - W + slack = 0 with each group's crash
+    # slot eliminated (the slots are basic); the cost row holds W's 1.
     tableau = np.zeros((n_groups + m + 1, n + 1 + m + 1))
-    tableau[np.repeat(np.arange(n_groups), instance.group_sizes), np.arange(n)] = 1.0
+    tableau[group_of, np.arange(n)] = 1.0
     tableau[:n_groups, -1] = 1.0
-    tableau[n_groups:-1, :n] = a
+    tableau[n_groups:-1, :n] = a - a[:, slots][:, group_of]
     tableau[n_groups:-1, n] = -1.0
     tableau[n_groups:-1, n + 1 : -1] = np.eye(m)
+    tableau[n_groups:-1, -1] = -loads
     tableau[-1, n] = 1.0
-    slots, loads = _crash_slots(instance, a)
     top = n_groups + int(np.argmax(loads))
     basis = slots + list(range(n + 1, n + 1 + m))
     basis[top] = n
-    # Pivot the crash basis in, which also prices the cost row; these pivots
-    # are not simplex iterations.
-    for row in [*range(n_groups), top]:
-        _pivot(tableau, row, basis[row])
+    # W enters at the max-load row, which also prices the cost row; neither
+    # this pivot nor the slot elimination is a simplex iteration.
+    _pivot(tableau, top, n)
 
     def read_x(tableau, basis):
         x = np.zeros(n + 1 + m)
         x[basis] = tableau[:-1, -1]
         return x[:n]
 
-    return _solve(instance, tableau, basis, 50 * (n_groups + m + n + 1), read_x)
+    return _solve(instance, tableau, basis, 50 * (n_groups + m + n + 1), 0, read_x)
 
 
 def ingest_solution(instance, x) -> FractionalSolution:

@@ -1,10 +1,12 @@
-"""Shared randomized-instance builders for the test suite.
+"""Shared randomized-instance builders for the test suite, and the
+relaxation optima of scipy's HiGHS to check the simplex against.
 
 Everything here is seeded and deterministic; tests freeze seeds so failures
 replay exactly.
 """
 
 import numpy as np
+import pytest
 
 from lllround import CipInstance, MipInstance, gen_set_cover, solve_cip_lp
 
@@ -80,3 +82,22 @@ def uniform_group_weights(instance):
         sl = instance.group_slice(g)
         x[sl] = 1.0 / (sl.stop - sl.start)
     return x
+
+
+def highs_optimum(instance) -> float:
+    """The relaxation's optimum from scipy's HiGHS, a test-only dependency."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    if isinstance(instance, CipInstance):
+        highs = linprog(instance.costs[0], A_ub=-instance.a_matrix, b_ub=-instance.demands,
+                        bounds=(0, None), method="highs")
+    else:
+        # variables: the assignment x, then W; rows A x - W <= 0, group sums = 1
+        m, n = instance.m, instance.n_cols
+        a_ub = np.hstack([instance.a_matrix, -np.ones((m, 1))])
+        a_eq = np.zeros((instance.n_groups, n + 1))
+        for g in range(instance.n_groups):
+            a_eq[g, instance.group_slice(g)] = 1.0
+        highs = linprog(np.eye(n + 1)[n], A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
+                        b_eq=np.ones(instance.n_groups), bounds=(0, None), method="highs")
+    assert highs.status == 0
+    return highs.fun

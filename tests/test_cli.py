@@ -22,7 +22,7 @@ from lllround import (
     solve_mip_lp,
 )
 from lllround.cli import BENCH_COLUMNS, main
-from _builders import lp_point, two_cost_cover
+from _builders import highs_optimum, lp_point, two_cost_cover
 
 
 def gen(tmp_path, *extra, kind="set-cover", seed=3, name="inst.json"):
@@ -277,7 +277,7 @@ class TestRound:
 
         real = lp_module._run_simplex
         monkeypatch.setattr(lp_module, "_run_simplex",
-                            lambda tableau, basis, limit: real(tableau, basis, 3))
+                            lambda tableau, basis, limit, stall: real(tableau, basis, 3, stall))
         cover = gen(tmp_path)
         # seed 4: the crash basis is 8 pivots from the optimum
         graph = gen(tmp_path, kind="hypergraph", name="graph.json", seed=4)
@@ -630,7 +630,7 @@ class TestBenchAndReplay:
 
         real = lp_module._run_simplex
         monkeypatch.setattr(lp_module, "_run_simplex",
-                            lambda tableau, basis, limit: real(tableau, basis, 3))
+                            lambda tableau, basis, limit, stall: real(tableau, basis, 3, stall))
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "1", "--seeds", "0", "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
@@ -823,3 +823,11 @@ class TestContractFuzzer:
                 out.unlink()
                 assert _run(["replay", str(tmp / "out.json.manifest.json")])[0] == 0
                 assert out.read_bytes() == first
+
+    @given(text=cover_texts() | partition_texts())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_relaxations_reach_the_highs_optimum(self, text):
+        instance = parse_instance(text)
+        report = (solve_cip_lp if isinstance(instance, CipInstance) else solve_mip_lp)(instance)
+        assert report.status == "optimal"
+        assert report.objective == pytest.approx(highs_optimum(instance), rel=1e-9)

@@ -1,5 +1,5 @@
 """Simplex relaxation solver against closed-form cases, brute-force
-reference optima, HiGHS, and a scalar Bland simplex."""
+reference optima, HiGHS, a scalar simplex, and a cycling LP."""
 
 import math
 
@@ -21,7 +21,7 @@ from lllround import (
     solve_mip_lp,
 )
 
-from _builders import random_cip, random_mip
+from _builders import highs_optimum, random_cip, random_mip
 
 
 class TestCoveringRelaxation:
@@ -183,16 +183,21 @@ def _reference_pivot(tableau, row, col):
             tableau[r] -= tableau[r, col] * tableau[row]
 
 
-def _reference_run_simplex(tableau, basis, budget):
-    """Bland's rule scanning every column and every row one scalar at a time."""
-    iterations = 0
+def _reference_run_simplex(tableau, basis, budget, stall_limit):
+    """Dantzig's rule, and Bland's after `stall_limit` degenerate pivots in a
+    row until a nondegenerate one, scanning every column and every row one
+    scalar at a time."""
+    iterations = stalled = 0
     n_cols = tableau.shape[1] - 1
     while iterations < budget:
         entering = -1
         for j in range(n_cols):
             if tableau[-1, j] < -lp.PIVOT_TOL:
-                entering = j
-                break
+                if stalled >= stall_limit:  # Bland: the first one
+                    entering = j
+                    break
+                if entering < 0 or tableau[-1, j] < tableau[-1, entering]:
+                    entering = j
         if entering < 0:
             return iterations, "optimal"
         best_ratio = math.inf
@@ -212,6 +217,7 @@ def _reference_run_simplex(tableau, basis, budget):
         _reference_pivot(tableau, leaving, entering)
         basis[leaving] = entering
         iterations += 1
+        stalled = stalled + 1 if best_ratio <= lp.PIVOT_TOL else 0
     return iterations, "iteration-limit"
 
 
@@ -248,8 +254,8 @@ class TestSameAsTheScalarSimplex:
         states = []
 
         def recording(run):
-            def run_and_record(tableau, basis, budget):
-                result = run(tableau, basis, 40)
+            def run_and_record(tableau, basis, budget, stall_limit):
+                result = run(tableau, basis, 40, stall_limit)
                 states.append((tableau.copy(), list(basis), result))
                 return result
             return run_and_record
@@ -266,15 +272,46 @@ class TestSameAsTheScalarSimplex:
         assert np.array_equal(tableau, ref_tableau)
 
 
+def _beale():
+    """Beale's (1955) cycling LP as a tableau: min -3/4 x4 + 150 x5 - 1/50 x6
+    + 6 x7 from the degenerate basis {x1, x2, x3}; the optimum is -1/20."""
+    tableau = np.array([
+        [1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0, 0.0],
+        [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, -3 / 4, 150.0, -1 / 50, 6.0, 0.0],
+    ])
+    return tableau, [0, 1, 2]
+
+
+class TestAntiCycling:
+    @pytest.mark.parametrize("run", [lp._run_simplex, _reference_run_simplex])
+    def test_dantzig_alone_cycles_on_beales_lp(self, run):
+        tableau, basis = _beale()
+        assert run(tableau, basis, 1000, 1001) == (1000, "iteration-limit")
+        assert tableau[-1, -1] == 0.0
+
+    @pytest.mark.parametrize("stall_limit, pivots", [(50, 54), (0, 6)])
+    def test_bland_fallback_reaches_the_optimum(self, stall_limit, pivots):
+        # 50 is the covers' stall limit; 0 is Bland's rule throughout
+        tableau, basis = _beale()
+        assert lp._run_simplex(tableau, basis, 1000, stall_limit) == (pivots, "optimal")
+        assert tableau[-1, -1] == pytest.approx(1 / 20, rel=1e-12)
+        ref_tableau, ref_basis = _beale()
+        assert _reference_run_simplex(ref_tableau, ref_basis, 1000, stall_limit) == (
+            pivots, "optimal")
+        assert (basis, tableau.tobytes()) == (ref_basis, ref_tableau.tobytes())
+
+
 class TestStartingBases:
     @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
     def test_simplex_starts_from_a_feasible_priced_basis(self, monkeypatch, kind, build):
         real_run = lp._run_simplex
         starts = []
 
-        def run(tableau, basis, budget):
+        def run(tableau, basis, budget, stall_limit):
             starts.append((tableau.copy(), list(basis)))
-            return real_run(tableau, basis, budget)
+            return real_run(tableau, basis, budget, stall_limit)
 
         monkeypatch.setattr(lp, "_run_simplex", run)
         instance = build()
@@ -306,7 +343,31 @@ class TestStartingBases:
         pivots = []
         monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(1) or real_pivot(*args))
         report = solve_mip_lp(instance)
-        assert len(pivots) == report.iterations + instance.n_groups + 1
+        assert len(pivots) == report.iterations + 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_crash_tableau_is_the_slots_and_w_pivoted_in(self, monkeypatch, seed):
+        # the one-write crash equals pivoting each group's slot, then W, into
+        # the uncrashed tableau with rank-1 pivots, sign bits included
+        instance = random_mip(seed + 500, max_groups=8, max_slots=4, m_max=10)
+        m, n, n_groups = instance.m, instance.n_cols, instance.n_groups
+        starts = []
+        monkeypatch.setattr(lp, "_run_simplex", lambda tableau, basis, *_: (
+            starts.append((tableau.copy(), list(basis))) or (0, "iteration-limit")))
+        solve_mip_lp(instance)
+        [(tableau, basis)] = starts
+        expected = np.zeros_like(tableau)
+        for g in range(n_groups):
+            expected[g, instance.group_slice(g)] = 1.0
+        expected[:n_groups, -1] = 1.0
+        expected[n_groups:-1, :n] = instance.a_matrix
+        expected[n_groups:-1, n] = -1.0
+        expected[n_groups:-1, n + 1 : -1] = np.eye(m)
+        expected[-1, n] = 1.0
+        top = basis.index(n)
+        for row in [*range(n_groups), top]:
+            lp._pivot(expected, row, basis[row])
+        assert tableau.tobytes() == expected.tobytes()
 
 
 class TestAgainstHighs:
@@ -317,14 +378,16 @@ class TestAgainstHighs:
         lambda: gen_set_cover(100, 100, 5, 2, 2),
         lambda: gen_set_cover(60, 90, 5, 3, 3),
         lambda: random_cip(77, n_max=30, m_max=20),
-        # the benchmark's fixed cover, 939 pivots from its dual's slack basis
+        # the benchmark's fixed cover, 426 pivots (939 under Bland's rule alone)
         lambda: gen_set_cover(200, 128, 5, 2, 0),
+        # 4,896 pivots under Bland's rule alone
+        lambda: gen_set_cover(300, 300, 5, 2, 0),
     ])
     def test_cover_optimum_and_feasibility(self, build):
         instance = build()
         report = solve_cip_lp(instance)
         assert report.status == "optimal"
-        assert report.objective == pytest.approx(_highs_optimum(instance), rel=1e-6)
+        assert report.objective == pytest.approx(highs_optimum(instance), rel=1e-6)
         assert report.solution.feasibility_slack <= lp.FEASIBILITY_TOL
 
     @pytest.mark.parametrize("args", [
@@ -336,7 +399,7 @@ class TestAgainstHighs:
         instance = gen_hypergraph_partition(*args)
         report = solve_mip_lp(instance)
         assert report.status == "optimal"
-        assert report.objective == pytest.approx(_highs_optimum(instance), rel=1e-6)
+        assert report.objective == pytest.approx(highs_optimum(instance), rel=1e-6)
 
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["cip", "mip"]))
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -348,25 +411,7 @@ class TestAgainstHighs:
             instance = random_mip(seed, max_groups=8, max_slots=4, m_max=10)
             report, basis_size = solve_mip_lp(instance), instance.n_groups + instance.m
         assert report.status == "optimal"
-        assert report.objective == pytest.approx(_highs_optimum(instance), rel=1e-9)
+        assert report.objective == pytest.approx(highs_optimum(instance), rel=1e-9)
         assert report.solution.feasibility_slack <= lp.FEASIBILITY_TOL
         assert np.count_nonzero(report.solution.x > 0.0) <= basis_size
 
-
-def _highs_optimum(instance) -> float:
-    """The relaxation's optimum from scipy's HiGHS, a test-only dependency."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    if isinstance(instance, CipInstance):
-        highs = linprog(instance.costs[0], A_ub=-instance.a_matrix, b_ub=-instance.demands,
-                        bounds=(0, None), method="highs")
-    else:
-        # variables: the assignment x, then W; rows A x - W <= 0, group sums = 1
-        m, n = instance.m, instance.n_cols
-        a_ub = np.hstack([instance.a_matrix, -np.ones((m, 1))])
-        a_eq = np.zeros((instance.n_groups, n + 1))
-        for g in range(instance.n_groups):
-            a_eq[g, instance.group_slice(g)] = 1.0
-        highs = linprog(np.eye(n + 1)[n], A_ub=a_ub, b_ub=np.zeros(m), A_eq=a_eq,
-                        b_eq=np.ones(instance.n_groups), bounds=(0, None), method="highs")
-    assert highs.status == 0
-    return highs.fun
