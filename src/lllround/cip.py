@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,12 @@ class RoundingScheme:
     delta: np.ndarray  # per-row relative deviation to the residual demand
     residual: np.ndarray  # demand left after the floors
     satisfied: np.ndarray  # rows already covered by the floors alone
+    # the unsatisfied rows and their nonzeros, row by row, for `_row_bounds`
+    unsatisfied: np.ndarray
+    bound_starts: np.ndarray  # each unsatisfied row's first nonzero in bound_cols
+    bound_cols: np.ndarray  # column of each nonzero
+    bound_gain: np.ndarray  # 1 - (1 - delta_i)**a_ij of each nonzero
+    bound_shift: np.ndarray  # residual_i * log(1 - delta_i) of each unsatisfied row
 
     @property
     def floor_costs(self) -> tuple[float, ...]:
@@ -109,6 +115,10 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     delta[active] = 1.0 - residual[active] / mu[active]
     if np.any(delta[active] <= 0.0) or np.any(delta[active] >= 1.0):
         raise EstimatorError("row deviations fell outside (0, 1)")
+    unsatisfied = np.flatnonzero(active)
+    lengths = np.diff(instance.row_ptr)[unsatisfied]
+    nonzeros = active[instance.rows]
+    base = 1.0 - delta[unsatisfied]
     floor.setflags(write=False)
     frac.setflags(write=False)
     return RoundingScheme(
@@ -119,6 +129,11 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
         delta=delta,
         residual=residual,
         satisfied=satisfied,
+        unsatisfied=unsatisfied,
+        bound_starts=np.cumsum(lengths) - lengths,
+        bound_cols=instance.cols[nonzeros],
+        bound_gain=1.0 - np.repeat(base, lengths) ** instance.vals[nonzeros],
+        bound_shift=residual[unsatisfied] * np.log(base),
     )
 
 
@@ -164,29 +179,22 @@ def standard_round(scheme: RoundingScheme, rng_seed) -> RoundedSolution:
     return RoundedSolution(z=z, feasible=feasible, objective_values=objectives)
 
 
-def _row_bounds(scheme: RoundingScheme, p: np.ndarray, rows=None) -> np.ndarray:
+def _row_bounds(scheme: RoundingScheme, p: np.ndarray) -> np.ndarray:
     """Clamped per-row failure bounds at bit probabilities p, in log space
-    over each row's nonzero columns only.  Satisfied rows are 0."""
-    instance = scheme.instance
-    rows = range(instance.m) if rows is None else rows
-    out = np.zeros(len(rows))
-    for pos, i in enumerate(rows):
-        if scheme.satisfied[i]:
-            continue
-        span = slice(instance.row_ptr[i], instance.row_ptr[i + 1])
-        cols, coeff = instance.cols[span], instance.vals[span]
-        base = 1.0 - scheme.delta[i]
-        factors = 1.0 - p[cols] * (1.0 - base**coeff)
-        log_ch = float(np.log(factors).sum()) - scheme.residual[i] * math.log(base)
-        out[pos] = min(1.0, math.exp(min(log_ch, 0.0)))
+    over each row's nonzero columns only, all rows in one pass.  Satisfied
+    rows are 0."""
+    out = np.zeros(scheme.instance.m)
+    if scheme.unsatisfied.size:
+        factors = 1.0 - p[scheme.bound_cols] * scheme.bound_gain
+        log_ch = np.add.reduceat(np.log(factors), scheme.bound_starts) - scheme.bound_shift
+        out[scheme.unsatisfied] = np.exp(np.minimum(log_ch, 0.0))
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class _BudgetTerm:
     """One cost's order-k column subsets with positive costs: their columns,
-    the ascending union of their rows as segments of `flat_rows`, and for
-    each column the subsets that hold it."""
+    and the ascending union of their rows as segments of `flat_rows`."""
 
     denom: float  # C(lambda, k)
     cost: np.ndarray
@@ -195,25 +203,11 @@ class _BudgetTerm:
     starts: np.ndarray
     ends: np.ndarray
     filled: np.ndarray  # subsets with at least one row
-    by_col: np.ndarray  # subsets holding column j: by_col[col_ptr[j]:col_ptr[j + 1]]
-    col_ptr: np.ndarray
 
-    def log_weights(self, p: np.ndarray, subsets=slice(None)) -> np.ndarray:
-        """log prod_{j in S} c_j p_j of the given subsets; -inf prunes zeros."""
-        cols = self.cols[subsets]
+    def log_weights(self, p: np.ndarray) -> np.ndarray:
+        """log prod_{j in S} c_j p_j of every subset; -inf prunes zeros."""
         with np.errstate(divide="ignore"):
-            return np.log(self.cost[cols] * p[cols]).sum(axis=1)
-
-    def moved(self, log_w: np.ndarray, p: np.ndarray, changed: np.ndarray) -> np.ndarray:
-        """`log_w` moved to p, recomputed only on the subsets that hold a
-        changed column (a subset hit twice is recomputed twice, harmlessly)."""
-        hit = np.concatenate([self.by_col[self.col_ptr[j]:self.col_ptr[j + 1]] for j in changed])
-        if hit.size == 0:
-            return log_w
-        out = log_w.copy()
-        out[hit] = self.log_weights(p, hit)
-        out.setflags(write=False)
-        return out
+            return np.log(self.cost[self.cols] * p[self.cols]).sum(axis=1)
 
     def segment_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of values over each subset's rows, segment by segment; 0 for
@@ -239,10 +233,11 @@ class _SubsetTables:
     """Precomputed subset enumeration for the estimator's budget terms.
 
     For each criterion, the order-k subsets of the columns with a positive
-    cost and p > 0 at the build point are enumerated once into arrays;
-    evaluation is then a gather and one segmented sum per term.  Any other
-    subset holds a bit at p = 0 and weighs exactly 0; a point positive on
-    another column needs new tables (see `EstimatorState.at`).
+    cost and p > 0 at the build point are enumerated once into arrays, with
+    the rows each subset touches.  Evaluation computes every subset's
+    weight from p, then one segmented sum per term.  Any other subset holds
+    a bit at p = 0 and weighs exactly 0; a point positive on another column
+    needs new tables (see `EstimatorState.at`).
     """
 
     def __init__(self, scheme: RoundingScheme, lambdas, ks, p: np.ndarray):
@@ -269,7 +264,6 @@ class _SubsetTables:
             lengths = keep.sum(axis=1)
             ends = np.cumsum(lengths)
             starts = ends - lengths
-            counts = np.bincount(cols.ravel(), minlength=instance.n)
             self.terms.append(_BudgetTerm(
                 # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
                 denom=binomial_real(float(lam), k),
@@ -279,13 +273,12 @@ class _SubsetTables:
                 starts=starts,
                 ends=ends,
                 filled=np.flatnonzero(ends > starts),
-                by_col=np.argsort(cols, axis=None, kind="stable") // k,
-                col_ptr=np.concatenate([[0], np.cumsum(counts)]),
             ))
 
-    def value(self, log_w, chp: np.ndarray) -> float:
-        """Estimator value: the all-rows-survive product minus the budget
-        overflow terms, with near-one row bounds handled exactly."""
+    def value(self, p: np.ndarray, chp: np.ndarray) -> float:
+        """Estimator value at bit probabilities p and row bounds chp: the
+        all-rows-survive product minus the budget overflow terms, with
+        near-one row bounds handled exactly."""
         self.calls += 1
         dead = chp >= 1.0 - NEAR_ONE_GUARD
         n_dead = int(dead.sum())
@@ -295,9 +288,9 @@ class _SubsetTables:
         total_log = float(log_clear.sum())
         lead = math.exp(total_log) if n_dead == 0 else 0.0
         subtracted = 0.0
-        for term, term_log_w in zip(self.terms, log_w, strict=True):
+        for term in self.terms:
             # exp(-inf) = 0 drops the subsets with a zero weight
-            contrib = np.exp(term_log_w + (total_log - term.segment_sums(log_clear)))
+            contrib = np.exp(term.log_weights(p) + (total_log - term.segment_sums(log_clear)))
             if n_dead:
                 # a subset counts only if its rows hold every dead row
                 contrib[term.segment_sums(dead.astype(np.int64)) != n_dead] = 0.0
@@ -307,7 +300,7 @@ class _SubsetTables:
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Bit probabilities plus cached row bounds and subset weights for one
+    """Bit probabilities, their row bounds and the subset tables for one
     scheme and one family of budget terms.  Frozen: `at` is the one way to
     move to a new point."""
 
@@ -315,8 +308,7 @@ class EstimatorState:
     p: np.ndarray
     lambdas: np.ndarray  # increment budgets, one per criterion
     ks: np.ndarray  # subset orders, one per criterion
-    chp: np.ndarray  # cached clamped row failure bounds at p
-    log_w: tuple[np.ndarray, ...] = field(repr=False)  # per term, each subset's log weight at p
+    chp: np.ndarray  # clamped row failure bounds at p
     tables: _SubsetTables = field(repr=False)
 
     @property
@@ -324,39 +316,28 @@ class EstimatorState:
         return self.tables.calls
 
     def at(self, p) -> "EstimatorState":
-        """The state at bit probabilities p.  While p is positive only on
-        the tables' random bits, only the rows and the subsets of the columns
-        where p differs from self.p are recomputed; the rest keep their
-        cached values, which depend on no other column.  Otherwise the
-        state is built afresh at p."""
+        """The state at bit probabilities p: itself if p equals self.p,
+        otherwise a state with the row bounds recomputed at p.  It shares
+        the subset tables while p is positive only on the tables' random
+        bits, and builds new ones at p otherwise."""
         p = np.array(p, dtype=float)
         if p.shape != self.p.shape:
             raise ValueError(f"expected {self.p.size} probabilities, got shape {p.shape}")
-        changed = np.flatnonzero(p != self.p)
-        if changed.size == 0:
+        if np.array_equal(p, self.p):
             return self
         p.setflags(write=False)
-        if np.any(p[~self.tables.random] > 0.0):
-            return _state_at(self.scheme, self.lambdas, self.ks, p)
-        rows = np.unique(np.concatenate([self.scheme.instance.col_rows[j] for j in changed]))
-        chp = self.chp.copy()
-        chp[rows] = _row_bounds(self.scheme, p, rows)
-        log_w = tuple(term.moved(w, p, changed) for term, w in zip(self.tables.terms, self.log_w))
-        chp.setflags(write=False)
-        return replace(self, p=p, chp=chp, log_w=log_w)
+        tables = self.tables
+        if np.any(p[~tables.random] > 0.0):
+            tables = _SubsetTables(self.scheme, self.lambdas, self.ks, p)
+        return _state_at(self.scheme, self.lambdas, self.ks, p, tables)
 
 
-def _state_at(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
-              p: np.ndarray) -> EstimatorState:
-    """A fresh state, tables included, at read-only bit probabilities p."""
-    tables = _SubsetTables(scheme, lambdas, ks, p)
+def _state_at(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray, p: np.ndarray,
+              tables: _SubsetTables) -> EstimatorState:
+    """The state at read-only bit probabilities p over the given tables."""
     chp = _row_bounds(scheme, p)
     chp.setflags(write=False)
-    log_w = tuple(term.log_weights(p) for term in tables.terms)
-    for w in log_w:
-        w.setflags(write=False)
-    return EstimatorState(scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=chp, log_w=log_w,
-                          tables=tables)
+    return EstimatorState(scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=chp, tables=tables)
 
 
 def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
@@ -377,12 +358,13 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
                 raise ParameterError(f"budget must be positive, got {lam}")
         elif lam < k:
             raise ParameterError(f"budget {lam} below subset order {k}")
-    return _state_at(scheme, lambdas, ks, scheme.frac)
+    return _state_at(scheme, lambdas, ks, scheme.frac,
+                     _SubsetTables(scheme, lambdas, ks, scheme.frac))
 
 
 def success_lower_bound(state: EstimatorState) -> float:
     """Lower bound on Pr(all demands hold and all increment budgets hold)."""
-    return state.tables.value(state.log_w, state.chp)
+    return state.tables.value(state.p, state.chp)
 
 
 def standard_certificate(scheme: RoundingScheme, lambdas, ks):

@@ -202,7 +202,7 @@ def ingest_solution(instance, x) -> FractionalSolution:
             )
         objectives = tuple(float(cost @ x) for cost in instance.costs)
         return FractionalSolution(x=x, objective_values=objectives, feasibility_slack=slack)
-    sums = np.array([x[instance.group_slice(g)].sum() for g in range(instance.n_groups)])
+    sums = np.add.reduceat(x, instance.offsets)
     deviation = np.abs(sums - 1.0)
     worst = int(np.argmax(deviation))
     slack = float(deviation[worst])

@@ -410,10 +410,7 @@ def verify_extended_lll(
     a = instance.a_matrix
     mu = a @ x
     # per-row, per-group mean contributions
-    contrib = np.zeros((instance.m, instance.n_groups))
-    for g in range(instance.n_groups):
-        sl = instance.group_slice(g)
-        contrib[:, g] = a[:, sl] @ x[sl]
+    contrib = np.add.reduceat(a * x, instance.offsets, axis=1)
     p_bounds = np.empty(instance.m)
     for i in range(instance.m):
         denom = binomial_real(float(mu[i] + k), k)
@@ -457,14 +454,20 @@ def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
     if check == "lll":
         return [verify_extended_lll(instance, ingest_solution(instance, doc["p"]).x,
                                     int(doc["k"]))]
+    p = np.asarray(doc["p"], dtype=float)
+    if p.shape != (instance.n,) or not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError(f"p must be {instance.n} probabilities in [0, 1]")
     scheme = make_scheme(instance, relaxation(), float(doc["alpha"]))
     if check == "fkg":
-        return verify_fkg_and_antifkg(scheme, doc["p"], doc["row_block"], doc["cond_rows"],
+        return verify_fkg_and_antifkg(scheme, p, doc["row_block"], doc["cond_rows"],
                                       doc["cond_cols"], doc["anti_cols"])
-    state = make_estimator(scheme, doc["lambdas"], doc["ks"]).at(doc["p"])
+    state = make_estimator(scheme, doc["lambdas"], doc["ks"]).at(p)
     if check == "phi":
         return [verify_phi_domination(state)]
-    return [verify_branch_inequality(state, int(doc["j"]))]
+    j = int(doc["j"])
+    if not 0 <= j < instance.n:
+        raise ValueError(f"bit {j} lies outside [0, {instance.n})")
+    return [verify_branch_inequality(state, j)]
 
 
 def lp_vertex_optimum(costs, a_ub, b_ub) -> tuple[np.ndarray, float]:

@@ -1,9 +1,9 @@
 """The covering estimator's subset tables and evaluation in their first,
 object-by-object form, kept as a test-only reference for `lllround.cip`.
 
-Each subset's rows are one `np.unique` over its columns' rows, and each
-segment sum is a difference of one global cumsum.  Row bounds still come
-from `EstimatorState.at`, whose row code is shared.
+Each subset's rows are one `np.unique` over its columns' rows, each
+segment sum is a difference of one global cumsum, and the row bounds are
+one loop over the rows.
 """
 
 import itertools
@@ -14,6 +14,24 @@ import numpy as np
 from lllround import binomial_real
 
 NEAR_ONE_GUARD = 1e-12
+
+
+def reference_row_bounds(scheme, p, rows=None):
+    """Clamped per-row failure bounds at bit probabilities p, in log space
+    over each row's nonzero columns only.  Satisfied rows are 0."""
+    instance = scheme.instance
+    rows = range(instance.m) if rows is None else rows
+    out = np.zeros(len(rows))
+    for pos, i in enumerate(rows):
+        if scheme.satisfied[i]:
+            continue
+        span = slice(instance.row_ptr[i], instance.row_ptr[i + 1])
+        cols, coeff = instance.cols[span], instance.vals[span]
+        base = 1.0 - scheme.delta[i]
+        factors = 1.0 - p[cols] * (1.0 - base**coeff)
+        log_ch = float(np.log(factors).sum()) - scheme.residual[i] * math.log(base)
+        out[pos] = min(1.0, math.exp(min(log_ch, 0.0)))
+    return out
 
 
 def reference_terms(scheme, lambdas, ks):
@@ -63,20 +81,21 @@ def reference_value(terms, p, chp):
 
 
 def reference_derandomize(state):
-    """The fixing loop over the reference values: (z, trace)."""
-    terms = reference_terms(state.scheme, state.lambdas, state.ks)
-    current = reference_value(terms, state.p, state.chp)
+    """The fixing loop over the reference values and row bounds: (z, trace)."""
+    scheme = state.scheme
+    terms = reference_terms(scheme, state.lambdas, state.ks)
+    current = reference_value(terms, state.p, reference_row_bounds(scheme, state.p))
     trace = [current]
     cols = np.arange(state.p.size)
     for j in cols:
         if state.p[j] == 0.0 or state.p[j] == 1.0:
             continue
         zero, one = (state.at(np.where(cols == j, bit, state.p)) for bit in (0.0, 1.0))
-        phi_zero = reference_value(terms, zero.p, zero.chp)
-        phi_one = reference_value(terms, one.p, one.chp)
+        phi_zero = reference_value(terms, zero.p, reference_row_bounds(scheme, zero.p))
+        phi_one = reference_value(terms, one.p, reference_row_bounds(scheme, one.p))
         if phi_one > phi_zero:
             state, current = one, phi_one
         else:
             state, current = zero, phi_zero
         trace.append(current)
-    return state.scheme.floor + state.p, trace
+    return scheme.floor + state.p, trace

@@ -29,7 +29,8 @@ from lllround import (
 from lllround import cip
 from lllround.cip import _row_bounds
 from _builders import four_cost_cover, lp_point, random_cip, two_cost_cover
-from _reference_estimator import reference_derandomize, reference_terms, reference_value
+from _reference_estimator import (reference_derandomize, reference_row_bounds, reference_terms,
+                                  reference_value)
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure
@@ -230,6 +231,31 @@ class TestRowFailureBounds:
             envelope = lower_tail_bound(float(inst.demands.min()), 1.6)
             for i in np.flatnonzero(~scheme.satisfied):
                 assert state.chp[i] <= envelope + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bounds_match_the_per_row_reference(self, seed):
+        # At the LP vertex and at a flat interior point, some rows stay
+        # unsatisfied by the floors; zeroing one such row's bits kills it.
+        inst = random_cip(seed)
+        flat = np.full(inst.n, float(np.max(inst.demands / inst.a_matrix.sum(axis=1))))
+        rng = np.random.default_rng(seed)
+        dead_rows = 0
+        for x in (lp_point(inst), flat):
+            scheme = make_scheme(inst, x, 1.5)
+            points = [scheme.frac, rng.uniform(0.0, 1.0, inst.n),
+                      rng.uniform(0.0, 1.0, inst.n) * scheme.frac]
+            for row in np.flatnonzero(~scheme.satisfied)[:1]:
+                dead = scheme.frac.copy()
+                dead[inst.row_cols[row]] = 0.0
+                points.append(dead)
+                assert reference_row_bounds(scheme, dead)[row] == 1.0
+                dead_rows += 1
+            for p in points:
+                got, want = _row_bounds(scheme, p), reference_row_bounds(scheme, p)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert np.all(got[scheme.satisfied] == 0.0)
+                assert np.all(got[want == 1.0] == 1.0)
+        assert dead_rows > 0
 
     def test_bound_dominates_exact_failure_probability(self):
         from lllround import exact_event_probs
@@ -538,7 +564,7 @@ class TestEstimatorAt:
         assert np.array_equal(there.at(scheme.frac).chp, state.chp)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_cached_weights_are_path_independent(self, seed):
+    def test_value_and_row_bounds_are_path_independent(self, seed):
         inst = random_cip(seed, ell=2)
         scheme = make_scheme(inst, lp_point(inst), 1.5)
         lambdas, ks = [float(inst.n)] * 2, [2, 2]
@@ -549,9 +575,7 @@ class TestEstimatorAt:
         via = make_estimator(scheme, lambdas, ks).at(p1).at(p2)
         direct = make_estimator(scheme, lambdas, ks).at(p2)
         assert success_lower_bound(via) == success_lower_bound(direct)
-        for term, w_via, w_direct in zip(direct.tables.terms, via.log_w, direct.log_w):
-            assert np.array_equal(w_via, w_direct)
-            assert np.array_equal(w_direct, term.log_weights(p2))
+        assert np.array_equal(via.chp, direct.chp)
 
     def test_leaves_the_original_state_and_the_callers_array_alone(self):
         inst = random_cip(2)
@@ -666,6 +690,22 @@ class TestAgainstReference:
             assert np.array_equal(term.flat_rows, flat_rows)
             assert np.array_equal(term.starts, starts)
             assert np.array_equal(term.ends, ends)
+        out = derandomize(state)
+        z, trace = reference_derandomize(state)
+        assert np.array_equal(out.z, z)
+        assert out.trace == pytest.approx(trace, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
+    @pytest.mark.parametrize("seed", [1, 2, 3, 6])
+    def test_fixing_path_through_unsatisfied_rows_matches_the_reference(self, seed):
+        # The reference cases above leave no row unsatisfied at their LP
+        # vertex; a flat interior point does, so the row bounds move here.
+        inst = random_cip(seed, ell=2)
+        x = np.full(inst.n, float(np.max(inst.demands / inst.a_matrix.sum(axis=1))))
+        scheme, lambdas, ks, _ = choose_parameters(inst, x, alpha=1.5,
+                                                   total_budgets=[4.0 * inst.n] * 2)
+        assert np.any(~scheme.satisfied)
+        state = make_estimator(scheme, lambdas, ks)
         out = derandomize(state)
         z, trace = reference_derandomize(state)
         assert np.array_equal(out.z, z)

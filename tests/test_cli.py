@@ -594,6 +594,30 @@ class TestVerify:
             assert main(["verify", str(fixture)]) == 2
             assert f"no {check!r} check runs on a CipInstance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["p 1.5", "p -0.5", "p nan", "j -9", "j -1"])
+    def test_covering_fixture_off_the_probabilities_or_the_bits_exits_2(
+        self, tmp_path, capsys, case
+    ):
+        # 20 columns, random bits 4, 6 and 11 at the relaxation's vertex: j = -9
+        # would index bit 11, and j = -1 the integral bit 19
+        inst = gen(tmp_path, seed=0)
+        instance = parse_instance(inst.read_text())
+        scheme, lambdas, ks, info = choose_parameters(instance, lp_point(instance))
+        assert np.flatnonzero(scheme.frac).tolist() == [4, 6, 11]
+        capsys.readouterr()
+        field, value = case.split()
+        doc = json.loads(inst.read_text())
+        doc.update(check="branch", alpha=info["alpha"], lambdas=lambdas, ks=ks, claim="made up",
+                   lhs=0.0, rhs=0.0, p=scheme.frac.tolist(), j=4)
+        doc[field] = [float(value)] * instance.n if field == "p" else int(value)
+        fixture = tmp_path / "bad.json"
+        fixture.write_text(json.dumps(doc))
+        assert main(["verify", str(fixture)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: fixture records no valid check: ValueError(")
+
 
 class TestBenchAndReplay:
     def test_bench_csv_shape_and_envelope(self, tmp_path, capsys):
