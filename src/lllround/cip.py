@@ -243,7 +243,7 @@ class _SubsetTables:
     def __init__(self, scheme: RoundingScheme, lambdas, ks, p: np.ndarray):
         instance = scheme.instance
         padded = _padded_col_rows(instance)
-        self.calls = 0
+        self.calls = 0  # evaluations: `value` calls plus two per `_FixingSums` step
         self.random = p > 0.0  # the columns the tables enumerate over
         self.terms: list[_BudgetTerm] = []
         for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
@@ -451,10 +451,168 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
     return chosen, ks
 
 
-def _with_bit(p: np.ndarray, j: int, bit: float) -> np.ndarray:
-    q = p.copy()
-    q[j] = bit
-    return q
+def _csr(keys: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values grouped by key in [0, size), in their order within a key:
+    key i's values are grouped[ptr[i]:ptr[i + 1]]."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, values[np.argsort(keys, kind="stable")]
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(offsets[-1] + lengths[-1])
+
+
+def _compensated_add(total: float, error: float, step: float) -> tuple[float, float]:
+    """total + step, with the rounding error of the addition added to error
+    (Neumaier's summation): the sum is total + error."""
+    new = total + step
+    if abs(total) >= abs(step):
+        return new, error + ((total - new) + step)
+    return new, error + ((step - new) + total)
+
+
+@dataclass(eq=False)
+class _TermSums:
+    """One budget term along the fixing path: each subset's
+    e_s = w_s(p) * exp(-seg_s), their compensated sum A = total + error,
+    and the subsets of each column and of each unsatisfied row."""
+
+    term: _BudgetTerm
+    e: np.ndarray
+    total: float
+    error: float
+    col_ptr: np.ndarray  # column j's subsets are by_col[col_ptr[j]:col_ptr[j + 1]]
+    by_col: np.ndarray
+    row_ptr: np.ndarray  # unsatisfied row i's subsets are by_row[row_ptr[i]:row_ptr[i + 1]]
+    by_row: np.ndarray
+
+
+class _FixingSums:
+    """The estimator along `derandomize`'s path, carried as running sums.
+
+    Per row it keeps log(1 - chp_i) and their sum `total_log`; per budget
+    term, a `_TermSums`.  The value is exp(total_log) * (1 - sum_t A_t /
+    denom_t).  Both sums are compensated, so thousands of steps add no
+    drift.  Fixing bit j moves only the subsets that hold j, whose weight
+    is linear in p_j, and the subsets that touch an unsatisfied row of
+    column j, whose bounds are recomputed from the scheme's `bound_*`
+    arrays.  A branch that kills a row keeps only the subsets that hold
+    every dead row, and those all touch a row of column j.
+    """
+
+    def __init__(self, state: EstimatorState):
+        scheme = self.scheme = state.scheme
+        instance = scheme.instance
+        m, n = instance.m, instance.n
+        self.tables = state.tables
+        self.p = state.p.copy()
+        # a positive start value leaves no row dead, so every chp < 1
+        self.log_clear = np.log1p(-state.chp)
+        self.total_log = float(self.log_clear.sum())
+        self.total_log_error = 0.0
+        unsatisfied = ~scheme.satisfied
+        self.bound_lengths = np.diff(scheme.bound_starts, append=scheme.bound_cols.size)
+        # each column's unsatisfied rows, as positions in scheme.unsatisfied
+        position = np.cumsum(unsatisfied) - 1
+        live = unsatisfied[instance.rows]
+        self.col_ptr, self.col_slots = _csr(instance.cols[live], position[instance.rows[live]], n)
+        self.terms = []
+        for term in state.tables.terms:
+            e = np.exp(term.log_weights(self.p) - term.segment_sums(self.log_clear))
+            n_subsets, k = term.cols.shape
+            col_ptr, by_col = _csr(term.cols.ravel(), np.arange(n_subsets * k) // k, n)
+            owner = np.repeat(np.arange(n_subsets), term.ends - term.starts)
+            touched = unsatisfied[term.flat_rows]
+            row_ptr, by_row = _csr(term.flat_rows[touched], owner[touched], m)
+            self.terms.append(_TermSums(term, e, float(e.sum()), 0.0, col_ptr, by_col, row_ptr,
+                                        by_row))
+        self._pending = None
+
+    def branches(self, j: int) -> tuple[float, float]:
+        """The estimator values with bit j fixed at 0 and at 1; `keep`
+        then moves to one of them."""
+        self.tables.calls += 2
+        scheme, p = self.scheme, self.p
+        pj = float(p[j])
+        slots = self.col_slots[self.col_ptr[j]:self.col_ptr[j + 1]]
+        rows = scheme.unsatisfied[slots]
+        moved = np.zeros(2)  # change of total_log in each branch
+        log_clear = delta = dead = None
+        n_dead = np.zeros(2, dtype=np.int64)
+        if rows.size:
+            # both branches' bounds on the rows of column j, each row summed
+            # over its nonzeros as `_row_bounds` sums it
+            lengths = self.bound_lengths[slots]
+            nz = _spans(scheme.bound_starts[slots], lengths)
+            cols = scheme.bound_cols[nz]
+            bits = np.where(cols == j, [[0.0], [1.0]], p[cols])
+            log_ch = (np.add.reduceat(np.log(1.0 - bits * scheme.bound_gain[nz]),
+                                      np.cumsum(lengths) - lengths, axis=1)
+                      - scheme.bound_shift[slots])
+            chp = np.exp(np.minimum(log_ch, 0.0))
+            dead = chp >= 1.0 - NEAR_ONE_GUARD
+            n_dead = dead.sum(axis=1)
+            with np.errstate(divide="ignore"):
+                log_clear = np.where(dead, 0.0, np.log1p(-chp))
+            delta = log_clear - self.log_clear[rows]
+            moved = delta.sum(axis=1)
+        total_log = self.total_log + (self.total_log_error + moved)
+        alive = n_dead == 0
+        subtracted = np.zeros(2)
+        steps = []
+        for t in self.terms:
+            held = t.by_col[t.col_ptr[j]:t.col_ptr[j + 1]]
+            held_sum = float(t.e[held].sum())
+            # the subsets holding j take the branch's weights
+            change = np.array([-held_sum, held_sum / pj - held_sum])
+            touched = growth = None
+            after = 0.0
+            if rows.size:
+                # the subsets touching the moved rows: their sums before and
+                # after the rows move; only they can hold a dead row
+                lengths = t.row_ptr[rows + 1] - t.row_ptr[rows]
+                if lengths.any():
+                    entries = t.by_row[_spans(t.row_ptr[rows], lengths)]
+                    touched, owner = np.unique(entries, return_inverse=True)
+                    row_of = np.repeat(np.arange(rows.size), lengths)
+                    weights = np.where(np.any(t.term.cols[touched] == j, axis=1),
+                                       [[0.0], [1.0 / pj]], 1.0) * t.e[touched]
+                    # per subset and branch, sums over its moved rows
+                    cells = np.concatenate([owner, owner + touched.size])
+                    growth, holds_dead = (
+                        np.bincount(cells, weights=v[:, row_of].ravel(),
+                                    minlength=2 * touched.size).reshape(2, -1)
+                        for v in (delta, dead))
+                    growth = np.exp(-growth)
+                    holds_dead = holds_dead == n_dead[:, None]
+                    after = (weights * growth * holds_dead).sum(axis=1)
+                    change = change - weights.sum(axis=1) + after
+            sums = np.where(alive, t.total + (t.error + change), after)
+            subtracted += sums / t.term.denom
+            steps.append((held, touched, growth, change))
+        values = np.exp(total_log) * (alive - subtracted)
+        self._pending = (j, pj, rows, log_clear, moved, n_dead, steps)
+        return float(values[0]), float(values[1])
+
+    def keep(self, bit: float) -> None:
+        """Move to the branch of the last `branches` call with the given bit."""
+        j, pj, rows, log_clear, moved, n_dead, steps = self._pending
+        b = int(bit)
+        if n_dead[b]:
+            raise EstimatorError(f"the kept branch at bit {j} has a row bound clamped at 1")
+        self.p[j] = bit
+        if rows.size:
+            self.log_clear[rows] = log_clear[b]
+        self.total_log, self.total_log_error = _compensated_add(
+            self.total_log, self.total_log_error, float(moved[b]))
+        for t, (held, touched, growth, change) in zip(self.terms, steps):
+            t.e[held] *= bit / pj
+            if touched is not None:
+                t.e[touched] *= growth[b]
+            t.total, t.error = _compensated_add(t.total, t.error, float(change[b]))
 
 
 def derandomize(state: EstimatorState) -> RoundedSolution:
@@ -465,9 +623,10 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
     estimator is convex along each coordinate, so the better branch never
     drops more than round-off below the current value — asserted at 1e-9.
     A start at or below 0 certifies nothing, so the parameters are too
-    tight: ParameterError.  The final point is re-validated: every demand
-    covered and every cost increment within its budget, else an
-    internal-consistency error.
+    tight: ParameterError.  The branch values come from `_FixingSums`, so a
+    bit costs work on its column's subsets and rows only.  The final point
+    is re-validated: every demand covered and every cost increment within
+    its budget, else an internal-consistency error.
     """
     scheme = state.scheme
     instance = scheme.instance
@@ -477,26 +636,23 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
             f"estimator must start positive, got {current:.4g}; raise the budgets"
         )
     trace = [current]
-    for j in range(instance.n):
-        if state.p[j] == 0.0 or state.p[j] == 1.0:
-            continue
-        zero, one = (state.at(_with_bit(state.p, j, bit)) for bit in (0.0, 1.0))
-        phi_zero, phi_one = success_lower_bound(zero), success_lower_bound(one)
+    sums = _FixingSums(state)
+    for j in np.flatnonzero((state.p > 0.0) & (state.p < 1.0)).tolist():
+        phi_zero, phi_one = sums.branches(j)
         if max(phi_zero, phi_one) < current - BRANCH_TOL:
             raise EstimatorError(
                 f"both branches dropped below the current bound at bit {j}: "
                 f"{current} -> ({phi_zero}, {phi_one})"
             )
-        if phi_one > phi_zero:
-            state, current = one, phi_one
-        else:
-            state, current = zero, phi_zero
+        bit = 1.0 if phi_one > phi_zero else 0.0
+        current = phi_one if bit else phi_zero
+        sums.keep(bit)
         trace.append(current)
-    z = scheme.floor + state.p
+    z = scheme.floor + sums.p
     loads = instance.loads(z)
     if np.any(loads < instance.demands - BRANCH_TOL):
         raise EstimatorError("derandomized point misses a demand; estimator inconsistent")
-    increments = [float(c @ state.p) for c in instance.costs]
+    increments = [float(c @ sums.p) for c in instance.costs]
     if any(inc > lam + BRANCH_TOL for inc, lam in zip(increments, state.lambdas)):
         raise EstimatorError("derandomized point exceeds a budget; estimator inconsistent")
     objectives = tuple(float(c @ z) for c in instance.costs)

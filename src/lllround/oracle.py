@@ -443,6 +443,15 @@ def is_fixture(doc: dict) -> bool:
 _CHECK_KINDS = {"phi": CipInstance, "branch": CipInstance, "fkg": CipInstance, "lll": MipInstance}
 
 
+def _recorded_integer(doc: dict, key: str) -> int:
+    """A fixture's integer argument, as written: JSON true, 4.7 or "3" is
+    no integer, and truncating it would replay another check."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
     """Rerun the check a counterexample fixture records, with the arguments
     it records.  A covering check rebuilds its scheme from `relaxation()`,
@@ -453,7 +462,7 @@ def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
         raise ValueError(f"no {check!r} check runs on a {type(instance).__name__}")
     if check == "lll":
         return [verify_extended_lll(instance, ingest_solution(instance, doc["p"]).x,
-                                    int(doc["k"]))]
+                                    _recorded_integer(doc, "k"))]
     p = np.asarray(doc["p"], dtype=float)
     if p.shape != (instance.n,) or not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p must be {instance.n} probabilities in [0, 1]")
@@ -464,7 +473,7 @@ def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
     state = make_estimator(scheme, doc["lambdas"], doc["ks"]).at(p)
     if check == "phi":
         return [verify_phi_domination(state)]
-    j = int(doc["j"])
+    j = _recorded_integer(doc, "j")
     if not 0 <= j < instance.n:
         raise ValueError(f"bit {j} lies outside [0, {instance.n})")
     return [verify_branch_inequality(state, j)]

@@ -540,7 +540,7 @@ class TestDerandomize:
             moving += bool(np.any(zero.chp[rows] != one.chp[rows]))
             state = one if chosen[j] == 1.0 else zero
             step += 1
-            assert success_lower_bound(state) == out.trace[step]
+            assert success_lower_bound(state) == pytest.approx(out.trace[step], rel=1e-12, abs=0.0)
         assert step == len(out.trace) - 1
         assert np.array_equal(state.p, chosen)
         assert moving > 0
@@ -737,3 +737,98 @@ class TestAgainstReference:
         assert there.tables is not state.tables
         want = reference_value(reference_terms(scheme, lambdas, ks), there.p, there.chp)
         assert success_lower_bound(there) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def fixing_steps(state):
+    """Drive `_FixingSums` along `derandomize`'s path: per random bit j, the
+    points of both branches, their running values and the bit kept."""
+    sums = cip._FixingSums(state)
+    steps = []
+    for j in np.flatnonzero((state.p > 0.0) & (state.p < 1.0)):
+        phi_zero, phi_one = sums.branches(j)
+        points = []
+        for bit in (0.0, 1.0):
+            q = sums.p.copy()
+            q[j] = bit
+            points.append(q)
+        bit = 1.0 if phi_one > phi_zero else 0.0
+        sums.keep(bit)
+        steps.append((j, points, (phi_zero, phi_one), bit))
+    return steps
+
+
+def dead_row_scheme():
+    # Row 0 holds the random bits 1 (p = 0.75) and 2 (p = 0.05) above a
+    # floor load of 1 and a demand of 1.3: its 0-branch at bit 1 leaves
+    # too little mass, so the row's bound clamps at 1 while bit 2 keeps
+    # the subsets holding the row weighted.  Row 1 stays unsatisfied, and
+    # column 4 touches no row, so no subset of the third cost holds row 0.
+    a = np.array([[1.0, 1.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.5, 1.0, 0.0]])
+    costs = [np.ones(5), np.array([0.5, 0.0, 2.0, 1.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0, 1.0])]
+    inst = CipInstance.create(a, [1.3, 1.2], costs)
+    return make_scheme(inst, [0.8, 0.6, 0.04, 1.2, 0.4], 1.25)
+
+
+STEP_CASES = {
+    **REFERENCE_CASES,
+    **{f"flat-interior-s{seed}": functools.partial(random_cip, seed, ell=2)
+       for seed in (1, 2, 3, 6)},
+    "set-cover-400x720": functools.partial(gen_set_cover, 400, 720, 5, 2, 0),
+}
+
+
+class TestFixingSums:
+    @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
+    @pytest.mark.parametrize("name", list(STEP_CASES))
+    def test_every_step_equals_a_full_evaluation(self, name):
+        # The flat interior covers keep rows unsatisfied, so their bounds
+        # move; at x = 0.7 and scale 1.4 all 400 rows of the set cover do.
+        inst = STEP_CASES[name]()
+        if name.startswith("flat-interior"):
+            x = np.full(inst.n, float(np.max(inst.demands / inst.a_matrix.sum(axis=1))))
+            params = dict(alpha=1.5, total_budgets=[4.0 * inst.n] * 2)
+        elif name == "set-cover-400x720":
+            x, params = np.full(inst.n, 0.7), dict(alpha=1.4)
+        else:
+            x, params = lp_point(inst), {}
+        scheme, lambdas, ks, _ = choose_parameters(inst, x, **params)
+        if name == "set-cover-400x720":
+            assert not np.any(scheme.satisfied)
+        state = make_estimator(scheme, lambdas, ks)
+        out = derandomize(state)
+        steps = fixing_steps(state)
+        assert len(out.trace) == len(steps) + 1
+        for (j, points, values, bit), kept in zip(steps, out.trace[1:], strict=True):
+            for q, value in zip(points, values):
+                assert value == pytest.approx(evaluate_at(state, q), rel=1e-12, abs=0.0)
+            assert kept == values[int(bit)]
+        assert np.array_equal(points[int(bit)], out.z - scheme.floor)
+
+    def test_a_branch_that_kills_a_row(self):
+        scheme = dead_row_scheme()
+        assert scheme.frac == pytest.approx([0.0, 0.75, 0.05, 0.5, 0.5])
+        assert not np.any(scheme.satisfied)
+        lambdas, ks = [20.0, 20.0, 20.0], [1, 2, 1]
+        state = make_estimator(scheme, lambdas, ks)
+        terms = random_subsets(reference_terms(scheme, lambdas, ks), scheme.frac)
+        dead = 0
+        for j, points, values, bit in fixing_steps(state):
+            for q, value in zip(points, values):
+                bounds = reference_row_bounds(scheme, q)
+                dead += int(np.sum(bounds >= 1.0 - cip.NEAR_ONE_GUARD))
+                want = reference_value(terms, q, bounds)
+                assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert value == pytest.approx(evaluate_at(state, q), rel=1e-12, abs=0.0)
+            if j == 1:
+                (q, _), (phi_zero, _) = points, values
+                assert state.at(q).chp[0] == 1.0 and phi_zero < 0.0
+        assert dead >= 1
+        sums = cip._FixingSums(state)
+        sums.branches(1)
+        with pytest.raises(cip.EstimatorError, match="clamped at 1"):
+            sums.keep(0.0)  # the running sums carry no dead row
+        out = derandomize(state)
+        z, trace = reference_derandomize(state)
+        assert np.array_equal(out.z, z)
+        assert out.trace == pytest.approx(trace, rel=1e-12, abs=0.0)

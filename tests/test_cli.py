@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -472,6 +473,16 @@ class TestVerify:
         assert main(["verify", str(fixture_path)]) == 2
         assert "fixture records no valid check: KeyError('k')" in capsys.readouterr().err
 
+        for k in (2.7, True, "3"):  # int() would replay slack 2, 1 and 3
+            fixture_path.write_text(json.dumps(dict(fixture, k=k)))
+            assert main(["verify", str(fixture_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: fixture records no valid check: ValueError(")
+            assert f"k must be an integer, got {k!r}" in line
+        assert seen == [([0.25, 0.75, 1.0, 0.0], 2)]
+
     def test_fixture_without_an_estimator_exits_2(self, tmp_path, capsys):
         inst = gen(tmp_path)
         doc = json.loads(inst.read_text())
@@ -594,22 +605,25 @@ class TestVerify:
             assert main(["verify", str(fixture)]) == 2
             assert f"no {check!r} check runs on a CipInstance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["p 1.5", "p -0.5", "p nan", "j -9", "j -1"])
+    @pytest.mark.parametrize("field, value", [
+        ("p", 1.5), ("p", -0.5), ("p", math.nan), ("j", -9), ("j", -1),
+        ("j", 4.7), ("j", 11.2), ("j", True), ("j", "3"),
+    ])
     def test_covering_fixture_off_the_probabilities_or_the_bits_exits_2(
-        self, tmp_path, capsys, case
+        self, tmp_path, capsys, field, value
     ):
         # 20 columns, random bits 4, 6 and 11 at the relaxation's vertex: j = -9
-        # would index bit 11, and j = -1 the integral bit 19
+        # would index bit 11, j = -1 the integral bit 19, and a truncated 4.7,
+        # 11.2 or true the random bits 4, 11 and 1
         inst = gen(tmp_path, seed=0)
         instance = parse_instance(inst.read_text())
         scheme, lambdas, ks, info = choose_parameters(instance, lp_point(instance))
         assert np.flatnonzero(scheme.frac).tolist() == [4, 6, 11]
         capsys.readouterr()
-        field, value = case.split()
         doc = json.loads(inst.read_text())
         doc.update(check="branch", alpha=info["alpha"], lambdas=lambdas, ks=ks, claim="made up",
                    lhs=0.0, rhs=0.0, p=scheme.frac.tolist(), j=4)
-        doc[field] = [float(value)] * instance.n if field == "p" else int(value)
+        doc[field] = [value] * instance.n if field == "p" else value
         fixture = tmp_path / "bad.json"
         fixture.write_text(json.dumps(doc))
         assert main(["verify", str(fixture)]) == 2
