@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CipInstance, sparsity_stats
+from .model import CipInstance, _csr, sparsity_stats
 from .tailbounds import binomial_real, esym_mean_bound, lower_tail_bound
 
 __all__ = [
@@ -221,11 +221,11 @@ class _BudgetTerm:
 def _padded_col_rows(instance: CipInstance) -> np.ndarray:
     """(n, max column degree) matrix of each column's ascending rows,
     padded with the sentinel m."""
-    degree = np.array([rows.size for rows in instance.col_rows], dtype=np.int64)
+    col_ptr, rows = _csr(instance.cols, instance.rows, instance.n)
+    degree = np.diff(col_ptr)
     padded = np.full((instance.n, int(degree.max(initial=0))), instance.m, dtype=np.int64)
-    first = np.repeat(np.cumsum(degree) - degree, degree)
-    slot = np.arange(first.size) - first
-    padded[np.repeat(np.arange(instance.n), degree), slot] = np.concatenate(instance.col_rows)
+    cols = np.repeat(np.arange(instance.n), degree)
+    padded[cols, np.arange(rows.size) - col_ptr[cols]] = rows
     return padded
 
 
@@ -449,14 +449,6 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
             stacklevel=2,
         )
     return chosen, ks
-
-
-def _csr(keys: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The values grouped by key in [0, size), in their order within a key:
-    key i's values are grouped[ptr[i]:ptr[i + 1]]."""
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
-    return ptr, values[np.argsort(keys, kind="stable")]
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

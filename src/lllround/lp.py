@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CipInstance, FractionalSolution, MipInstance
+from .model import CipInstance, FractionalSolution, MipInstance, _csr
 
 __all__ = ["LpReport", "solve_cip_lp", "solve_mip_lp", "ingest_solution", "InfeasibleError"]
 
@@ -122,17 +122,36 @@ def solve_cip_lp(instance: CipInstance) -> LpReport:
                   lambda t, _: t[-1, m:-1])
 
 
-def _crash_slots(instance: MipInstance, a: np.ndarray) -> tuple[list[int], np.ndarray]:
+def _crash_slots(instance: MipInstance) -> tuple[list[int], np.ndarray]:
     """Each group in order takes the slot that raises the current max load
-    least (the first on ties); returns the slots and the loads they make."""
-    loads = np.zeros(instance.m)
+    least (the first on ties); returns the slots and the loads they make.
+
+    As A >= 0, slot j's max load max(loads + A[:, j]) is the larger of
+    max(loads) and loads[r] + a_rj over column j's nonzeros, so each slot
+    costs only its own nonzeros; the sums are the dense form's, bit for bit.
+    """
+    col_ptr, order = _csr(instance.cols, np.arange(instance.cols.size), instance.n_cols)
+    ptr, rows, vals = col_ptr.tolist(), instance.rows[order].tolist(), instance.vals[order].tolist()
+    loads = [0.0] * instance.m
+    top = 0.0  # max(loads)
     slots = []
-    for g in range(instance.n_groups):
-        sl = instance.group_slice(g)
-        slot = sl.start + int(np.argmin((loads[:, None] + a[:, sl]).max(axis=0)))
-        loads += a[:, slot]
+    for start, size in zip(instance.offsets, instance.group_sizes):
+        best, slot = math.inf, start
+        for j in range(start, start + size):
+            peak = top
+            for k in range(ptr[j], ptr[j + 1]):
+                value = loads[rows[k]] + vals[k]
+                if value > peak:
+                    peak = value
+            if peak < best:
+                best, slot = peak, j
+        for k in range(ptr[slot], ptr[slot + 1]):
+            row = rows[k]
+            loads[row] += vals[k]
+            if loads[row] > top:
+                top = loads[row]
         slots.append(slot)
-    return slots, loads
+    return slots, np.array(loads)
 
 
 def solve_mip_lp(instance: MipInstance) -> LpReport:
@@ -147,7 +166,7 @@ def solve_mip_lp(instance: MipInstance) -> LpReport:
     n_groups = instance.n_groups
     a = instance.a_matrix
     group_of = np.repeat(np.arange(n_groups), instance.group_sizes)
-    slots, loads = _crash_slots(instance, a)
+    slots, loads = _crash_slots(instance)
     # Rows: group sums = 1, then A x - W + slack = 0 with each group's crash
     # slot eliminated (the slots are basic); the cost row holds W's 1.
     tableau = np.zeros((n_groups + m + 1, n + 1 + m + 1))

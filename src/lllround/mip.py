@@ -95,11 +95,24 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
     return max(a, 1), max(t, 1)
 
 
+def _checked_point(instance: MipInstance, x_star) -> np.ndarray:
+    """x_star as a float vector with one finite, nonnegative weight per slot."""
+    x = np.asarray(x_star, dtype=float)
+    if x.shape != (instance.n_cols,):
+        raise ValueError(f"expected {instance.n_cols} values, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"slot weights must be finite, got {x[bad[0]]} at slot {bad[0]}")
+    if np.any(x < 0.0):
+        raise ValueError("slot weights must be nonnegative")
+    return x
+
+
 def mip_target(y_star: float, m: int, t: int) -> MipTarget:
     """Slack k = ceil(min(y*, m) * H(min(y*, m), 1/(e*t))), at least 1;
     target y* + k.  At y* = 0 the support loads no row, and k is 1."""
-    if y_star < 0.0:
-        raise ValueError(f"fractional value must be nonnegative, got {y_star}")
+    if not 0.0 <= y_star < math.inf:
+        raise ValueError(f"fractional value must be nonnegative and finite, got {y_star}")
     if t < 1 or m < 1:
         raise ValueError("need at least one row and interaction width 1")
     mu = min(y_star, float(m))
@@ -109,28 +122,53 @@ def mip_target(y_star: float, m: int, t: int) -> MipTarget:
     return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k)
 
 
+@dataclass(frozen=True)
+class _GroupDraw:
+    """Every group's cumulative normalized weights, one row per group,
+    padded to the widest group with the group's last edge."""
+
+    edges: np.ndarray  # (groups, widest group)
+    starts: np.ndarray  # each group's first column
+    last: np.ndarray  # each group's last slot
+
+    @classmethod
+    def build(cls, instance: MipInstance, x: np.ndarray) -> "_GroupDraw":
+        """From a checked point whose groups each sum to 1 within the
+        tolerance.  Each group's total is summed over that group's weights
+        alone, as a row of its own width: numpy's pairwise sum blocks a
+        padded row otherwise, and the total must round as the group's
+        one-dimensional sum does."""
+        sizes = np.array(instance.group_sizes)
+        width = int(sizes.max())
+        padded = np.zeros((sizes.size, width))
+        padded[np.arange(width) < sizes[:, None]] = x
+        totals = np.empty(sizes.size)
+        for size in set(instance.group_sizes):
+            same = sizes == size
+            totals[same] = padded[same, :size].sum(axis=1)
+        off = np.flatnonzero(np.abs(totals - 1.0) > GROUP_SUM_TOL)
+        if off.size:
+            raise ValueError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
+        return cls(np.cumsum(padded / totals[:, None], axis=1), np.array(instance.offsets), sizes - 1)
+
+    def draw(self, n_cols: int, rng_seed) -> np.ndarray:
+        """One uniform draw u per group.  A group takes the slot numbered by
+        how many of its edges lie at or below u (searchsorted's "right"
+        side), clamped to its last slot to guard the u == 1.0 corner; padded
+        edges repeat the group's last one, so they count only under the
+        clamp."""
+        u = np.random.default_rng(rng_seed).random(self.last.size)
+        slots = np.minimum(np.count_nonzero(self.edges <= u[:, None], axis=1), self.last)
+        z = np.zeros(n_cols)
+        z[self.starts + slots] = 1.0
+        return z
+
+
 def group_round(instance: MipInstance, x_star, rng_seed) -> np.ndarray:
     """One categorical draw per group guided by the fractional weights;
     returns a 0/1 vector with exactly one 1 per group."""
-    x = np.asarray(x_star, dtype=float)
-    if x.shape != (instance.n_cols,):
-        raise ValueError(f"expected {instance.n_cols} values, got shape {x.shape}")
-    if np.any(x < 0.0):
-        raise ValueError("slot weights must be nonnegative")
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.random(instance.n_groups)
-    z = np.zeros(instance.n_cols)
-    for g in range(instance.n_groups):
-        sl = instance.group_slice(g)
-        weights = x[sl]
-        total = weights.sum()
-        if abs(total - 1.0) > GROUP_SUM_TOL:
-            raise ValueError(f"group {g} weights sum to {total}, not 1")
-        edges = np.cumsum(weights / total)
-        slot = int(np.searchsorted(edges, draws[g], side="right"))
-        slot = min(slot, sl.stop - sl.start - 1)  # guard the u == 1.0 corner
-        z[sl.start + slot] = 1.0
-    return z
+    x = _checked_point(instance, x_star)
+    return _GroupDraw.build(instance, x).draw(instance.n_cols, rng_seed)
 
 
 def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> LasVegasReport:
@@ -138,14 +176,16 @@ def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> La
     at the interaction width t of x_star's support.
 
     Trials are seeded independently as (rng_seed, trial) so any prefix of
-    the trial stream is reproducible; the best value and the earliest trial
-    achieving it are tracked, and the loop stops early once the target is
-    met.  Failure to meet the target within max_tries is reported in the
-    success flag, not raised.
+    the trial stream is reproducible; each trial draws with
+    `group_round`'s edges, which are built once.  The best value and the
+    earliest trial achieving it are tracked, and the loop stops early once
+    the target is met.  Failure to meet the target within max_tries is
+    reported in the success flag, not raised.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    x = np.asarray(x_star, dtype=float)
+    x = _checked_point(instance, x_star)
+    groups = _GroupDraw.build(instance, x)
     _, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
     target = mip_target(y_star, instance.m, t)
@@ -155,7 +195,7 @@ def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> La
     trials_used = 0
     for trial in range(max_tries):
         trials_used = trial + 1
-        z = group_round(instance, x, [rng_seed, trial])
+        z = groups.draw(instance.n_cols, [rng_seed, trial])
         value = float(instance.loads(z).max())
         if value < best_value - 1e-9:
             best_value = value
@@ -196,7 +236,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
     rejected, or when a step does not lower t.  The traces record every
     accepted step; the returned point is the last one that lowered t.
     """
-    x = np.asarray(x_star, dtype=float)
+    x = _checked_point(instance, x_star)
     totals = np.add.reduceat(x, instance.offsets)
     off = np.flatnonzero(np.abs(totals - 1.0) > GROUP_SUM_TOL)
     if off.size:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +51,17 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _csr(keys: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values grouped by key in [0, size), in their order within a key:
+    key i's values are grouped[ptr[i]:ptr[i + 1]]."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, values[np.argsort(keys, kind="stable")]
+
+
 def _matrix_fields(shape, rows, cols, vals) -> dict:
     """Check the (row, col)-sorted nonzero triplets of an m x n matrix with
-    entries in (0, 1], and derive the row pointer and the per-row and
-    per-column index lists (views of the stored arrays)."""
+    entries in (0, 1], and derive the row pointer."""
     m, n = (int(d) for d in shape)
     if m < 1 or n < 1:
         raise InstanceError("instance needs at least one row and one column")
@@ -78,25 +85,20 @@ def _matrix_fields(shape, rows, cols, vals) -> dict:
             raise InstanceError(f"triplet {pos} duplicates ({rows[pos]}, {cols[pos]})")
         raise InstanceError("triplets must be sorted by (row, col)")
     row_ptr = _frozen(np.searchsorted(rows, np.arange(m + 1)))
-    # a stable sort by column keeps each column's rows ascending
-    col_ptr = np.cumsum(np.bincount(cols, minlength=n))[:-1]
-    rows_by_col = _frozen(rows[np.argsort(cols, kind="stable")])
-    return dict(shape=(m, n), rows=rows, cols=cols, vals=vals, row_ptr=row_ptr,
-                row_cols=np.split(cols, row_ptr[1:-1]), col_rows=np.split(rows_by_col, col_ptr))
+    return dict(shape=(m, n), rows=rows, cols=cols, vals=vals, row_ptr=row_ptr)
 
 
 @dataclass(frozen=True, eq=False)
 class _SparseMatrix:
     """The constraint matrix, stored once as its (row, col)-sorted nonzero
-    triplets; `row_cols[i]` and `col_rows[j]` are views of those arrays."""
+    triplets.  A column's nonzeros are found by sorting the triplets by
+    column (`_csr`), where they are needed."""
 
     shape: tuple[int, int]
     rows: np.ndarray  # row of each nonzero, nondecreasing
     cols: np.ndarray  # column of each nonzero, increasing within a row
     vals: np.ndarray  # each in (0, 1]
     row_ptr: np.ndarray  # row i's nonzeros are [row_ptr[i], row_ptr[i + 1])
-    row_cols: list[np.ndarray] = field(repr=False)
-    col_rows: list[np.ndarray] = field(repr=False)  # ascending rows of each column
 
     @property
     def m(self) -> int:
@@ -418,10 +420,19 @@ def _require(doc: dict, key: str):
 def _floats(values, what: str) -> np.ndarray:
     """Finite JSON numbers as floats; booleans, strings, NaN and infinities
     (and integers too large for a float) are refused."""
-    top = float(np.finfo(float).max)  # a Python float compares exactly with any int
-    if all(type(v) in (int, float) and abs(v) <= top for v in values):
-        return np.array(values, dtype=float)
+    if set(map(type, values)) <= {float}:  # as serialized: one array pass
+        array = np.array(values, dtype=float)
+        if np.all(np.isfinite(array)):
+            return array
+    else:
+        top = float(np.finfo(float).max)  # a Python float compares exactly with any int
+        if all(type(v) in (int, float) and abs(v) <= top for v in values):
+            return np.array(values, dtype=float)
     raise ParseError(f"{what} must hold finite numbers only")
+
+
+def _is_triplet(entry) -> bool:
+    return type(entry) is list and len(entry) == 3 and type(entry[0]) is int and type(entry[1]) is int
 
 
 def _read_triplets(doc: dict):
@@ -430,13 +441,14 @@ def _read_triplets(doc: dict):
     triplets = _require(doc, "A")
     if not isinstance(triplets, list):
         raise ParseError('field "A" must be a list of [row, col, value] triplets')
-    for pos, entry in enumerate(triplets):
-        if not (isinstance(entry, list) and len(entry) == 3
-                and type(entry[0]) is int and type(entry[1]) is int):
-            raise ParseError(f'field "A" entry {pos} is not a [row, col, value] triplet '
-                             'with integer indices')
-    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
-    return rows, cols, _floats(vals, 'the values of field "A"')
+    # all entries at once; entry by entry only to name the first bad one
+    if set(map(type, triplets)) <= {list} and set(map(len, triplets)) <= {3}:
+        rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+        if set(map(type, rows)) | set(map(type, cols)) <= {int}:
+            return rows, cols, _floats(vals, 'the values of field "A"')
+    pos = next(pos for pos, entry in enumerate(triplets) if not _is_triplet(entry))
+    raise ParseError(f'field "A" entry {pos} is not a [row, col, value] triplet '
+                     'with integer indices')
 
 
 def parse_instance(text: str):

@@ -302,7 +302,7 @@ def verify_fkg_and_antifkg(
     p = np.asarray(p, dtype=float)
     row_block, cond_rows, cond_cols, anti_cols = (
         [int(v) for v in arg] for arg in (row_block, cond_rows, cond_cols, anti_cols))
-    touched = sorted({int(r) for j in anti_cols for r in instance.col_rows[j]})
+    touched = np.unique(instance.rows[np.isin(instance.cols, anti_cols)]).tolist()
     # two indicator columns count the ones among cond_cols and anti_cols
     marks = np.zeros((instance.n, 2))
     marks[cond_cols, 0] = 1.0

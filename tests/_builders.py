@@ -68,6 +68,16 @@ def random_mip(seed, max_groups=4, max_slots=3, m_max=6):
     return MipInstance.create(a, sizes)
 
 
+def row_cols(instance, i):
+    """Row i's columns, ascending, read from the triplets."""
+    return instance.cols[instance.row_ptr[i]:instance.row_ptr[i + 1]]
+
+
+def col_rows(instance, j):
+    """Column j's rows, ascending, read from the triplets."""
+    return instance.rows[instance.cols == j]
+
+
 def lp_point(instance):
     """Optimal fractional point of the covering relaxation, as a plain array."""
     report = solve_cip_lp(instance)

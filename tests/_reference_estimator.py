@@ -13,6 +13,8 @@ import numpy as np
 
 from lllround import binomial_real
 
+from _builders import col_rows
+
 NEAR_ONE_GUARD = 1e-12
 
 
@@ -43,7 +45,7 @@ def reference_terms(scheme, lambdas, ks):
         subsets = list(itertools.combinations(support.tolist(), int(k)))
         cols = np.array(subsets, dtype=np.int64).reshape(len(subsets), int(k))
         row_lists = [
-            np.unique(np.concatenate([instance.col_rows[j] for j in subset]))
+            np.unique(np.concatenate([col_rows(instance, j) for j in subset]))
             for subset in subsets
         ]
         lengths = np.array([len(r) for r in row_lists], dtype=np.int64)

@@ -28,7 +28,7 @@ from lllround import (
 )
 from lllround import cip
 from lllround.cip import _row_bounds
-from _builders import four_cost_cover, lp_point, random_cip, two_cost_cover
+from _builders import col_rows, four_cost_cover, lp_point, random_cip, row_cols, two_cost_cover
 from _reference_estimator import (reference_derandomize, reference_row_bounds, reference_terms,
                                   reference_value)
 
@@ -246,7 +246,7 @@ class TestRowFailureBounds:
                       rng.uniform(0.0, 1.0, inst.n) * scheme.frac]
             for row in np.flatnonzero(~scheme.satisfied)[:1]:
                 dead = scheme.frac.copy()
-                dead[inst.row_cols[row]] = 0.0
+                dead[row_cols(inst, row)] = 0.0
                 points.append(dead)
                 assert reference_row_bounds(scheme, dead)[row] == 1.0
                 dead_rows += 1
@@ -343,7 +343,7 @@ class TestSuccessEstimator:
         state = make_estimator(scheme, [float(inst.n)], [1])
         row = int(np.flatnonzero(~scheme.satisfied)[0])
         p = scheme.frac.copy()
-        p[inst.row_cols[row]] = 0.0
+        p[row_cols(inst, row)] = 0.0
         got = evaluate_at(state, p)
         want = estimate_by_enumeration(scheme, p, [float(inst.n)], [1])
         assert state.at(p).chp[row] == 1.0
@@ -367,7 +367,7 @@ class TestSuccessEstimator:
         if case == "dead row":
             # bits this small leave row 2's failure bound clamped at 1, yet
             # their subsets keep positive weights
-            p[inst.row_cols[2]] = 0.01
+            p[row_cols(inst, 2)] = 0.01
         state = make_estimator(scheme, lambdas, ks).at(p)
         first, second = state.tables.terms
         if case == "empty column at k = 1":
@@ -530,7 +530,7 @@ class TestDerandomize:
                 q[j] = bit
                 branches.append(state.at(q))
             zero, one = branches
-            rows = inst.col_rows[j]
+            rows = col_rows(inst, j)
             assert np.all(one.chp[rows] <= zero.chp[rows] + 1e-12)
             mix = pj * one.chp[rows] + (1.0 - pj) * zero.chp[rows]
             assert np.all(state.chp[rows] >= mix - 1e-12)
@@ -674,8 +674,9 @@ REFERENCE_CASES = {
 
 class TestAgainstReference:
     def test_cases_include_empty_columns(self):
-        assert any(r.size == 0 for r in REFERENCE_CASES["random-34-ell1"]().col_rows)
-        assert any(r.size == 0 for r in REFERENCE_CASES["random-42-ell3"]().col_rows)
+        for name in ("random-34-ell1", "random-42-ell3"):
+            inst = REFERENCE_CASES[name]()
+            assert any(col_rows(inst, j).size == 0 for j in range(inst.n))
 
     @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
     @pytest.mark.parametrize("name", list(REFERENCE_CASES))

@@ -22,6 +22,7 @@ from lllround import (
 )
 
 from _builders import highs_optimum, random_cip, random_mip
+from _reference_mip import reference_crash_slots
 
 
 class TestCoveringRelaxation:
@@ -330,11 +331,27 @@ class TestStartingBases:
         a = np.array([[1.0, 0.5, 0.0, 0.0, 0.3],
                       [0.0, 0.0, 1.0, 0.6, 0.3]])
         instance = MipInstance.create(a, [2, 2, 1])
-        slots, loads = lp._crash_slots(instance, instance.a_matrix)
+        slots, loads = lp._crash_slots(instance)
         # group 0 takes slot 1 (max load 0.5, not 1); group 1 then takes
         # slot 3 (max 0.6, not 1); group 2 has one slot
         assert slots == [1, 3, 4]
         np.testing.assert_allclose(loads, [0.8, 0.9])
+
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 12), min_size=1, max_size=12),
+           entries=st.sampled_from(["fractional", "coarse"]))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_crash_is_the_dense_crash(self, seed, sizes, entries):
+        # coarse entries make many slots tie on their max load
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 9))
+        a = (rng.uniform(0.01, 1.0, (m, sum(sizes))) if entries == "fractional"
+             else rng.choice([0.25, 0.5, 1.0], (m, sum(sizes))))
+        a[rng.random(a.shape) < rng.uniform(0.2, 0.9)] = 0.0
+        instance = MipInstance.create(a, sizes)
+        slots, loads = lp._crash_slots(instance)
+        want_slots, want_loads = reference_crash_slots(instance)
+        assert slots == want_slots
+        assert np.array_equal(loads, want_loads)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_crash_pivots_are_not_iterations(self, monkeypatch, seed):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lllround.mip as mip_module
 from lllround import (
@@ -20,6 +22,7 @@ from lllround import (
     solve_mip_lp,
 )
 from _builders import random_mip, uniform_group_weights
+from _reference_mip import reference_group_round
 
 
 def disjoint_pairs():
@@ -30,6 +33,34 @@ def disjoint_pairs():
 
 def single_group_identity(n_slots):
     return MipInstance.create(np.eye(n_slots), [n_slots])
+
+
+class FixedDraws(np.random.Generator):
+    """A generator whose `random` returns the given draws, one per group;
+    `np.random.default_rng` hands a Generator back as it is."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, size=None):
+        return self.draws.copy()
+
+
+@st.composite
+def group_points(draw):
+    """An instance of 1 to 10 groups of 1 to 12 slots and a point whose
+    group sums lie within the 1e-6 tolerance of 1: fractional weights, some
+    zero, each group scaled off 1 by up to 9e-7."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(1e-12, 1e-6))
+    x = []
+    for size in sizes:
+        w = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+        if w.sum() == 0.0:
+            w[-1] = 1.0
+        x.extend(w / w.sum() * (1.0 + draw(st.floats(-9e-7, 9e-7))))
+    return MipInstance.create(np.ones((1, sum(sizes))), sizes), np.array(x)
 
 
 class TestMipTarget:
@@ -57,6 +88,11 @@ class TestMipTarget:
         out = mip_target(0.0, 4, 2)
         assert (out.k, out.target) == (1, 1.0)
         assert out.met_by(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            mip_target(bad, 4, 2)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="must be nonnegative"):
@@ -108,6 +144,42 @@ class TestGroupRound:
         with pytest.raises(ValueError, match="expected 3 values"):
             group_round(inst, [0.5, 0.5], 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 1"):
+            group_round(single_group_identity(3), [0.5, bad, 0.5], 0)
+
+    @given(case=group_points(), seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_same_draw_as_the_group_by_group_loop(self, case, seed):
+        inst, x = case
+        assert np.array_equal(group_round(inst, x, seed), reference_group_round(inst, x, seed))
+
+    @given(case=group_points())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_edges_are_the_group_by_group_cumulative_sums(self, case):
+        # each group's total rounds as its own one-dimensional sum, though
+        # a padded row of another width would sum in another order
+        inst, x = case
+        edges = mip_module._GroupDraw.build(inst, x).edges
+        for g in range(inst.n_groups):
+            sl = inst.group_slice(g)
+            assert np.array_equal(edges[g, : sl.stop - sl.start], np.cumsum(x[sl] / x[sl].sum()))
+
+    @given(case=group_points(), at=st.sampled_from(["one", "edges"]))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_draws_at_one_and_on_the_edges(self, case, at):
+        # u == 1.0 takes the last slot; a draw equal to an edge takes the
+        # slot after it, as searchsorted(side="right") does
+        inst, x = case
+        if at == "one":
+            draws = np.ones(inst.n_groups)
+        else:
+            draws = [np.cumsum(x[sl] / x[sl].sum())[(g * 7) % (sl.stop - sl.start)]
+                     for g, sl in enumerate(map(inst.group_slice, range(inst.n_groups)))]
+        got = group_round(inst, x, FixedDraws(draws))
+        assert np.array_equal(got, reference_group_round(inst, x, FixedDraws(draws)))
+
 
 class TestLasVegas:
     def test_disjoint_rows_succeed_immediately(self):
@@ -151,6 +223,28 @@ class TestLasVegas:
         assert not report.success
         assert report.trials_used == 5
         assert report.value == pytest.approx(float((inst.a_matrix @ report.z).max()))
+
+    def test_trial_stream_is_the_group_round_stream(self, monkeypatch):
+        # with an unmeetable target every trial runs; the best value and the
+        # earliest trial reaching it are those of group_round's trials
+        monkeypatch.setattr(mip_module, "mip_target", lambda y_star, m, t: mip_module.MipTarget(
+            y_star=y_star, t=t, k=0, target=y_star - 1.0))
+        inst = gen_hypergraph_partition(30, 30, 4, 3, 2)
+        x = solve_mip_lp(inst).solution.x
+        report = las_vegas_mip(inst, x, 40, rng_seed=6)
+        values = [float(inst.loads(reference_group_round(inst, x, [6, trial])).max())
+                  for trial in range(40)]
+        best = 0
+        for trial, value in enumerate(values):
+            if value < values[best] - 1e-9:
+                best = trial
+        assert (report.trials_used, report.best_trial, report.value) == (40, best, values[best])
+        assert np.array_equal(report.z, reference_group_round(inst, x, [6, best]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 2"):
+            las_vegas_mip(disjoint_pairs(), [0.5, 0.5, bad, 0.5], 10, rng_seed=0)
 
     @pytest.mark.parametrize("tries", [0, -1])
     def test_fewer_than_one_try_is_rejected(self, tries):
@@ -264,6 +358,11 @@ class TestBootstrap:
         inst = single_group_identity(3)
         with pytest.raises(ValueError, match="group 0 weights sum"):
             bootstrap_reduce(inst, [0.5, 0.3, 0.1], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 0"):
+            bootstrap_reduce(single_group_identity(3), [bad, 0.5, 0.5], 0)
 
     def test_outer_cap(self):
         assert mip_module._outer_cap(2) == 3

@@ -26,7 +26,8 @@ from lllround import (
 )
 
 import _reference_generators
-from _builders import lp_point, random_cip, random_mip, two_cost_cover, uniform_group_weights
+from _builders import (col_rows, lp_point, random_cip, random_mip, row_cols, two_cost_cover,
+                       uniform_group_weights)
 
 
 class TestCipInstance:
@@ -73,11 +74,11 @@ class TestCipInstance:
         inst = random_cip(seed=4, ell=2)
         for j in range(inst.n):
             np.testing.assert_array_equal(
-                inst.col_rows[j], np.nonzero(inst.a_matrix[:, j])[0]
+                col_rows(inst, j), np.nonzero(inst.a_matrix[:, j])[0]
             )
         for i in range(inst.m):
             np.testing.assert_array_equal(
-                inst.row_cols[i], np.nonzero(inst.a_matrix[i])[0]
+                row_cols(inst, i), np.nonzero(inst.a_matrix[i])[0]
             )
 
 
@@ -411,6 +412,17 @@ class TestSerialization:
             target = target[key]
         target[where[-1]] = bad
         with pytest.raises(ParseError):
+            parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("bad", [7, "x", {"0": 1}, [0, 1], [0, 1, 0.5, 0], [True, 1, 0.5],
+                                     [0, 1.0, 0.5], ["0", 1, 0.5], None])
+    def test_malformed_triplet_named_by_its_position(self, bad):
+        # the first bad entry is named, though a later one is bad too
+        doc = json.loads(serialize_instance(random_cip(seed=1)))
+        doc["A"][3] = bad
+        doc["A"][5] = [0]
+        with pytest.raises(ParseError, match=r'^field "A" entry 3 is not a \[row, col, value\] '
+                                             "triplet with integer indices$"):
             parse_instance(json.dumps(doc))
 
     def test_invalid_json_reports_line(self):

@@ -26,7 +26,7 @@ from lllround import (
     verify_fkg_and_antifkg,
     verify_phi_domination,
 )
-from _builders import lp_point, random_cip, random_mip, uniform_group_weights
+from _builders import col_rows, lp_point, random_cip, random_mip, uniform_group_weights
 
 
 def pair_row_scheme():
@@ -347,7 +347,7 @@ def cover_by_brute_force(scheme, p, lam, row_block, cond_rows, cond_cols, anti_c
         cond += w * given
         joint += w * (given and holding[row_block].all())
         anti += w * (holding.all() and z[anti_cols].all())
-    touched = sorted({int(r) for j in anti_cols for r in inst.col_rows[j]})
+    touched = sorted({int(r) for j in anti_cols for r in col_rows(inst, j)})
     ratios = (joint / cond, np.prod(1.0 - fail[row_block]),
               anti / clear, np.prod(p[anti_cols]) / np.prod(1.0 - fail[touched]))
     return fail, clear, success, ratios

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lllround import (
@@ -17,6 +17,8 @@ from lllround import (
     lower_tail_bound,
     upper_tail_bound,
 )
+from lllround.tailbounds import GRID_ANCHOR, GRID_RATIO
+from _reference_mip import reference_deviation_for_budget
 
 # Frozen by exact rational enumeration: sum_{j=15..20} C(20,j) / 2^20.
 EXACT_BINOMIAL_20_HALF_TAIL_AT_15 = 5425 / 262144
@@ -158,6 +160,81 @@ class TestDeviationForBudget:
     def test_contract_holds_everywhere(self, mu, p):
         delta = deviation_for_budget(mu, p)
         assert _budget_holds(mu, delta, p)
+
+
+_MEANS = st.floats(min_value=1e-3, max_value=1e3)
+# the mip slack's 1/(e*t), the sparsity target's 1/a, budgets near 1, and
+# budgets below 1e-6
+_BUDGETS = st.one_of(
+    st.integers(1, 10_000).map(lambda t: 1.0 / (math.e * t)),
+    st.integers(2, 10_000).map(lambda a: 1.0 / a),
+    st.floats(min_value=0.9, max_value=1.0 - 1e-15, exclude_max=True),
+    st.floats(min_value=1e-300, max_value=1e-6),
+)
+
+
+def _grid(index):
+    return GRID_ANCHOR * GRID_RATIO**index
+
+
+def _nudged(value, ulps):
+    """value moved by one ulp up (1) or down (-1), or kept (0)."""
+    return float(np.nextafter(value, math.inf * ulps)) if ulps else value
+
+
+class TestDeviationMatchesTheScalarSearch:
+    """The array search returns the scalar search's grid point, bit for
+    bit, including where its test sits on a rounding margin."""
+
+    @given(mu=_MEANS, budget=_BUDGETS)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_same_grid_point(self, mu, budget):
+        assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
+
+    @given(
+        point=st.integers(6_912, 14_000).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(1, min(60, int(1e3 * _grid(i)))))),
+        budget=st.one_of(_BUDGETS, st.sampled_from([-1, 0, 1])),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_mean_times_a_grid_point_on_an_integer(self, point, budget):
+        # mu * delta lands on (or within an ulp of) the integer q at that
+        # grid point; an integral `budget` nudges the bound's value there
+        index, q = point
+        mu = q / _grid(index)
+        if isinstance(budget, int):
+            budget = _nudged(math.ceil(mu * _grid(index)) * upper_tail_bound(mu, _grid(index)), budget)
+            assume(0.0 < budget < 1.0)
+        assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
+
+    @given(mu=_MEANS, index=st.integers(0, 14_000), nudge=st.sampled_from([-1, 0, 1]))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_budget_on_the_value_at_a_grid_point(self, mu, index, nudge):
+        budget = _nudged(math.ceil(mu * _grid(index)) * upper_tail_bound(mu, _grid(index)), nudge)
+        assume(0.0 < budget < 1.0)
+        assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
+
+    def test_grid_points_where_numpy_rounds_otherwise(self):
+        # where numpy's power misses Python's by an ulp, mu * delta can land
+        # on an integer in one and just past it in the other; the budget is
+        # the scalar value there, so that ceil decides the grid point
+        indices = np.arange(6_912, 14_000)
+        python = np.array([_grid(i) for i in indices.tolist()])
+        differ = GRID_ANCHOR * GRID_RATIO**indices != python
+        cases = 0
+        for delta in python[differ].tolist():
+            for q in (1, 2, 3, 5, 8):
+                mu = q / delta
+                budget = math.ceil(mu * delta) * upper_tail_bound(mu, delta)
+                if 1e-3 <= mu <= 1e3 and budget < 1.0:
+                    cases += 1
+                    assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
+        assert cases or not differ.any()
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_means(self, mu):
+        with pytest.raises(ValueError, match=f"positive and finite, got {mu}"):
+            deviation_for_budget(mu, 0.1)
 
 
 class TestLowerTailBound:
