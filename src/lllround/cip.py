@@ -92,7 +92,8 @@ class RoundedSolution:
 
 def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     """Scale a feasible fractional cover by alpha and split it into floors
-    plus Bernoulli bits.  Requires alpha > 1 and slack at most 1e-6."""
+    plus Bernoulli bits.  Requires alpha > 1 and slack at most 1e-6, and
+    raises ParameterError for a row whose deviation falls outside (0, 1)."""
     if alpha <= 1.0:
         raise ValueError(f"scale factor must exceed 1, got {alpha}")
     x = np.asarray(x, dtype=float)
@@ -108,14 +109,15 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     mu = instance.loads(frac)
     residual = instance.demands - instance.loads(floor)
     satisfied = residual <= 0.0
-    delta = np.zeros(instance.m)
     active = ~satisfied
-    if np.any(mu[active] <= 0.0):
-        raise EstimatorError("unsatisfied row with no random mass; is the point feasible?")
-    delta[active] = 1.0 - residual[active] / mu[active]
-    if np.any(delta[active] <= 0.0) or np.any(delta[active] >= 1.0):
-        raise EstimatorError("row deviations fell outside (0, 1)")
     unsatisfied = np.flatnonzero(active)
+    delta = np.zeros(instance.m)
+    with np.errstate(divide="ignore"):  # -inf on a row with no random mass
+        delta[active] = 1.0 - residual[active] / mu[active]
+    bad = unsatisfied[(delta[active] <= 0.0) | (delta[active] >= 1.0)]
+    if bad.size:
+        raise ParameterError(f"row {bad[0]} has deviation {delta[bad[0]]:.3g} outside (0, 1) "
+                             f"at alpha {alpha}")
     lengths = np.diff(instance.row_ptr)[unsatisfied]
     nonzeros = active[instance.rows]
     base = 1.0 - delta[unsatisfied]
@@ -193,8 +195,9 @@ def _row_bounds(scheme: RoundingScheme, p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _BudgetTerm:
-    """One cost's order-k column subsets with positive costs: their columns,
-    and the ascending union of their rows as segments of `flat_rows`."""
+    """One cost's order-k subsets of the columns with a positive cost and
+    p > 0: their columns, and the ascending union of their rows as segments
+    of `flat_rows`."""
 
     denom: float  # C(lambda, k)
     cost: np.ndarray
@@ -229,115 +232,76 @@ def _padded_col_rows(instance: CipInstance) -> np.ndarray:
     return padded
 
 
-class _SubsetTables:
-    """Precomputed subset enumeration for the estimator's budget terms.
-
-    For each criterion, the order-k subsets of the columns with a positive
-    cost and p > 0 at the build point are enumerated once into arrays, with
-    the rows each subset touches.  Evaluation computes every subset's
-    weight from p, then one segmented sum per term.  Any other subset holds
-    a bit at p = 0 and weighs exactly 0; a point positive on another column
-    needs new tables (see `EstimatorState.at`).
-    """
-
-    def __init__(self, scheme: RoundingScheme, lambdas, ks, p: np.ndarray):
-        instance = scheme.instance
-        padded = _padded_col_rows(instance)
-        self.calls = 0  # evaluations: `value` calls plus two per `_FixingSums` step
-        self.random = p > 0.0  # the columns the tables enumerate over
-        self.terms: list[_BudgetTerm] = []
-        for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
-            if k > SUBSET_ORDER_CAP:
-                raise ParameterError(f"subset order {k} exceeds the cap {SUBSET_ORDER_CAP}")
-            k = int(k)
-            support = np.flatnonzero((cost > 0.0) & self.random).tolist()
-            # with fewer positive-cost random bits than k the table is empty and
-            # the term subtracts nothing
-            cols = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
-            ).reshape(-1, k)
-            # each subset's rows, sorted, keeping the first copy of each below m
-            rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
-            rows.sort(axis=1)
-            keep = rows < instance.m
-            keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-            lengths = keep.sum(axis=1)
-            ends = np.cumsum(lengths)
-            starts = ends - lengths
-            self.terms.append(_BudgetTerm(
-                # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
-                denom=binomial_real(float(lam), k),
-                cost=cost,
-                cols=cols,
-                flat_rows=rows[keep],
-                starts=starts,
-                ends=ends,
-                filled=np.flatnonzero(ends > starts),
-            ))
-
-    def value(self, p: np.ndarray, chp: np.ndarray) -> float:
-        """Estimator value at bit probabilities p and row bounds chp: the
-        all-rows-survive product minus the budget overflow terms, with
-        near-one row bounds handled exactly."""
-        self.calls += 1
-        dead = chp >= 1.0 - NEAR_ONE_GUARD
-        n_dead = int(dead.sum())
-        with np.errstate(divide="ignore"):
-            # dead rows carry an exact factor of 0, tracked by count instead
-            log_clear = np.where(dead, 0.0, np.log1p(-np.minimum(chp, 1.0)))
-        total_log = float(log_clear.sum())
-        lead = math.exp(total_log) if n_dead == 0 else 0.0
-        subtracted = 0.0
-        for term in self.terms:
-            # exp(-inf) = 0 drops the subsets with a zero weight
-            contrib = np.exp(term.log_weights(p) + (total_log - term.segment_sums(log_clear)))
-            if n_dead:
-                # a subset counts only if its rows hold every dead row
-                contrib[term.segment_sums(dead.astype(np.int64)) != n_dead] = 0.0
-            subtracted += float(contrib.sum()) / term.denom
-        return lead - subtracted
+def _subset_terms(scheme: RoundingScheme, lambdas, ks, p: np.ndarray) -> tuple[_BudgetTerm, ...]:
+    """The budget terms at bit probabilities p, one per criterion: the
+    order-k subsets of the columns with a positive cost and p > 0,
+    enumerated into arrays with the rows each subset touches.  Any other
+    subset holds a bit at p = 0 and weighs exactly 0."""
+    instance = scheme.instance
+    padded = _padded_col_rows(instance)
+    terms = []
+    for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
+        k = int(k)
+        support = np.flatnonzero((cost > 0.0) & (p > 0.0)).tolist()
+        # with fewer positive-cost random bits than k the table is empty and
+        # the term subtracts nothing
+        cols = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
+        ).reshape(-1, k)
+        # each subset's rows, sorted, keeping the first copy of each below m
+        rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
+        rows.sort(axis=1)
+        keep = rows < instance.m
+        keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+        lengths = keep.sum(axis=1)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        terms.append(_BudgetTerm(
+            # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
+            denom=binomial_real(float(lam), k),
+            cost=cost,
+            cols=cols,
+            flat_rows=rows[keep],
+            starts=starts,
+            ends=ends,
+            filled=np.flatnonzero(ends > starts),
+        ))
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
 class EstimatorState:
-    """Bit probabilities, their row bounds and the subset tables for one
-    scheme and one family of budget terms.  Frozen: `at` is the one way to
-    move to a new point."""
+    """The estimator of one scheme and one family of budget terms at one
+    point: the bit probabilities, their row bounds and the budget terms'
+    subset tables over the point's random bits.  Frozen: `at` builds the
+    state at another point."""
 
     scheme: RoundingScheme
     p: np.ndarray
     lambdas: np.ndarray  # increment budgets, one per criterion
     ks: np.ndarray  # subset orders, one per criterion
     chp: np.ndarray  # clamped row failure bounds at p
-    tables: _SubsetTables = field(repr=False)
-
-    @property
-    def evaluations(self) -> int:
-        return self.tables.calls
+    terms: tuple[_BudgetTerm, ...] = field(repr=False)
 
     def at(self, p) -> "EstimatorState":
         """The state at bit probabilities p: itself if p equals self.p,
-        otherwise a state with the row bounds recomputed at p.  It shares
-        the subset tables while p is positive only on the tables' random
-        bits, and builds new ones at p otherwise."""
+        otherwise the state built at p."""
         p = np.array(p, dtype=float)
         if p.shape != self.p.shape:
             raise ValueError(f"expected {self.p.size} probabilities, got shape {p.shape}")
         if np.array_equal(p, self.p):
             return self
         p.setflags(write=False)
-        tables = self.tables
-        if np.any(p[~tables.random] > 0.0):
-            tables = _SubsetTables(self.scheme, self.lambdas, self.ks, p)
-        return _state_at(self.scheme, self.lambdas, self.ks, p, tables)
+        return _state_at(self.scheme, self.lambdas, self.ks, p)
 
 
-def _state_at(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray, p: np.ndarray,
-              tables: _SubsetTables) -> EstimatorState:
-    """The state at read-only bit probabilities p over the given tables."""
+def _state_at(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
+              p: np.ndarray) -> EstimatorState:
+    """The state at read-only bit probabilities p."""
     chp = _row_bounds(scheme, p)
     chp.setflags(write=False)
-    return EstimatorState(scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=chp, tables=tables)
+    return EstimatorState(scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=chp,
+                          terms=_subset_terms(scheme, lambdas, ks, p))
 
 
 def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
@@ -353,18 +317,53 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
     for lam, k in zip(lambdas, ks):
         if k < 1 or k > instance.n:
             raise ParameterError(f"subset order {k} out of range [1, {instance.n}]")
+        if k > SUBSET_ORDER_CAP:
+            raise ParameterError(f"subset order {k} exceeds the cap {SUBSET_ORDER_CAP}")
         if k == 1:
             if lam <= 0.0:
                 raise ParameterError(f"budget must be positive, got {lam}")
         elif lam < k:
             raise ParameterError(f"budget {lam} below subset order {k}")
-    return _state_at(scheme, lambdas, ks, scheme.frac,
-                     _SubsetTables(scheme, lambdas, ks, scheme.frac))
+    return _state_at(scheme, lambdas, ks, scheme.frac)
+
+
+def _evaluate(state: EstimatorState) -> tuple[float, np.ndarray, float, list[np.ndarray]]:
+    """The estimator at the state's own point: (value, log_clear, total_log,
+    es).  The value is the all-rows-survive product minus the budget
+    overflow terms, with near-one row bounds handled exactly; log_clear is
+    each row's log(1 - chp), 0 on a dead row, and total_log their sum; es
+    holds per budget term each subset's e_s = w_s(p) * exp(-seg_s), seg_s
+    summing log_clear over its rows, or 0 if it misses a dead row."""
+    p, chp = state.p, state.chp
+    dead = chp >= 1.0 - NEAR_ONE_GUARD
+    n_dead = int(dead.sum())
+    with np.errstate(divide="ignore"):
+        # dead rows carry an exact factor of 0, tracked by count instead
+        log_clear = np.where(dead, 0.0, np.log1p(-np.minimum(chp, 1.0)))
+    total_log = float(log_clear.sum())
+    lead = math.exp(total_log) if n_dead == 0 else 0.0
+    subtracted = 0.0
+    es = []
+    for term in state.terms:
+        log_w = term.log_weights(p)
+        seg = term.segment_sums(log_clear)
+        # exp(-inf) = 0 drops the subsets with a zero weight; exp(total_log)
+        # stays inside, as factoring it out gives inf * 0 once it underflows
+        contrib = np.exp(log_w + (total_log - seg))
+        e = np.exp(log_w - seg)
+        if n_dead:
+            # a subset counts only if its rows hold every dead row
+            misses = term.segment_sums(dead.astype(np.int64)) != n_dead
+            contrib[misses] = 0.0
+            e[misses] = 0.0
+        subtracted += float(contrib.sum()) / term.denom
+        es.append(e)
+    return lead - subtracted, log_clear, total_log, es
 
 
 def success_lower_bound(state: EstimatorState) -> float:
     """Lower bound on Pr(all demands hold and all increment budgets hold)."""
-    return state.tables.value(state.p, state.chp)
+    return _evaluate(state)[0]
 
 
 def standard_certificate(scheme: RoundingScheme, lambdas, ks):
@@ -485,25 +484,24 @@ class _TermSums:
 class _FixingSums:
     """The estimator along `derandomize`'s path, carried as running sums.
 
-    Per row it keeps log(1 - chp_i) and their sum `total_log`; per budget
-    term, a `_TermSums`.  The value is exp(total_log) * (1 - sum_t A_t /
-    denom_t).  Both sums are compensated, so thousands of steps add no
-    drift.  Fixing bit j moves only the subsets that hold j, whose weight
-    is linear in p_j, and the subsets that touch an unsatisfied row of
-    column j, whose bounds are recomputed from the scheme's `bound_*`
-    arrays.  A branch that kills a row keeps only the subsets that hold
-    every dead row, and those all touch a row of column j.
+    They start from `_evaluate` at the state's point, whose value is
+    `start`; a positive start leaves no row dead.  Per row they keep
+    log(1 - chp_i) and their sum `total_log`; per budget term, a
+    `_TermSums`.  The value is exp(total_log) * (1 - sum_t A_t / denom_t).
+    Both sums are compensated, so thousands of steps add no drift.  Fixing
+    bit j moves only the subsets that hold j, whose weight is linear in
+    p_j, and the subsets that touch an unsatisfied row of column j, whose
+    bounds are recomputed from the scheme's `bound_*` arrays.  A branch
+    that kills a row keeps only the subsets that hold every dead row, and
+    those all touch a row of column j.
     """
 
     def __init__(self, state: EstimatorState):
         scheme = self.scheme = state.scheme
         instance = scheme.instance
         m, n = instance.m, instance.n
-        self.tables = state.tables
         self.p = state.p.copy()
-        # a positive start value leaves no row dead, so every chp < 1
-        self.log_clear = np.log1p(-state.chp)
-        self.total_log = float(self.log_clear.sum())
+        self.start, self.log_clear, self.total_log, es = _evaluate(state)
         self.total_log_error = 0.0
         unsatisfied = ~scheme.satisfied
         self.bound_lengths = np.diff(scheme.bound_starts, append=scheme.bound_cols.size)
@@ -512,8 +510,7 @@ class _FixingSums:
         live = unsatisfied[instance.rows]
         self.col_ptr, self.col_slots = _csr(instance.cols[live], position[instance.rows[live]], n)
         self.terms = []
-        for term in state.tables.terms:
-            e = np.exp(term.log_weights(self.p) - term.segment_sums(self.log_clear))
+        for term, e in zip(state.terms, es):
             n_subsets, k = term.cols.shape
             col_ptr, by_col = _csr(term.cols.ravel(), np.arange(n_subsets * k) // k, n)
             owner = np.repeat(np.arange(n_subsets), term.ends - term.starts)
@@ -526,7 +523,6 @@ class _FixingSums:
     def branches(self, j: int) -> tuple[float, float]:
         """The estimator values with bit j fixed at 0 and at 1; `keep`
         then moves to one of them."""
-        self.tables.calls += 2
         scheme, p = self.scheme, self.p
         pj = float(p[j])
         slots = self.col_slots[self.col_ptr[j]:self.col_ptr[j + 1]]
@@ -615,20 +611,20 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
     estimator is convex along each coordinate, so the better branch never
     drops more than round-off below the current value — asserted at 1e-9.
     A start at or below 0 certifies nothing, so the parameters are too
-    tight: ParameterError.  The branch values come from `_FixingSums`, so a
-    bit costs work on its column's subsets and rows only.  The final point
-    is re-validated: every demand covered and every cost increment within
-    its budget, else an internal-consistency error.
+    tight: ParameterError.  The start and branch values come from
+    `_FixingSums`, so a bit costs work on its column's subsets and rows
+    only.  The final point is re-validated: every demand covered and every
+    cost increment within its budget, else an internal-consistency error.
     """
     scheme = state.scheme
     instance = scheme.instance
-    current = success_lower_bound(state)
+    sums = _FixingSums(state)
+    current = sums.start
     if current <= 0.0:
         raise ParameterError(
             f"estimator must start positive, got {current:.4g}; raise the budgets"
         )
     trace = [current]
-    sums = _FixingSums(state)
     for j in np.flatnonzero((state.p > 0.0) & (state.p < 1.0)).tolist():
         phi_zero, phi_one = sums.branches(j)
         if max(phi_zero, phi_one) < current - BRANCH_TOL:
@@ -723,5 +719,6 @@ def round_cip(instance: CipInstance, x, alpha: float | None = None, beta: float 
     scheme, lambdas, ks, info = choose_parameters(instance, x, alpha, beta, total_budgets)
     state = make_estimator(scheme, lambdas, ks)
     solution = derandomize(state)
-    info["evaluations"] = state.evaluations
+    # the start point once, then both branches of every fixed bit
+    info["evaluations"] = 2 * len(solution.trace) - 1
     return solution, info

@@ -327,7 +327,7 @@ def cmd_verify(args, argv: list[str]) -> int:
             try:
                 reports.extend(oracle.replay_fixture(doc, instance,
                                                      lambda: _relaxation(instance).x))
-            except (LookupError, TypeError, ValueError, cip.EstimatorError) as exc:
+            except (LookupError, TypeError, ValueError) as exc:
                 raise _CliFailure(EXIT_USAGE, f"fixture records no valid check: {exc!r}") from exc
         elif args.which == "lll":
             if is_cip:

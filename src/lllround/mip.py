@@ -71,6 +71,7 @@ class BootstrapIteration:
 @dataclass
 class BootstrapResult:
     x: np.ndarray  # the renormalized input, or the last point whose step lowered t
+    a: int  # column sparsity on the support of x, at least 1
     t_trace: list[int]
     y_trace: list[float]
     iterations: list[BootstrapIteration] = field(default_factory=list)
@@ -244,7 +245,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
     x = x / np.repeat(totals, instance.group_sizes)
     a, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
-    result = BootstrapResult(x=x, t_trace=[t], y_trace=[y_star])
+    result = BootstrapResult(x=x, a=a, t_trace=[t], y_trace=[y_star])
     rng = np.random.default_rng([rng_seed, 0xB007])
     for _ in range(_outer_cap(t)):
         if _easy_regime(y_star, t, a):
@@ -293,7 +294,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
             result.stop_reason = "t stopped decreasing"
             return result
         x, a, t, y_star = x_next, a_next, t_next, y_next
-        result.x = x
+        result.x, result.a = x, a
     result.stop_reason = "outer iteration cap"
     return result
 
@@ -311,11 +312,10 @@ def full_mip_pipeline(
     """
     boot = bootstrap_reduce(instance, x_star, rng_seed)
     report = las_vegas_mip(instance, boot.x, max_tries, rng_seed)
-    a, _ = _support_stats(instance, boot.x)
     y0 = boot.y_trace[0]
     mu = min(y0, float(instance.m))
-    if a >= 2:
-        target_t44 = y0 + 1.0 + mu * deviation_for_budget(mu, 1.0 / a)
+    if boot.a >= 2:
+        target_t44 = y0 + 1.0 + mu * deviation_for_budget(mu, 1.0 / boot.a)
     else:
         target_t44 = report.target.target
     summary = {

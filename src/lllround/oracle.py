@@ -250,9 +250,7 @@ def verify_phi_domination(
     return _with_fixture(report, "phi", state.scheme.instance, state.p, **_estimator_args(state))
 
 
-def verify_branch_inequality(
-    state: EstimatorState, j: int, tol: float = INEQ_TOL
-) -> VerifyReport:
+def verify_branch_inequality(state: EstimatorState, j: int) -> VerifyReport:
     """The estimator at p must not exceed its expectation over branching
     bit j to 0 or 1."""
     pj = float(state.p[j])
@@ -271,7 +269,7 @@ def verify_branch_inequality(
     mixture = pj * values[1.0] + (1.0 - pj) * values[0.0]
     phi = success_lower_bound(state)
     report = VerifyReport(
-        claim="branch mixture dominates the estimator", passed=phi <= mixture + tol,
+        claim="branch mixture dominates the estimator", passed=phi <= mixture + INEQ_TOL,
         lhs=phi, rhs=mixture,
     )
     return _with_fixture(report, "branch", state.scheme.instance, state.p, j=int(j),

@@ -369,7 +369,7 @@ class TestSuccessEstimator:
             # their subsets keep positive weights
             p[row_cols(inst, 2)] = 0.01
         state = make_estimator(scheme, lambdas, ks).at(p)
-        first, second = state.tables.terms
+        first, second = state.terms
         if case == "empty column at k = 1":
             assert np.any(first.starts == first.ends) and second.cols.shape == (1, 1)
         elif case == "support below k":
@@ -465,7 +465,9 @@ class TestDerandomize:
         assert np.array_equal(out.z, [2.0, 2.0])
         assert out.certificate == pytest.approx(1.0)
         assert out.trace == (pytest.approx(1.0),)
-        assert state.evaluations == 1
+        _, info = round_cip(inst, [1.0, 1.0], alpha=2.0, total_budgets=[5.0])
+        assert info["lambdas"] == [1.0]
+        assert info["evaluations"] == 1  # no bit to fix
 
     def test_fixing_order_values_and_tie_break(self):
         state = self.tie_break_setup(3.0)
@@ -474,7 +476,28 @@ class TestDerandomize:
         assert out.certificate == pytest.approx(1.0)
         expected = (1 - 0.5 / 3, 1 - 0.25 / 3, 1.0, 1.0)
         assert out.trace == pytest.approx(expected)
-        assert state.evaluations == 7  # one upfront plus two per leftover bit
+        # floor cost 2, so a total budget of 5 leaves the increment budget 3
+        _, info = round_cip(state.scheme.instance, [0.5, 0.5, 0.7], alpha=2.5,
+                            total_budgets=[5.0])
+        assert info["lambdas"] == [3.0]
+        assert info["evaluations"] == 7  # one upfront plus two per leftover bit
+
+    def test_the_start_point_is_evaluated_once(self, monkeypatch):
+        inst = random_cip(3, ell=2)
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
+        state = make_estimator(scheme, lambdas, ks)
+        evaluate = cip._evaluate
+        points = []
+
+        def counted(at):
+            points.append(at.p)
+            return evaluate(at)
+
+        monkeypatch.setattr(cip, "_evaluate", counted)
+        out = derandomize(state)
+        assert len(out.trace) > 1
+        assert len(points) == 1 and points[0] is state.p
+        assert out.trace[0] == evaluate(state)[0]
 
     def test_nonpositive_start_raises(self):
         state = self.tie_break_setup(0.4)
@@ -685,7 +708,7 @@ class TestAgainstReference:
         scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
         state = make_estimator(scheme, lambdas, ks)
         reference = random_subsets(reference_terms(scheme, lambdas, ks), scheme.frac)
-        for term, (_, _, cols, flat_rows, starts, ends) in zip(state.tables.terms, reference,
+        for term, (_, _, cols, flat_rows, starts, ends) in zip(state.terms, reference,
                                                                 strict=True):
             assert np.array_equal(term.cols, cols)
             assert np.array_equal(term.flat_rows, flat_rows)
@@ -718,7 +741,7 @@ class TestAgainstReference:
         inst = four_cost_cover(75, seed)
         scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
         state = make_estimator(scheme, lambdas, ks)
-        for cost, k, term in zip(inst.costs, ks, state.tables.terms, strict=True):
+        for cost, k, term in zip(inst.costs, ks, state.terms, strict=True):
             random = int(np.count_nonzero((cost > 0.0) & (scheme.frac > 0.0)))
             assert random < np.count_nonzero(cost > 0.0)
             assert term.cols.shape == (math.comb(random, k), k)
@@ -735,7 +758,9 @@ class TestAgainstReference:
         p[rng.random(inst.n) < 0.2] = 0.0
         assert np.any((p > 0.0) & (scheme.frac == 0.0))
         there = state.at(p)
-        assert there.tables is not state.tables
+        for cost, k, term in zip(inst.costs, ks, there.terms, strict=True):
+            random = int(np.count_nonzero((cost > 0.0) & (p > 0.0)))
+            assert term.cols.shape == (math.comb(random, k), k)
         want = reference_value(reference_terms(scheme, lambdas, ks), there.p, there.chp)
         assert success_lower_bound(there) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -800,9 +825,17 @@ class TestFixingSums:
         out = derandomize(state)
         steps = fixing_steps(state)
         assert len(out.trace) == len(steps) + 1
+        # the running sums start from the evaluation that also prices a
+        # state, so every value is checked against the reference as well
+        terms = reference_terms(scheme, lambdas, ks)
+        assert out.trace[0] == pytest.approx(reference_value(terms, state.p, state.chp),
+                                             rel=1e-12, abs=0.0)
         for (j, points, values, bit), kept in zip(steps, out.trace[1:], strict=True):
             for q, value in zip(points, values):
-                assert value == pytest.approx(evaluate_at(state, q), rel=1e-12, abs=0.0)
+                there = state.at(q)
+                assert value == pytest.approx(success_lower_bound(there), rel=1e-12, abs=0.0)
+                assert value == pytest.approx(reference_value(terms, q, there.chp),
+                                              rel=1e-12, abs=0.0)
             assert kept == values[int(bit)]
         assert np.array_equal(points[int(bit)], out.z - scheme.floor)
 

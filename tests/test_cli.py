@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lllround import (
@@ -347,6 +347,22 @@ class TestRound:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("mode", ["derandomize", "standard"])
+    def test_alpha_too_close_to_one_for_an_accepted_point_exits_2(self, tmp_path, capsys, mode):
+        # the point is 5e-7 short of the demand, within what --solution
+        # accepts, so this alpha leaves the row less random mass than it needs
+        inst = tmp_path / "inst.json"
+        inst.write_text(SHORT_COVER)
+        solution = tmp_path / "x.json"
+        solution.write_text(json.dumps({"x": SHORT_POINT}))
+        code = main(["round", str(inst), "--mode", mode, "--solution", str(solution),
+                     "--alpha", "1.0000001", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 0 ") and "alpha 1.0000001" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
     def test_kmax_option_is_gone(self, tmp_path):
         argv = ["round", str(gen(tmp_path)), "--kmax", "6", "--out", str(tmp_path / "r.json")]
         assert main(argv) == 2
@@ -559,8 +575,10 @@ class TestVerify:
         with monkeypatch.context() as forced:
             if check == "phi":
                 forced.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
-            elif check == "branch":  # its tolerance is a default argument
-                forced.setattr(real["branch"], "__defaults__", (-2.0,))
+            elif check == "branch":  # both branches price below 0
+                value = cip_module.success_lower_bound
+                forced.setattr(cip_module, "success_lower_bound", lambda state: value(state)
+                               if np.array_equal(state.p, state.scheme.frac) else -1.0)
             else:
                 forced.setattr(oracle_module, "INEQ_TOL", -2.0)
             which = {"branch": "phi"}.get(check, check)
@@ -741,6 +759,10 @@ class TestBenchAndReplay:
         assert out.read_text().splitlines()[1].startswith("set-cover,")
 
 
+# One row x1 + x2 >= 1 and a point 5e-7 short of it.
+SHORT_COVER = '{"kind":"cip","m":1,"n":2,"A":[[0,0,1.0],[0,1,1.0]],"b":[1.0],"costs":[[1.0,1.0]]}'
+SHORT_POINT = [0.5, 0.4999995]
+
 # Small valid instances with empty columns, zero costs, one-slot groups and
 # zero-load slots.
 ENTRIES = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0)
@@ -798,8 +820,14 @@ def cli_cases(draw):
     modes = ["standard", "derandomize"] * 3 if covering else ["mip"] * 3
     argv = ["round", "--mode", draw(st.sampled_from(modes + ["standard", "derandomize", "mip"])),
             "--seed", str(draw(st.integers(0, 3)))]
+    solution = draw(st.sampled_from([None, None, "vertex", "double", "half", "short", "shy"]))
     for flag in ("--alpha", "--beta"):
         value = _option_value(draw, st.floats(1.0, 8.0))
+        if flag == "--alpha" and solution == "shy":
+            # mostly an alpha in (1, 1 + 1e-5], log-uniformly: a point short
+            # of a demand by what --solution accepts can then leave a row
+            # too little random mass
+            value = draw(st.floats(5.0, 15.0).map(lambda e: 1.0 + 10.0**-e) | st.just(value))
         if value is not None:
             argv += [flag, repr(value)]
     ell = len(json.loads(text).get("costs", [()]))
@@ -809,19 +837,24 @@ def cli_cases(draw):
         budgets = [budget] + draw(st.lists(st.floats(10.0, 60.0) | BAD_VALUES,
                                            min_size=count - 1, max_size=count - 1))
         argv += ["--lambda", ",".join(map(repr, budgets))]
-    solution = draw(st.sampled_from([None, None, "vertex", "double", "half", "short"]))
     return text, argv, solution
 
 
 def _solution_file(text, how, path) -> list[str]:
-    """`--solution` with the relaxation's vertex, a multiple of it, or one
-    entry short; no option for `how` None."""
+    """`--solution` with the relaxation's vertex, a multiple of it, one
+    entry short, or the vertex scaled down to miss a demand (or a group
+    sum) by at most the 1e-6 that ingestion accepts; `how` may also be the
+    point itself.  No option for `how` None."""
     if how is None:
         return []
+    if isinstance(how, list):
+        path.write_text(json.dumps({"x": how}))
+        return ["--solution", str(path)]
     instance = parse_instance(text)
     solve = solve_cip_lp if isinstance(instance, CipInstance) else solve_mip_lp
     x = solve(instance).solution.x
-    x = {"vertex": x, "double": 2.0 * x, "half": 0.5 * x, "short": x[:-1]}[how]
+    shy = (1.0 - 0.9e-6 / max(float(instance.loads(x).max()), 1.0)) * x
+    x = {"vertex": x, "double": 2.0 * x, "half": 0.5 * x, "short": x[:-1], "shy": shy}[how]
     path.write_text(json.dumps({"x": x.tolist()}))
     return ["--solution", str(path)]
 
@@ -839,6 +872,8 @@ class TestContractFuzzer:
     line of error, never a traceback, and a successful `round` replays."""
 
     @given(case=cli_cases())
+    @example(case=(SHORT_COVER, ["round", "--mode", "derandomize", "--alpha", "1.0000001"],
+                   SHORT_POINT))
     @settings(derandomize=True, max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("always")  # as the interpreter shows them to a user
     def test_exit_codes_messages_and_replay(self, case):

@@ -287,6 +287,7 @@ class TestBootstrap:
         assert len(result.y_trace) == 2
         # the step kept t, so the point returned is the input, not the step's
         assert result.x == pytest.approx(x)
+        assert result.a == mip_module._support_stats(inst, x)[0]
         assert result.x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_accepted_steps_renormalize_every_group_to_one(self):
@@ -306,6 +307,7 @@ class TestBootstrap:
         for g in range(inst.n_groups):
             assert abs(result.x[inst.group_slice(g)].sum() - 1.0) <= 1e-12
         assert float(inst.loads(result.x).max()) == pytest.approx(result.y_trace[-1])
+        assert (result.a, result.t_trace[-1]) == mip_module._support_stats(inst, result.x)
 
     def test_large_value_case_is_deterministic_on_integral_scaling(self):
         # Four groups, slot j of each group on row j: uniform weights load
