@@ -60,7 +60,10 @@ class ParameterError(ValueError):
 @dataclass(frozen=True)
 class RoundingScheme:
     """Frozen per-row data for rounding alpha * x: floors, leftover bits, and
-    the lower-tail deviations of every still-unsatisfied row."""
+    the lower-tail deviations of every still-unsatisfied row.  Only those
+    rows can fail, so the estimator indexes them by their position in
+    `unsatisfied`: row by row through the `bound_*` arrays, column by column
+    through `col_ptr` and `col_slots`."""
 
     instance: CipInstance
     alpha: float
@@ -75,6 +78,8 @@ class RoundingScheme:
     bound_cols: np.ndarray  # column of each nonzero
     bound_gain: np.ndarray  # 1 - (1 - delta_i)**a_ij of each nonzero
     bound_shift: np.ndarray  # residual_i * log(1 - delta_i) of each unsatisfied row
+    col_ptr: np.ndarray  # column j's unsatisfied rows are col_slots[col_ptr[j]:col_ptr[j + 1]]
+    col_slots: np.ndarray  # ascending positions in unsatisfied
 
     @property
     def floor_costs(self) -> tuple[float, ...]:
@@ -120,6 +125,9 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
                              f"at alpha {alpha}")
     lengths = np.diff(instance.row_ptr)[unsatisfied]
     nonzeros = active[instance.rows]
+    bound_cols = instance.cols[nonzeros]
+    col_ptr, col_slots = _csr(bound_cols, np.repeat(np.arange(unsatisfied.size), lengths),
+                              instance.n)
     base = 1.0 - delta[unsatisfied]
     floor.setflags(write=False)
     frac.setflags(write=False)
@@ -133,9 +141,11 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
         satisfied=satisfied,
         unsatisfied=unsatisfied,
         bound_starts=np.cumsum(lengths) - lengths,
-        bound_cols=instance.cols[nonzeros],
+        bound_cols=bound_cols,
         bound_gain=1.0 - np.repeat(base, lengths) ** instance.vals[nonzeros],
         bound_shift=residual[unsatisfied] * np.log(base),
+        col_ptr=col_ptr,
+        col_slots=col_slots,
     )
 
 
@@ -196,16 +206,15 @@ def _row_bounds(scheme: RoundingScheme, p: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _BudgetTerm:
     """One cost's order-k subsets of the columns with a positive cost and
-    p > 0: their columns, and the ascending union of their rows as segments
-    of `flat_rows`."""
+    p > 0: their columns, and per subset the ascending union of its
+    unsatisfied rows, as positions in `scheme.unsatisfied`, in `flat_rows`
+    with the subset that owns each entry in `owner`."""
 
     denom: float  # C(lambda, k)
     cost: np.ndarray
     cols: np.ndarray  # (n_subsets, k), in lexicographic order
-    flat_rows: np.ndarray  # subset s covers flat_rows[starts[s]:ends[s]]
-    starts: np.ndarray
-    ends: np.ndarray
-    filled: np.ndarray  # subsets with at least one row
+    flat_rows: np.ndarray  # grouped by owner, ascending within a subset
+    owner: np.ndarray
 
     def log_weights(self, p: np.ndarray) -> np.ndarray:
         """log prod_{j in S} c_j p_j of every subset; -inf prunes zeros."""
@@ -213,34 +222,26 @@ class _BudgetTerm:
             return np.log(self.cost[self.cols] * p[self.cols]).sum(axis=1)
 
     def segment_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of values over each subset's rows, segment by segment; 0 for
-        a subset that covers no row."""
-        out = np.zeros(self.starts.size, dtype=values.dtype)
-        if self.filled.size:
-            out[self.filled] = np.add.reduceat(values[self.flat_rows], self.starts[self.filled])
-        return out
-
-
-def _padded_col_rows(instance: CipInstance) -> np.ndarray:
-    """(n, max column degree) matrix of each column's ascending rows,
-    padded with the sentinel m."""
-    col_ptr, rows = _csr(instance.cols, instance.rows, instance.n)
-    degree = np.diff(col_ptr)
-    padded = np.full((instance.n, int(degree.max(initial=0))), instance.m, dtype=np.int64)
-    cols = np.repeat(np.arange(instance.n), degree)
-    padded[cols, np.arange(rows.size) - col_ptr[cols]] = rows
-    return padded
+        """Sum of values (one per unsatisfied row) over each subset's rows,
+        added in row order; 0 for a subset that covers no row."""
+        return np.bincount(self.owner, weights=values[self.flat_rows],
+                           minlength=self.cols.shape[0])
 
 
 def _subset_terms(scheme: RoundingScheme, lambdas, ks, p: np.ndarray) -> tuple[_BudgetTerm, ...]:
     """The budget terms at bit probabilities p, one per criterion: the
     order-k subsets of the columns with a positive cost and p > 0,
-    enumerated into arrays with the rows each subset touches.  Any other
-    subset holds a bit at p = 0 and weighs exactly 0."""
-    instance = scheme.instance
-    padded = _padded_col_rows(instance)
+    enumerated into arrays with the unsatisfied rows each subset touches.
+    Any other subset holds a bit at p = 0 and weighs exactly 0."""
+    n, u = scheme.instance.n, scheme.unsatisfied.size
+    # each column's unsatisfied rows, padded with the sentinel u
+    degree = np.diff(scheme.col_ptr)
+    padded = np.full((n, int(degree.max(initial=0))), u, dtype=np.int64)
+    entry_cols = np.repeat(np.arange(n), degree)
+    depth = np.arange(scheme.col_slots.size) - scheme.col_ptr[entry_cols]
+    padded[entry_cols, depth] = scheme.col_slots
     terms = []
-    for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
+    for cost, lam, k in zip(scheme.instance.costs, lambdas, ks, strict=True):
         k = int(k)
         support = np.flatnonzero((cost > 0.0) & (p > 0.0)).tolist()
         # with fewer positive-cost random bits than k the table is empty and
@@ -248,23 +249,18 @@ def _subset_terms(scheme: RoundingScheme, lambdas, ks, p: np.ndarray) -> tuple[_
         cols = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
         ).reshape(-1, k)
-        # each subset's rows, sorted, keeping the first copy of each below m
+        # each subset's rows, sorted, keeping the first copy of each below u
         rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
         rows.sort(axis=1)
-        keep = rows < instance.m
+        keep = rows < u
         keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-        lengths = keep.sum(axis=1)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
         terms.append(_BudgetTerm(
             # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
             denom=binomial_real(float(lam), k),
             cost=cost,
             cols=cols,
             flat_rows=rows[keep],
-            starts=starts,
-            ends=ends,
-            filled=np.flatnonzero(ends > starts),
+            owner=np.nonzero(keep)[0],
         ))
     return tuple(terms)
 
@@ -330,11 +326,12 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
 def _evaluate(state: EstimatorState) -> tuple[float, np.ndarray, float, list[np.ndarray]]:
     """The estimator at the state's own point: (value, log_clear, total_log,
     es).  The value is the all-rows-survive product minus the budget
-    overflow terms, with near-one row bounds handled exactly; log_clear is
-    each row's log(1 - chp), 0 on a dead row, and total_log their sum; es
-    holds per budget term each subset's e_s = w_s(p) * exp(-seg_s), seg_s
-    summing log_clear over its rows, or 0 if it misses a dead row."""
-    p, chp = state.p, state.chp
+    overflow terms, with near-one row bounds handled exactly; a satisfied
+    row holds for certain and contributes the factor 1.  log_clear is each
+    unsatisfied row's log(1 - chp), 0 on a dead row, and total_log their
+    sum; es holds per budget term each subset's e_s = w_s(p) * exp(-seg_s),
+    seg_s summing log_clear over its rows, or 0 if it misses a dead row."""
+    p, chp = state.p, state.chp[state.scheme.unsatisfied]
     dead = chp >= 1.0 - NEAR_ONE_GUARD
     n_dead = int(dead.sum())
     with np.errstate(divide="ignore"):
@@ -469,7 +466,8 @@ def _compensated_add(total: float, error: float, step: float) -> tuple[float, fl
 class _TermSums:
     """One budget term along the fixing path: each subset's
     e_s = w_s(p) * exp(-seg_s), their compensated sum A = total + error,
-    and the subsets of each column and of each unsatisfied row."""
+    and the subsets of each column and of each unsatisfied row (by its
+    position in `scheme.unsatisfied`)."""
 
     term: _BudgetTerm
     e: np.ndarray
@@ -477,7 +475,7 @@ class _TermSums:
     error: float
     col_ptr: np.ndarray  # column j's subsets are by_col[col_ptr[j]:col_ptr[j + 1]]
     by_col: np.ndarray
-    row_ptr: np.ndarray  # unsatisfied row i's subsets are by_row[row_ptr[i]:row_ptr[i + 1]]
+    row_ptr: np.ndarray  # unsatisfied row s's subsets are by_row[row_ptr[s]:row_ptr[s + 1]]
     by_row: np.ndarray
 
 
@@ -485,37 +483,29 @@ class _FixingSums:
     """The estimator along `derandomize`'s path, carried as running sums.
 
     They start from `_evaluate` at the state's point, whose value is
-    `start`; a positive start leaves no row dead.  Per row they keep
-    log(1 - chp_i) and their sum `total_log`; per budget term, a
+    `start`; a positive start leaves no row dead.  Per unsatisfied row they
+    keep log(1 - chp_i) and their sum `total_log`; per budget term, a
     `_TermSums`.  The value is exp(total_log) * (1 - sum_t A_t / denom_t).
     Both sums are compensated, so thousands of steps add no drift.  Fixing
     bit j moves only the subsets that hold j, whose weight is linear in
-    p_j, and the subsets that touch an unsatisfied row of column j, whose
-    bounds are recomputed from the scheme's `bound_*` arrays.  A branch
-    that kills a row keeps only the subsets that hold every dead row, and
-    those all touch a row of column j.
+    p_j, and the subsets that touch an unsatisfied row of column j (the
+    scheme's `col_slots`), whose bounds are recomputed from the scheme's
+    `bound_*` arrays.  A branch that kills a row keeps only the subsets
+    that hold every dead row, and those all touch a row of column j.
     """
 
     def __init__(self, state: EstimatorState):
         scheme = self.scheme = state.scheme
-        instance = scheme.instance
-        m, n = instance.m, instance.n
+        n, u = scheme.instance.n, scheme.unsatisfied.size
         self.p = state.p.copy()
         self.start, self.log_clear, self.total_log, es = _evaluate(state)
         self.total_log_error = 0.0
-        unsatisfied = ~scheme.satisfied
         self.bound_lengths = np.diff(scheme.bound_starts, append=scheme.bound_cols.size)
-        # each column's unsatisfied rows, as positions in scheme.unsatisfied
-        position = np.cumsum(unsatisfied) - 1
-        live = unsatisfied[instance.rows]
-        self.col_ptr, self.col_slots = _csr(instance.cols[live], position[instance.rows[live]], n)
         self.terms = []
         for term, e in zip(state.terms, es):
             n_subsets, k = term.cols.shape
             col_ptr, by_col = _csr(term.cols.ravel(), np.arange(n_subsets * k) // k, n)
-            owner = np.repeat(np.arange(n_subsets), term.ends - term.starts)
-            touched = unsatisfied[term.flat_rows]
-            row_ptr, by_row = _csr(term.flat_rows[touched], owner[touched], m)
+            row_ptr, by_row = _csr(term.flat_rows, term.owner, u)
             self.terms.append(_TermSums(term, e, float(e.sum()), 0.0, col_ptr, by_col, row_ptr,
                                         by_row))
         self._pending = None
@@ -525,12 +515,11 @@ class _FixingSums:
         then moves to one of them."""
         scheme, p = self.scheme, self.p
         pj = float(p[j])
-        slots = self.col_slots[self.col_ptr[j]:self.col_ptr[j + 1]]
-        rows = scheme.unsatisfied[slots]
+        slots = scheme.col_slots[scheme.col_ptr[j]:scheme.col_ptr[j + 1]]
         moved = np.zeros(2)  # change of total_log in each branch
         log_clear = delta = dead = None
         n_dead = np.zeros(2, dtype=np.int64)
-        if rows.size:
+        if slots.size:
             # both branches' bounds on the rows of column j, each row summed
             # over its nonzeros as `_row_bounds` sums it
             lengths = self.bound_lengths[slots]
@@ -545,7 +534,7 @@ class _FixingSums:
             n_dead = dead.sum(axis=1)
             with np.errstate(divide="ignore"):
                 log_clear = np.where(dead, 0.0, np.log1p(-chp))
-            delta = log_clear - self.log_clear[rows]
+            delta = log_clear - self.log_clear[slots]
             moved = delta.sum(axis=1)
         total_log = self.total_log + (self.total_log_error + moved)
         alive = n_dead == 0
@@ -558,14 +547,14 @@ class _FixingSums:
             change = np.array([-held_sum, held_sum / pj - held_sum])
             touched = growth = None
             after = 0.0
-            if rows.size:
+            if slots.size:
                 # the subsets touching the moved rows: their sums before and
                 # after the rows move; only they can hold a dead row
-                lengths = t.row_ptr[rows + 1] - t.row_ptr[rows]
+                lengths = t.row_ptr[slots + 1] - t.row_ptr[slots]
                 if lengths.any():
-                    entries = t.by_row[_spans(t.row_ptr[rows], lengths)]
+                    entries = t.by_row[_spans(t.row_ptr[slots], lengths)]
                     touched, owner = np.unique(entries, return_inverse=True)
-                    row_of = np.repeat(np.arange(rows.size), lengths)
+                    row_of = np.repeat(np.arange(slots.size), lengths)
                     weights = np.where(np.any(t.term.cols[touched] == j, axis=1),
                                        [[0.0], [1.0 / pj]], 1.0) * t.e[touched]
                     # per subset and branch, sums over its moved rows
@@ -582,18 +571,18 @@ class _FixingSums:
             subtracted += sums / t.term.denom
             steps.append((held, touched, growth, change))
         values = np.exp(total_log) * (alive - subtracted)
-        self._pending = (j, pj, rows, log_clear, moved, n_dead, steps)
+        self._pending = (j, pj, slots, log_clear, moved, n_dead, steps)
         return float(values[0]), float(values[1])
 
     def keep(self, bit: float) -> None:
         """Move to the branch of the last `branches` call with the given bit."""
-        j, pj, rows, log_clear, moved, n_dead, steps = self._pending
+        j, pj, slots, log_clear, moved, n_dead, steps = self._pending
         b = int(bit)
         if n_dead[b]:
             raise EstimatorError(f"the kept branch at bit {j} has a row bound clamped at 1")
         self.p[j] = bit
-        if rows.size:
-            self.log_clear[rows] = log_clear[b]
+        if slots.size:
+            self.log_clear[slots] = log_clear[b]
         self.total_log, self.total_log_error = _compensated_add(
             self.total_log, self.total_log_error, float(moved[b]))
         for t, (held, touched, growth, change) in zip(self.terms, steps):

@@ -321,6 +321,10 @@ def cmd_verify(args, argv: list[str]) -> int:
     if args.which in ("tail",):
         reports.extend(_verify_tail())
     else:
+        try:
+            oracle._budget_bits()
+        except ValueError as exc:
+            raise _CliFailure(EXIT_USAGE, str(exc)) from exc
         instance = _load_instance(args.target)
         is_cip = isinstance(instance, model.CipInstance)
         if oracle.is_fixture(doc):

@@ -33,7 +33,6 @@ from .model import CipInstance, FractionalSolution, MipInstance, _csr
 __all__ = ["LpReport", "solve_cip_lp", "solve_mip_lp", "ingest_solution", "InfeasibleError"]
 
 PIVOT_TOL = 1e-9
-FEASIBILITY_TOL = 1e-9
 INGEST_TOL = 1e-6
 
 

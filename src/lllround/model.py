@@ -10,7 +10,6 @@ picks exactly one column per group, and minimizes the maximum row load.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np

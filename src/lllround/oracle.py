@@ -11,6 +11,7 @@ counterexample fixture that `replay_fixture` turns back into the same check.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -18,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cip import EstimatorState, RoundingScheme, make_estimator, make_scheme
+from .cip import EstimatorState, RoundingScheme, make_estimator, make_scheme, success_lower_bound
 from .lp import ingest_solution
+from .mip import _support_stats
 from .model import CipInstance, MipInstance, serialize_instance
+from .tailbounds import binomial_real, elementary_symmetric
 
 __all__ = [
-    "EnumerationBudget",
     "BudgetExceeded",
     "ExactProbs",
     "OracleError",
@@ -47,6 +49,7 @@ INEQ_TOL = 1e-9
 # float array, whatever the instance's width.
 _CHUNK_ENTRIES = 1 << 22
 BUDGET_ENV_VAR = "LLLROUND_BUDGET_BITS"
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float compares exactly with any int
 
 
 class BudgetExceeded(RuntimeError):
@@ -57,28 +60,25 @@ class OracleError(RuntimeError):
     """Internal sanity check failed (e.g. probabilities not summing to 1)."""
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    max_bits: int = 22
+def _budget_bits() -> int:
+    """The enumeration budget in bits: LLLROUND_BUDGET_BITS, an integer in
+    [1, HARD_BIT_CAP], 22 when unset."""
+    raw = os.environ.get(BUDGET_ENV_VAR, "22")
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+    if not 1 <= bits <= HARD_BIT_CAP:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be in [1, {HARD_BIT_CAP}], got {bits}")
+    return bits
 
-    def __post_init__(self):
-        if not 1 <= self.max_bits <= HARD_BIT_CAP:
-            raise ValueError(f"max_bits must be in [1, {HARD_BIT_CAP}], got {self.max_bits}")
 
-    @classmethod
-    def from_env(cls) -> "EnumerationBudget":
-        raw = os.environ.get(BUDGET_ENV_VAR)
-        if raw is None:
-            return cls()
-        try:
-            bits = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-        return cls(max_bits=bits)
-
-    def check_bits(self, n: int) -> None:
-        if n > self.max_bits:
-            raise BudgetExceeded(f"enumerating 2^{n} outcomes exceeds the {self.max_bits}-bit budget")
+def _check_budget(outcomes: int, what: str) -> None:
+    """Raise BudgetExceeded if enumerating `outcomes` cases (`what`) goes
+    past the budget."""
+    bits = _budget_bits()
+    if outcomes > 1 << bits:
+        raise BudgetExceeded(f"{what} exceeds the {bits}-bit budget")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def _chunk_ranges(total: int, width: int):
         yield start, min(start + step, total)
 
 
-def _random_bit_chunks(p: np.ndarray, columns: np.ndarray, budget: EnumerationBudget):
+def _random_bit_chunks(p: np.ndarray, columns: np.ndarray):
     """Yield (sums, w) chunks over every outcome z of the bits with
     0 < p < 1, the other bits held at their values: sums[r] = z @ columns
     for the chunk's r-th outcome and w[r] its probability.  Only the random
@@ -139,7 +139,7 @@ def _random_bit_chunks(p: np.ndarray, columns: np.ndarray, budget: EnumerationBu
     if p.shape != columns.shape[:1] or not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("need a probability per bit")
     live = np.flatnonzero((p > 0.0) & (p < 1.0))
-    budget.check_bits(live.size)
+    _check_budget(1 << live.size, f"enumerating 2^{live.size} outcomes")
     held = (p == 1.0).astype(float) @ columns
     shifts = np.arange(live.size, dtype=np.uint64)
     mass_parts: list[float] = []
@@ -154,17 +154,11 @@ def _random_bit_chunks(p: np.ndarray, columns: np.ndarray, budget: EnumerationBu
     _check_mass(mass_parts, "outcome")
 
 
-def exact_event_probs(
-    scheme: RoundingScheme,
-    p,
-    lambdas=None,
-    budget: EnumerationBudget | None = None,
-) -> ExactProbs:
+def exact_event_probs(scheme: RoundingScheme, p, lambdas=None) -> ExactProbs:
     """Exact per-row failure probabilities, the probability every row holds,
     and (with budgets) the probability of full success, by enumerating every
     outcome of the bits that are still random.  Chunk sums are combined with
     exact accumulation."""
-    budget = budget or EnumerationBudget.from_env()
     instance = scheme.instance
     m = instance.m
     lam = None if lambdas is None else np.asarray(lambdas, dtype=float)
@@ -172,7 +166,7 @@ def exact_event_probs(
     fail_parts: list[list[float]] = [[] for _ in range(m)]
     clear_parts: list[float] = []
     success_parts: list[float] = []
-    for sums, w in _random_bit_chunks(np.asarray(p, dtype=float), columns, budget):
+    for sums, w in _random_bit_chunks(np.asarray(p, dtype=float), columns):
         failing = sums[:, :m] < scheme.residual[None, :]
         for i in range(m):
             fail_parts[i].append(float(w[failing[:, i]].sum()))
@@ -187,21 +181,15 @@ def exact_event_probs(
     return ExactProbs(row_fail=row_fail, all_clear=all_clear, success=success)
 
 
-def exact_ilp(
-    instance: CipInstance, budget: EnumerationBudget | None = None
-) -> tuple[np.ndarray, float]:
+def exact_ilp(instance: CipInstance) -> tuple[np.ndarray, float]:
     """Brute-force optimum of the first cost over a per-variable box,
     returning the lexicographically smallest optimizer (objective ties at
     1e-12)."""
-    budget = budget or EnumerationBudget.from_env()
     a = instance.a_matrix
     box = min(int(math.ceil(instance.demands.max() / instance.vals.min())), MAX_BOX)
     radix = box + 1
     total = radix**instance.n
-    if total > (1 << budget.max_bits):
-        raise BudgetExceeded(
-            f"box search of {total} points exceeds the {budget.max_bits}-bit budget"
-        )
+    _check_budget(total, f"box search of {total} points")
     cost = np.asarray(instance.costs[0])
     place = radix ** np.arange(instance.n, dtype=np.int64)  # index digit j = variable j
 
@@ -236,14 +224,10 @@ def exact_ilp(
     return best_z.astype(float), best
 
 
-def verify_phi_domination(
-    state: EstimatorState, budget: EnumerationBudget | None = None
-) -> VerifyReport:
+def verify_phi_domination(state: EstimatorState) -> VerifyReport:
     """Exact success probability must dominate the estimator value."""
-    from .cip import success_lower_bound
-
     phi = success_lower_bound(state)
-    probs = exact_event_probs(state.scheme, state.p, lambdas=state.lambdas, budget=budget)
+    probs = exact_event_probs(state.scheme, state.p, lambdas=state.lambdas)
     assert probs.success is not None
     report = VerifyReport(claim="exact success probability >= estimator value",
                           passed=probs.success >= phi - INEQ_TOL, lhs=probs.success, rhs=phi)
@@ -259,8 +243,6 @@ def verify_branch_inequality(state: EstimatorState, j: int) -> VerifyReport:
             claim="branch mixture dominates the estimator", passed=True, lhs=0.0, rhs=0.0,
             status="bit already integral",
         )
-    from .cip import success_lower_bound
-
     values = {}
     for setting in (0.0, 1.0):
         q = state.p.copy()
@@ -283,7 +265,6 @@ def verify_fkg_and_antifkg(
     cond_rows,
     cond_cols,
     anti_cols,
-    budget: EnumerationBudget | None = None,
 ) -> list[VerifyReport]:
     """Two exact correlation checks on one instance, from one enumeration.
 
@@ -294,7 +275,6 @@ def verify_fkg_and_antifkg(
     `anti_cols` bits are 1 is at most the unconditional product inflated by
     the rows those bits touch.
     """
-    budget = budget or EnumerationBudget.from_env()
     instance = scheme.instance
     m = instance.m
     p = np.asarray(p, dtype=float)
@@ -308,7 +288,7 @@ def verify_fkg_and_antifkg(
     need = marks.sum(axis=0)
     fail_parts: dict[int, list[float]] = {i: [] for i in set(row_block) | set(touched)}
     event_parts = {key: [] for key in ("cond", "joint", "clear", "anti")}
-    for sums, w in _random_bit_chunks(p, np.hstack([instance.a_matrix.T, marks]), budget):
+    for sums, w in _random_bit_chunks(p, np.hstack([instance.a_matrix.T, marks])):
         holding = sums[:, :m] >= scheme.residual[None, :]
         for i, parts in fail_parts.items():
             parts.append(float(w[~holding[:, i]].sum()))
@@ -346,7 +326,7 @@ def verify_fkg_and_antifkg(
     return [_with_fixture(r, "fkg", instance, p, **args) for r in (rep, rep2)]
 
 
-def _assignment_chunks(instance: MipInstance, x: np.ndarray, budget: EnumerationBudget):
+def _assignment_chunks(instance: MipInstance, x: np.ndarray):
     """Yield (loads, w) chunks over every assignment of the groups to their
     live slots (x > 0), mixed radix over the groups with two or more: loads[r]
     are the row loads of the chunk's r-th assignment and w[r] its
@@ -367,10 +347,7 @@ def _assignment_chunks(instance: MipInstance, x: np.ndarray, budget: Enumeration
         else:
             live.append(slots)
     total = math.prod(slots.size for slots in live)
-    if total > (1 << budget.max_bits):
-        raise BudgetExceeded(
-            f"enumerating {total} assignments exceeds the {budget.max_bits}-bit budget"
-        )
+    _check_budget(total, f"enumerating {total} assignments")
     mass_parts: list[float] = []
     for start, stop in _chunk_ranges(total, instance.m + 1):
         idx = np.arange(start, stop, dtype=np.int64)
@@ -386,9 +363,7 @@ def _assignment_chunks(instance: MipInstance, x: np.ndarray, budget: Enumeration
     _check_mass(mass_parts, "assignment")
 
 
-def verify_extended_lll(
-    instance: MipInstance, x_star, k: int, budget: EnumerationBudget | None = None
-) -> VerifyReport:
+def verify_extended_lll(instance: MipInstance, x_star, k: int) -> VerifyReport:
     """Dependency-based existence check for group rounding.
 
     Bad events are rows whose load exceeds its mean by k or more.  Each
@@ -399,9 +374,6 @@ def verify_extended_lll(
     no event occurs must be at least (d / (d + 1))^m.  An unmet premise is
     reported as such, never as a failure.
     """
-    from .tailbounds import binomial_real, elementary_symmetric
-
-    budget = budget or EnumerationBudget.from_env()
     if k < 1:
         raise ValueError("slack must be at least 1")
     x = np.asarray(x_star, dtype=float)
@@ -413,8 +385,6 @@ def verify_extended_lll(
     for i in range(instance.m):
         denom = binomial_real(float(mu[i] + k), k)
         p_bounds[i] = elementary_symmetric(contrib[i], k) / denom
-    from .mip import _support_stats
-
     _, t = _support_stats(instance, x)
     d = k * (t - 1)
     premise = math.e * p_bounds * (d + 1)
@@ -423,7 +393,7 @@ def verify_extended_lll(
         return VerifyReport(claim="no-bad-event probability >= (d/(d+1))^m", passed=True,
                             lhs=float(premise[worst]), rhs=1.0, status="hypothesis unmet")
     good_parts = [float(w[(loads < mu[None, :] + k).all(axis=1)].sum())
-                  for loads, w in _assignment_chunks(instance, x, budget)]
+                  for loads, w in _assignment_chunks(instance, x)]
     lhs = math.fsum(good_parts)
     rhs = (d / (d + 1)) ** instance.m if d > 0 else 0.0
     report = VerifyReport(
@@ -441,13 +411,34 @@ def is_fixture(doc: dict) -> bool:
 _CHECK_KINDS = {"phi": CipInstance, "branch": CipInstance, "fkg": CipInstance, "lll": MipInstance}
 
 
-def _recorded_integer(doc: dict, key: str) -> int:
-    """A fixture's integer argument, as written: JSON true, 4.7 or "3" is
-    no integer, and truncating it would replay another check."""
+def _is_recorded(value, integer: bool) -> bool:
+    if integer:
+        return type(value) is int
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX  # NaN compares false
+
+
+def _recorded(doc: dict, key: str, integer: bool = False):
+    """A fixture's scalar argument, as written: an integer must be a JSON
+    integer and any other number a finite JSON number.  JSON true, 4.7 or
+    "3" is no integer, and converting it would replay another check."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if not _is_recorded(value, integer):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
     return value
+
+
+def _recorded_list(doc: dict, key: str, below: int | None = None) -> list:
+    """A fixture's list argument, as written: finite JSON numbers, or with
+    `below` JSON integers in [0, below)."""
+    values = doc[key]
+    integer = below is not None
+    if type(values) is not list or not all(_is_recorded(v, integer) for v in values):
+        kind = "integers" if integer else "finite numbers"
+        raise ValueError(f"{key} must be a list of {kind}, got {values!r}")
+    if integer and not all(0 <= v < below for v in values):
+        raise ValueError(f"{key} must lie in [0, {below}), got {values!r}")
+    return values
 
 
 def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
@@ -458,20 +449,24 @@ def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
     check = doc["check"]
     if not isinstance(instance, _CHECK_KINDS.get(check, ())):
         raise ValueError(f"no {check!r} check runs on a {type(instance).__name__}")
+    p = np.array(_recorded_list(doc, "p"), dtype=float)
     if check == "lll":
-        return [verify_extended_lll(instance, ingest_solution(instance, doc["p"]).x,
-                                    _recorded_integer(doc, "k"))]
-    p = np.asarray(doc["p"], dtype=float)
+        return [verify_extended_lll(instance, ingest_solution(instance, p).x,
+                                    _recorded(doc, "k", integer=True))]
     if p.shape != (instance.n,) or not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p must be {instance.n} probabilities in [0, 1]")
-    scheme = make_scheme(instance, relaxation(), float(doc["alpha"]))
+    scheme = make_scheme(instance, relaxation(), _recorded(doc, "alpha"))
     if check == "fkg":
-        return verify_fkg_and_antifkg(scheme, p, doc["row_block"], doc["cond_rows"],
-                                      doc["cond_cols"], doc["anti_cols"])
-    state = make_estimator(scheme, doc["lambdas"], doc["ks"]).at(p)
+        m, n = instance.shape
+        return verify_fkg_and_antifkg(scheme, p, *(
+            _recorded_list(doc, key, below=size)
+            for key, size in (("row_block", m), ("cond_rows", m), ("cond_cols", n),
+                              ("anti_cols", n))))
+    state = make_estimator(scheme, _recorded_list(doc, "lambdas"),
+                           _recorded_list(doc, "ks", below=instance.n + 1)).at(p)
     if check == "phi":
         return [verify_phi_domination(state)]
-    j = _recorded_integer(doc, "j")
+    j = _recorded(doc, "j", integer=True)
     if not 0 <= j < instance.n:
         raise ValueError(f"bit {j} lies outside [0, {instance.n})")
     return [verify_branch_inequality(state, j)]
@@ -483,8 +478,6 @@ def lp_vertex_optimum(costs, a_ub, b_ub) -> tuple[np.ndarray, float]:
 
     Independent of the simplex code path; only for tiny systems.
     """
-    import itertools
-
     costs = np.asarray(costs, dtype=float)
     a_ub = np.asarray(a_ub, dtype=float)
     b_ub = np.asarray(b_ub, dtype=float)

@@ -84,6 +84,14 @@ def random_subsets(terms, p):
     return out
 
 
+def unsatisfied_entries(scheme, flat_rows, starts, ends):
+    """A reference table's entries on unsatisfied rows: each row as its
+    position in `scheme.unsatisfied`, and the subset that owns it."""
+    owner = np.repeat(np.arange(starts.size), ends - starts)
+    kept = ~scheme.satisfied[flat_rows]
+    return np.searchsorted(scheme.unsatisfied, flat_rows[kept]), owner[kept]
+
+
 def evaluate_at(state, p):
     """Estimator value at an arbitrary bit-probability vector."""
     return success_lower_bound(state.at(p))
@@ -371,7 +379,8 @@ class TestSuccessEstimator:
         state = make_estimator(scheme, lambdas, ks).at(p)
         first, second = state.terms
         if case == "empty column at k = 1":
-            assert np.any(first.starts == first.ends) and second.cols.shape == (1, 1)
+            assert np.any(np.bincount(first.owner, minlength=len(first.cols)) == 0)
+            assert second.cols.shape == (1, 1)
         elif case == "support below k":
             assert second.cols.shape == (0, 2) and second.flat_rows.size == 0
         else:
@@ -692,7 +701,12 @@ REFERENCE_CASES = {
     "two-cost": two_cost_cover,
     **{f"four-cost-12x{n}-s{s}": functools.partial(four_cost_cover, n, s)
        for n, s in ((24, 0), (30, 1))},
+    # 45 of its 200 rows stay unsatisfied at these parameters, interleaved
+    # with satisfied ones, and 151 bits are random
+    "set-cover-200x200": functools.partial(gen_set_cover, 200, 200, 5, 2, 0),
 }
+# rounding parameters of the cases rounded at their LP vertex, when not the defaults
+VERTEX_PARAMS = {"set-cover-200x200": dict(alpha=1.6, beta=3.0)}
 
 
 class TestAgainstReference:
@@ -705,15 +719,16 @@ class TestAgainstReference:
     @pytest.mark.parametrize("name", list(REFERENCE_CASES))
     def test_tables_and_fixing_path_match_the_reference(self, name):
         inst = REFERENCE_CASES[name]()
-        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst),
+                                                   **VERTEX_PARAMS.get(name, {}))
         state = make_estimator(scheme, lambdas, ks)
         reference = random_subsets(reference_terms(scheme, lambdas, ks), scheme.frac)
         for term, (_, _, cols, flat_rows, starts, ends) in zip(state.terms, reference,
                                                                 strict=True):
             assert np.array_equal(term.cols, cols)
-            assert np.array_equal(term.flat_rows, flat_rows)
-            assert np.array_equal(term.starts, starts)
-            assert np.array_equal(term.ends, ends)
+            positions, owner = unsatisfied_entries(scheme, flat_rows, starts, ends)
+            assert np.array_equal(term.flat_rows, positions)
+            assert np.array_equal(term.owner, owner)
         out = derandomize(state)
         z, trace = reference_derandomize(state)
         assert np.array_equal(out.z, z)
@@ -817,7 +832,7 @@ class TestFixingSums:
         elif name == "set-cover-400x720":
             x, params = np.full(inst.n, 0.7), dict(alpha=1.4)
         else:
-            x, params = lp_point(inst), {}
+            x, params = lp_point(inst), VERTEX_PARAMS.get(name, {})
         scheme, lambdas, ks, _ = choose_parameters(inst, x, **params)
         if name == "set-cover-400x720":
             assert not np.any(scheme.satisfied)

@@ -432,12 +432,12 @@ class TestVerify:
     def test_injected_fault_writes_fixture_and_fixture_replays_clean(
         self, tmp_path, capsys, monkeypatch
     ):
-        import lllround.cip as cip_module
+        import lllround.oracle as oracle_module
 
-        real = cip_module.success_lower_bound
+        real = oracle_module.success_lower_bound
         for inst in (gen(tmp_path), two_cost(tmp_path)):
             fixture_path = tmp_path / f"bad-{inst.name}"
-            monkeypatch.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
+            monkeypatch.setattr(oracle_module, "success_lower_bound", lambda state: 2.0)
             code = main(["verify", str(inst), "--which", "phi", "--out", str(fixture_path)])
             assert code == 1
             stdout = capsys.readouterr().out
@@ -450,7 +450,7 @@ class TestVerify:
             assert fixture["lambdas"] == lambdas
             assert fixture["ks"] == ks
 
-            monkeypatch.setattr(cip_module, "success_lower_bound", real)
+            monkeypatch.setattr(oracle_module, "success_lower_bound", real)
             assert main(["verify", str(fixture_path)]) == 0
             replay_out = capsys.readouterr().out
             assert "PASS" in replay_out and "FAIL" not in replay_out
@@ -514,6 +514,17 @@ class TestVerify:
         monkeypatch.setenv("LLLROUND_BUDGET_BITS", "5")
         assert main(["verify", str(inst), "--which", "phi"]) == 4
 
+    @pytest.mark.parametrize("bits", ["lots", "0", "40"])
+    def test_budget_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, bits):
+        inst = gen(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", bits)
+        assert main(["verify", str(inst), "--which", "phi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: LLLROUND_BUDGET_BITS must be ")
+
     @pytest.mark.parametrize("doc", [FEWER_GROUPS_THAN_SLACK, UNLOADED_SLOT])
     def test_minimax_corner_cases_print_one_line_per_check(self, tmp_path, capsys, doc):
         # one group against slack 2 (an order-2 polynomial of one value is
@@ -557,7 +568,6 @@ class TestVerify:
     def test_every_fixture_replays_the_check_that_wrote_it(
         self, tmp_path, capsys, monkeypatch, check
     ):
-        import lllround.cip as cip_module
         import lllround.oracle as oracle_module
 
         if check == "lll":
@@ -574,10 +584,10 @@ class TestVerify:
         fixture_path = tmp_path / "bad.json"
         with monkeypatch.context() as forced:
             if check == "phi":
-                forced.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
+                forced.setattr(oracle_module, "success_lower_bound", lambda state: 2.0)
             elif check == "branch":  # both branches price below 0
-                value = cip_module.success_lower_bound
-                forced.setattr(cip_module, "success_lower_bound", lambda state: value(state)
+                value = oracle_module.success_lower_bound
+                forced.setattr(oracle_module, "success_lower_bound", lambda state: value(state)
                                if np.array_equal(state.p, state.scheme.frac) else -1.0)
             else:
                 forced.setattr(oracle_module, "INEQ_TOL", -2.0)
@@ -624,15 +634,20 @@ class TestVerify:
             assert f"no {check!r} check runs on a CipInstance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [
-        ("p", 1.5), ("p", -0.5), ("p", math.nan), ("j", -9), ("j", -1),
-        ("j", 4.7), ("j", 11.2), ("j", True), ("j", "3"),
+        ("p", 1.5), ("p", -0.5), ("p", math.nan), ("p", True), ("p", "0.5"),
+        ("j", -9), ("j", -1), ("j", 4.7), ("j", 11.2), ("j", True), ("j", "3"),
+        ("ks", [1.7]), ("ks", [True]), ("ks", ["1"]), ("lambdas", "quoted"),
+        ("alpha", "quoted"), ("row_block", [0.9]),
     ])
     def test_covering_fixture_off_the_probabilities_or_the_bits_exits_2(
         self, tmp_path, capsys, field, value
     ):
         # 20 columns, random bits 4, 6 and 11 at the relaxation's vertex: j = -9
         # would index bit 11, j = -1 the integral bit 19, and a truncated 4.7,
-        # 11.2 or true the random bits 4, 11 and 1
+        # 11.2 or true the random bits 4, 11 and 1.  Converted, each other
+        # value would replay a check the fixture does not record: p of 1 or
+        # 0.5, ks [1], the row block [0] of an fkg check, or the budgets and
+        # alpha parsed from strings.
         inst = gen(tmp_path, seed=0)
         instance = parse_instance(inst.read_text())
         scheme, lambdas, ks, info = choose_parameters(instance, lp_point(instance))
@@ -641,7 +656,14 @@ class TestVerify:
         doc = json.loads(inst.read_text())
         doc.update(check="branch", alpha=info["alpha"], lambdas=lambdas, ks=ks, claim="made up",
                    lhs=0.0, rhs=0.0, p=scheme.frac.tolist(), j=4)
-        doc[field] = [value] * instance.n if field == "p" else value
+        if field == "row_block":
+            doc.update(check="fkg", cond_rows=[1], cond_cols=[4], anti_cols=[6, 11])
+        if field == "p":
+            doc[field] = [value] * instance.n
+        elif value == "quoted":
+            doc[field] = [str(v) for v in lambdas] if field == "lambdas" else str(info["alpha"])
+        else:
+            doc[field] = value
         fixture = tmp_path / "bad.json"
         fixture.write_text(json.dumps(doc))
         assert main(["verify", str(fixture)]) == 2

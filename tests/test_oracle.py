@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import lllround.oracle as oracle_module
 from lllround import (
     BudgetExceeded,
     CipInstance,
-    EnumerationBudget,
     MipInstance,
     choose_alpha_beta,
     exact_event_probs,
@@ -121,10 +121,11 @@ class TestExactIlp:
         assert value >= report.solution.objective_values[0] - 1e-9
         assert np.all(inst.a_matrix @ z >= inst.demands - 1e-12)
 
-    def test_box_budget_enforced(self):
+    def test_box_budget_enforced(self, monkeypatch):
         inst = CipInstance.create(np.full((1, 3), 0.5), [2.0], [np.ones(3)])
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "4")
         with pytest.raises(BudgetExceeded, match="box search"):
-            exact_ilp(inst, budget=EnumerationBudget(max_bits=4))
+            exact_ilp(inst)
 
 
 class TestPhiDomination:
@@ -142,9 +143,7 @@ class TestPhiDomination:
 
     def test_injected_fault_produces_a_replayable_counterexample(self, monkeypatch):
         state = qualified_state(0)
-        import lllround.cip as cip_module
-
-        monkeypatch.setattr(cip_module, "success_lower_bound", lambda s: 2.0)
+        monkeypatch.setattr(oracle_module, "success_lower_bound", lambda s: 2.0)
         report = verify_phi_domination(state)
         assert not report.passed
         fixture = report.counterexample
@@ -276,36 +275,39 @@ class TestExtendedLll:
         with pytest.raises(ValueError, match="slack must be at least 1"):
             verify_extended_lll(inst, uniform_group_weights(inst), k=0)
 
-    def test_assignment_budget_enforced(self):
+    def test_assignment_budget_enforced(self, monkeypatch):
         # met premise (see the disjoint test) so the check reaches the
         # enumeration stage, where four assignments exceed a 1-bit budget
         a = np.zeros((2, 4))
         a[0, 0] = a[0, 1] = 1.0
         a[1, 2] = a[1, 3] = 1.0
         inst = MipInstance.create(a, [2, 2])
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "1")
         with pytest.raises(BudgetExceeded, match="assignments"):
-            verify_extended_lll(
-                inst, [0.5, 0.5, 0.5, 0.5], k=2, budget=EnumerationBudget(max_bits=1)
-            )
+            verify_extended_lll(inst, [0.5, 0.5, 0.5, 0.5], k=2)
 
 
 class TestEnumerationBudget:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("LLLROUND_BUDGET_BITS", "8")
-        assert EnumerationBudget.from_env().max_bits == 8
+        assert oracle_module._budget_bits() == 8
         monkeypatch.delenv("LLLROUND_BUDGET_BITS")
-        assert EnumerationBudget.from_env().max_bits == 22
+        assert oracle_module._budget_bits() == 22
 
     def test_env_must_be_integer(self, monkeypatch):
         monkeypatch.setenv("LLLROUND_BUDGET_BITS", "lots")
         with pytest.raises(ValueError, match="must be an integer"):
-            EnumerationBudget.from_env()
+            oracle_module._budget_bits()
 
-    def test_hard_caps(self):
-        with pytest.raises(ValueError, match="max_bits"):
-            EnumerationBudget(max_bits=27)
-        with pytest.raises(BudgetExceeded):
-            EnumerationBudget(max_bits=3).check_bits(4)
+    def test_hard_caps(self, monkeypatch):
+        for bits in ("0", "27"):
+            monkeypatch.setenv("LLLROUND_BUDGET_BITS", bits)
+            with pytest.raises(ValueError, match=r"must be in \[1, 26\]"):
+                oracle_module._budget_bits()
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "3")
+        oracle_module._check_budget(1 << 3, "eight outcomes")
+        with pytest.raises(BudgetExceeded, match="sixteen outcomes exceeds the 3-bit budget"):
+            oracle_module._check_budget(1 << 4, "sixteen outcomes")
 
 
 class TestLpVertexOptimum:
@@ -381,15 +383,17 @@ class TestEnumerationOfRandomBitsOnly:
         got = (first.lhs, first.rhs, second.lhs, second.rhs)
         assert got == pytest.approx(ratios, rel=0.0, abs=1e-12)
 
-    def test_budget_counts_only_the_random_bits(self):
+    def test_budget_counts_only_the_random_bits(self, monkeypatch):
         inst = CipInstance.create(np.ones((1, 30)), [1.0], [np.ones(30)])
         scheme = make_scheme(inst, np.full(30, 1 / 30), 1.5)
         p = np.zeros(30)
         p[:4] = 0.5
-        probs = exact_event_probs(scheme, p, budget=EnumerationBudget(max_bits=4))
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "4")
+        probs = exact_event_probs(scheme, p)
         assert probs.all_clear == pytest.approx(1.0 - 0.5**4, abs=1e-15)
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "3")
         with pytest.raises(BudgetExceeded, match="2\\^4 outcomes exceeds the 3-bit budget"):
-            exact_event_probs(scheme, p, budget=EnumerationBudget(max_bits=3))
+            exact_event_probs(scheme, p)
 
     @pytest.mark.parametrize("q", [0.2, 0.25])
     def test_minimax_with_single_slot_groups_matches_the_full_loop(self, q):
@@ -422,17 +426,16 @@ class TestEnumerationOfRandomBitsOnly:
         assert 0.0 < good < 1.0
         assert report.lhs == pytest.approx(good, rel=0.0, abs=1e-12)
 
-    def test_single_slot_groups_leave_the_assignment_budget(self):
+    def test_single_slot_groups_leave_the_assignment_budget(self, monkeypatch):
         # 30 two-slot groups, 29 of them fixed: two assignments, not 2^30
         inst = MipInstance.create(0.1 * np.eye(60), [2] * 30)
         x = np.tile([1.0, 0.0], 30)
         x[:2] = 0.5
-        report = verify_extended_lll(inst, x, k=1, budget=EnumerationBudget(max_bits=1))
+        monkeypatch.setenv("LLLROUND_BUDGET_BITS", "1")
+        report = verify_extended_lll(inst, x, k=1)
         assert report.status == "checked" and report.lhs == pytest.approx(1.0)
 
     def test_correlation_checks_enumerate_once(self, monkeypatch):
-        import lllround.oracle as oracle_module
-
         calls = []
         real = oracle_module._random_bit_chunks
         monkeypatch.setattr(oracle_module, "_random_bit_chunks",
@@ -455,8 +458,6 @@ class TestChunkSize:
             assert max(sizes) * width <= _CHUNK_ENTRIES or max(sizes) == 1
 
     def test_one_outcome_chunks_give_the_same_results(self, monkeypatch):
-        import lllround.oracle as oracle_module
-
         inst = random_cip(5, n_max=10, m_max=5, ell=2)
         scheme = make_scheme(inst, lp_point(inst), 1.5)
         p = np.random.default_rng(5).uniform(0.2, 0.8, inst.n)  # 2^9 outcomes
@@ -467,7 +468,7 @@ class TestChunkSize:
 
         def run():
             probs = exact_event_probs(scheme, p, lambdas=lam)
-            chunks = list(oracle_module._assignment_chunks(graph, x, EnumerationBudget()))
+            chunks = list(oracle_module._assignment_chunks(graph, x))
             return probs, exact_ilp(tie), chunks
 
         probs, ilp, chunks = run()
