@@ -492,6 +492,14 @@ class _FixingSums:
     scheme's `col_slots`), whose bounds are recomputed from the scheme's
     `bound_*` arrays.  A branch that kills a row keeps only the subsets
     that hold every dead row, and those all touch a row of column j.
+
+    A free bit, whose column meets no unsatisfied row, moves no row bound:
+    its 0-branch subtracts E_j, the sum of e_s over the subsets holding j,
+    from every A_t, and its 1-branch adds E_j / p_j - E_j >= 0.  Rounding
+    is monotone, so the 1-branch value never exceeds the 0-branch value
+    and the tie rule keeps 0: `zero_run` fixes a run of free bits at 0
+    without pricing their 1-branches, and `branches` sees only the other
+    bits.
     """
 
     def __init__(self, state: EstimatorState):
@@ -512,30 +520,26 @@ class _FixingSums:
 
     def branches(self, j: int) -> tuple[float, float]:
         """The estimator values with bit j fixed at 0 and at 1; `keep`
-        then moves to one of them."""
+        then moves to one of them.  Column j has an unsatisfied row."""
         scheme, p = self.scheme, self.p
         pj = float(p[j])
         slots = scheme.col_slots[scheme.col_ptr[j]:scheme.col_ptr[j + 1]]
-        moved = np.zeros(2)  # change of total_log in each branch
-        log_clear = delta = dead = None
-        n_dead = np.zeros(2, dtype=np.int64)
-        if slots.size:
-            # both branches' bounds on the rows of column j, each row summed
-            # over its nonzeros as `_row_bounds` sums it
-            lengths = self.bound_lengths[slots]
-            nz = _spans(scheme.bound_starts[slots], lengths)
-            cols = scheme.bound_cols[nz]
-            bits = np.where(cols == j, [[0.0], [1.0]], p[cols])
-            log_ch = (np.add.reduceat(np.log(1.0 - bits * scheme.bound_gain[nz]),
-                                      np.cumsum(lengths) - lengths, axis=1)
-                      - scheme.bound_shift[slots])
-            chp = np.exp(np.minimum(log_ch, 0.0))
-            dead = chp >= 1.0 - NEAR_ONE_GUARD
-            n_dead = dead.sum(axis=1)
-            with np.errstate(divide="ignore"):
-                log_clear = np.where(dead, 0.0, np.log1p(-chp))
-            delta = log_clear - self.log_clear[slots]
-            moved = delta.sum(axis=1)
+        # both branches' bounds on the rows of column j, each row summed
+        # over its nonzeros as `_row_bounds` sums it
+        lengths = self.bound_lengths[slots]
+        nz = _spans(scheme.bound_starts[slots], lengths)
+        cols = scheme.bound_cols[nz]
+        bits = np.where(cols == j, [[0.0], [1.0]], p[cols])
+        log_ch = (np.add.reduceat(np.log(1.0 - bits * scheme.bound_gain[nz]),
+                                  np.cumsum(lengths) - lengths, axis=1)
+                  - scheme.bound_shift[slots])
+        chp = np.exp(np.minimum(log_ch, 0.0))
+        dead = chp >= 1.0 - NEAR_ONE_GUARD
+        n_dead = dead.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            log_clear = np.where(dead, 0.0, np.log1p(-chp))
+        delta = log_clear - self.log_clear[slots]
+        moved = delta.sum(axis=1)  # change of total_log in each branch
         total_log = self.total_log + (self.total_log_error + moved)
         alive = n_dead == 0
         subtracted = np.zeros(2)
@@ -547,26 +551,25 @@ class _FixingSums:
             change = np.array([-held_sum, held_sum / pj - held_sum])
             touched = growth = None
             after = 0.0
-            if slots.size:
-                # the subsets touching the moved rows: their sums before and
-                # after the rows move; only they can hold a dead row
-                lengths = t.row_ptr[slots + 1] - t.row_ptr[slots]
-                if lengths.any():
-                    entries = t.by_row[_spans(t.row_ptr[slots], lengths)]
-                    touched, owner = np.unique(entries, return_inverse=True)
-                    row_of = np.repeat(np.arange(slots.size), lengths)
-                    weights = np.where(np.any(t.term.cols[touched] == j, axis=1),
-                                       [[0.0], [1.0 / pj]], 1.0) * t.e[touched]
-                    # per subset and branch, sums over its moved rows
-                    cells = np.concatenate([owner, owner + touched.size])
-                    growth, holds_dead = (
-                        np.bincount(cells, weights=v[:, row_of].ravel(),
-                                    minlength=2 * touched.size).reshape(2, -1)
-                        for v in (delta, dead))
-                    growth = np.exp(-growth)
-                    holds_dead = holds_dead == n_dead[:, None]
-                    after = (weights * growth * holds_dead).sum(axis=1)
-                    change = change - weights.sum(axis=1) + after
+            # the subsets touching the moved rows: their sums before and
+            # after the rows move; only they can hold a dead row
+            lengths = t.row_ptr[slots + 1] - t.row_ptr[slots]
+            if lengths.any():
+                entries = t.by_row[_spans(t.row_ptr[slots], lengths)]
+                touched, owner = np.unique(entries, return_inverse=True)
+                row_of = np.repeat(np.arange(slots.size), lengths)
+                weights = np.where(np.any(t.term.cols[touched] == j, axis=1),
+                                   [[0.0], [1.0 / pj]], 1.0) * t.e[touched]
+                # per subset and branch, sums over its moved rows
+                cells = np.concatenate([owner, owner + touched.size])
+                growth, holds_dead = (
+                    np.bincount(cells, weights=v[:, row_of].ravel(),
+                                minlength=2 * touched.size).reshape(2, -1)
+                    for v in (delta, dead))
+                growth = np.exp(-growth)
+                holds_dead = holds_dead == n_dead[:, None]
+                after = (weights * growth * holds_dead).sum(axis=1)
+                change = change - weights.sum(axis=1) + after
             sums = np.where(alive, t.total + (t.error + change), after)
             subtracted += sums / t.term.denom
             steps.append((held, touched, growth, change))
@@ -581,8 +584,7 @@ class _FixingSums:
         if n_dead[b]:
             raise EstimatorError(f"the kept branch at bit {j} has a row bound clamped at 1")
         self.p[j] = bit
-        if slots.size:
-            self.log_clear[slots] = log_clear[b]
+        self.log_clear[slots] = log_clear[b]
         self.total_log, self.total_log_error = _compensated_add(
             self.total_log, self.total_log_error, float(moved[b]))
         for t, (held, touched, growth, change) in zip(self.terms, steps):
@@ -590,6 +592,32 @@ class _FixingSums:
             if touched is not None:
                 t.e[touched] *= growth[b]
             t.total, t.error = _compensated_add(t.total, t.error, float(change[b]))
+
+    def zero_run(self, run: np.ndarray) -> list[float]:
+        """Fix the free bits of `run`, in order, at 0, and return the
+        estimator value after each: the values `branches` would give their
+        0-branches, with the sums `keep` would carry.  A free bit moves no
+        row, so only the subsets holding it change, and each subset is
+        zeroed by its first bit in the run."""
+        held = []
+        for t in self.terms:
+            lengths = t.col_ptr[run + 1] - t.col_ptr[run]
+            entries = t.by_col[_spans(t.col_ptr[run], lengths)]
+            subsets, first = np.unique(entries, return_index=True)
+            step_of = np.repeat(np.arange(run.size), lengths)[first]
+            held.append(np.bincount(step_of, weights=t.e[subsets], minlength=run.size).tolist())
+            t.e[subsets] = 0.0
+        self.p[run] = 0.0
+        # total_log stays put, so one exponential serves the whole run
+        scale = np.exp(self.total_log + self.total_log_error)
+        values = []
+        for step in zip(*held):
+            subtracted = 0.0
+            for t, held_sum in zip(self.terms, step):
+                subtracted += (t.total + (t.error - held_sum)) / t.term.denom
+                t.total, t.error = _compensated_add(t.total, t.error, -held_sum)
+            values.append(float(scale * (1.0 - subtracted)))
+        return values
 
 
 def derandomize(state: EstimatorState) -> RoundedSolution:
@@ -602,8 +630,11 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
     A start at or below 0 certifies nothing, so the parameters are too
     tight: ParameterError.  The start and branch values come from
     `_FixingSums`, so a bit costs work on its column's subsets and rows
-    only.  The final point is re-validated: every demand covered and every
-    cost increment within its budget, else an internal-consistency error.
+    only.  A free bit, whose column meets no unsatisfied row, always keeps
+    0 (see `_FixingSums`), so each run of consecutive free bits is fixed in
+    one pass and prices only its 0-branches.  The final point is
+    re-validated: every demand covered and every cost increment within its
+    budget, else an internal-consistency error.
     """
     scheme = state.scheme
     instance = scheme.instance
@@ -614,17 +645,29 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
             f"estimator must start positive, got {current:.4g}; raise the budgets"
         )
     trace = [current]
-    for j in np.flatnonzero((state.p > 0.0) & (state.p < 1.0)).tolist():
-        phi_zero, phi_one = sums.branches(j)
-        if max(phi_zero, phi_one) < current - BRANCH_TOL:
-            raise EstimatorError(
-                f"both branches dropped below the current bound at bit {j}: "
-                f"{current} -> ({phi_zero}, {phi_one})"
-            )
-        bit = 1.0 if phi_one > phi_zero else 0.0
-        current = phi_one if bit else phi_zero
-        sums.keep(bit)
-        trace.append(current)
+    free = (np.diff(scheme.col_ptr) == 0).tolist()
+    bits = np.flatnonzero((state.p > 0.0) & (state.p < 1.0)).tolist()
+    for is_free, run in itertools.groupby(bits, key=free.__getitem__):
+        if is_free:
+            run = list(run)
+            for j, phi_zero in zip(run, sums.zero_run(np.array(run)), strict=True):
+                if phi_zero < current - BRANCH_TOL:
+                    raise EstimatorError(f"the 0-branch of free bit {j} dropped below the "
+                                         f"current bound: {current} -> {phi_zero}")
+                current = phi_zero
+                trace.append(current)
+            continue
+        for j in run:
+            phi_zero, phi_one = sums.branches(j)
+            if max(phi_zero, phi_one) < current - BRANCH_TOL:
+                raise EstimatorError(
+                    f"both branches dropped below the current bound at bit {j}: "
+                    f"{current} -> ({phi_zero}, {phi_one})"
+                )
+            bit = 1.0 if phi_one > phi_zero else 0.0
+            current = phi_one if bit else phi_zero
+            sums.keep(bit)
+            trace.append(current)
     z = scheme.floor + sums.p
     loads = instance.loads(z)
     if np.any(loads < instance.demands - BRANCH_TOL):
@@ -708,6 +751,9 @@ def round_cip(instance: CipInstance, x, alpha: float | None = None, beta: float 
     scheme, lambdas, ks, info = choose_parameters(instance, x, alpha, beta, total_budgets)
     state = make_estimator(scheme, lambdas, ks)
     solution = derandomize(state)
-    # the start point once, then both branches of every fixed bit
-    info["evaluations"] = 2 * len(solution.trace) - 1
+    # the start point once, then both branches of a bit whose column meets
+    # an unsatisfied row and the 0-branch of every other bit
+    random = (state.p > 0.0) & (state.p < 1.0)
+    branched = int(np.count_nonzero(np.diff(scheme.col_ptr)[random]))
+    info["evaluations"] = len(solution.trace) + branched
     return solution, info

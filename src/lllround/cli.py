@@ -188,8 +188,12 @@ def _fractional_point(instance, args) -> model.FractionalSolution:
     if args.solution:
         try:
             raw = json.loads(Path(args.solution).read_text())
-            x = np.asarray(raw["x"], dtype=float)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            x = raw["x"]
+            # JSON numbers only: a bool or a string would convert to another point
+            if type(x) is not list or not all(type(v) in (int, float) for v in x):
+                raise ValueError(f"x must be a list of numbers, got {x!r:.60}")
+            x = np.array(x, dtype=float)  # OverflowError past the float range
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise _CliFailure(
                 EXIT_USAGE, f'--solution must be JSON {{"x": [...], "objective": ...}}: {exc}'
             ) from exc

@@ -149,8 +149,12 @@ def test_criterion_04_derandomization_contract_on_generated_covers():
         positive, _, _ = standard_certificate(scheme, [lam], [1])
         assert positive  # every generated instance qualifies
         solution, info = round_cip(inst, x, alpha=alpha, beta=beta)
-        leftover = int(np.count_nonzero(scheme.frac))
-        assert info["evaluations"] == 2 * leftover + 1
+        # the start, both branches of a bit whose column meets an
+        # unsatisfied row, and the 0-branch of every other bit
+        random = scheme.frac > 0.0
+        branched = int(np.count_nonzero(random & np.any(inst.a_matrix[~scheme.satisfied] > 0.0,
+                                                        axis=0)))
+        assert info["evaluations"] == 1 + 2 * branched + (int(random.sum()) - branched)
         diffs = np.diff(solution.trace)
         assert np.all(diffs >= -1e-9)
         assert solution.feasible

@@ -489,7 +489,9 @@ class TestDerandomize:
         _, info = round_cip(state.scheme.instance, [0.5, 0.5, 0.7], alpha=2.5,
                             total_budgets=[5.0])
         assert info["lambdas"] == [3.0]
-        assert info["evaluations"] == 7  # one upfront plus two per leftover bit
+        # the floors satisfy the row, so every leftover bit is free: one
+        # upfront evaluation plus the 0-branch of each
+        assert info["evaluations"] == 4
 
     def test_the_start_point_is_evaluated_once(self, monkeypatch):
         inst = random_cip(3, ell=2)
@@ -525,8 +527,10 @@ class TestDerandomize:
         diffs = np.diff(out.trace)
         assert np.all(diffs >= -1e-9)
         scheme = make_scheme(inst, x, info["alpha"])
-        leftover = int(np.count_nonzero(scheme.frac))
-        assert info["evaluations"] == 2 * leftover + 1
+        random = scheme.frac > 0.0
+        branched = int(np.count_nonzero(random & np.any(inst.a_matrix[~scheme.satisfied] > 0.0,
+                                                        axis=0)))
+        assert info["evaluations"] == 1 + 2 * branched + (int(random.sum()) - branched)
 
     @pytest.mark.parametrize(
         "inst,alpha",
@@ -695,6 +699,13 @@ class TestRoundCip:
             round_cip(inst, [2.0, 2.0], alpha=1.2, beta=1.1, total_budgets=[1.0])
 
 
+def two_cost_set_cover(n, seed):
+    """A square unit set cover with a second cost vector in [0.5, 1)."""
+    base = gen_set_cover(n, n, 5, 2, seed)
+    second = np.random.default_rng(seed).uniform(0.5, 1.0, n)
+    return CipInstance.create(base.a_matrix, base.demands, [base.costs[0], second])
+
+
 REFERENCE_CASES = {
     **{f"random-{seed}-ell{ell}": functools.partial(random_cip, seed, ell=ell)
        for ell in (1, 2, 3) for seed in (0, 1, 2, 34, 42)},
@@ -704,9 +715,13 @@ REFERENCE_CASES = {
     # 45 of its 200 rows stay unsatisfied at these parameters, interleaved
     # with satisfied ones, and 151 bits are random
     "set-cover-200x200": functools.partial(gen_set_cover, 200, 200, 5, 2, 0),
+    # its free bits (columns that meet no unsatisfied row) come in runs
+    # between bits whose columns do, under subset order 2
+    "two-cost-set-cover-40x40": functools.partial(two_cost_set_cover, 40, 2),
 }
 # rounding parameters of the cases rounded at their LP vertex, when not the defaults
-VERTEX_PARAMS = {"set-cover-200x200": dict(alpha=1.6, beta=3.0)}
+VERTEX_PARAMS = {"set-cover-200x200": dict(alpha=1.6, beta=3.0),
+                 "two-cost-set-cover-40x40": dict(alpha=1.8, beta=3.0)}
 
 
 class TestAgainstReference:
@@ -782,19 +797,34 @@ class TestAgainstReference:
 
 def fixing_steps(state):
     """Drive `_FixingSums` along `derandomize`'s path: per random bit j, the
-    points of both branches, their running values and the bit kept."""
+    points of both branches, the running values of the branches priced and
+    the bit kept.  As in `derandomize`, each run of consecutive free bits
+    (columns that meet no unsatisfied row) is zeroed in one `zero_run`,
+    which prices the 0-branches only; every other bit prices both."""
+    scheme = state.scheme
     sums = cip._FixingSums(state)
+    free = [not np.any(~scheme.satisfied[col_rows(scheme.instance, j)])
+            for j in range(scheme.instance.n)]
     steps = []
-    for j in np.flatnonzero((state.p > 0.0) & (state.p < 1.0)):
-        phi_zero, phi_one = sums.branches(j)
-        points = []
-        for bit in (0.0, 1.0):
-            q = sums.p.copy()
-            q[j] = bit
-            points.append(q)
-        bit = 1.0 if phi_one > phi_zero else 0.0
-        sums.keep(bit)
-        steps.append((j, points, (phi_zero, phi_one), bit))
+    bits = np.flatnonzero((state.p > 0.0) & (state.p < 1.0)).tolist()
+    for is_free, run in itertools.groupby(bits, key=free.__getitem__):
+        run = list(run)
+        p = sums.p.copy()
+        zeroed = sums.zero_run(np.array(run)) if is_free else None
+        for step, j in enumerate(run):
+            points = []
+            for bit in (0.0, 1.0):
+                q = p.copy()
+                q[j] = bit
+                points.append(q)
+            if is_free:
+                values, bit = (zeroed[step],), 0.0
+            else:
+                values = sums.branches(j)
+                bit = 1.0 if values[1] > values[0] else 0.0
+                sums.keep(bit)
+            p[j] = bit
+            steps.append((j, points, values, bit))
     return steps
 
 
@@ -851,8 +881,43 @@ class TestFixingSums:
                 assert value == pytest.approx(success_lower_bound(there), rel=1e-12, abs=0.0)
                 assert value == pytest.approx(reference_value(terms, q, there.chp),
                                               rel=1e-12, abs=0.0)
+            if len(values) == 1:
+                # a zeroed free bit: its 1-branch is never above its 0-branch
+                assert success_lower_bound(state.at(points[1])) <= values[0] * (1.0 + 1e-12)
             assert kept == values[int(bit)]
         assert np.array_equal(points[int(bit)], out.z - scheme.floor)
+
+    def test_free_runs_interleave_with_branched_bits_at_order_two(self):
+        # Keeps the two-cost 40x40 reference case on both sides of the
+        # split; the tests above check its path against the reference.
+        name = "two-cost-set-cover-40x40"
+        inst = REFERENCE_CASES[name]()
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst), **VERTEX_PARAMS[name])
+        assert list(ks) == [2, 2]
+        steps = fixing_steps(make_estimator(scheme, lambdas, ks))
+        runs = [(is_free, len(list(run)))
+                for is_free, run in itertools.groupby(steps, key=lambda step: len(step[2]) == 1)]
+        assert sum(is_free for is_free, _ in runs) >= 3
+        assert sum(not is_free for is_free, _ in runs) >= 3
+        assert any(is_free and length >= 2 for is_free, length in runs)
+
+    @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
+    @pytest.mark.parametrize("name", ["random-34-ell1", "four-cost-12x24-s0"])
+    def test_floors_that_satisfy_every_row_leave_no_bit_to_branch(self, name, monkeypatch):
+        inst = REFERENCE_CASES[name]()
+        scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
+        assert np.all(scheme.satisfied)
+        calls = []
+        branches = cip._FixingSums.branches
+
+        def counted(sums, j):
+            calls.append(j)
+            return branches(sums, j)
+
+        monkeypatch.setattr(cip._FixingSums, "branches", counted)
+        out = derandomize(make_estimator(scheme, lambdas, ks))
+        assert len(out.trace) == np.count_nonzero(scheme.frac) + 1 > 1
+        assert calls == []
 
     def test_a_branch_that_kills_a_row(self):
         scheme = dead_row_scheme()

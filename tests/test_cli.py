@@ -215,6 +215,29 @@ class TestRound:
         assert code == 2
         assert "--solution must be JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["strings", "bools", "nested", "scalar", "past-float-range"])
+    def test_solution_of_anything_but_json_numbers_exits_2(self, tmp_path, capsys, case):
+        # Each converts to a float array: strings and bools to another point,
+        # which rounded and exited 0, a nested list or a scalar to the wrong
+        # shape, which exited 3 as infeasible, and an integer past the float
+        # range to a traceback.
+        inst_path = gen(tmp_path)
+        instance = parse_instance(inst_path.read_text())
+        feasible = [float(instance.demands.max())] * instance.n
+        x = {"strings": [str(v) for v in feasible], "bools": [True] * instance.n,
+             "nested": [[v] for v in feasible], "scalar": 5,
+             "past-float-range": [10**400] * instance.n}[case]
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"x": x}))
+        code = main(["round", str(inst_path), "--solution", str(point),
+                     "--out", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --solution must be JSON") and err.count("\n") == 1
+        point.write_text(json.dumps({"x": feasible[:-1]}))
+        assert main(["round", str(inst_path), "--solution", str(point),
+                     "--out", str(tmp_path / "r.json")]) == 3  # a number list of the wrong length
+
     def test_mode_instance_mismatch_exits_2(self, tmp_path):
         cover = gen(tmp_path)
         graph = gen(tmp_path, kind="hypergraph", name="graph.json")
