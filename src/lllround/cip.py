@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CipInstance, _csr, sparsity_stats
+from .model import CipInstance, _checked_point, _csr, sparsity_stats
 from .tailbounds import binomial_real, esym_mean_bound, lower_tail_bound
 
 __all__ = [
@@ -93,17 +93,17 @@ class RoundedSolution:
     objective_values: tuple[float, ...]
     certificate: float | None = None  # final estimator value, when derandomized
     trace: tuple[float, ...] | None = None  # estimator value per fixing step
+    evaluations: int | None = None  # estimator values priced, when derandomized
 
 
 def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     """Scale a feasible fractional cover by alpha and split it into floors
-    plus Bernoulli bits.  Requires alpha > 1 and slack at most 1e-6, and
-    raises ParameterError for a row whose deviation falls outside (0, 1)."""
+    plus Bernoulli bits.  Requires alpha > 1, finite and nonnegative
+    entries and slack at most 1e-6, and raises ParameterError for a row
+    whose deviation falls outside (0, 1)."""
     if alpha <= 1.0:
         raise ValueError(f"scale factor must exceed 1, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (instance.n,):
-        raise ValueError(f"expected {instance.n} values, got shape {x.shape}")
+    x = _checked_point(x, instance.n, "column")
     shortfall = instance.demands - instance.loads(x)
     if shortfall.max(initial=0.0) > 1e-6:
         worst = int(np.argmax(shortfall))
@@ -191,16 +191,32 @@ def standard_round(scheme: RoundingScheme, rng_seed) -> RoundedSolution:
     return RoundedSolution(z=z, feasible=feasible, objective_values=objectives)
 
 
+def _clamped_bounds(bits: np.ndarray, gain: np.ndarray, starts: np.ndarray,
+                    shift: np.ndarray) -> np.ndarray:
+    """Clamped failure bounds of unsatisfied rows, in log space over their
+    nonzeros along the last axis: row r's nonzeros start at starts[r], and
+    each holds its bit's probability in `bits` and its `bound_gain`."""
+    log_ch = np.add.reduceat(np.log(1.0 - bits * gain), starts, axis=-1) - shift
+    return np.exp(np.minimum(log_ch, 0.0))
+
+
 def _row_bounds(scheme: RoundingScheme, p: np.ndarray) -> np.ndarray:
     """Clamped per-row failure bounds at bit probabilities p, in log space
     over each row's nonzero columns only, all rows in one pass.  Satisfied
     rows are 0."""
     out = np.zeros(scheme.instance.m)
     if scheme.unsatisfied.size:
-        factors = 1.0 - p[scheme.bound_cols] * scheme.bound_gain
-        log_ch = np.add.reduceat(np.log(factors), scheme.bound_starts) - scheme.bound_shift
-        out[scheme.unsatisfied] = np.exp(np.minimum(log_ch, 0.0))
+        out[scheme.unsatisfied] = _clamped_bounds(p[scheme.bound_cols], scheme.bound_gain,
+                                                  scheme.bound_starts, scheme.bound_shift)
     return out
+
+
+def _log_clear(chp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log(1 - chp), dead) of clamped row bounds: a dead row's bound is
+    within NEAR_ONE_GUARD of 1, and its log_clear is 0."""
+    dead = chp >= 1.0 - NEAR_ONE_GUARD
+    with np.errstate(divide="ignore"):
+        return np.where(dead, 0.0, np.log1p(-chp)), dead
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,12 +347,10 @@ def _evaluate(state: EstimatorState) -> tuple[float, np.ndarray, float, list[np.
     unsatisfied row's log(1 - chp), 0 on a dead row, and total_log their
     sum; es holds per budget term each subset's e_s = w_s(p) * exp(-seg_s),
     seg_s summing log_clear over its rows, or 0 if it misses a dead row."""
-    p, chp = state.p, state.chp[state.scheme.unsatisfied]
-    dead = chp >= 1.0 - NEAR_ONE_GUARD
+    p = state.p
+    # dead rows carry an exact factor of 0, tracked by count instead
+    log_clear, dead = _log_clear(state.chp[state.scheme.unsatisfied])
     n_dead = int(dead.sum())
-    with np.errstate(divide="ignore"):
-        # dead rows carry an exact factor of 0, tracked by count instead
-        log_clear = np.where(dead, 0.0, np.log1p(-np.minimum(chp, 1.0)))
     total_log = float(log_clear.sum())
     lead = math.exp(total_log) if n_dead == 0 else 0.0
     subtracted = 0.0
@@ -466,8 +480,8 @@ def _compensated_add(total: float, error: float, step: float) -> tuple[float, fl
 class _TermSums:
     """One budget term along the fixing path: each subset's
     e_s = w_s(p) * exp(-seg_s), their compensated sum A = total + error,
-    and the subsets of each column and of each unsatisfied row (by its
-    position in `scheme.unsatisfied`)."""
+    and the subsets of each column, for `zero_run`, and of each unsatisfied
+    row (by its position in `scheme.unsatisfied`), for `branches`."""
 
     term: _BudgetTerm
     e: np.ndarray
@@ -486,20 +500,25 @@ class _FixingSums:
     `start`; a positive start leaves no row dead.  Per unsatisfied row they
     keep log(1 - chp_i) and their sum `total_log`; per budget term, a
     `_TermSums`.  The value is exp(total_log) * (1 - sum_t A_t / denom_t).
-    Both sums are compensated, so thousands of steps add no drift.  Fixing
-    bit j moves only the subsets that hold j, whose weight is linear in
-    p_j, and the subsets that touch an unsatisfied row of column j (the
-    scheme's `col_slots`), whose bounds are recomputed from the scheme's
-    `bound_*` arrays.  A branch that kills a row keeps only the subsets
-    that hold every dead row, and those all touch a row of column j.
+    Both sums are compensated, so thousands of steps add no drift.
+
+    A branched bit j, whose column meets an unsatisfied row, moves the
+    bounds of those rows (the scheme's `col_slots`), recomputed from the
+    scheme's `bound_*` arrays, and with them every subset that touches one.
+    Every subset holding j touches them too, so those subsets carry the
+    whole step: each takes e_s * f_s * exp(-dseg_s), with dseg_s the change
+    of seg_s and f_s the branch's bit / p_j on a subset holding j, 1 on any
+    other.  A branch that kills a row (clamps its bound at 1) has an exact
+    value of at most 0, and `derandomize` never keeps it, so it is priced
+    -inf instead.
 
     A free bit, whose column meets no unsatisfied row, moves no row bound:
     its 0-branch subtracts E_j, the sum of e_s over the subsets holding j,
     from every A_t, and its 1-branch adds E_j / p_j - E_j >= 0.  Rounding
-    is monotone, so the 1-branch value never exceeds the 0-branch value
-    and the tie rule keeps 0: `zero_run` fixes a run of free bits at 0
-    without pricing their 1-branches, and `branches` sees only the other
-    bits.
+    is monotone, so the 1-branch value never exceeds the 0-branch value,
+    the 0-branch value never falls below the current one, and the tie rule
+    keeps 0: `zero_run` fixes a run of free bits at 0 without pricing their
+    1-branches, and `branches` sees only the other bits.
     """
 
     def __init__(self, state: EstimatorState):
@@ -519,86 +538,65 @@ class _FixingSums:
         self._pending = None
 
     def branches(self, j: int) -> tuple[float, float]:
-        """The estimator values with bit j fixed at 0 and at 1; `keep`
-        then moves to one of them.  Column j has an unsatisfied row."""
+        """The estimator values with branched bit j fixed at 0 and at 1,
+        -inf for a branch that kills a row; `keep` then moves to one of
+        them.  Each is priced over the subsets that touch a row of column
+        j, the subsets holding j among them."""
         scheme, p = self.scheme, self.p
-        pj = float(p[j])
         slots = scheme.col_slots[scheme.col_ptr[j]:scheme.col_ptr[j + 1]]
-        # both branches' bounds on the rows of column j, each row summed
-        # over its nonzeros as `_row_bounds` sums it
+        # both branches' bounds on the rows of column j
         lengths = self.bound_lengths[slots]
         nz = _spans(scheme.bound_starts[slots], lengths)
         cols = scheme.bound_cols[nz]
         bits = np.where(cols == j, [[0.0], [1.0]], p[cols])
-        log_ch = (np.add.reduceat(np.log(1.0 - bits * scheme.bound_gain[nz]),
-                                  np.cumsum(lengths) - lengths, axis=1)
-                  - scheme.bound_shift[slots])
-        chp = np.exp(np.minimum(log_ch, 0.0))
-        dead = chp >= 1.0 - NEAR_ONE_GUARD
-        n_dead = dead.sum(axis=1)
-        with np.errstate(divide="ignore"):
-            log_clear = np.where(dead, 0.0, np.log1p(-chp))
+        log_clear, dead = _log_clear(_clamped_bounds(bits, scheme.bound_gain[nz],
+                                                     np.cumsum(lengths) - lengths,
+                                                     scheme.bound_shift[slots]))
         delta = log_clear - self.log_clear[slots]
         moved = delta.sum(axis=1)  # change of total_log in each branch
-        total_log = self.total_log + (self.total_log_error + moved)
-        alive = n_dead == 0
+        factor = [[0.0], [1.0 / p[j]]]  # of the subsets holding j
         subtracted = np.zeros(2)
         steps = []
         for t in self.terms:
-            held = t.by_col[t.col_ptr[j]:t.col_ptr[j + 1]]
-            held_sum = float(t.e[held].sum())
-            # the subsets holding j take the branch's weights
-            change = np.array([-held_sum, held_sum / pj - held_sum])
-            touched = growth = None
-            after = 0.0
-            # the subsets touching the moved rows: their sums before and
-            # after the rows move; only they can hold a dead row
             lengths = t.row_ptr[slots + 1] - t.row_ptr[slots]
-            if lengths.any():
-                entries = t.by_row[_spans(t.row_ptr[slots], lengths)]
-                touched, owner = np.unique(entries, return_inverse=True)
-                row_of = np.repeat(np.arange(slots.size), lengths)
-                weights = np.where(np.any(t.term.cols[touched] == j, axis=1),
-                                   [[0.0], [1.0 / pj]], 1.0) * t.e[touched]
-                # per subset and branch, sums over its moved rows
-                cells = np.concatenate([owner, owner + touched.size])
-                growth, holds_dead = (
-                    np.bincount(cells, weights=v[:, row_of].ravel(),
-                                minlength=2 * touched.size).reshape(2, -1)
-                    for v in (delta, dead))
-                growth = np.exp(-growth)
-                holds_dead = holds_dead == n_dead[:, None]
-                after = (weights * growth * holds_dead).sum(axis=1)
-                change = change - weights.sum(axis=1) + after
-            sums = np.where(alive, t.total + (t.error + change), after)
-            subtracted += sums / t.term.denom
-            steps.append((held, touched, growth, change))
-        values = np.exp(total_log) * (alive - subtracted)
-        self._pending = (j, pj, slots, log_clear, moved, n_dead, steps)
+            touched, owner = np.unique(t.by_row[_spans(t.row_ptr[slots], lengths)],
+                                       return_inverse=True)
+            # per branch and subset, the change of seg over its moved rows
+            row_of = np.repeat(np.arange(slots.size), lengths)
+            dseg = np.bincount(np.concatenate([owner, owner + touched.size]),
+                               weights=delta[:, row_of].ravel(),
+                               minlength=2 * touched.size).reshape(2, -1)
+            before = t.e[touched]
+            after = (np.where(np.any(t.term.cols[touched] == j, axis=1), factor, 1.0) * before
+                     * np.exp(-dseg))
+            change = after.sum(axis=1) - before.sum()
+            subtracted += (t.total + (t.error + change)) / t.term.denom
+            steps.append((touched, after, change))
+        total_log = self.total_log + (self.total_log_error + moved)
+        values = np.where(dead.any(axis=1), -np.inf, np.exp(total_log) * (1.0 - subtracted))
+        self._pending = (j, slots, log_clear, moved, steps)
         return float(values[0]), float(values[1])
 
     def keep(self, bit: float) -> None:
-        """Move to the branch of the last `branches` call with the given bit."""
-        j, pj, slots, log_clear, moved, n_dead, steps = self._pending
+        """Move to the branch of the last `branches` call with the given
+        bit, one that kills no row: its row bounds and its subsets' e_s."""
+        j, slots, log_clear, moved, steps = self._pending
         b = int(bit)
-        if n_dead[b]:
-            raise EstimatorError(f"the kept branch at bit {j} has a row bound clamped at 1")
         self.p[j] = bit
         self.log_clear[slots] = log_clear[b]
         self.total_log, self.total_log_error = _compensated_add(
             self.total_log, self.total_log_error, float(moved[b]))
-        for t, (held, touched, growth, change) in zip(self.terms, steps):
-            t.e[held] *= bit / pj
-            if touched is not None:
-                t.e[touched] *= growth[b]
+        for t, (touched, after, change) in zip(self.terms, steps):
+            t.e[touched] = after[b]
             t.total, t.error = _compensated_add(t.total, t.error, float(change[b]))
 
     def zero_run(self, run: np.ndarray) -> list[float]:
         """Fix the free bits of `run`, in order, at 0, and return the
-        estimator value after each: the values `branches` would give their
-        0-branches, with the sums `keep` would carry.  A free bit moves no
-        row, so only the subsets holding it change, and each subset is
-        zeroed by its first bit in the run."""
+        estimator value after each: the 0-branch values, in exact
+        arithmetic none below the one before, with the sums `keep` would
+        carry.  A free bit
+        moves no row, so only the subsets holding it change, and each
+        subset is zeroed by its first bit in the run."""
         held = []
         for t in self.terms:
             lengths = t.col_ptr[run + 1] - t.col_ptr[run]
@@ -623,51 +621,52 @@ class _FixingSums:
 def derandomize(state: EstimatorState) -> RoundedSolution:
     """Fix the bits one by one, keeping the estimator positive throughout.
 
-    Each fractional coordinate (lowest index first) is evaluated at both of
-    its integral settings; the better branch is kept, ties going to 0.  The
-    estimator is convex along each coordinate, so the better branch never
-    drops more than round-off below the current value — asserted at 1e-9.
-    A start at or below 0 certifies nothing, so the parameters are too
-    tight: ParameterError.  The start and branch values come from
-    `_FixingSums`, so a bit costs work on its column's subsets and rows
-    only.  A free bit, whose column meets no unsatisfied row, always keeps
-    0 (see `_FixingSums`), so each run of consecutive free bits is fixed in
-    one pass and prices only its 0-branches.  The final point is
+    Each fractional coordinate (lowest index first) takes the integral
+    setting of the larger estimator value, ties going to 0.  The estimator
+    is convex along each coordinate, so the kept value never drops more
+    than round-off below the current one.  The check is relative, as the
+    estimator can start far below 1e-9 (near 1e-21 on a 400x720 cover): a
+    kept value below current * (1 - BRANCH_TOL) raises EstimatorError.  So
+    the value stays positive, and a branch that kills a row, whose exact
+    value is at most 0, is never kept.  A start at or below 0 certifies
+    nothing, so the parameters are too tight: ParameterError.
+
+    The values come from `_FixingSums`, so a bit costs work on its column's
+    subsets and rows only.  A free bit, whose column meets no unsatisfied
+    row, keeps 0 without lowering the value (see `_FixingSums`), so each
+    run of consecutive free bits is fixed in one `zero_run`, which prices
+    only their 0-branches.  `evaluations` counts the values priced: the
+    start, one per free bit and two per branched bit.  The final point is
     re-validated: every demand covered and every cost increment within its
     budget, else an internal-consistency error.
     """
     scheme = state.scheme
     instance = scheme.instance
     sums = _FixingSums(state)
-    current = sums.start
-    if current <= 0.0:
+    if sums.start <= 0.0:
         raise ParameterError(
-            f"estimator must start positive, got {current:.4g}; raise the budgets"
+            f"estimator must start positive, got {sums.start:.4g}; raise the budgets"
         )
-    trace = [current]
+    trace = [sums.start]
+    branched = 0
     free = (np.diff(scheme.col_ptr) == 0).tolist()
     bits = np.flatnonzero((state.p > 0.0) & (state.p < 1.0)).tolist()
     for is_free, run in itertools.groupby(bits, key=free.__getitem__):
         if is_free:
-            run = list(run)
-            for j, phi_zero in zip(run, sums.zero_run(np.array(run)), strict=True):
-                if phi_zero < current - BRANCH_TOL:
-                    raise EstimatorError(f"the 0-branch of free bit {j} dropped below the "
-                                         f"current bound: {current} -> {phi_zero}")
-                current = phi_zero
-                trace.append(current)
+            trace.extend(sums.zero_run(np.array(list(run))))
             continue
         for j in run:
+            current = trace[-1]
             phi_zero, phi_one = sums.branches(j)
-            if max(phi_zero, phi_one) < current - BRANCH_TOL:
+            branched += 1
+            if max(phi_zero, phi_one) < current * (1.0 - BRANCH_TOL):
                 raise EstimatorError(
                     f"both branches dropped below the current bound at bit {j}: "
                     f"{current} -> ({phi_zero}, {phi_one})"
                 )
             bit = 1.0 if phi_one > phi_zero else 0.0
-            current = phi_one if bit else phi_zero
             sums.keep(bit)
-            trace.append(current)
+            trace.append(phi_one if bit else phi_zero)
     z = scheme.floor + sums.p
     loads = instance.loads(z)
     if np.any(loads < instance.demands - BRANCH_TOL):
@@ -680,8 +679,9 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
         z=z,
         feasible=True,
         objective_values=objectives,
-        certificate=current,
+        certificate=trace[-1],
         trace=tuple(trace),
+        evaluations=len(trace) + branched,
     )
 
 
@@ -693,13 +693,14 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
     total budget of alpha * beta * y*.  Multi-criterion default: scale and
     subset orders from `multicriteria_params`, beta = 3 and budgets beta
     times the scaled means.  Total budgets are converted to increment budgets
-    by subtracting the floor costs of the scheme.  Raises ParameterError for
-    an alpha that is not finite or not above 1, and for a beta or a total
+    by subtracting the floor costs of the scheme.  Raises ValueError for a
+    point with a negative or non-finite entry, and ParameterError for an
+    alpha that is not finite or not above 1, and for a beta or a total
     budget that is not finite.
 
     Returns (scheme, increment budgets, subset orders, info dict).
     """
-    x = np.asarray(x, dtype=float)
+    x = _checked_point(x, instance.n, "column")
     stats = sparsity_stats(instance)
     min_demand = float(instance.demands.min())
     objective_values = np.array([float(c @ x) for c in instance.costs])
@@ -751,9 +752,5 @@ def round_cip(instance: CipInstance, x, alpha: float | None = None, beta: float 
     scheme, lambdas, ks, info = choose_parameters(instance, x, alpha, beta, total_budgets)
     state = make_estimator(scheme, lambdas, ks)
     solution = derandomize(state)
-    # the start point once, then both branches of a bit whose column meets
-    # an unsatisfied row and the 0-branch of every other bit
-    random = (state.p > 0.0) & (state.p < 1.0)
-    branched = int(np.count_nonzero(np.diff(scheme.col_ptr)[random]))
-    info["evaluations"] = len(solution.trace) + branched
+    info["evaluations"] = solution.evaluations
     return solution, info

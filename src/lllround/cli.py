@@ -382,6 +382,9 @@ def _parse_ints(raw: str, flag: str, least: int) -> list[int]:
 def _bench_rows(args, recorded_times: list[float] | None):
     sizes = _parse_ints(args.sizes, "--sizes", 1)
     seeds = _parse_ints(args.seeds, "--seeds", 0)
+    if recorded_times is not None and len(recorded_times) != len(sizes) * len(seeds):
+        raise _bad_manifest(f"{len(recorded_times)} wall times for "
+                            f"{len(sizes) * len(seeds)} bench rows")
     rows = []
     index = 0
     for b in sizes:
@@ -438,13 +441,26 @@ def cmd_bench(args, argv: list[str], recorded_times: list[float] | None = None) 
     return EXIT_OK
 
 
+def _bad_manifest(reason) -> _CliFailure:
+    return _CliFailure(EXIT_USAGE, f"cannot read manifest: {reason}")
+
+
 def cmd_replay(args) -> int:
     try:
         doc = json.loads(Path(args.manifest).read_text())
-        argv = list(doc["command"])
-    except (OSError, ValueError, KeyError) as exc:
-        raise _CliFailure(EXIT_USAGE, f"cannot read manifest: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise _bad_manifest(exc) from exc
+    if not isinstance(doc, dict):
+        raise _bad_manifest("not a JSON object")
+    argv = doc.get("command")
+    if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
+        raise _bad_manifest("command must be a list of strings")
+    if argv[:1] == ["replay"]:
+        raise _bad_manifest("it records a replay; gen, round and bench write manifests")
     recorded = doc.get("wall_times")
+    if recorded is not None and not (
+            isinstance(recorded, list) and all(type(t) in (int, float) for t in recorded)):
+        raise _bad_manifest("wall_times must be a list of numbers")
     return _dispatch(argv, recorded_times=recorded)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MipInstance, _widths
+from .model import MipInstance, _checked_point, _widths
 from .tailbounds import deviation_for_budget
 
 __all__ = [
@@ -96,19 +96,6 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
     return max(a, 1), max(t, 1)
 
 
-def _checked_point(instance: MipInstance, x_star) -> np.ndarray:
-    """x_star as a float vector with one finite, nonnegative weight per slot."""
-    x = np.asarray(x_star, dtype=float)
-    if x.shape != (instance.n_cols,):
-        raise ValueError(f"expected {instance.n_cols} values, got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"slot weights must be finite, got {x[bad[0]]} at slot {bad[0]}")
-    if np.any(x < 0.0):
-        raise ValueError("slot weights must be nonnegative")
-    return x
-
-
 def mip_target(y_star: float, m: int, t: int) -> MipTarget:
     """Slack k = ceil(min(y*, m) * H(min(y*, m), 1/(e*t))), at least 1;
     target y* + k.  At y* = 0 the support loads no row, and k is 1."""
@@ -168,7 +155,7 @@ class _GroupDraw:
 def group_round(instance: MipInstance, x_star, rng_seed) -> np.ndarray:
     """One categorical draw per group guided by the fractional weights;
     returns a 0/1 vector with exactly one 1 per group."""
-    x = _checked_point(instance, x_star)
+    x = _checked_point(x_star, instance.n_cols, "slot")
     return _GroupDraw.build(instance, x).draw(instance.n_cols, rng_seed)
 
 
@@ -185,7 +172,7 @@ def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> La
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    x = _checked_point(instance, x_star)
+    x = _checked_point(x_star, instance.n_cols, "slot")
     groups = _GroupDraw.build(instance, x)
     _, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
@@ -237,7 +224,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
     rejected, or when a step does not lower t.  The traces record every
     accepted step; the returned point is the last one that lowered t.
     """
-    x = _checked_point(instance, x_star)
+    x = _checked_point(x_star, instance.n_cols, "slot")
     totals = np.add.reduceat(x, instance.offsets)
     off = np.flatnonzero(np.abs(totals - 1.0) > GROUP_SUM_TOL)
     if off.size:

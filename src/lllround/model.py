@@ -58,6 +58,19 @@ def _csr(keys: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, n
     return ptr, values[np.argsort(keys, kind="stable")]
 
 
+def _checked_point(x, n: int, what: str) -> np.ndarray:
+    """x as a float vector of n weights, one per `what`, each finite and
+    nonnegative; the ValueError names the first that is not."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"expected {n} values, got shape {x.shape}")
+    bad = np.flatnonzero(~(np.isfinite(x) & (x >= 0.0)))
+    if bad.size:
+        raise ValueError(f"{what} weights must be nonnegative and finite, "
+                         f"got {x[bad[0]]} at {what} {bad[0]}")
+    return x
+
+
 def _matrix_fields(shape, rows, cols, vals) -> dict:
     """Check the (row, col)-sorted nonzero triplets of an m x n matrix with
     entries in (0, 1], and derive the row pointer."""

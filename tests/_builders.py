@@ -53,6 +53,13 @@ def four_cost_cover(n_sets, seed):
     return CipInstance.create(base.a_matrix, base.demands, costs)
 
 
+def two_cost_set_cover(n, seed):
+    """A square unit set cover with a second cost vector in [0.5, 1)."""
+    base = gen_set_cover(n, n, 5, 2, seed)
+    second = np.random.default_rng(seed).uniform(0.5, 1.0, n)
+    return CipInstance.create(base.a_matrix, base.demands, [base.costs[0], second])
+
+
 def random_mip(seed, max_groups=4, max_slots=3, m_max=6):
     """Random minimax instance: a few groups, real-valued coefficients."""
     rng = np.random.default_rng(seed)

@@ -28,7 +28,8 @@ from lllround import (
 )
 from lllround import cip
 from lllround.cip import _row_bounds
-from _builders import col_rows, four_cost_cover, lp_point, random_cip, row_cols, two_cost_cover
+from _builders import (col_rows, four_cost_cover, lp_point, random_cip, row_cols, two_cost_cover,
+                      two_cost_set_cover)
 from _reference_estimator import (reference_derandomize, reference_row_bounds, reference_terms,
                                   reference_value)
 
@@ -143,6 +144,24 @@ class TestMakeScheme:
         inst = CipInstance.create([[1.0, 1.0]], [1.0], [np.ones(2)])
         with pytest.raises(ValueError, match="expected 2 values"):
             make_scheme(inst, [1.0, 1.0, 1.0], 1.5)
+
+    def test_negative_or_non_finite_entries_rejected(self):
+        # Both points cover every row: the negative one rounded to a z
+        # holding -2, the NaN one to NaN entries, each reported feasible.
+        inst = gen_set_cover(12, 20, 5, 2, 0)
+        x = lp_point(inst)
+        low = int(np.argmin(x))
+        shifted = x + 0.5
+        shifted[low] = -0.4
+        with pytest.raises(ValueError, match=f"column weights must be nonnegative and finite, "
+                                             f"got -0.4 at column {low}$"):
+            round_cip(inst, shifted)
+        x[0] = math.nan
+        with pytest.raises(ValueError, match="got nan at column 0$"):
+            round_cip(inst, x, total_budgets=[100.0])
+        # the default budgets are not finite at this point either
+        with pytest.raises(ValueError, match="got nan at column 0$"):
+            round_cip(inst, x)
 
 
 class TestChooseAlphaBeta:
@@ -510,6 +529,21 @@ class TestDerandomize:
         assert len(points) == 1 and points[0] is state.p
         assert out.trace[0] == evaluate(state)[0]
 
+    def test_a_drop_below_a_tiny_start_raises(self, monkeypatch):
+        # Every bit of this cover branches and the estimator starts near
+        # 1e-21, so only a check relative to the current value sees both
+        # branches at half of it.
+        inst = gen_set_cover(400, 720, 5, 2, 0)
+        scheme, lambdas, ks, _ = choose_parameters(inst, np.full(inst.n, 0.7), alpha=1.4)
+        state = make_estimator(scheme, lambdas, ks)
+        assert 0.0 < success_lower_bound(state) < 1e-9
+        branches = cip._FixingSums.branches
+        monkeypatch.setattr(cip._FixingSums, "branches",
+                            lambda sums, j: tuple(0.5 * v for v in branches(sums, j)))
+        with pytest.raises(cip.EstimatorError, match="both branches dropped below the current "
+                                                     "bound at bit 0: "):
+            derandomize(state)
+
     def test_nonpositive_start_raises(self):
         state = self.tie_break_setup(0.4)
         with pytest.raises(ParameterError, match="start positive"):
@@ -699,13 +733,6 @@ class TestRoundCip:
             round_cip(inst, [2.0, 2.0], alpha=1.2, beta=1.1, total_budgets=[1.0])
 
 
-def two_cost_set_cover(n, seed):
-    """A square unit set cover with a second cost vector in [0.5, 1)."""
-    base = gen_set_cover(n, n, 5, 2, seed)
-    second = np.random.default_rng(seed).uniform(0.5, 1.0, n)
-    return CipInstance.create(base.a_matrix, base.demands, [base.costs[0], second])
-
-
 REFERENCE_CASES = {
     **{f"random-{seed}-ell{ell}": functools.partial(random_cip, seed, ell=ell)
        for ell in (1, 2, 3) for seed in (0, 1, 2, 34, 42)},
@@ -878,9 +905,13 @@ class TestFixingSums:
         for (j, points, values, bit), kept in zip(steps, out.trace[1:], strict=True):
             for q, value in zip(points, values):
                 there = state.at(q)
-                assert value == pytest.approx(success_lower_bound(there), rel=1e-12, abs=0.0)
-                assert value == pytest.approx(reference_value(terms, q, there.chp),
-                                              rel=1e-12, abs=0.0)
+                full = success_lower_bound(there), reference_value(terms, q, there.chp)
+                if value == -math.inf:
+                    # a branch that kills a row: never kept, as its value is at most 0
+                    assert max(full) <= 0.0
+                    continue
+                assert value == pytest.approx(full[0], rel=1e-12, abs=0.0)
+                assert value == pytest.approx(full[1], rel=1e-12, abs=0.0)
             if len(values) == 1:
                 # a zeroed free bit: its 1-branch is never above its 0-branch
                 assert success_lower_bound(state.at(points[1])) <= values[0] * (1.0 + 1e-12)
@@ -930,18 +961,20 @@ class TestFixingSums:
         for j, points, values, bit in fixing_steps(state):
             for q, value in zip(points, values):
                 bounds = reference_row_bounds(scheme, q)
-                dead += int(np.sum(bounds >= 1.0 - cip.NEAR_ONE_GUARD))
                 want = reference_value(terms, q, bounds)
+                if np.any(bounds >= 1.0 - cip.NEAR_ONE_GUARD):
+                    # priced -inf, as its exact value is at most 0 and it is never kept
+                    dead += 1
+                    assert value == -math.inf
+                    assert want <= 0.0 and evaluate_at(state, q) <= 0.0
+                    continue
                 assert value == pytest.approx(want, rel=1e-12, abs=0.0)
                 assert value == pytest.approx(evaluate_at(state, q), rel=1e-12, abs=0.0)
             if j == 1:
                 (q, _), (phi_zero, _) = points, values
-                assert state.at(q).chp[0] == 1.0 and phi_zero < 0.0
+                assert state.at(q).chp[0] == 1.0 and phi_zero == -math.inf
+                assert bit == 1.0
         assert dead >= 1
-        sums = cip._FixingSums(state)
-        sums.branches(1)
-        with pytest.raises(cip.EstimatorError, match="clamped at 1"):
-            sums.keep(0.0)  # the running sums carry no dead row
         out = derandomize(state)
         z, trace = reference_derandomize(state)
         assert np.array_equal(out.z, z)

@@ -764,6 +764,27 @@ class TestBenchAndReplay:
     def test_replay_missing_manifest_exits_2(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.manifest.json")]) == 2
 
+    @pytest.mark.parametrize("case", ["not-an-object", "non-string-command", "replays-itself",
+                                      "scalar-wall-times", "short-wall-times",
+                                      "non-numeric-wall-times"])
+    def test_malformed_manifest_exits_2_with_one_line(self, tmp_path, capsys, case):
+        manifest = tmp_path / "self.json"
+        out = tmp_path / "bench.csv"
+        bench = ["bench", "--sizes", "1,2", "--seeds", "0", "--out", str(out)]  # two rows
+        doc = {
+            "not-an-object": [1, 2],
+            "non-string-command": {"command": [1, 2]},
+            "replays-itself": {"command": ["replay", str(manifest)]},
+            "scalar-wall-times": {"command": bench, "wall_times": 0.5},
+            "short-wall-times": {"command": bench, "wall_times": [0.5]},
+            "non-numeric-wall-times": {"command": bench, "wall_times": ["x", 0.5]},
+        }[case]
+        manifest.write_text(json.dumps(doc))
+        assert main(["replay", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read manifest: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bad_lambda_list_exits_2(self, tmp_path, capsys):
         inst = gen(tmp_path)
         assert main(["round", str(inst), "--lambda", "a,b",
