@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CipInstance, _checked_point, _csr, sparsity_stats
+from .model import POINT_TOL, CipInstance, _checked_point, _csr, sparsity_stats
 from .tailbounds import binomial_real, esym_mean_bound, lower_tail_bound
 
 __all__ = [
@@ -105,7 +105,7 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
         raise ValueError(f"scale factor must exceed 1, got {alpha}")
     x = _checked_point(x, instance.n, "column")
     shortfall = instance.demands - instance.loads(x)
-    if shortfall.max(initial=0.0) > 1e-6:
+    if shortfall.max(initial=0.0) > POINT_TOL:
         worst = int(np.argmax(shortfall))
         raise ValueError(f"fractional point infeasible: row {worst} short by {shortfall[worst]:.3e}")
     scaled = alpha * x

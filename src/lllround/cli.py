@@ -3,14 +3,15 @@ numerical inequalities, and benchmark the integrality-gap behaviour.
 
 Every gen, round and bench run writes a manifest next to its output recording
 the exact argument vector (and the seed of gen and round); `replay MANIFEST`
-re-executes it and reproduces the output files byte for byte (benchmark
-wall-clock readings are echoed from the manifest on replay, since timing is
-the one thing a rerun cannot repeat).
+re-executes it and reproduces the output files byte for byte.  Wall-clock
+readings (bench's per-row times, the creation time) live in manifests only,
+so every output is deterministic and a replay is a plain re-run.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, malformed input or
-rounding parameters out of range, 3 infeasible supplied solution (or a
-relaxation stopped at the simplex's iteration limit, which its message tells
-apart), 4 enumeration budget exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage, malformed input,
+rounding parameters out of range or an output that cannot be written, 3
+infeasible supplied solution (or a relaxation stopped at the simplex's
+iteration limit, which its message tells apart), 4 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -45,19 +46,24 @@ class _CliFailure(Exception):
         self.code = code
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _write_manifest(out_path: Path, argv: list[str], **extra) -> None:
-    doc = {
-        "command": argv,
-        "outputs": [str(out_path)],
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        **extra,
-    }
-    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+def _write(out: Path, content, argv: list[str] | None = None, **extra) -> None:
+    """Write `content` (text, or a JSON document written compactly) to `out`
+    and then, given the argument vector, the manifest `<out>.manifest.json`
+    holding it and `extra`; exit 2 with one line on the first file that
+    cannot be written, so a failed output leaves no manifest."""
+    if not isinstance(content, str):
+        content = json.dumps(content, sort_keys=True, separators=(",", ":")) + "\n"
+    files = [(out, content)]
+    if argv is not None:
+        doc = {"command": argv, "outputs": [str(out)],
+               "created_at": datetime.now(timezone.utc).isoformat(), **extra}
+        files.append((out.with_name(out.name + ".manifest.json"),
+                      json.dumps(doc, sort_keys=True, indent=1) + "\n"))
+    for path, text in files:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise _CliFailure(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_instance(path: str):
@@ -151,8 +157,7 @@ def cmd_gen(args, argv: list[str]) -> int:
     except model.GenerationError as exc:
         raise _CliFailure(EXIT_USAGE, f"cannot generate: {exc}") from exc
     out = Path(args.out)
-    out.write_text(model.serialize_instance(instance))
-    _write_manifest(out, argv, seed=args.seed)
+    _write(out, model.serialize_instance(instance), argv, seed=args.seed)
     kind = "covering" if isinstance(instance, model.CipInstance) else "minimax"
     print(f"wrote {kind} instance with {instance.m} rows to {out}")
     return EXIT_OK
@@ -234,21 +239,16 @@ def cmd_round(args, argv: list[str]) -> int:
         }
         value = solution.objective_values[0]
         target = info["total_budgets"][0]
-        _write_json(out, doc)
-        _write_manifest(out, argv, seed=args.seed)
         ratio = value / y_star if y_star > 0 else math.inf
-        print(f"mode={args.mode}  value={value:.6g}  target={target:.6g}  "
-              f"ratio={ratio:.4f}  feasible={doc['feasible']}")
-        return EXIT_OK
-
-    _, summary = mip.full_mip_pipeline(
-        instance, x, rng_seed=args.seed, max_tries=args.max_tries
-    )
-    _write_json(out, summary)
-    _write_manifest(out, argv, seed=args.seed)
-    print(f"mode={args.mode}  value={summary['value']:.6g}  "
-          f"target={summary['target_t42']:.6g}  trials_used={summary['trials_used']}  "
-          f"success={summary['success']}")
+        message = (f"mode={args.mode}  value={value:.6g}  target={target:.6g}  "
+                   f"ratio={ratio:.4f}  feasible={doc['feasible']}")
+    else:
+        _, doc = mip.full_mip_pipeline(instance, x, rng_seed=args.seed, max_tries=args.max_tries)
+        message = (f"mode={args.mode}  value={doc['value']:.6g}  "
+                   f"target={doc['target_t42']:.6g}  trials_used={doc['trials_used']}  "
+                   f"success={doc['success']}")
+    _write(out, doc, argv, seed=args.seed)
+    print(message)
     return EXIT_OK
 
 
@@ -360,7 +360,7 @@ def cmd_verify(args, argv: list[str]) -> int:
         fixture = next((r.counterexample for r in failed if r.counterexample), None)
         if fixture is not None:
             out = Path(args.out) if args.out else target.with_suffix(".counterexample.json")
-            _write_json(out, fixture)
+            _write(out, fixture)
             print(f"counterexample written to {out}")
         return EXIT_VERIFY
     return EXIT_OK
@@ -379,14 +379,11 @@ def _parse_ints(raw: str, flag: str, least: int) -> list[int]:
     return values
 
 
-def _bench_rows(args, recorded_times: list[float] | None):
+def _bench_rows(args) -> tuple[list[dict], list[float]]:
+    """The CSV rows of the sweep, and each row's wall time in seconds."""
     sizes = _parse_ints(args.sizes, "--sizes", 1)
     seeds = _parse_ints(args.seeds, "--seeds", 0)
-    if recorded_times is not None and len(recorded_times) != len(sizes) * len(seeds):
-        raise _bad_manifest(f"{len(recorded_times)} wall times for "
-                            f"{len(sizes) * len(seeds)} bench rows")
-    rows = []
-    index = 0
+    rows, wall_times = [], []
     for b in sizes:
         n_elems = 10
         max_set_size = 5
@@ -397,9 +394,7 @@ def _bench_rows(args, recorded_times: list[float] | None):
             started = time.perf_counter()
             fractional = _relaxation(instance)
             solution, _ = cip.round_cip(instance, fractional.x)
-            elapsed = time.perf_counter() - started
-            if recorded_times is not None:
-                elapsed = recorded_times[index]
+            wall_times.append(time.perf_counter() - started)
             eps = math.log(stats.a + 1.0) / b
             envelope = 1.0 + 6.0 * max(eps, math.sqrt(eps))
             value = solution.objective_values[0]
@@ -415,18 +410,16 @@ def _bench_rows(args, recorded_times: list[float] | None):
                 "value": value,
                 "ratio": value / y_star,
                 "envelope": envelope,
-                "wall_time_s": elapsed,
             })
-            index += 1
-    return rows
+    return rows, wall_times
 
 
 BENCH_COLUMNS = ["family", "n_elems", "n_sets", "seed", "a", "B",
-                 "y_star", "value", "ratio", "envelope", "wall_time_s"]
+                 "y_star", "value", "ratio", "envelope"]
 
 
-def cmd_bench(args, argv: list[str], recorded_times: list[float] | None = None) -> int:
-    rows = _bench_rows(args, recorded_times)
+def cmd_bench(args, argv: list[str]) -> int:
+    rows, wall_times = _bench_rows(args)
     out = Path(args.out)
     lines = [",".join(BENCH_COLUMNS)]
     for row in rows:
@@ -434,8 +427,7 @@ def cmd_bench(args, argv: list[str], recorded_times: list[float] | None = None) 
             f"{row[c]:.9g}" if isinstance(row[c], float) else str(row[c])
             for c in BENCH_COLUMNS
         ))
-    out.write_text("\n".join(lines) + "\n")
-    _write_manifest(out, argv, wall_times=[row["wall_time_s"] for row in rows])
+    _write(out, "\n".join(lines) + "\n", argv, wall_times=wall_times)
     worst = max(row["ratio"] / row["envelope"] for row in rows)
     print(f"wrote {len(rows)} rows to {out}; worst ratio/envelope = {worst:.4f}")
     return EXIT_OK
@@ -446,6 +438,8 @@ def _bad_manifest(reason) -> _CliFailure:
 
 
 def cmd_replay(args) -> int:
+    """Re-run the recorded command as it stands; the manifest's other fields
+    (the seed, the wall-clock readings) are records, not inputs."""
     try:
         doc = json.loads(Path(args.manifest).read_text())
     except (OSError, ValueError) as exc:
@@ -457,14 +451,10 @@ def cmd_replay(args) -> int:
         raise _bad_manifest("command must be a list of strings")
     if argv[:1] == ["replay"]:
         raise _bad_manifest("it records a replay; gen, round and bench write manifests")
-    recorded = doc.get("wall_times")
-    if recorded is not None and not (
-            isinstance(recorded, list) and all(type(t) in (int, float) for t in recorded)):
-        raise _bad_manifest("wall_times must be a list of numbers")
-    return _dispatch(argv, recorded_times=recorded)
+    return _dispatch(argv)
 
 
-def _dispatch(argv: list[str], recorded_times: list[float] | None = None) -> int:
+def _dispatch(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) < 0:
@@ -476,7 +466,7 @@ def _dispatch(argv: list[str], recorded_times: list[float] | None = None) -> int
     if args.subcommand == "verify":
         return cmd_verify(args, argv)
     if args.subcommand == "bench":
-        return cmd_bench(args, argv, recorded_times=recorded_times)
+        return cmd_bench(args, argv)
     if args.subcommand == "replay":
         return cmd_replay(args)
     raise _CliFailure(EXIT_USAGE, f"unknown subcommand {args.subcommand}")  # pragma: no cover

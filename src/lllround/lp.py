@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CipInstance, FractionalSolution, MipInstance, _csr
+from .model import POINT_TOL, CipInstance, FractionalSolution, MipInstance, _csr
 
 __all__ = ["LpReport", "solve_cip_lp", "solve_mip_lp", "ingest_solution", "InfeasibleError"]
 
 PIVOT_TOL = 1e-9
-INGEST_TOL = 1e-6
 
 
 class InfeasibleError(ValueError):
@@ -207,14 +206,14 @@ def ingest_solution(instance, x) -> FractionalSolution:
         raise InfeasibleError(f"expected {n} values, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InfeasibleError("solution has non-finite entries")
-    if np.any(x < -INGEST_TOL):
+    if np.any(x < -POINT_TOL):
         raise InfeasibleError("solution has negative entries")
     x = np.maximum(x, 0.0)
     if isinstance(instance, CipInstance):
         shortfall = instance.demands - instance.loads(x)
         worst = int(np.argmax(shortfall))
         slack = max(0.0, float(shortfall[worst]))
-        if slack > INGEST_TOL:
+        if slack > POINT_TOL:
             raise InfeasibleError(
                 f"row {worst} misses its demand by {slack:.3e} (beyond 1e-6)"
             )
@@ -224,7 +223,7 @@ def ingest_solution(instance, x) -> FractionalSolution:
     deviation = np.abs(sums - 1.0)
     worst = int(np.argmax(deviation))
     slack = float(deviation[worst])
-    if slack > INGEST_TOL:
+    if slack > POINT_TOL:
         raise InfeasibleError(
             f"group {worst} mass sums to {sums[worst]:.9f} (beyond 1e-6 from 1)"
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MipInstance, _checked_point, _widths
+from .model import POINT_TOL, MipInstance, _checked_point, _widths
 from .tailbounds import deviation_for_budget
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "full_mip_pipeline",
 ]
 
-GROUP_SUM_TOL = 1e-6
 # Support-reduction constants.  The guarantees behind them are asymptotic and
 # leave them free: K0 bounds the easy regime's width from below, K1 sets the
 # row and group-sum envelopes, and a step draws at most BOOTSTRAP_TRIALS trials.
@@ -110,6 +109,26 @@ def mip_target(y_star: float, m: int, t: int) -> MipTarget:
     return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k)
 
 
+def _group_totals(instance: MipInstance, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point as one zero-padded row per group, and each group's total;
+    ValueError unless every total is within POINT_TOL of 1.  A total is
+    summed over its group's weights alone, as a row of the group's own
+    width: numpy's pairwise sum blocks a padded row or a `reduceat` segment
+    of 8 or more otherwise, and the total must round as the group's
+    one-dimensional sum does."""
+    sizes = np.array(instance.group_sizes)
+    padded = np.zeros((sizes.size, int(sizes.max())))
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = x
+    totals = np.empty(sizes.size)
+    for size in set(instance.group_sizes):
+        same = sizes == size
+        totals[same] = padded[same, :size].sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > POINT_TOL)
+    if off.size:
+        raise ValueError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
+    return padded, totals
+
+
 @dataclass(frozen=True)
 class _GroupDraw:
     """Every group's cumulative normalized weights, one row per group,
@@ -122,29 +141,19 @@ class _GroupDraw:
     @classmethod
     def build(cls, instance: MipInstance, x: np.ndarray) -> "_GroupDraw":
         """From a checked point whose groups each sum to 1 within the
-        tolerance.  Each group's total is summed over that group's weights
-        alone, as a row of its own width: numpy's pairwise sum blocks a
-        padded row otherwise, and the total must round as the group's
-        one-dimensional sum does."""
-        sizes = np.array(instance.group_sizes)
-        width = int(sizes.max())
-        padded = np.zeros((sizes.size, width))
-        padded[np.arange(width) < sizes[:, None]] = x
-        totals = np.empty(sizes.size)
-        for size in set(instance.group_sizes):
-            same = sizes == size
-            totals[same] = padded[same, :size].sum(axis=1)
-        off = np.flatnonzero(np.abs(totals - 1.0) > GROUP_SUM_TOL)
-        if off.size:
-            raise ValueError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
-        return cls(np.cumsum(padded / totals[:, None], axis=1), np.array(instance.offsets), sizes - 1)
+        tolerance."""
+        padded, totals = _group_totals(instance, x)
+        last = np.array(instance.group_sizes) - 1
+        return cls(np.cumsum(padded / totals[:, None], axis=1), np.array(instance.offsets), last)
 
     def draw(self, n_cols: int, rng_seed) -> np.ndarray:
-        """One uniform draw u per group.  A group takes the slot numbered by
-        how many of its edges lie at or below u (searchsorted's "right"
-        side), clamped to its last slot to guard the u == 1.0 corner; padded
-        edges repeat the group's last one, so they count only under the
-        clamp."""
+        """One uniform draw u in [0, 1) per group.  A group takes the slot
+        numbered by how many of its edges lie at or below u (searchsorted's
+        "right" side), clamped to its last slot: a last edge can round
+        below 1 (the edges of x / x.sum() for x = w / w.sum(), w = [0.7,
+        0.5, 1.1], end at 0.9999999999999998), and a u at or above it counts
+        every edge.  Padded edges repeat the group's last one, so they count
+        only under the clamp."""
         u = np.random.default_rng(rng_seed).random(self.last.size)
         slots = np.minimum(np.count_nonzero(self.edges <= u[:, None], axis=1), self.last)
         z = np.zeros(n_cols)
@@ -225,11 +234,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
     accepted step; the returned point is the last one that lowered t.
     """
     x = _checked_point(x_star, instance.n_cols, "slot")
-    totals = np.add.reduceat(x, instance.offsets)
-    off = np.flatnonzero(np.abs(totals - 1.0) > GROUP_SUM_TOL)
-    if off.size:
-        raise ValueError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
-    x = x / np.repeat(totals, instance.group_sizes)
+    x = x / np.repeat(_group_totals(instance, x)[1], instance.group_sizes)
     a, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
     result = BootstrapResult(x=x, a=a, t_trace=[t], y_trace=[y_star])

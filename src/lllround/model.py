@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 DEMAND_INTEGRALITY_TOL = 1e-9
+# A supplied fractional point may miss a demand or a group sum by this much.
+POINT_TOL = 1e-6
 
 
 class InstanceError(ValueError):

@@ -61,7 +61,7 @@ def reference_group_round(instance, x_star, rng_seed) -> np.ndarray:
             raise ValueError(f"group {g} weights sum to {total}, not 1")
         edges = np.cumsum(weights / total)
         slot = int(np.searchsorted(edges, draws[g], side="right"))
-        slot = min(slot, sl.stop - sl.start - 1)  # guard the u == 1.0 corner
+        slot = min(slot, sl.stop - sl.start - 1)  # a last edge may round below 1
         z[sl.start + slot] = 1.0
     return z
 

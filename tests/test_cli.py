@@ -478,6 +478,13 @@ class TestVerify:
             replay_out = capsys.readouterr().out
             assert "PASS" in replay_out and "FAIL" not in replay_out
 
+        # a fixture that cannot be written exits 2 with one line
+        monkeypatch.setattr(oracle_module, "success_lower_bound", lambda state: 2.0)
+        for out, reason in ((tmp_path / "absent" / "f.json", "No such file or directory"),
+                            (tmp_path, "Is a directory")):
+            assert main(["verify", str(inst), "--which", "phi", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+
     def test_minimax_fixture_replays_at_its_recorded_point_and_slack(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -702,6 +709,8 @@ class TestBenchAndReplay:
         code = main(["bench", "--sizes", "1,2", "--seeds", "0,1", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
+        # the clock is kept in the manifest only
+        assert lines[0] == "family,n_elems,n_sets,seed,a,B,y_star,value,ratio,envelope"
         assert lines[0] == ",".join(BENCH_COLUMNS)
         assert len(lines) == 5
         ratio_col = BENCH_COLUMNS.index("ratio")
@@ -712,6 +721,7 @@ class TestBenchAndReplay:
             assert float(fields[ratio_col]) <= float(fields[envelope_col])
         manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
         assert len(manifest["wall_times"]) == 4
+        assert all(type(t) is float and t > 0.0 for t in manifest["wall_times"])
         assert "worst ratio/envelope" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, raw, least", [
@@ -740,13 +750,21 @@ class TestBenchAndReplay:
         )
         assert not out.exists()
 
-    def test_replay_reproduces_bench_bytes(self, tmp_path):
+    @pytest.mark.parametrize("wall_times", [None, 0.5, [0.5], ["x", 0.5]],
+                             ids=["as-recorded", "scalar", "short", "non-numeric"])
+    def test_replay_reproduces_bench_bytes(self, tmp_path, wall_times):
+        # replay re-runs the command and reads no recorded wall time
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "1,2", "--seeds", "0", "--out", str(out)]) == 0
         original = out.read_bytes()
         out.unlink()
-        assert main(["replay", str(tmp_path / "bench.csv.manifest.json")]) == 0
+        manifest = tmp_path / "bench.csv.manifest.json"
+        if wall_times is not None:
+            doc = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**doc, "wall_times": wall_times}))
+        assert main(["replay", str(manifest)]) == 0
         assert out.read_bytes() == original
+        assert len(json.loads(manifest.read_text())["wall_times"]) == 2
 
     def test_replay_reproduces_gen_and_round_bytes(self, tmp_path):
         inst = gen(tmp_path, seed=9)
@@ -764,20 +782,14 @@ class TestBenchAndReplay:
     def test_replay_missing_manifest_exits_2(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.manifest.json")]) == 2
 
-    @pytest.mark.parametrize("case", ["not-an-object", "non-string-command", "replays-itself",
-                                      "scalar-wall-times", "short-wall-times",
-                                      "non-numeric-wall-times"])
+    @pytest.mark.parametrize("case", ["not-an-object", "non-string-command", "replays-itself"])
     def test_malformed_manifest_exits_2_with_one_line(self, tmp_path, capsys, case):
         manifest = tmp_path / "self.json"
         out = tmp_path / "bench.csv"
-        bench = ["bench", "--sizes", "1,2", "--seeds", "0", "--out", str(out)]  # two rows
         doc = {
             "not-an-object": [1, 2],
             "non-string-command": {"command": [1, 2]},
             "replays-itself": {"command": ["replay", str(manifest)]},
-            "scalar-wall-times": {"command": bench, "wall_times": 0.5},
-            "short-wall-times": {"command": bench, "wall_times": [0.5]},
-            "non-numeric-wall-times": {"command": bench, "wall_times": ["x", 0.5]},
         }[case]
         manifest.write_text(json.dumps(doc))
         assert main(["replay", str(manifest)]) == 2
@@ -816,6 +828,31 @@ class TestBenchAndReplay:
                                         "wall_times": [0.1]}))
         assert main(["replay", str(manifest)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["gen", "standard", "derandomize", "mip", "bench"])
+    def test_unwritable_output_exits_2_with_one_line_and_no_manifest(
+        self, tmp_path, capsys, command, where
+    ):
+        cover = gen(tmp_path)
+        graph = gen(tmp_path, kind="hypergraph", name="graph.json")
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "absent" / "out.json" if where == "missing-directory" else work / "out.json"
+        if where == "directory":
+            out.mkdir()
+        argv = {
+            "gen": ["gen", "--kind", "set-cover"],
+            "standard": ["round", str(cover), "--mode", "standard"],
+            "derandomize": ["round", str(cover), "--mode", "derandomize"],
+            "mip": ["round", str(graph), "--mode", "mip"],
+            "bench": ["bench", "--sizes", "1", "--seeds", "0"],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert list(work.rglob("*")) == ([out] if where == "directory" else [])
 
     def test_bench_manifest_records_no_seed(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -935,20 +972,24 @@ def _run(argv) -> tuple[int, str]:
 
 class TestContractFuzzer:
     """Every valid input ends in a documented exit code with at most one
-    line of error, never a traceback, and a successful `round` replays."""
+    line of error, never a traceback, and a successful `round` replays; an
+    `--out` that cannot be written leaves no manifest."""
 
-    @given(case=cli_cases())
+    @given(case=cli_cases(),
+           where=st.sampled_from(["file"] * 4 + ["missing-directory", "directory"]))
     @example(case=(SHORT_COVER, ["round", "--mode", "derandomize", "--alpha", "1.0000001"],
-                   SHORT_POINT))
+                   SHORT_POINT), where="file")
     @settings(derandomize=True, max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("always")  # as the interpreter shows them to a user
-    def test_exit_codes_messages_and_replay(self, case):
+    def test_exit_codes_messages_and_replay(self, case, where):
         text, (command, *options), solution = case
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             inst = tmp / "inst.json"
             inst.write_text(text)
-            out = tmp / "out.json"
+            out = tmp / "absent" / "out.json" if where == "missing-directory" else tmp / "out.json"
+            if where == "directory":
+                out.mkdir()
             extra = _solution_file(text, solution, tmp / "x.json")
             argv = [command, str(inst), *options, *extra, "--out", str(out)]
             code, err = _run(argv)
@@ -957,6 +998,9 @@ class TestContractFuzzer:
             assert len(errors) <= 1, (argv, err)
             if code == 3:
                 assert extra, (argv, err)  # every relaxation here is feasible and small
+            if where != "file":
+                assert not list(tmp.rglob("*.manifest.json")), (argv, err)
+                assert command == "verify" or code != 0, (argv, err)
             if command == "round" and code == 0:
                 first = out.read_bytes()
                 out.unlink()

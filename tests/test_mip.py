@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lllround.mip as mip_module
@@ -45,6 +45,11 @@ class FixedDraws(np.random.Generator):
 
     def random(self, size=None):
         return self.draws.copy()
+
+
+# One 3-slot group whose build edges end at 0.9999999999999998: any draw
+# from there up to 1 counts all three edges.
+LAST_EDGE_BELOW_ONE = np.array([0.7, 0.5, 1.1]) / np.array([0.7, 0.5, 1.1]).sum()
 
 
 @st.composite
@@ -166,14 +171,17 @@ class TestGroupRound:
             sl = inst.group_slice(g)
             assert np.array_equal(edges[g, : sl.stop - sl.start], np.cumsum(x[sl] / x[sl].sum()))
 
-    @given(case=group_points(), at=st.sampled_from(["one", "edges"]))
+    @given(case=group_points(), at=st.sampled_from(["top", "edges"]))
+    @example(case=(single_group_identity(3), LAST_EDGE_BELOW_ONE), at="top")
     @settings(derandomize=True, max_examples=100, deadline=None)
     def test_draws_at_one_and_on_the_edges(self, case, at):
-        # u == 1.0 takes the last slot; a draw equal to an edge takes the
-        # slot after it, as searchsorted(side="right") does
+        # the top draw, the largest float below 1, stays in the group where
+        # its last edge rounds below it (the example's edges end at
+        # 0.9999999999999998); a draw equal to an edge takes the slot after
+        # it, as searchsorted(side="right") does
         inst, x = case
-        if at == "one":
-            draws = np.ones(inst.n_groups)
+        if at == "top":
+            draws = np.full(inst.n_groups, np.nextafter(1.0, 0.0))
         else:
             draws = [np.cumsum(x[sl] / x[sl].sum())[(g * 7) % (sl.stop - sl.start)]
                      for g, sl in enumerate(map(inst.group_slice, range(inst.n_groups)))]
@@ -345,16 +353,29 @@ class TestBootstrap:
         assert not result.iterations[0].accepted
         assert result.x == pytest.approx(x / x.sum())
 
-    def test_input_is_renormalized_group_by_group(self):
-        inst = random_mip(5)
-        x = uniform_group_weights(inst) * (1.0 + 5e-7)
-        expected = x.copy()
-        for g in range(inst.n_groups):
-            sl = inst.group_slice(g)
-            expected[sl] = x[sl] / x[sl].sum()
-        result = bootstrap_reduce(inst, x, rng_seed=0)
-        assert result.stop_reason == "easy regime"
-        np.testing.assert_array_equal(result.x, expected)
+    @pytest.mark.parametrize("case", ["small-groups", "wide-groups"])
+    def test_input_is_renormalized_group_by_group(self, case):
+        # groups of 8 or more slots are summed in another order by a
+        # segment-wise `np.add.reduceat` than by their 1-D sum; a dense
+        # matrix (t = a) keeps the wide instance in the easy regime
+        rng = np.random.default_rng(5)
+        if case == "small-groups":
+            inst = random_mip(5)
+            points = [uniform_group_weights(inst) * (1.0 + 5e-7)]
+        else:
+            inst = MipInstance.create(rng.uniform(0.2, 1.0, (3, 37)), [12, 9, 16])
+            points = []
+            for _ in range(20):
+                w = rng.uniform(0.0, 1.0, inst.n_cols)
+                points.append(w / np.repeat(np.add.reduceat(w, inst.offsets), inst.group_sizes))
+        for x in points:
+            expected = x.copy()
+            for g in range(inst.n_groups):
+                sl = inst.group_slice(g)
+                expected[sl] = x[sl] / x[sl].sum()
+            result = bootstrap_reduce(inst, x, rng_seed=0)
+            assert result.stop_reason == "easy regime"
+            np.testing.assert_array_equal(result.x, expected)
 
     def test_group_sums_must_be_one(self):
         inst = single_group_identity(3)
