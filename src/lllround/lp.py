@@ -1,24 +1,23 @@
 """Desk-scale linear relaxations.
 
-A dense primal simplex; each pivot is one rank-1 update of the whole
-tableau.  Every valid instance has a feasible relaxation, so each relaxation
-starts from a basis that is feasible by construction, and there is no
-phase 1:
+A primal simplex on a tableau of the nonbasic columns and the right-hand
+side; each pivot is one rank-1 update of it.  Every valid instance has a
+feasible relaxation, so each starts from a basis that is feasible by
+construction, and there is no phase 1:
 
 - A cover, min c.x s.t. A x >= b, x >= 0, is solved through its dual,
   max b.y s.t. A^T y <= c, y >= 0, from the slack basis: y = 0 is feasible
   because c >= 0.  At the optimum the reduced costs of the slack columns are
   the complementary primal basic solution, so the returned x is a vertex.
-  It is priced by Dantzig's rule (the most negative reduced cost enters),
-  with Bland's rule after 50 degenerate pivots in a row until the next
-  nondegenerate one, so it cannot cycle.
+  It is priced by Dantzig's rule, with Bland's rule after 50 degenerate
+  pivots in a row until the next nondegenerate one, so it cannot cycle.
 - The minimax relaxation starts from a greedy crash basis: each group in
   order takes the slot that raises the current max load least, W is basic in
   the max-load row, and every other load row's slack is basic.  It is priced
   by Bland's rule throughout, whose vertices round to lower max loads.
 
-Downstream rounding needs basic optimal solutions (vertices), and the test
-oracles re-derive the same optima by brute-force vertex enumeration.
+Downstream rounding needs vertices; the test oracles re-derive the same
+optima by brute-force vertex enumeration.
 """
 
 from __future__ import annotations
@@ -47,62 +46,81 @@ class LpReport:
     status: str  # "optimal" | "iteration-limit"
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Eliminate column `col` from every row but `row` with one rank-1 update.
+def _pivot(tableau: np.ndarray, basis: list[int], nonbasic: np.ndarray, row: int, col: int) -> None:
+    """Pivot column `col`'s variable into the basis at `row`: the leaving
+    variable's unit column takes its place, then one rank-1 update.
 
-    Each entry gets the value row-by-row elimination gives; only a zero may
-    come out with the other sign, which no comparison and no output sees.
+    Each entry gets the value the pivot of the full tableau gives it, bit for
+    bit: there every basic column is an exact unit vector whose zeros stay +0.
     """
-    tableau[row] /= tableau[row, col]
     column = tableau[:, col].copy()
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    tableau[row] /= column[row]
     column[row] = 0.0
     tableau -= np.outer(column, tableau[row])
+    basis[row], nonbasic[col] = int(nonbasic[col]), basis[row]
 
 
-def _run_simplex(tableau, basis, budget: int, stall_limit: int) -> tuple[int, str]:
+def _entering(costs: np.ndarray, nonbasic: np.ndarray, bland: bool) -> int:
+    """Column of the most negative reduced cost (Dantzig) or of the first
+    negative one (Bland), -1 if none; ties go to the smallest variable."""
+    col = int(costs.argmin())
+    if costs[col] >= -PIVOT_TOL:
+        return -1
+    candidates = (costs < -PIVOT_TOL if bland else costs == costs[col]).nonzero()[0]
+    return col if candidates.size == 1 else int(candidates[nonbasic[candidates].argmin()])
+
+
+def _leaving(column: np.ndarray, rhs: np.ndarray, basis: list[int]) -> tuple[int, float]:
+    """Row of the smallest ratio (-1 if none) and the ratio, scanning rows in
+    order: within PIVOT_TOL of the best, the smaller basic variable wins, and
+    a row more than PIVOT_TOL above the best is skipped at once."""
+    rows = (column > PIVOT_TOL).nonzero()[0]
+    best_ratio, leaving = math.inf, -1
+    for i, ratio in zip(rows.tolist(), (rhs[rows] / column[rows]).tolist()):
+        if ratio - best_ratio > PIVOT_TOL:
+            continue
+        if ratio < best_ratio - PIVOT_TOL or (
+            abs(ratio - best_ratio) <= PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])
+        ):
+            best_ratio, leaving = ratio, i
+    return leaving, best_ratio
+
+
+def _run_simplex(tableau, basis, nonbasic, budget: int, stall_limit: int) -> tuple[int, str]:
     """Price a tableau whose last row holds reduced costs.
 
     Dantzig's rule enters the most negative reduced cost; after
     `stall_limit` degenerate pivots in a row (ratio at most PIVOT_TOL),
     Bland's rule enters the first negative one until the next nondegenerate
     pivot, so no basis repeats.  A stall limit of 0 is Bland's rule
-    throughout.  Returns (iterations used, status); mutates tableau and
-    basis in place.
+    throughout.  Returns (iterations used, status); mutates its arguments.
     """
     iterations = stalled = 0
     while iterations < budget:
-        costs = tableau[-1, :-1]
-        entering = int(np.argmin(costs) if stalled < stall_limit else np.argmax(costs < -PIVOT_TOL))
-        if costs[entering] >= -PIVOT_TOL:
+        col = _entering(tableau[-1, :-1], nonbasic, stalled >= stall_limit)
+        if col < 0:
             return iterations, "optimal"
-        column = tableau[:-1, entering]
-        rows = np.flatnonzero(column > PIVOT_TOL)
-        ratios = tableau[rows, -1] / column[rows]
-        best_ratio = math.inf
-        leaving = -1
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best_ratio - PIVOT_TOL or (
-                abs(ratio - best_ratio) <= PIVOT_TOL
-                and (leaving < 0 or basis[i] < basis[leaving])
-            ):
-                best_ratio = ratio
-                leaving = i
-        if leaving < 0:
+        row, ratio = _leaving(tableau[:-1, col], tableau[:-1, -1], basis)
+        if row < 0:
             raise RuntimeError("objective unbounded; not reachable on valid instances")
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
+        _pivot(tableau, basis, nonbasic, row, col)
         iterations += 1
-        stalled = stalled + 1 if best_ratio <= PIVOT_TOL else 0
+        stalled = stalled + 1 if ratio <= PIVOT_TOL else 0
     return iterations, "iteration-limit"
 
 
-def _solve(instance, tableau, basis, limit: int, stall_limit: int, read_x) -> LpReport:
-    """Run the simplex from a feasible basis whose cost row is priced, then
-    read the instance's point from the optimal tableau with `read_x`."""
-    iterations, status = _run_simplex(tableau, basis, limit, stall_limit)
+def _solve(instance, tableau, basis, nonbasic, limit: int, stall_limit: int, read_x) -> LpReport:
+    """Run the simplex from a feasible, priced basis; `read_x` reads the
+    instance's point from every variable's optimal value and reduced cost."""
+    iterations, status = _run_simplex(tableau, basis, nonbasic, limit, stall_limit)
     if status != "optimal":
         return LpReport(None, math.nan, iterations, status)
-    solution = ingest_solution(instance, read_x(tableau, basis))
+    values, reduced = np.zeros((2, len(basis) + nonbasic.size))
+    values[basis] = tableau[:-1, -1]
+    reduced[nonbasic] = tableau[-1, :-1]
+    solution = ingest_solution(instance, read_x(values, reduced))
     return LpReport(solution, solution.objective_values[0], iterations, status)
 
 
@@ -110,14 +128,14 @@ def solve_cip_lp(instance: CipInstance) -> LpReport:
     """Relaxation min c.x s.t. A x >= b, x >= 0 under the first cost vector,
     solved to a vertex through its dual."""
     m, n = instance.m, instance.n
-    # A^T y + s = c; the slack basis costs 0, so the cost row -b is priced
-    tableau = np.zeros((n + 1, m + n + 1))
+    # A^T y + s = c from the slack basis, which costs 0, so the cost row -b
+    # is priced; x is the slacks' reduced costs at the optimum
+    tableau = np.zeros((n + 1, m + 1))
     tableau[:n, :m] = instance.a_matrix.T
-    tableau[:n, m:-1] = np.eye(n)
     tableau[:n, -1] = instance.costs[0]
     tableau[-1, :m] = -instance.demands
-    return _solve(instance, tableau, list(range(m, m + n)), 50 * (m + n), 50,
-                  lambda t, _: t[-1, m:-1])
+    return _solve(instance, tableau, list(range(m, m + n)), np.arange(m), 50 * (m + n), 50,
+                  lambda values, reduced: reduced[m:])
 
 
 def _crash_slots(instance: MipInstance) -> tuple[list[int], np.ndarray]:
@@ -155,39 +173,31 @@ def _crash_slots(instance: MipInstance) -> tuple[list[int], np.ndarray]:
 def solve_mip_lp(instance: MipInstance) -> LpReport:
     """Relaxation: minimize the max row load W over the product of simplices.
 
-    Variables are the fractional assignments plus W; the returned point is a
-    vertex, so at most m assignment entries are strictly fractional.  The
-    tableau is written with the crash slots already basic, then W is pivoted
-    in; Bland's rule runs from there.
+    Variables are the fractional assignments, then W, then one slack per
+    load row; the returned point is a vertex, so at most m assignment entries
+    are strictly fractional.  The tableau is written with the crash slots
+    already basic, then W is pivoted in; Bland's rule runs from there.
     """
-    m, n = instance.m, instance.n_cols
-    n_groups = instance.n_groups
-    a = instance.a_matrix
+    m, n, n_groups, a = instance.m, instance.n_cols, instance.n_groups, instance.a_matrix
     group_of = np.repeat(np.arange(n_groups), instance.group_sizes)
     slots, loads = _crash_slots(instance)
+    columns = np.delete(np.arange(n), slots)
     # Rows: group sums = 1, then A x - W + slack = 0 with each group's crash
-    # slot eliminated (the slots are basic); the cost row holds W's 1.
-    tableau = np.zeros((n_groups + m + 1, n + 1 + m + 1))
-    tableau[group_of, np.arange(n)] = 1.0
+    # slot eliminated; the basic slots and slacks are not stored.
+    tableau = np.zeros((n_groups + m + 1, columns.size + 2))
+    tableau[group_of[columns], np.arange(columns.size)] = 1.0
     tableau[:n_groups, -1] = 1.0
-    tableau[n_groups:-1, :n] = a - a[:, slots][:, group_of]
-    tableau[n_groups:-1, n] = -1.0
-    tableau[n_groups:-1, n + 1 : -1] = np.eye(m)
+    tableau[n_groups:-1, :-2] = a[:, columns] - a[:, np.array(slots)[group_of[columns]]]
+    tableau[n_groups:-1, -2] = -1.0
     tableau[n_groups:-1, -1] = -loads
-    tableau[-1, n] = 1.0
-    top = n_groups + int(np.argmax(loads))
+    tableau[-1, -2] = 1.0
     basis = slots + list(range(n + 1, n + 1 + m))
-    basis[top] = n
+    nonbasic = np.append(columns, n)
     # W enters at the max-load row, which also prices the cost row; neither
     # this pivot nor the slot elimination is a simplex iteration.
-    _pivot(tableau, top, n)
-
-    def read_x(tableau, basis):
-        x = np.zeros(n + 1 + m)
-        x[basis] = tableau[:-1, -1]
-        return x[:n]
-
-    return _solve(instance, tableau, basis, 50 * (n_groups + m + n + 1), 0, read_x)
+    _pivot(tableau, basis, nonbasic, n_groups + int(np.argmax(loads)), columns.size)
+    return _solve(instance, tableau, basis, nonbasic, 50 * (n_groups + m + n + 1), 0,
+                  lambda values, reduced: values[:n])
 
 
 def ingest_solution(instance, x) -> FractionalSolution:

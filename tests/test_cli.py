@@ -301,7 +301,8 @@ class TestRound:
 
         real = lp_module._run_simplex
         monkeypatch.setattr(lp_module, "_run_simplex",
-                            lambda tableau, basis, limit, stall: real(tableau, basis, 3, stall))
+                            lambda tableau, basis, nonbasic, limit, stall:
+                            real(tableau, basis, nonbasic, 3, stall))
         cover = gen(tmp_path)
         # seed 4: the crash basis is 8 pivots from the optimum
         graph = gen(tmp_path, kind="hypergraph", name="graph.json", seed=4)
@@ -741,7 +742,8 @@ class TestBenchAndReplay:
 
         real = lp_module._run_simplex
         monkeypatch.setattr(lp_module, "_run_simplex",
-                            lambda tableau, basis, limit, stall: real(tableau, basis, 3, stall))
+                            lambda tableau, basis, nonbasic, limit, stall:
+                            real(tableau, basis, nonbasic, 3, stall))
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "1", "--seeds", "0", "--out", str(out)]) == 3
         assert capsys.readouterr().err == (

@@ -1,5 +1,5 @@
 """Simplex relaxation solver against closed-form cases, brute-force
-reference optima, HiGHS, a scalar simplex, and a cycling LP."""
+reference optima, HiGHS, the full-tableau simplex, and a cycling LP."""
 
 import math
 
@@ -22,6 +22,15 @@ from lllround import (
 )
 
 from _builders import highs_optimum, random_cip, random_mip
+from _reference_lp import (
+    cover_tableau,
+    dense_pivot,
+    dense_run_simplex,
+    minimax_tableau,
+    reference_solve,
+    scalar_pivot,
+    scalar_run_simplex,
+)
 from _reference_mip import reference_crash_slots
 
 # largest demand shortfall an optimal relaxation may leave
@@ -179,57 +188,14 @@ class TestIngestSolution:
         assert again.objective_values == sol.objective_values
 
 
-def _reference_pivot(tableau, row, col):
-    """Row-by-row elimination: the pivot before it became one rank-1 update."""
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
-
-
-def _reference_run_simplex(tableau, basis, budget, stall_limit):
-    """Dantzig's rule, and Bland's after `stall_limit` degenerate pivots in a
-    row until a nondegenerate one, scanning every column and every row one
-    scalar at a time."""
-    iterations = stalled = 0
-    n_cols = tableau.shape[1] - 1
-    while iterations < budget:
-        entering = -1
-        for j in range(n_cols):
-            if tableau[-1, j] < -lp.PIVOT_TOL:
-                if stalled >= stall_limit:  # Bland: the first one
-                    entering = j
-                    break
-                if entering < 0 or tableau[-1, j] < tableau[-1, entering]:
-                    entering = j
-        if entering < 0:
-            return iterations, "optimal"
-        best_ratio = math.inf
-        leaving = -1
-        for i in range(tableau.shape[0] - 1):
-            coeff = tableau[i, entering]
-            if coeff > lp.PIVOT_TOL:
-                ratio = tableau[i, -1] / coeff
-                if ratio < best_ratio - lp.PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= lp.PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise RuntimeError("objective unbounded")
-        _reference_pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-        iterations += 1
-        stalled = stalled + 1 if best_ratio <= lp.PIVOT_TOL else 0
-    return iterations, "iteration-limit"
-
-
-def _with_reference_simplex(monkeypatch, solve, instance):
-    with monkeypatch.context() as patched:
-        patched.setattr(lp, "_pivot", _reference_pivot)
-        patched.setattr(lp, "_run_simplex", _reference_run_simplex)
-        return solve(instance)
+def _cover_with_first_cost(rows, seed, costs):
+    """The square unit cover of `seed` under a first cost with zeros, whose
+    dual starts from degenerate rows, or with coarse values that tie."""
+    base = gen_set_cover(rows, rows, 5, 2, seed)
+    rng = np.random.default_rng(seed)
+    first = (np.where(rng.random(rows) < 0.2, 0.0, rng.uniform(0.5, 1.0, rows)) if costs == "zeros"
+             else rng.choice([0.5, 1.0, 2.0], rows))
+    return CipInstance.create(base.a_matrix, base.demands, [first])
 
 
 EQUIVALENCE_CASES = (
@@ -238,73 +204,138 @@ EQUIVALENCE_CASES = (
        for s in range(8)]
     + [("cip", lambda s=s: gen_set_cover(60, 60, 5, 2, s)) for s in range(2)]
     + [("mip", lambda s=s: gen_hypergraph_partition(20, 20, 4, 2, s)) for s in range(2)]
+    # the benchmark's shapes: its largest square covers, its fixed cover and
+    # its largest partitions (100 rows)
+    + [("cip", lambda s=s: gen_set_cover(150, 150, 5, 2, s)) for s in (4, 1000)]
+    + [("cip", lambda: gen_set_cover(200, 128, 5, 2, 0))]
+    + [("mip", lambda s=s: gen_hypergraph_partition(50, 50, 4, 2, s)) for s in (1, 1010)]
+    + [("cip", lambda s=s, c=c: _cover_with_first_cost(60, s, c))
+       for c in ("zeros", "coarse") for s in range(3)]
 )
 
 
+def _assert_is_the_full_tableau(tableau, basis, nonbasic, full, full_basis, exact=True):
+    """The condensed tableau holds the full one's nonbasic columns and its
+    right-hand side, and the full one's basic columns are unit vectors; bit
+    for bit, or only in value (the sign of a zero may differ) without
+    `exact`."""
+    assert list(basis) == list(full_basis)
+    assert sorted([*basis, *nonbasic]) == list(range(full.shape[1] - 1))
+    unit = np.eye(full.shape[0], len(basis))
+    pairs = [(tableau, full[:, [*nonbasic, -1]]), (unit, full[:, basis])]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes() if exact else np.array_equal(got, want)
+
+
 class TestSameAsTheScalarSimplex:
+    """The simplex on nonbasic columns against the full tableau's dense and
+    scalar forms (`_reference_lp`)."""
+
     @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
-    def test_status_pivots_and_vertex_bits_match(self, monkeypatch, kind, build):
+    def test_status_pivots_and_vertex_bits_match(self, kind, build):
         instance = build()
-        solve = solve_cip_lp if kind == "cip" else solve_mip_lp
-        new = solve(instance)
-        reference = _with_reference_simplex(monkeypatch, solve, instance)
-        assert (new.status, new.iterations) == (reference.status, reference.iterations)
+        new = (solve_cip_lp if kind == "cip" else solve_mip_lp)(instance)
         assert new.status == "optimal"
-        assert new.solution.x.tobytes() == reference.solution.x.tobytes()
-        assert new.objective == reference.objective
+        for scalar in (False, True):
+            reference = reference_solve(instance, scalar=scalar)
+            assert (new.status, new.iterations) == (reference.status, reference.iterations)
+            assert new.solution.x.tobytes() == reference.solution.x.tobytes()
+            assert new.objective == reference.objective
 
     def test_run_cut_off_by_the_iteration_limit_leaves_the_same_tableau(self, monkeypatch):
-        instance = gen_set_cover(60, 60, 5, 2, 0)
-        states = []
+        # a cover, a cover whose dual starts from degenerate rows, a minimax LP
+        cases = [(gen_set_cover(60, 60, 5, 2, 0), 40), (_cover_with_first_cost(60, 0, "zeros"), 20),
+                 (gen_hypergraph_partition(50, 50, 4, 2, 1), 20)]
+        real_run = lp._run_simplex
+        for instance, budget in cases:
+            states = []
+            monkeypatch.setattr(lp, "_run_simplex", lambda tableau, basis, nonbasic, _, stall_limit: (
+                states.append((tableau, basis, nonbasic))
+                or real_run(tableau, basis, nonbasic, budget, stall_limit)))
+            cover = isinstance(instance, CipInstance)
+            new = (solve_cip_lp if cover else solve_mip_lp)(instance)
+            assert (new.status, new.iterations, new.solution) == ("iteration-limit", budget, None)
+            [(tableau, basis, nonbasic)] = states
+            for scalar in (False, True):
+                full, full_basis = (cover_tableau(instance) if cover else
+                                    minimax_tableau(instance, scalar_pivot if scalar else dense_pivot))
+                run = scalar_run_simplex if scalar else dense_run_simplex
+                assert run(full, full_basis, budget, 50 if cover else 0) == (budget, "iteration-limit")
+                _assert_is_the_full_tableau(tableau, basis, nonbasic, full, full_basis, exact=not scalar)
 
-        def recording(run):
-            def run_and_record(tableau, basis, budget, stall_limit):
-                result = run(tableau, basis, 40, stall_limit)
-                states.append((tableau.copy(), list(basis), result))
-                return result
-            return run_and_record
 
-        monkeypatch.setattr(lp, "_run_simplex", recording(lp._run_simplex))
-        new = solve_cip_lp(instance)
-        monkeypatch.setattr(lp, "_run_simplex", recording(_reference_run_simplex))
-        reference = solve_cip_lp(instance)
-        assert (new.status, new.iterations) == (reference.status, reference.iterations)
-        assert (new.status, new.iterations, new.solution) == ("iteration-limit", 40, None)
-        (tableau, basis, result), (ref_tableau, ref_basis, ref_result) = states
-        assert (basis, result) == (ref_basis, ref_result)
-        # equal values; only the sign of a zero entry may differ
-        assert np.array_equal(tableau, ref_tableau)
+class TestSelectionRules:
+    """One pivot of `_run_simplex` on a condensed tableau whose columns are
+    in shuffled variable order, against the rules stated plainly."""
+
+    @given(seed=st.integers(0, 2**32 - 1), bland=st.booleans())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_one_pivot_enters_and_leaves_by_the_stated_rules(self, seed, bland):
+        rng = np.random.default_rng(seed)
+        rows, cols = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        labels = rng.permutation(rows + cols)
+        basis, nonbasic = labels[:rows].tolist(), labels[rows:].copy()
+        tableau = rng.choice([-0.5, 0.0, 1e-10, 0.25, 1.0, 2.0], (rows + 1, cols + 1))
+        # coarse reduced costs tie exactly; -PIVOT_TOL and above never enter
+        tableau[-1, :-1] = rng.choice([-3.0, -2.0, -1.0, -lp.PIVOT_TOL, 0.0, 1.0], cols)
+        tableau[-1, rng.integers(cols)] = rng.choice([-3.0, -2.0])
+        costs = tableau[-1, :-1]
+        negative = [j for j in range(cols) if costs[j] < -lp.PIVOT_TOL]
+        if not bland:
+            negative = [j for j in negative if costs[j] == costs.min()]
+        entering = min(negative, key=lambda j: nonbasic[j])
+        # ratios clustered 0.3 to 1.5 PIVOT_TOL apart, in shuffled row order
+        column = rng.uniform(0.1, 2.0, rows)
+        column[rng.random(rows) < 0.2] = rng.choice([-1.0, 0.0, lp.PIVOT_TOL])
+        column[rng.integers(rows)] = 1.0
+        gaps = rng.uniform(0.3, 1.5, rows) * lp.PIVOT_TOL
+        ratios = rng.choice([0.0, 0.5, 3.0]) + rng.permutation(np.cumsum(gaps) - gaps[0])
+        tableau[:-1, entering] = column
+        tableau[:-1, -1] = ratios * column
+        best, leaving = math.inf, -1
+        for i in range(rows):
+            if column[i] > lp.PIVOT_TOL:
+                ratio = tableau[i, -1] / column[i]
+                if ratio < best - lp.PIVOT_TOL or (
+                        abs(ratio - best) <= lp.PIVOT_TOL and (leaving < 0 or basis[i] < basis[leaving])):
+                    best, leaving = ratio, i
+        want_basis, want_nonbasic = list(basis), nonbasic.copy()
+        want_basis[leaving], want_nonbasic[entering] = int(nonbasic[entering]), basis[leaving]
+        assert lp._run_simplex(tableau, basis, nonbasic, 1, 0 if bland else 10**9) == (
+            1, "iteration-limit")
+        assert basis == want_basis
+        np.testing.assert_array_equal(nonbasic, want_nonbasic)
 
 
 def _beale():
-    """Beale's (1955) cycling LP as a tableau: min -3/4 x4 + 150 x5 - 1/50 x6
-    + 6 x7 from the degenerate basis {x1, x2, x3}; the optimum is -1/20."""
-    tableau = np.array([
+    """Beale's (1955) cycling LP as a condensed tableau: min -3/4 x4 + 150 x5
+    - 1/50 x6 + 6 x7 from the degenerate basis {x1, x2, x3}, whose columns
+    are not stored; the optimum is -1/20.  Also returns the full tableau."""
+    full = np.array([
         [1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0, 0.0],
         [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0, 0.0],
         [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
         [0.0, 0.0, 0.0, -3 / 4, 150.0, -1 / 50, 6.0, 0.0],
     ])
-    return tableau, [0, 1, 2]
+    return full[:, 3:].copy(), [0, 1, 2], np.arange(3, 7), full, [0, 1, 2]
 
 
 class TestAntiCycling:
-    @pytest.mark.parametrize("run", [lp._run_simplex, _reference_run_simplex])
-    def test_dantzig_alone_cycles_on_beales_lp(self, run):
-        tableau, basis = _beale()
-        assert run(tableau, basis, 1000, 1001) == (1000, "iteration-limit")
+    def test_dantzig_alone_cycles_on_beales_lp(self):
+        tableau, basis, nonbasic, full, full_basis = _beale()
+        assert lp._run_simplex(tableau, basis, nonbasic, 1000, 1001) == (1000, "iteration-limit")
         assert tableau[-1, -1] == 0.0
+        assert dense_run_simplex(full, full_basis, 1000, 1001) == (1000, "iteration-limit")
+        _assert_is_the_full_tableau(tableau, basis, nonbasic, full, full_basis)
 
     @pytest.mark.parametrize("stall_limit, pivots", [(50, 54), (0, 6)])
     def test_bland_fallback_reaches_the_optimum(self, stall_limit, pivots):
         # 50 is the covers' stall limit; 0 is Bland's rule throughout
-        tableau, basis = _beale()
-        assert lp._run_simplex(tableau, basis, 1000, stall_limit) == (pivots, "optimal")
+        tableau, basis, nonbasic, full, full_basis = _beale()
+        assert lp._run_simplex(tableau, basis, nonbasic, 1000, stall_limit) == (pivots, "optimal")
         assert tableau[-1, -1] == pytest.approx(1 / 20, rel=1e-12)
-        ref_tableau, ref_basis = _beale()
-        assert _reference_run_simplex(ref_tableau, ref_basis, 1000, stall_limit) == (
-            pivots, "optimal")
-        assert (basis, tableau.tobytes()) == (ref_basis, ref_tableau.tobytes())
+        assert dense_run_simplex(full, full_basis, 1000, stall_limit) == (pivots, "optimal")
+        _assert_is_the_full_tableau(tableau, basis, nonbasic, full, full_basis)
 
 
 class TestStartingBases:
@@ -313,22 +344,26 @@ class TestStartingBases:
         real_run = lp._run_simplex
         starts = []
 
-        def run(tableau, basis, budget, stall_limit):
-            starts.append((tableau.copy(), list(basis)))
-            return real_run(tableau, basis, budget, stall_limit)
+        def run(tableau, basis, nonbasic, budget, stall_limit):
+            starts.append((tableau.copy(), list(basis), nonbasic.copy()))
+            return real_run(tableau, basis, nonbasic, budget, stall_limit)
 
         monkeypatch.setattr(lp, "_run_simplex", run)
         instance = build()
         (solve_cip_lp if kind == "cip" else solve_mip_lp)(instance)
-        [(tableau, basis)] = starts
-        rows = tableau.shape[0] - 1
-        np.testing.assert_array_equal(tableau[:-1, basis], np.eye(rows))
+        [(tableau, basis, nonbasic)] = starts
         assert np.all(tableau[:-1, -1] >= 0.0)
-        assert np.all(tableau[-1, basis] == 0.0)
-        if kind == "cip":  # the dual from its slack basis
+        full, full_basis = (cover_tableau if kind == "cip" else minimax_tableau)(instance)
+        _assert_is_the_full_tableau(tableau, basis, nonbasic, full, full_basis)
+        assert np.all(full[-1, basis] == 0.0)
+        if kind == "cip":  # the dual from its slack basis, every y nonbasic
             m, n = instance.m, instance.n
-            assert tableau.shape == (n + 1, m + n + 1)
+            assert tableau.shape == (n + 1, m + 1)
             assert basis == list(range(m, m + n))
+            assert nonbasic.tolist() == list(range(m))
+        else:
+            assert tableau.shape == (instance.n_groups + instance.m + 1,
+                                     instance.n_cols - instance.n_groups + 2)
 
     def test_crash_takes_the_slot_that_raises_the_max_load_least(self):
         a = np.array([[1.0, 0.5, 0.0, 0.0, 0.3],
@@ -367,16 +402,17 @@ class TestStartingBases:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_crash_tableau_is_the_slots_and_w_pivoted_in(self, monkeypatch, seed):
-        # the one-write crash equals pivoting each group's slot, then W, into
-        # the uncrashed tableau with rank-1 pivots, sign bits included
+        # the one-write crash holds the columns of pivoting each group's
+        # slot, then W, into the uncrashed full tableau with rank-1 pivots,
+        # sign bits included
         instance = random_mip(seed + 500, max_groups=8, max_slots=4, m_max=10)
         m, n, n_groups = instance.m, instance.n_cols, instance.n_groups
         starts = []
-        monkeypatch.setattr(lp, "_run_simplex", lambda tableau, basis, *_: (
-            starts.append((tableau.copy(), list(basis))) or (0, "iteration-limit")))
+        monkeypatch.setattr(lp, "_run_simplex", lambda tableau, basis, nonbasic, *_: (
+            starts.append((tableau.copy(), list(basis), nonbasic.copy())) or (0, "iteration-limit")))
         solve_mip_lp(instance)
-        [(tableau, basis)] = starts
-        expected = np.zeros_like(tableau)
+        [(tableau, basis, nonbasic)] = starts
+        expected = np.zeros((n_groups + m + 1, n + m + 2))
         for g in range(n_groups):
             expected[g, instance.group_slice(g)] = 1.0
         expected[:n_groups, -1] = 1.0
@@ -386,8 +422,8 @@ class TestStartingBases:
         expected[-1, n] = 1.0
         top = basis.index(n)
         for row in [*range(n_groups), top]:
-            lp._pivot(expected, row, basis[row])
-        assert tableau.tobytes() == expected.tobytes()
+            dense_pivot(expected, row, basis[row])
+        _assert_is_the_full_tableau(tableau, basis, nonbasic, expected, basis)
 
 
 class TestAgainstHighs:

@@ -1,4 +1,9 @@
-"""The package root: its public names are its modules' own lists."""
+"""The package root: its public names are its modules' own lists, and its
+modules import nothing beyond the standard library and numpy."""
+
+import ast
+import sys
+from pathlib import Path
 
 import lllround
 from lllround import cip, lp, mip, model, oracle, tailbounds
@@ -14,3 +19,21 @@ def test_public_names_are_the_union_of_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(lllround, name) is getattr(module, name)
+
+
+def test_modules_import_only_the_standard_library_numpy_and_lllround():
+    # numpy is the one runtime dependency pyproject.toml declares; scipy is
+    # test-only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "lllround"}
+    sources = sorted(Path(lllround.__file__).parent.glob("*.py"))
+    assert {"__init__", "cli", "lp"} <= {path.stem for path in sources}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
