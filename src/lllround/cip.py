@@ -14,6 +14,7 @@ the floor cost first (see `choose_parameters`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -149,13 +150,15 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
     """Cheapest (alpha, beta) with beta * (1 - q)^a > 1, q the per-row
     failure bound after scaling by alpha.
 
     Scans K over a geometric grid in [1, 64] through two parameter families —
     (K * ln(a+1)/B, 2) and the symmetric (1 + K * sqrt(ln(a+1)/B)) pair — and
-    keeps the valid pair with the smallest product.
+    keeps the valid pair with the smallest product.  Results are memoized per
+    (a, B) in a bounded LRU cache; invalid arguments raise on every call.
     """
     if a < 1:
         raise ValueError(f"column sparsity must be at least 1, got {a}")
@@ -414,34 +417,34 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
     be 3x the scaled mean (relative overflow 2).  The scan multiplies the
     base scale by K over a geometric grid in [1, 64] until the closed-form
     start bound goes positive; failing that, the instance family is too
-    tight and a ParameterError suggests remedies.
+    tight and a ParameterError suggests remedies.  The scan runs on Python
+    floats: the criteria are few, and numpy calls on so short an array cost
+    more than the arithmetic.
     """
     if n_criteria < 1:
         raise ValueError("need at least one criterion")
     objective_values = np.asarray(objective_values, dtype=float)
     if objective_values.shape != (n_criteria,):
         raise ValueError(f"expected {n_criteria} objective values")
-    if np.any(objective_values <= 0.0):
+    values = objective_values.tolist()
+    if any(y <= 0.0 for y in values):
         raise ParameterError("objective values must be positive")
     k = _subset_order(n_criteria)
     ks = [k] * n_criteria
     base = max((math.log(a) + math.log(math.log(2.0 * n_criteria))) / min_demand, 1.0)
+    k_factorial = math.factorial(k)
     factor = 1.0
     chosen = None
     while factor <= 64.0 * 1.0000001:
         alpha = factor * base
         if alpha > 1.0:
             q = lower_tail_bound(min_demand, alpha)
-            nus = alpha * objective_values
-            if np.all(3.0 * nus > k - 1):
+            nus = [alpha * y for y in values]
+            if all(3.0 * nu > k - 1 for nu in nus):
+                inflate = (1.0 - q) ** (-a * k)
                 total = 0.0
                 for nu in nus:
-                    total += (
-                        nu**k
-                        / math.factorial(k)
-                        / binomial_real(3.0 * nu, k)
-                        * (1.0 - q) ** (-a * k)
-                    )
+                    total += nu**k / k_factorial / binomial_real(3.0 * nu, k) * inflate
                 if total < 1.0:
                     chosen = alpha
                     break
@@ -452,8 +455,7 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
             "increase the demands or reduce the column sparsity"
         )
     threshold = math.log2(2.0 * n_criteria) ** 2
-    nus = chosen * objective_values
-    if np.any(nus < threshold):
+    if any(chosen * y < threshold for y in values):
         warnings.warn(
             f"scaled means fall below {threshold:.2f}; budget caps may be loose",
             stacklevel=2,

@@ -238,7 +238,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
     a, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
     result = BootstrapResult(x=x, a=a, t_trace=[t], y_trace=[y_star])
-    rng = np.random.default_rng([rng_seed, 0xB007])
+    rng = None  # built at the first step: most points are in the easy regime
     for _ in range(_outer_cap(t)):
         if _easy_regime(y_star, t, a):
             result.stop_reason = "easy regime"
@@ -257,6 +257,8 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
             scale = log_t**5 / y_star
             row_cap = log_t**5 * (1.0 + BOOTSTRAP_K1 / log_t**2)
             sum_slack = BOOTSTRAP_K1 * log_t**3 / math.sqrt(y_star)
+        if rng is None:
+            rng = np.random.default_rng([rng_seed, 0xB007])
         scaled = scale * x
         floors = np.floor(scaled)
         fracs = scaled - floors

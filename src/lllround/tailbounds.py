@@ -107,6 +107,7 @@ def _first_inside(mu: float, budget: float, terms) -> int | None:
     return end
 
 
+@functools.lru_cache(maxsize=1024)  # bounded: mu is a continuous y*
 def deviation_for_budget(mu: float, budget: float) -> float:
     """Smallest grid deviation delta with ceil(mu*delta) * bound <= budget.
 
@@ -120,7 +121,8 @@ def deviation_for_budget(mu: float, budget: float) -> float:
     rounding of the budget, or whose mu*delta lies within rounding of an
     integer, is tested again in scalar form before it counts, so the result
     is that of testing every index one at a time.  The search gives up past
-    a deviation of 1e12.
+    a deviation of 1e12.  Results are memoized per (mu, budget) in a bounded
+    LRU cache; invalid arguments raise on every call.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mean must be positive and finite, got {mu}")

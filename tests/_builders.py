@@ -5,6 +5,9 @@ Everything here is seeded and deterministic; tests freeze seeds so failures
 replay exactly.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,3 +121,14 @@ def highs_optimum(instance) -> float:
                         b_eq=np.ones(instance.n_groups), bounds=(0, None), method="highs")
     assert highs.status == 0
     return highs.fun
+
+
+def perfbench_workloads():
+    """The benchmark's `perfbench/workloads.py` module, imported from its
+    directory without leaving that directory on `sys.path`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads

@@ -3,15 +3,19 @@ object-by-object form, kept as a test-only reference for `lllround.cip`.
 
 Each subset's rows are one `np.unique` over its columns' rows, each
 segment sum is a difference of one global cumsum, and the row bounds are
-one loop over the rows.
+one loop over the rows.  `reference_multicriteria_params` is the
+multicriteria factor scan in its numpy form, over an array of the scaled
+means.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
-from lllround import binomial_real
+from lllround import binomial_real, lower_tail_bound
+from lllround.cip import ParameterError, _subset_order
 
 from _builders import col_rows
 
@@ -101,3 +105,50 @@ def reference_derandomize(state):
             state, current = zero, phi_zero
         trace.append(current)
     return scheme.floor + state.p, trace
+
+
+def reference_multicriteria_params(objective_values, n_criteria, a, min_demand):
+    """Scale factor and subset orders, each step's scaled means one array."""
+    if n_criteria < 1:
+        raise ValueError("need at least one criterion")
+    objective_values = np.asarray(objective_values, dtype=float)
+    if objective_values.shape != (n_criteria,):
+        raise ValueError(f"expected {n_criteria} objective values")
+    if np.any(objective_values <= 0.0):
+        raise ParameterError("objective values must be positive")
+    k = _subset_order(n_criteria)
+    ks = [k] * n_criteria
+    base = max((math.log(a) + math.log(math.log(2.0 * n_criteria))) / min_demand, 1.0)
+    factor = 1.0
+    chosen = None
+    while factor <= 64.0 * 1.0000001:
+        alpha = factor * base
+        if alpha > 1.0:
+            q = lower_tail_bound(min_demand, alpha)
+            nus = alpha * objective_values
+            if np.all(3.0 * nus > k - 1):
+                total = 0.0
+                for nu in nus:
+                    total += (
+                        nu**k
+                        / math.factorial(k)
+                        / binomial_real(3.0 * nu, k)
+                        * (1.0 - q) ** (-a * k)
+                    )
+                if total < 1.0:
+                    chosen = alpha
+                    break
+        factor *= 1.02
+    if chosen is None:
+        raise ParameterError(
+            "no scale factor up to 64x the base makes the start bound positive; "
+            "increase the demands or reduce the column sparsity"
+        )
+    threshold = math.log2(2.0 * n_criteria) ** 2
+    nus = chosen * objective_values
+    if np.any(nus < threshold):
+        warnings.warn(
+            f"scaled means fall below {threshold:.2f}; budget caps may be loose",
+            stacklevel=2,
+        )
+    return chosen, ks

@@ -4,9 +4,12 @@ the deterministic fixing loop."""
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lllround import (
     CipInstance,
@@ -30,8 +33,8 @@ from lllround import cip
 from lllround.cip import _row_bounds
 from _builders import (col_rows, four_cost_cover, lp_point, random_cip, row_cols, two_cost_cover,
                       two_cost_set_cover)
-from _reference_estimator import (reference_derandomize, reference_row_bounds, reference_terms,
-                                  reference_value)
+from _reference_estimator import (reference_derandomize, reference_multicriteria_params,
+                                  reference_row_bounds, reference_terms, reference_value)
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure
@@ -463,6 +466,33 @@ class TestMulticriteriaParams:
     def test_hopeless_family_raises(self):
         with pytest.raises(ParameterError, match="no scale factor up to 64x"):
             multicriteria_params([1e-6, 1e-6], 2, 3, 1.0)
+
+    @staticmethod
+    def outcome(params, *args):
+        """(alpha's bits and ks, or the ParameterError's message; warnings)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                alpha, ks = params(*args)
+                result = (type(alpha), alpha.hex(), ks)
+            except ParameterError as exc:
+                result = ("ParameterError", str(exc))
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        values=st.integers(2, 5).flatmap(
+            lambda n: st.lists(st.floats(0.5, 40.0), min_size=n, max_size=n)),
+        a=st.integers(1, 8),
+        min_demand=st.floats(1.0, 12.0),
+    )
+    @example(values=[0.5, 0.5], a=2, min_demand=1.0)  # warns
+    @example(values=[1e-6, 1e-6], a=3, min_demand=1.0)  # no scale factor
+    @example(values=[1.0, 0.0], a=2, min_demand=1.0)  # nonpositive objective
+    def test_float_scan_matches_the_numpy_reference(self, values, a, min_demand):
+        args = (values, len(values), a, min_demand)
+        assert self.outcome(multicriteria_params, *args) == self.outcome(
+            reference_multicriteria_params, *args)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="at least one criterion"):

@@ -11,15 +11,13 @@ concatenated serializations of each other workload.
 """
 
 import hashlib
-import sys
-from pathlib import Path
 
 import pytest
 
 import lllround
 from lllround import gen_facility_location, gen_hypergraph_partition, gen_set_cover, serialize_instance
 
-from _builders import random_cip, random_mip
+from _builders import perfbench_workloads, random_cip, random_mip
 
 GOLDEN = {
     "set-cover-s0": "9771d9633312ad2e6844ab2e0887d28d5f573f027d401d70db512e66d31c8244",
@@ -61,15 +59,6 @@ GOLDEN = {
 }
 
 
-def _workloads():
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads
-
-
 def _instances():
     """(label, instances) pairs; each label's digest is over the
     concatenated serializations of its instances."""
@@ -84,7 +73,7 @@ def _instances():
     yield "set-cover-1000x1800-s0", [gen_set_cover(1000, 1800, 5, 2, 0)]
     yield "facility-300-s0", [gen_facility_location(300, 4, 2, 0)]
     yield "hypergraph-50x50-s0", [gen_hypergraph_partition(50, 50, 4, 2, 0)]
-    workloads = _workloads()
+    workloads = perfbench_workloads()
     for label, inst in workloads.cover_multicost(lllround, 0):
         yield label, [inst]
     for name in ("cover-lp", "cover-large", "minimax"):

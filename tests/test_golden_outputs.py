@@ -18,8 +18,6 @@ too, by their `z` bytes and evaluation counts.
 
 import functools
 import hashlib
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ import pytest
 import lllround
 from lllround import full_mip_pipeline, gen_set_cover, parse_instance, round_cip
 from lllround import serialize_instance, solve_cip_lp, solve_mip_lp
-from _builders import lp_point, two_cost_set_cover
+from _builders import perfbench_workloads, lp_point, two_cost_set_cover
 
 GOLDEN = {
     "minimax": "fe0ae5ad16dea7252764c03b44404612e76ae1d5e36e902a1083d1785ca47460",
@@ -41,20 +39,11 @@ PATH_GOLDEN = {
 BRANCHED_GOLDEN = "322963efdb4f5bc9d01f6e25e7ccc3bc496bdd39697f3ab2e6c745efbed8647f"
 
 
-def _workloads():
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads
-
-
 @functools.cache
 def _digests(name: str) -> tuple[str, str]:
     """The output digest and, for a cover workload, the path digest."""
     outputs, paths = hashlib.sha256(), hashlib.sha256()
-    for label, inst in _workloads().WORKLOADS[name](lllround, 0):
+    for label, inst in perfbench_workloads().WORKLOADS[name](lllround, 0):
         inst = parse_instance(serialize_instance(inst))
         for digest in (outputs, paths):
             digest.update(label.encode())

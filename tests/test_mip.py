@@ -1,6 +1,7 @@
 """Minimax rounding: slack targets, categorical draws, the retry loop, and
 support reduction."""
 
+import hashlib
 import itertools
 import math
 
@@ -270,21 +271,51 @@ class TestLasVegas:
         assert report.value <= math.ceil(report.target.target) + 1e-9
 
 
+def bootstrap_digest(result) -> str:
+    """sha256 of the returned point's bytes and of both traces' bytes."""
+    digest = hashlib.sha256()
+    for part in (result.x, np.array(result.t_trace), np.array(result.y_trace)):
+        digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
+def count_generators(monkeypatch) -> list:
+    """From now on, the seed of every generator built.  `lllround.mip` looks
+    up `np.random.default_rng` at each call, so the counting one is patched
+    into numpy's module."""
+    built = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(mip_module.np.random, "default_rng", counting)
+    return built
+
+
 class TestBootstrap:
-    def test_small_instance_is_already_easy(self):
+    def test_small_instance_is_already_easy(self, monkeypatch):
         inst = random_mip(0)
         x = uniform_group_weights(inst)
+        generators_built = count_generators(monkeypatch)
         result = bootstrap_reduce(inst, x, rng_seed=0)
         assert result.stop_reason == "easy regime"
         assert result.iterations == []
         assert len(result.t_trace) == 1
         assert result.x == pytest.approx(x)
+        assert generators_built == []  # no step, so no generator
 
-    def test_small_value_case_accepts_and_stops_on_flat_width(self):
+    def test_small_value_case_accepts_and_stops_on_flat_width(self, monkeypatch):
         inst = single_group_identity(16)
         x = np.full(16, 0.2 / 15)
         x[0] = 0.8
+        generators_built = count_generators(monkeypatch)
         result = bootstrap_reduce(inst, x, rng_seed=1)
+        assert generators_built == [[1, 0xB007]]
+        # the generator's stream, pinned: the step's y is its first draws
+        assert bootstrap_digest(result) == (
+            "a5dc512676c943182240fcdec297f887c906bb13e650390176139f5a98e7bd0d")
         assert result.stop_reason == "t stopped decreasing"
         assert len(result.iterations) == 1
         it = result.iterations[0]
@@ -308,6 +339,8 @@ class TestBootstrap:
         inst = MipInstance.create(a, [4, 4])
         x = np.array([0.985, 0.005, 0.005, 0.005, 0.005, 0.005, 0.005, 0.985])
         result = bootstrap_reduce(inst, x, rng_seed=3)
+        assert bootstrap_digest(result) == (
+            "cdf76da6935e3665970fb519b7109593121aae6101104108e244b543e26dda9b")
         assert result.t_trace == [4, 3, 2]
         assert [it.accepted for it in result.iterations] == [True, True]
         assert result.stop_reason == "easy regime"
