@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import POINT_TOL, CipInstance, _checked_point, _csr, sparsity_stats
-from .tailbounds import binomial_real, esym_mean_bound, lower_tail_bound
+from .tailbounds import binomial_real, lower_tail_bound
 
 __all__ = [
     "RoundingScheme",
@@ -36,7 +36,6 @@ __all__ = [
     "choose_parameters",
     "standard_round",
     "success_lower_bound",
-    "standard_certificate",
     "multicriteria_params",
     "make_estimator",
     "derandomize",
@@ -378,30 +377,6 @@ def _evaluate(state: EstimatorState) -> tuple[float, np.ndarray, float, list[np.
 def success_lower_bound(state: EstimatorState) -> float:
     """Lower bound on Pr(all demands hold and all increment budgets hold)."""
     return _evaluate(state)[0]
-
-
-def standard_certificate(scheme: RoundingScheme, lambdas, ks):
-    """Closed-form start check: a product-form lower bound on the estimator
-    at the standard bit probabilities, plus the exact estimator value.
-
-    Returns (positive, closed_form, estimate).  The closed form multiplies
-    (1-q)^m by 1 minus the budget terms bounded through `esym_mean_bound`,
-    so it never exceeds the exact estimator value.
-    """
-    instance = scheme.instance
-    lambdas = np.asarray(lambdas, dtype=float)
-    ks = np.asarray(ks, dtype=np.int64)
-    stats = sparsity_stats(instance)
-    q = lower_tail_bound(float(instance.demands.min()), scheme.alpha)
-    clear = (1.0 - q) ** instance.m
-    total = 0.0
-    for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
-        mean = float(cost @ scheme.frac)
-        inflate = (1.0 - q) ** (-stats.a * int(k))
-        total += esym_mean_bound(instance.n, mean, int(k)) / binomial_real(float(lam), int(k)) * inflate
-    closed_form = clear * (1.0 - total)
-    estimate = success_lower_bound(make_estimator(scheme, lambdas, ks))
-    return closed_form > 0.0, closed_form, estimate
 
 
 def _subset_order(n_criteria: int) -> int:

@@ -8,10 +8,11 @@ readings (bench's per-row times, the creation time) live in manifests only,
 so every output is deterministic and a replay is a plain re-run.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, malformed input,
-rounding parameters out of range or an output that cannot be written, 3
-infeasible supplied solution (or a relaxation stopped at the simplex's
-iteration limit, which its message tells apart), 4 enumeration budget
-exceeded.
+rounding parameters out of range (a slack search past the float range
+among them), an instance too large to allocate or an output that cannot
+be written, 3 infeasible supplied solution (or a relaxation stopped at the
+simplex's iteration limit, which its message tells apart), 4 enumeration
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -493,8 +494,11 @@ def _main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (model.ParseError, model.GenerationError, model.InstanceError,
-            cip.ParameterError) as exc:
+            cip.ParameterError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: instance too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ __all__ = [
     "BootstrapResult",
     "LasVegasReport",
     "mip_target",
-    "group_round",
     "las_vegas_mip",
     "bootstrap_reduce",
     "full_mip_pipeline",
@@ -161,20 +160,13 @@ class _GroupDraw:
         return z
 
 
-def group_round(instance: MipInstance, x_star, rng_seed) -> np.ndarray:
-    """One categorical draw per group guided by the fractional weights;
-    returns a 0/1 vector with exactly one 1 per group."""
-    x = _checked_point(x_star, instance.n_cols, "slot")
-    return _GroupDraw.build(instance, x).draw(instance.n_cols, rng_seed)
-
-
 def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> LasVegasReport:
     """Retry group rounding until the max row load meets the slack target
     at the interaction width t of x_star's support.
 
-    Trials are seeded independently as (rng_seed, trial) so any prefix of
-    the trial stream is reproducible; each trial draws with
-    `group_round`'s edges, which are built once.  The best value and the
+    Each trial is one categorical draw per group (`_GroupDraw`, whose
+    edges are built once), seeded independently as (rng_seed, trial) so
+    any prefix of the trial stream is reproducible.  The best value and the
     earliest trial achieving it are tracked, and the loop stops early once
     the target is met.  Failure to meet the target within max_tries is
     reported in the success flag, not raised.

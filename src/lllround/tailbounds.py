@@ -12,15 +12,12 @@ import functools
 import math
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "upper_tail_bound",
     "deviation_for_budget",
     "lower_tail_bound",
     "binomial_real",
     "elementary_symmetric",
-    "esym_mean_bound",
 ]
 
 #: Anchor and ratio of the geometric grid searched by `deviation_for_budget`.
@@ -30,19 +27,6 @@ GRID_RATIO = 1.001
 # GRID_RATIO**_DOUBLING_STEPS is the first grid power >= 2, so advancing the
 # grid index by this amount (at least) doubles the candidate deviation.
 _DOUBLING_STEPS = math.ceil(math.log(2.0) / math.log(GRID_RATIO))
-# The doubling probes sit at every _DOUBLING_STEPS-th grid index, up to the
-# first one whose deviation passes 1e12, where the search gives up.
-_PROBE_COUNT = 1
-while GRID_ANCHOR * GRID_RATIO ** (_PROBE_COUNT * _DOUBLING_STEPS) <= 1e12:
-    _PROBE_COUNT += 1
-# The array test of the search may round differently from the scalar one:
-# numpy's power, log1p and exp may each miss Python's by an ulp or so.  The
-# two exponents then differ by a few ulps of mu * (delta + (1+delta)
-# log(1+delta)) (at most 6e-16 of it over 90,000 sampled points), and
-# mu*delta by a few ulps of itself; _ROUNDING bounds both with room to
-# spare.  Values below _UNDERFLOW may differ by that much outright.
-_ROUNDING = 1e-13
-_UNDERFLOW = 1e-280
 
 
 def upper_tail_bound(mu: float, delta: float) -> float:
@@ -69,44 +53,6 @@ def _inside(mu: float, budget: float, delta: float) -> bool:
     return math.ceil(mu * delta) * upper_tail_bound(mu, delta) <= budget
 
 
-@functools.lru_cache(maxsize=None)  # the probes and at most _PROBE_COUNT brackets
-def _grid_terms(start: int, step: int, count: int) -> tuple[np.ndarray, ...]:
-    """Grid indices start, start + step, ... (count of them), their
-    deviations, and the two parts of the tail exponent that do not depend on
-    mu: delta - g and delta + g, with g = (1 + delta) log(1 + delta).  The
-    arrays are shared between calls, so they are read-only."""
-    indices = start + step * np.arange(count)
-    deltas = GRID_ANCHOR * GRID_RATIO**indices
-    growth = (1.0 + deltas) * np.log1p(deltas)
-    terms = (indices, deltas, deltas - growth, deltas + growth)
-    for array in terms:
-        array.setflags(write=False)
-    return terms
-
-
-def _first_inside(mu: float, budget: float, terms) -> int | None:
-    """Position of the first grid index of `terms` whose deviation meets the
-    budget, as the scalar test decides it; None if none does.
-
-    One array pass decides every index whose value sits clear of the budget
-    and whose mu*delta sits clear of an integer, by more than the rounding
-    margins; the scalar test decides the others, in index order.
-    """
-    indices, deltas, exponent_part, margin_part = terms
-    spread = mu * deltas
-    values = np.ceil(spread) * np.exp(np.minimum(mu * exponent_part, 0.0))
-    # a margin past e^10 only meets values that are 0 either way
-    margin = np.exp(np.minimum(_ROUNDING * (mu * margin_part + 1.0), 10.0))
-    unsure = (values / margin <= budget) & (budget < values * margin + _UNDERFLOW)
-    unsure |= np.abs(spread - np.rint(spread)) <= _ROUNDING * np.maximum(spread, 1.0)
-    sure = (values <= budget) & ~unsure
-    end = int(np.argmax(sure)) if sure.any() else None
-    for pos in np.flatnonzero(unsure[:end]).tolist():
-        if _inside(mu, budget, _grid(int(indices[pos]))):
-            return pos
-    return end
-
-
 @functools.lru_cache(maxsize=1024)  # bounded: mu is a continuous y*
 def deviation_for_budget(mu: float, budget: float) -> float:
     """Smallest grid deviation delta with ceil(mu*delta) * bound <= budget.
@@ -116,13 +62,12 @@ def deviation_for_budget(mu: float, budget: float) -> float:
     deviation) bracket the answer, and the first grid point of the final
     bracket that satisfies the inequality is returned; the ceil factor makes
     the predicate non-monotone at integer boundaries, so a point below the
-    bracket may satisfy it too.  The probes, and then the bracket, are
-    tested in one array pass each; any index whose array test lies within
-    rounding of the budget, or whose mu*delta lies within rounding of an
-    integer, is tested again in scalar form before it counts, so the result
-    is that of testing every index one at a time.  The search gives up past
-    a deviation of 1e12.  Results are memoized per (mu, budget) in a bounded
-    LRU cache; invalid arguments raise on every call.
+    bracket may satisfy it too.  The bound decays to 0, so the probes go on
+    until one meets the budget; OverflowError if the next grid point would
+    pass the float range first, as it does for means from about 1e-317 to
+    1e-304 (below them mu*delta rounds to 0, which meets any budget).
+    Results are memoized per (mu, budget) in a bounded LRU cache; invalid
+    arguments raise on every call.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mean must be positive and finite, got {mu}")
@@ -130,12 +75,16 @@ def deviation_for_budget(mu: float, budget: float) -> float:
         raise ValueError(f"budget must lie in (0, 1), got {budget}")
     if _inside(mu, budget, GRID_ANCHOR):
         return GRID_ANCHOR
-    probe = _first_inside(mu, budget, _grid_terms(_DOUBLING_STEPS, _DOUBLING_STEPS, _PROBE_COUNT))
-    if probe is None:  # pragma: no cover - the bound decays to 0
-        raise RuntimeError("deviation search failed to bracket")
-    # the bracket (low, high] ends at the probe, which meets the budget
-    low = probe * _DOUBLING_STEPS
-    return _grid(low + 1 + _first_inside(mu, budget, _grid_terms(low + 1, 1, _DOUBLING_STEPS)))
+    high = _DOUBLING_STEPS
+    try:
+        while not _inside(mu, budget, _grid(high)):
+            high += _DOUBLING_STEPS
+    except OverflowError:
+        raise OverflowError(f"no grid deviation within the float range meets budget {budget} "
+                            f"at mean {mu}") from None
+    # the bracket (high - _DOUBLING_STEPS, high] ends at a probe that meets the budget
+    bracket = range(high - _DOUBLING_STEPS + 1, high + 1)
+    return next(delta for delta in map(_grid, bracket) if _inside(mu, budget, delta))
 
 
 def lower_tail_bound(min_demand: float, alpha: float) -> float:
@@ -184,14 +133,3 @@ def elementary_symmetric(values: Sequence[float], k: int) -> float:
         for j in range(k, 0, -1):
             prefix[j] += value * prefix[j - 1]
     return prefix[k]
-
-
-def esym_mean_bound(n: int, mu: float, k: int) -> float:
-    """Bound C(n,k) * (mu/n)^k on the expected k-th elementary symmetric
-    polynomial of n independent [0,1] variables whose means sum to mu.
-    """
-    if k < 1 or k > n:
-        raise ValueError(f"order must lie in [1, {n}], got {k}")
-    if mu < 0.0 or mu > n:
-        raise ValueError(f"total mean must lie in [0, {n}], got {mu}")
-    return binomial_real(float(n), k) * (mu / n) ** k

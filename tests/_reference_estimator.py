@@ -5,7 +5,8 @@ Each subset's rows are one `np.unique` over its columns' rows, each
 segment sum is a difference of one global cumsum, and the row bounds are
 one loop over the rows.  `reference_multicriteria_params` is the
 multicriteria factor scan in its numpy form, over an array of the scaled
-means.
+means.  `standard_certificate` is the closed-form start check, a product
+bound below the estimator through `esym_mean_bound`.
 """
 
 import itertools
@@ -14,7 +15,8 @@ import warnings
 
 import numpy as np
 
-from lllround import binomial_real, lower_tail_bound
+from lllround import (binomial_real, lower_tail_bound, make_estimator, sparsity_stats,
+                      success_lower_bound)
 from lllround.cip import ParameterError, _subset_order
 
 from _builders import col_rows
@@ -152,3 +154,38 @@ def reference_multicriteria_params(objective_values, n_criteria, a, min_demand):
             stacklevel=2,
         )
     return chosen, ks
+
+
+def esym_mean_bound(n: int, mu: float, k: int) -> float:
+    """Bound C(n,k) * (mu/n)^k on the expected k-th elementary symmetric
+    polynomial of n independent [0,1] variables whose means sum to mu.
+    """
+    if k < 1 or k > n:
+        raise ValueError(f"order must lie in [1, {n}], got {k}")
+    if mu < 0.0 or mu > n:
+        raise ValueError(f"total mean must lie in [0, {n}], got {mu}")
+    return binomial_real(float(n), k) * (mu / n) ** k
+
+
+def standard_certificate(scheme, lambdas, ks):
+    """Closed-form start check: a product-form lower bound on the estimator
+    at the standard bit probabilities, plus the exact estimator value.
+
+    Returns (positive, closed_form, estimate).  The closed form multiplies
+    (1-q)^m by 1 minus the budget terms bounded through `esym_mean_bound`,
+    so it never exceeds the exact estimator value.
+    """
+    instance = scheme.instance
+    lambdas = np.asarray(lambdas, dtype=float)
+    ks = np.asarray(ks, dtype=np.int64)
+    stats = sparsity_stats(instance)
+    q = lower_tail_bound(float(instance.demands.min()), scheme.alpha)
+    clear = (1.0 - q) ** instance.m
+    total = 0.0
+    for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
+        mean = float(cost @ scheme.frac)
+        inflate = (1.0 - q) ** (-stats.a * int(k))
+        total += esym_mean_bound(instance.n, mean, int(k)) / binomial_real(float(lam), int(k)) * inflate
+    closed_form = clear * (1.0 - total)
+    estimate = success_lower_bound(make_estimator(scheme, lambdas, ks))
+    return closed_form > 0.0, closed_form, estimate

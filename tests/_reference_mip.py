@@ -3,10 +3,11 @@ form, kept as test-only references for `lllround.tailbounds`,
 `lllround.mip` and `lllround.lp`.
 
 `reference_deviation_for_budget` evaluates the tail bound once per probe
-and once per grid index of the final bracket, `reference_group_round`
-draws one group at a time, and `reference_crash_slots` forms a dense
-(rows x slots) max for every group.  The program's array forms must give
-the same results bit for bit.
+and once per grid index of the final bracket, as the program's search
+does; `reference_group_round` draws one group at a time, and
+`reference_crash_slots` forms a dense (rows x slots) max for every group,
+where the program works on whole arrays.  The program must give the same
+results bit for bit.
 """
 
 import math
@@ -22,8 +23,8 @@ GROUP_SUM_TOL = 1e-6
 
 def reference_deviation_for_budget(mu: float, budget: float) -> float:
     """Smallest grid deviation delta with ceil(mu*delta) * bound <= budget:
-    doubling probes bracket it, then a linear scan of the bracket returns
-    the first satisfying grid point."""
+    doubling probes, as many as it takes, bracket it, then a linear scan of
+    the bracket returns the first satisfying grid point."""
 
     def inside(delta: float) -> bool:
         return math.ceil(mu * delta) * upper_tail_bound(mu, delta) <= budget
@@ -35,11 +36,9 @@ def reference_deviation_for_budget(mu: float, budget: float) -> float:
         return GRID_ANCHOR
     low = 0
     high = DOUBLING_STEPS
-    while not inside(grid(high)):
+    while not inside(grid(high)):  # OverflowError once the grid passes the float range
         low = high
         high += DOUBLING_STEPS
-        if grid(low) > 1e12:
-            raise RuntimeError("deviation search failed to bracket")
     for index in range(low + 1, high + 1):
         delta = grid(index)
         if inside(delta):

@@ -24,14 +24,12 @@ from lllround import (
     gen_set_cover,
     ingest_solution,
     las_vegas_mip,
-    lp_vertex_optimum,
     make_estimator,
     make_scheme,
     round_cip,
     solve_cip_lp,
     solve_mip_lp,
     sparsity_stats,
-    standard_certificate,
     upper_tail_bound,
     verify_extended_lll,
     verify_fkg_and_antifkg,
@@ -40,6 +38,8 @@ from lllround import (
 from lllround.cli import BENCH_COLUMNS, main as cli_main
 from lllround.model import MipInstance
 from _builders import lp_point, random_cip, random_mip, uniform_group_weights
+from _reference_estimator import standard_certificate
+from _reference_optima import lp_vertex_optimum
 from test_tailbounds import exact_upper_tail
 
 

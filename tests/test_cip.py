@@ -25,7 +25,6 @@ from lllround import (
     multicriteria_params,
     round_cip,
     sparsity_stats,
-    standard_certificate,
     standard_round,
     success_lower_bound,
 )
@@ -34,7 +33,8 @@ from lllround.cip import _row_bounds
 from _builders import (col_rows, four_cost_cover, lp_point, random_cip, row_cols, two_cost_cover,
                       two_cost_set_cover)
 from _reference_estimator import (reference_derandomize, reference_multicriteria_params,
-                                  reference_row_bounds, reference_terms, reference_value)
+                                  reference_row_bounds, reference_terms, reference_value,
+                                  standard_certificate)
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure

@@ -42,6 +42,16 @@ def two_cost(tmp_path, name="two_cost.json"):
 FEWER_GROUPS_THAN_SLACK = ('{"A":[[0,0,0.62],[1,1,0.797],[2,0,0.839],[2,2,0.468],[3,0,0.258]],'
                            '"groups":[3],"kind":"mip","m":5}')
 UNLOADED_SLOT = '{"A":[[0,0,0.5]],"groups":[2],"kind":"mip","m":1}'
+# 10^15 rows: the row index alone would take 7.1 PiB, past a 47-bit address
+# space, so numpy refuses it at once whatever the kernel's overcommit policy
+TOO_MANY_ROWS = '{"A":[[0,0,1],[0,2,1],[1,1,1],[1,3,1]],"groups":[2,2],"kind":"mip","m":1000000000000000}'
+MIP_CHECKS = [["round", "--mode", "mip"], ["verify", "--which", "lll"]]
+
+
+def tiny_loads(value: str) -> str:
+    """Two groups of two slots, each slot loading one of two rows by `value`."""
+    return ('{"kind":"mip","m":2,"groups":[2,2],'
+            f'"A":[[0,0,{value}],[0,2,{value}],[1,1,{value}],[1,3,{value}]]}}')
 
 
 class TestGen:
@@ -322,6 +332,36 @@ class TestRound:
         assert main(["round", str(inst), "--mode", "mip", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["value"] == 0.0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", MIP_CHECKS)
+    def test_a_tiny_relaxation_value_rounds_and_verifies(self, tmp_path, capsys, command):
+        # loads of 1e-300: the slack search doubles its deviation past 1e297
+        # before the bound meets the budget, and the slack is 1
+        inst = tmp_path / "tiny.json"
+        inst.write_text(tiny_loads("1e-300"))
+        out = tmp_path / "r.json"
+        assert main([command[0], str(inst), *command[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command[0] == "round":
+            doc = json.loads(out.read_text())
+            assert (doc["value"], doc["target_t42"], doc["success"]) == (1e-300, 1.0, True)
+
+    @pytest.mark.parametrize("command", MIP_CHECKS)
+    def test_a_slack_search_past_the_float_range_exits_2(self, tmp_path, capsys, command):
+        # loads of 1e-307: no deviation below the largest float meets the budget
+        inst = tmp_path / "tinier.json"
+        inst.write_text(tiny_loads("1e-307"))
+        assert main([command[0], str(inst), *command[1:], "--out", str(tmp_path / "r.json")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: no grid deviation within the float range meets budget ")
+
+    @pytest.mark.parametrize("command", MIP_CHECKS)
+    def test_an_instance_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):
+        inst = tmp_path / "huge.json"
+        inst.write_text(TOO_MANY_ROWS)
+        assert main([command[0], str(inst), *command[1:], "--out", str(tmp_path / "r.json")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: instance too large: ")
 
     @pytest.mark.parametrize("tries", ["0", "-5"])
     def test_max_tries_below_one_exits_2(self, tmp_path, capsys, tries):

@@ -16,7 +16,6 @@ from lllround import (
     gen_hypergraph_partition,
     gen_set_cover,
     ingest_solution,
-    lp_vertex_optimum,
     solve_cip_lp,
     solve_mip_lp,
 )
@@ -32,6 +31,7 @@ from _reference_lp import (
     scalar_run_simplex,
 )
 from _reference_mip import reference_crash_slots
+from _reference_optima import lp_vertex_optimum
 
 # largest demand shortfall an optimal relaxation may leave
 FEASIBILITY_TOL = 1e-9

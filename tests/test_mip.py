@@ -17,7 +17,6 @@ from lllround import (
     deviation_for_budget,
     full_mip_pipeline,
     gen_hypergraph_partition,
-    group_round,
     las_vegas_mip,
     mip_target,
     solve_mip_lp,
@@ -34,6 +33,12 @@ def disjoint_pairs():
 
 def single_group_identity(n_slots):
     return MipInstance.create(np.eye(n_slots), [n_slots])
+
+
+def group_round(instance, x, rng_seed):
+    """One categorical draw per group, as each Las Vegas trial makes it."""
+    groups = mip_module._GroupDraw.build(instance, np.asarray(x, dtype=float))
+    return groups.draw(instance.n_cols, rng_seed)
 
 
 class FixedDraws(np.random.Generator):
@@ -141,20 +146,6 @@ class TestGroupRound:
             sigma = math.sqrt(weights[slot] * (1 - weights[slot]) / trials)
             assert abs(freq[slot] - weights[slot]) < 4 * sigma
 
-    def test_input_validation(self):
-        inst = single_group_identity(3)
-        with pytest.raises(ValueError, match="sum to"):
-            group_round(inst, [0.5, 0.4, 0.2], 0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            group_round(inst, [1.2, -0.2, 0.0], 0)
-        with pytest.raises(ValueError, match="expected 3 values"):
-            group_round(inst, [0.5, 0.5], 0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 1"):
-            group_round(single_group_identity(3), [0.5, bad, 0.5], 0)
-
     @given(case=group_points(), seed=st.integers(0, 2**32 - 1))
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_same_draw_as_the_group_by_group_loop(self, case, seed):
@@ -235,7 +226,7 @@ class TestLasVegas:
 
     def test_trial_stream_is_the_group_round_stream(self, monkeypatch):
         # with an unmeetable target every trial runs; the best value and the
-        # earliest trial reaching it are those of group_round's trials
+        # earliest trial reaching it are those of the group-by-group draws
         monkeypatch.setattr(mip_module, "mip_target", lambda y_star, m, t: mip_module.MipTarget(
             y_star=y_star, t=t, k=0, target=y_star - 1.0))
         inst = gen_hypergraph_partition(30, 30, 4, 3, 2)
@@ -249,6 +240,20 @@ class TestLasVegas:
                 best = trial
         assert (report.trials_used, report.best_trial, report.value) == (40, best, values[best])
         assert np.array_equal(report.z, reference_group_round(inst, x, [6, best]))
+
+    def test_input_validation(self):
+        inst = single_group_identity(3)
+        with pytest.raises(ValueError, match="sum to"):
+            las_vegas_mip(inst, [0.5, 0.4, 0.2], 1, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            las_vegas_mip(inst, [1.2, -0.2, 0.0], 1, 0)
+        with pytest.raises(ValueError, match="expected 3 values"):
+            las_vegas_mip(inst, [0.5, 0.5], 1, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 1"):
+            las_vegas_mip(single_group_identity(3), [0.5, bad, 0.5], 1, 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):

@@ -14,8 +14,6 @@ from lllround import (
     MipInstance,
     choose_alpha_beta,
     exact_event_probs,
-    exact_ilp,
-    lp_vertex_optimum,
     make_estimator,
     make_scheme,
     parse_instance,
@@ -27,6 +25,7 @@ from lllround import (
     verify_phi_domination,
 )
 from _builders import col_rows, lp_point, random_cip, random_mip, uniform_group_weights
+from _reference_optima import exact_ilp, lp_vertex_optimum
 
 
 def pair_row_scheme():

@@ -1,5 +1,6 @@
-"""The package root: its public names are its modules' own lists, and its
-modules import nothing beyond the standard library and numpy."""
+"""The package root: its public names are its modules' own lists, each used
+by the package itself, and its modules import nothing beyond the standard
+library and numpy."""
 
 import ast
 import sys
@@ -14,11 +15,35 @@ MODULES = (cip, lp, mip, model, oracle, tailbounds)
 def test_public_names_are_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
     assert lllround.__all__ == names
-    assert len(set(names)) == len(names) == 60
+    assert len(set(names)) == len(names) == 55
     assert "OracleError" in oracle.__all__
     for module in MODULES:
         for name in module.__all__:
             assert getattr(lllround, name) is getattr(module, name)
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a name or attribute in some module's code, outside the definitions of
+    # unused public names: a helper only they call is unused as well
+    trees = [ast.parse(path.read_text(), str(path))
+             for path in Path(lllround.__file__).parent.glob("*.py")]
+    unused: set[str] = set()
+    while True:
+        used = set()
+        for tree in trees:
+            for top in tree.body:
+                if getattr(top, "name", None) in unused:
+                    continue
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+        newly_unused = set(lllround.__all__) - used
+        if newly_unused == unused:
+            break
+        unused = newly_unused
+    assert not unused, f"public names the package never uses: {sorted(unused)}"
 
 
 def test_modules_import_only_the_standard_library_numpy_and_lllround():

@@ -13,11 +13,11 @@ from lllround import (
     binomial_real,
     deviation_for_budget,
     elementary_symmetric,
-    esym_mean_bound,
     lower_tail_bound,
     upper_tail_bound,
 )
 from lllround.tailbounds import GRID_ANCHOR, GRID_RATIO
+from _reference_estimator import esym_mean_bound
 from _reference_mip import reference_deviation_for_budget
 
 # Frozen by exact rational enumeration: sum_{j=15..20} C(20,j) / 2^20.
@@ -152,6 +152,20 @@ class TestDeviationForBudget:
         with pytest.raises(ValueError):
             deviation_for_budget(1.0, 1.0)
 
+    @pytest.mark.parametrize("mu", [1e-13, 1e-14, 1e-100, 1e-300])
+    def test_tiny_means_double_until_the_bound_meets_the_budget(self, mu):
+        budget = 1.0 / (2.0 * math.e)
+        delta = deviation_for_budget(mu, budget)
+        assert _budget_holds(mu, delta, budget)
+        assert delta == reference_deviation_for_budget(mu, budget)
+
+    @pytest.mark.parametrize("mu", [1e-307, 1e-316])
+    def test_a_deviation_past_the_float_range_raises(self, mu):
+        with pytest.raises(OverflowError, match="within the float range meets budget"):
+            deviation_for_budget(mu, 1.0 / math.e)
+        with pytest.raises(OverflowError):
+            reference_deviation_for_budget(mu, 1.0 / math.e)
+
     @given(
         mu=st.floats(min_value=0.01, max_value=500.0),
         p=st.floats(min_value=1e-6, max_value=0.99),
@@ -183,8 +197,8 @@ def _nudged(value, ulps):
 
 
 class TestDeviationMatchesTheScalarSearch:
-    """The array search returns the scalar search's grid point, bit for
-    bit, including where its test sits on a rounding margin."""
+    """The search returns the reference scan's grid point, bit for bit,
+    including where its test sits on a rounding margin."""
 
     @given(mu=_MEANS, budget=_BUDGETS)
     @settings(derandomize=True, max_examples=400, deadline=None)
