@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import POINT_TOL, CipInstance, _checked_point, _csr, sparsity_stats
+from .model import CipInstance, _check_cover, _checked_point, _csr, column_sparsity
 from .tailbounds import binomial_real, lower_tail_bound
 
 __all__ = [
@@ -98,16 +98,14 @@ class RoundedSolution:
 
 def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     """Scale a feasible fractional cover by alpha and split it into floors
-    plus Bernoulli bits.  Requires alpha > 1, finite and nonnegative
-    entries and slack at most 1e-6, and raises ParameterError for a row
-    whose deviation falls outside (0, 1)."""
+    plus Bernoulli bits.  Requires alpha > 1 and finite, nonnegative
+    entries; raises InfeasibleError for a row short of its demand by more
+    than 1e-6 (`model._check_cover`), and ParameterError for a row whose
+    deviation falls outside (0, 1)."""
     if alpha <= 1.0:
         raise ValueError(f"scale factor must exceed 1, got {alpha}")
     x = _checked_point(x, instance.n, "column")
-    shortfall = instance.demands - instance.loads(x)
-    if shortfall.max(initial=0.0) > POINT_TOL:
-        worst = int(np.argmax(shortfall))
-        raise ValueError(f"fractional point infeasible: row {worst} short by {shortfall[worst]:.3e}")
+    _check_cover(instance, x)
     scaled = alpha * x
     floor = np.floor(scaled)
     frac = scaled - floor
@@ -678,13 +676,13 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
     Returns (scheme, increment budgets, subset orders, info dict).
     """
     x = _checked_point(x, instance.n, "column")
-    stats = sparsity_stats(instance)
+    a = column_sparsity(instance)
     min_demand = float(instance.demands.min())
     objective_values = np.array([float(c @ x) for c in instance.costs])
     ell = instance.n_criteria
     if ell == 1:
         if alpha is None or beta is None:
-            chosen_alpha, chosen_beta = choose_alpha_beta(stats.a, min_demand)
+            chosen_alpha, chosen_beta = choose_alpha_beta(a, min_demand)
             alpha = alpha if alpha is not None else chosen_alpha
             beta = beta if beta is not None else chosen_beta
         ks = [1]
@@ -692,7 +690,7 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
             total_budgets = [alpha * beta * objective_values[0]]
     else:
         if alpha is None:
-            alpha, ks = multicriteria_params(objective_values, ell, stats.a, min_demand)
+            alpha, ks = multicriteria_params(objective_values, ell, a, min_demand)
         else:
             ks = [_subset_order(ell)] * ell
         beta = 3.0 if beta is None else beta

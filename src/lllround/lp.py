@@ -27,15 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import POINT_TOL, CipInstance, FractionalSolution, MipInstance, _csr
+from .model import (POINT_TOL, CipInstance, FractionalSolution, InfeasibleError, MipInstance,
+                    _check_cover, _csr, _group_totals)
 
 __all__ = ["LpReport", "solve_cip_lp", "solve_mip_lp", "ingest_solution", "InfeasibleError"]
 
 PIVOT_TOL = 1e-9
-
-
-class InfeasibleError(ValueError):
-    """A supplied solution violates the instance beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -204,9 +201,10 @@ def ingest_solution(instance, x) -> FractionalSolution:
     """Validate an externally produced fractional point and wrap it.
 
     Entries must be finite and at least -1e-6; the returned point clips them
-    at 0, and its objective values are those of the clipped point.
-    Violations up to 1e-6 are tolerated (and recorded as slack); anything
-    larger raises InfeasibleError naming the worst constraint.
+    at 0 and must pass the feasibility rule that rounding applies too: a
+    cover's demands, or a minimax program's group sums of 1, each met within
+    1e-6.  Anything else raises InfeasibleError.  The objective values are
+    those of the clipped point.
     """
     if not isinstance(instance, (CipInstance, MipInstance)):
         raise TypeError(f"unsupported instance type {type(instance)!r}")
@@ -220,22 +218,7 @@ def ingest_solution(instance, x) -> FractionalSolution:
         raise InfeasibleError("solution has negative entries")
     x = np.maximum(x, 0.0)
     if isinstance(instance, CipInstance):
-        shortfall = instance.demands - instance.loads(x)
-        worst = int(np.argmax(shortfall))
-        slack = max(0.0, float(shortfall[worst]))
-        if slack > POINT_TOL:
-            raise InfeasibleError(
-                f"row {worst} misses its demand by {slack:.3e} (beyond 1e-6)"
-            )
-        objectives = tuple(float(cost @ x) for cost in instance.costs)
-        return FractionalSolution(x=x, objective_values=objectives, feasibility_slack=slack)
-    sums = np.add.reduceat(x, instance.offsets)
-    deviation = np.abs(sums - 1.0)
-    worst = int(np.argmax(deviation))
-    slack = float(deviation[worst])
-    if slack > POINT_TOL:
-        raise InfeasibleError(
-            f"group {worst} mass sums to {sums[worst]:.9f} (beyond 1e-6 from 1)"
-        )
-    value = float(instance.loads(x).max())
-    return FractionalSolution(x=x, objective_values=(value,), feasibility_slack=slack)
+        _check_cover(instance, x)
+        return FractionalSolution(x=x, objective_values=tuple(float(c @ x) for c in instance.costs))
+    _group_totals(instance, x)
+    return FractionalSolution(x=x, objective_values=(float(instance.loads(x).max()),))

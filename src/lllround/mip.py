@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import POINT_TOL, MipInstance, _checked_point, _widths
+from .model import MipInstance, _checked_point, _group_totals
 from .tailbounds import deviation_for_budget
 
 __all__ = [
@@ -90,7 +90,12 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
     """(a, t) restricted to the support of x, each at least 1: max rows
     touched by a single live column, and max rows touched by any group's
     live columns."""
-    a, t = _widths(instance, x[instance.cols] > 0.0)
+    live = x[instance.cols] > 0.0
+    rows, cols = instance.rows[live], instance.cols[live]
+    group_of = np.repeat(np.arange(instance.n_groups), instance.group_sizes)
+    touched = np.unique(group_of[cols] * instance.m + rows)
+    a = int(np.bincount(cols).max(initial=0))
+    t = int(np.bincount(touched // instance.m).max(initial=0))
     return max(a, 1), max(t, 1)
 
 
@@ -106,26 +111,6 @@ def mip_target(y_star: float, m: int, t: int) -> MipTarget:
     if mu > 0.0:
         k = max(math.ceil(mu * deviation_for_budget(mu, 1.0 / (math.e * t))), 1)
     return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k)
-
-
-def _group_totals(instance: MipInstance, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The point as one zero-padded row per group, and each group's total;
-    ValueError unless every total is within POINT_TOL of 1.  A total is
-    summed over its group's weights alone, as a row of the group's own
-    width: numpy's pairwise sum blocks a padded row or a `reduceat` segment
-    of 8 or more otherwise, and the total must round as the group's
-    one-dimensional sum does."""
-    sizes = np.array(instance.group_sizes)
-    padded = np.zeros((sizes.size, int(sizes.max())))
-    padded[np.arange(padded.shape[1]) < sizes[:, None]] = x
-    totals = np.empty(sizes.size)
-    for size in set(instance.group_sizes):
-        same = sizes == size
-        totals[same] = padded[same, :size].sum(axis=1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > POINT_TOL)
-    if off.size:
-        raise ValueError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
-    return padded, totals
 
 
 @dataclass(frozen=True)

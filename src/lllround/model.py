@@ -1,5 +1,6 @@
-"""Instance data model: covering and minimax programs, sparsity statistics,
-seeded generators, and the JSON wire format.
+"""Instance data model: covering and minimax programs, the feasibility rule
+for a fractional point, column sparsity, seeded generators, and the JSON
+wire format.
 
 A covering instance is min c.x subject to A x >= b over nonnegative integer
 vectors x, with A entries in [0, 1], demands b >= 1, and every cost vector
@@ -21,8 +22,7 @@ __all__ = [
     "CipInstance",
     "MipInstance",
     "FractionalSolution",
-    "SparsityStats",
-    "sparsity_stats",
+    "column_sparsity",
     "gen_set_cover",
     "gen_facility_location",
     "gen_hypergraph_partition",
@@ -45,6 +45,10 @@ class ParseError(ValueError):
 
 class GenerationError(ValueError):
     """Generator parameters cannot yield a feasible instance."""
+
+
+class InfeasibleError(ValueError):
+    """A fractional point misses a demand or a group sum beyond POINT_TOL."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -151,7 +155,6 @@ class CipInstance(_SparseMatrix):
 
     demands: np.ndarray  # (m,), each >= 1
     costs: tuple[np.ndarray, ...]  # each max-normalized to 1
-    cost_scales: tuple[float, ...]  # divisor applied to each raw cost vector
 
     @property
     def n(self) -> int:
@@ -181,7 +184,6 @@ class CipInstance(_SparseMatrix):
                 )
             demands = rounded
         normalized: list[np.ndarray] = []
-        scales: list[float] = []
         for idx, cost in enumerate(costs):
             cost = np.asarray(cost, dtype=float)
             if cost.shape != (n,):
@@ -192,11 +194,9 @@ class CipInstance(_SparseMatrix):
             if top <= 0.0:
                 raise InstanceError(f"cost vector {idx} must have a positive entry")
             normalized.append(_frozen(cost / top))
-            scales.append(top)
         if not normalized:
             raise InstanceError("at least one cost vector is required")
-        return cls(**matrix, demands=_frozen(demands), costs=tuple(normalized),
-                   cost_scales=tuple(scales))
+        return cls(**matrix, demands=_frozen(demands), costs=tuple(normalized))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,41 +236,43 @@ class MipInstance(_SparseMatrix):
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """A fractional point plus its objective value(s) and worst violation."""
+    """A feasible fractional point plus its objective value(s)."""
 
     x: np.ndarray
     objective_values: tuple[float, ...]
-    feasibility_slack: float
 
 
-@dataclass(frozen=True)
-class SparsityStats:
-    """Column sparsity a, column mass g, and group-row incidence t.
-
-    Always g <= a <= t; for covering instances t coincides with a.
-    """
-
-    a: int
-    g: float
-    t: int
+def column_sparsity(instance) -> int:
+    """The column sparsity a: the most rows one column meets."""
+    return int(np.bincount(instance.cols).max(initial=0))
 
 
-def _widths(instance, live=slice(None)) -> tuple[int, int]:
-    """(a, t) over the nonzeros selected by `live`: the most rows of one
-    column, and the most rows met by one group's columns (a for covers)."""
-    rows, cols = instance.rows[live], instance.cols[live]
-    a = int(np.bincount(cols).max(initial=0))
-    if not isinstance(instance, MipInstance):
-        return a, a
-    group_of = np.repeat(np.arange(instance.n_groups), instance.group_sizes)
-    touched = np.unique(group_of[cols] * instance.m + rows)
-    return a, int(np.bincount(touched // instance.m).max(initial=0))
+def _check_cover(instance: CipInstance, x: np.ndarray) -> None:
+    """InfeasibleError unless A x meets every demand within POINT_TOL."""
+    shortfall = instance.demands - instance.loads(x)
+    worst = int(np.argmax(shortfall))
+    if shortfall[worst] > POINT_TOL:
+        raise InfeasibleError(f"row {worst} short by {shortfall[worst]:.3e}")
 
 
-def sparsity_stats(instance) -> SparsityStats:
-    a, t = _widths(instance)
-    g = float(np.bincount(instance.cols, weights=instance.vals).max(initial=0.0))
-    return SparsityStats(a=a, g=g, t=t)
+def _group_totals(instance: MipInstance, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point as one zero-padded row per group, and each group's total;
+    InfeasibleError unless every total is within POINT_TOL of 1.  A total is
+    summed over its group's weights alone, as a row of the group's own
+    width: numpy's pairwise sum blocks a padded row or a `reduceat` segment
+    of 8 or more otherwise, and the total must round as the group's
+    one-dimensional sum does."""
+    sizes = np.array(instance.group_sizes)
+    padded = np.zeros((sizes.size, int(sizes.max())))
+    padded[np.arange(padded.shape[1]) < sizes[:, None]] = x
+    totals = np.empty(sizes.size)
+    for size in set(instance.group_sizes):
+        same = sizes == size
+        totals[same] = padded[same, :size].sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > POINT_TOL)
+    if off.size:
+        raise InfeasibleError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")
+    return padded, totals
 
 
 # ---------------------------------------------------------------------------

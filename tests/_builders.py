@@ -104,6 +104,27 @@ def uniform_group_weights(instance):
     return x
 
 
+# Nine weights of one group that sum to 1.000001 by `np.add.reduceat` but to
+# 1.0000010000000001 as the group's own sum: one sum is within 1e-6 of 1,
+# the other is not.
+STRADDLING_GROUP = [
+    0.08131836118834321, 0.03888178381893569, 0.07183649243757993,
+    0.10611954074248094, 0.18505386414402636, 0.16104083161080368,
+    0.06606108191917945, 0.19190765512858554, 0.09778138901006518,
+]
+
+
+def point_violation(instance, x) -> float:
+    """A point's worst violation, recomputed densely: the largest shortfall
+    of a cover's demand (0 when all are met), or the largest deviation of a
+    minimax group's sum from 1."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(instance, CipInstance):
+        return max(0.0, float(np.max(instance.demands - instance.a_matrix @ x)))
+    return max(abs(float(x[instance.group_slice(g)].sum()) - 1.0)
+               for g in range(instance.n_groups))
+
+
 def highs_optimum(instance) -> float:
     """The relaxation's optimum from scipy's HiGHS, a test-only dependency."""
     linprog = pytest.importorskip("scipy.optimize").linprog

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from lllround import (binomial_real, lower_tail_bound, make_estimator, sparsity_stats,
+from lllround import (binomial_real, column_sparsity, lower_tail_bound, make_estimator,
                       success_lower_bound)
 from lllround.cip import ParameterError, _subset_order
 
@@ -178,13 +178,13 @@ def standard_certificate(scheme, lambdas, ks):
     instance = scheme.instance
     lambdas = np.asarray(lambdas, dtype=float)
     ks = np.asarray(ks, dtype=np.int64)
-    stats = sparsity_stats(instance)
+    a = column_sparsity(instance)
     q = lower_tail_bound(float(instance.demands.min()), scheme.alpha)
     clear = (1.0 - q) ** instance.m
     total = 0.0
     for cost, lam, k in zip(instance.costs, lambdas, ks, strict=True):
         mean = float(cost @ scheme.frac)
-        inflate = (1.0 - q) ** (-stats.a * int(k))
+        inflate = (1.0 - q) ** (-a * int(k))
         total += esym_mean_bound(instance.n, mean, int(k)) / binomial_real(float(lam), int(k)) * inflate
     closed_form = clear * (1.0 - total)
     estimate = success_lower_bound(make_estimator(scheme, lambdas, ks))

@@ -17,6 +17,7 @@ from lllround import (
     CipInstance,
     binomial_real,
     choose_alpha_beta,
+    column_sparsity,
     deviation_for_budget,
     elementary_symmetric,
     gen_facility_location,
@@ -29,7 +30,6 @@ from lllround import (
     round_cip,
     solve_cip_lp,
     solve_mip_lp,
-    sparsity_stats,
     upper_tail_bound,
     verify_extended_lll,
     verify_fkg_and_antifkg,
@@ -37,7 +37,7 @@ from lllround import (
 )
 from lllround.cli import BENCH_COLUMNS, main as cli_main
 from lllround.model import MipInstance
-from _builders import lp_point, random_cip, random_mip, uniform_group_weights
+from _builders import lp_point, point_violation, random_cip, random_mip, uniform_group_weights
 from _reference_estimator import standard_certificate
 from _reference_optima import lp_vertex_optimum
 from test_tailbounds import exact_upper_tail
@@ -139,11 +139,11 @@ def test_criterion_04_derandomization_contract_on_generated_covers():
         n_nodes = int(rng.integers(10, 31))
         instances.append(gen_facility_location(n_nodes, degree, demand, seed))
     for inst in instances:
-        stats = sparsity_stats(inst)
-        assert stats.a <= 6 and inst.n <= 40 and inst.m <= 30
+        a = column_sparsity(inst)
+        assert a <= 6 and inst.n <= 40 and inst.m <= 30
         x = lp_point(inst)
         y_star = float(inst.costs[0] @ x)
-        alpha, beta = choose_alpha_beta(stats.a, float(inst.demands.min()))
+        alpha, beta = choose_alpha_beta(a, float(inst.demands.min()))
         scheme = make_scheme(inst, x, alpha)
         lam = alpha * beta * y_star - scheme.floor_costs[0]
         positive, _, _ = standard_certificate(scheme, [lam], [1])
@@ -302,7 +302,7 @@ def test_criterion_09_simplex_matches_vertex_enumeration():
         _, reference = lp_vertex_optimum(inst.costs[0], inst.a_matrix, inst.demands)
         assert report.solution.objective_values[0] == pytest.approx(reference, abs=1e-6)
         validated = ingest_solution(inst, report.solution.x)
-        assert validated.feasibility_slack <= 1e-9
+        assert point_violation(inst, validated.x) <= 1e-9
     finish(9, "simplex value equals brute-force vertex optimum on 50 relaxations",
            started, 60.0)
 

@@ -17,6 +17,7 @@ from lllround import (
     binomial_real,
     choose_alpha_beta,
     choose_parameters,
+    column_sparsity,
     derandomize,
     gen_set_cover,
     lower_tail_bound,
@@ -24,7 +25,6 @@ from lllround import (
     make_scheme,
     multicriteria_params,
     round_cip,
-    sparsity_stats,
     standard_round,
     success_lower_bound,
 )
@@ -430,8 +430,7 @@ class TestStandardCertificate:
     def test_closed_form_is_positive_and_below_the_estimate(self, seed):
         inst = random_cip(seed)
         x = lp_point(inst)
-        stats = sparsity_stats(inst)
-        alpha, beta = choose_alpha_beta(stats.a, float(inst.demands.min()))
+        alpha, beta = choose_alpha_beta(column_sparsity(inst), float(inst.demands.min()))
         scheme = make_scheme(inst, x, alpha)
         lam = alpha * beta * float(inst.costs[0] @ x) - scheme.floor_costs[0]
         positive, closed, estimate = standard_certificate(scheme, [lam], [1])

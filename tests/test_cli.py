@@ -23,7 +23,7 @@ from lllround import (
     solve_mip_lp,
 )
 from lllround.cli import BENCH_COLUMNS, main
-from _builders import highs_optimum, lp_point, two_cost_cover
+from _builders import STRADDLING_GROUP, highs_optimum, lp_point, two_cost_cover
 
 
 def gen(tmp_path, *extra, kind="set-cover", seed=3, name="inst.json"):
@@ -188,6 +188,22 @@ class TestRound:
         code = main(["round", str(inst_path), "--solution", str(point),
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
+
+    def test_a_group_sum_just_past_the_tolerance_exits_3_in_mip_mode(self, tmp_path, capsys):
+        # ingest once summed the group by `reduceat` and accepted the point,
+        # and rounding, summing it as one group, then raised a traceback
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({"kind": "mip", "m": 9, "groups": [9],
+                                         "A": [[j, j, 1.0] for j in range(9)]}))
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"x": STRADDLING_GROUP}))
+        out = tmp_path / "r.json"
+        code = main(["round", str(inst_path), "--mode", "mip", "--solution", str(point),
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "infeasible: group 0 weights sum to 1.0000010000000001, not 1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json", "point.json"]
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_solution_exits_3(self, tmp_path, capsys, bad):

@@ -2,10 +2,11 @@
 reference optima, HiGHS, the full-tableau simplex, and a cycling LP."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lllround.lp as lp
@@ -13,14 +14,16 @@ from lllround import (
     CipInstance,
     InfeasibleError,
     MipInstance,
+    bootstrap_reduce,
     gen_hypergraph_partition,
     gen_set_cover,
     ingest_solution,
+    make_scheme,
     solve_cip_lp,
     solve_mip_lp,
 )
 
-from _builders import highs_optimum, random_cip, random_mip
+from _builders import STRADDLING_GROUP, highs_optimum, point_violation, random_cip, random_mip
 from _reference_lp import (
     cover_tableau,
     dense_pivot,
@@ -69,7 +72,7 @@ class TestCoveringRelaxation:
         inst = random_cip(seed=41)
         report = solve_cip_lp(inst)
         again = ingest_solution(inst, report.solution.x)
-        assert again.feasibility_slack <= 1e-9
+        assert point_violation(inst, again.x) <= 1e-9
         np.testing.assert_allclose(again.x, report.solution.x)
 
 
@@ -151,7 +154,7 @@ class TestIngestSolution:
         inst = CipInstance.create(np.eye(2), np.ones(2), [np.ones(2)])
         sol = ingest_solution(inst, [1.0, 1.5])
         assert sol.objective_values[0] == pytest.approx(2.5)
-        assert sol.feasibility_slack == 0.0
+        assert point_violation(inst, sol.x) == 0.0
 
     def test_dimension_mismatch(self):
         inst = CipInstance.create(np.eye(2), np.ones(2), [np.ones(2)])
@@ -169,6 +172,39 @@ class TestIngestSolution:
             ingest_solution(inst, [0.9, 0.4])
         sol = ingest_solution(inst, [0.25, 0.75])
         assert sol.objective_values[0] == pytest.approx(0.75)
+
+    @given(sizes=st.lists(st.integers(8, 16), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1),
+           off=st.one_of(st.floats(-2e-6, 2e-6), st.sampled_from([-1e-6, 1e-6])))
+    @example(sizes=[9], seed=0, off=None)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_ingest_accepts_a_point_exactly_when_rounding_does(self, sizes, seed, off):
+        # groups of 8 or more slots, where a `reduceat` segment and the
+        # group's own sum can round apart, with totals near 1 +- 1e-6
+        inst = MipInstance.create(np.eye(sum(sizes)), sizes)
+        if off is None:
+            x = np.array(STRADDLING_GROUP)
+        else:
+            rng = np.random.default_rng(seed)
+            x = np.concatenate([w / w.sum() * (1.0 + off) for w in map(rng.random, sizes)])
+        feasible = all(abs(x[inst.group_slice(g)].sum() - 1.0) <= 1e-6
+                       for g in range(inst.n_groups))
+        try:
+            ingest_solution(inst, x)
+        except InfeasibleError as exc:
+            assert not feasible
+            with pytest.raises(InfeasibleError, match=re.escape(str(exc))):
+                bootstrap_reduce(inst, x, 0)
+        else:
+            assert feasible
+            bootstrap_reduce(inst, x, 0)
+        # a cover point short of a demand: the same error from both
+        cover = CipInstance.create(np.eye(2), np.ones(2), [np.ones(2)])
+        with pytest.raises(InfeasibleError) as ingested:
+            ingest_solution(cover, [1.0, 0.5])
+        with pytest.raises(InfeasibleError, match=f"^{re.escape(str(ingested.value))}$"):
+            make_scheme(cover, [1.0, 0.5], 2.0)
+        assert str(ingested.value) == "row 1 short by 5.000e-01"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
@@ -444,7 +480,7 @@ class TestAgainstHighs:
         report = solve_cip_lp(instance)
         assert report.status == "optimal"
         assert report.objective == pytest.approx(highs_optimum(instance), rel=1e-6)
-        assert report.solution.feasibility_slack <= FEASIBILITY_TOL
+        assert point_violation(instance, report.solution.x) <= FEASIBILITY_TOL
 
     @pytest.mark.parametrize("args", [
         (15, 15, 4, 2, 4), (20, 20, 4, 2, 5), (30, 30, 4, 2, 6),
@@ -468,6 +504,6 @@ class TestAgainstHighs:
             report, basis_size = solve_mip_lp(instance), instance.n_groups + instance.m
         assert report.status == "optimal"
         assert report.objective == pytest.approx(highs_optimum(instance), rel=1e-9)
-        assert report.solution.feasibility_slack <= FEASIBILITY_TOL
+        assert point_violation(instance, report.solution.x) <= FEASIBILITY_TOL
         assert np.count_nonzero(report.solution.x > 0.0) <= basis_size
 

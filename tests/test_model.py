@@ -1,4 +1,4 @@
-"""Instance model: validation, sparsity statistics, generators, and the JSON
+"""Instance model: validation, column sparsity, generators, and the JSON
 round trip."""
 
 import json
@@ -14,6 +14,7 @@ from lllround import (
     InstanceError,
     MipInstance,
     ParseError,
+    column_sparsity,
     gen_facility_location,
     gen_hypergraph_partition,
     gen_set_cover,
@@ -22,8 +23,8 @@ from lllround import (
     parse_instance,
     round_cip,
     serialize_instance,
-    sparsity_stats,
 )
+from lllround.mip import _support_stats
 
 import _reference_generators
 from _builders import (col_rows, lp_point, random_cip, random_mip, row_cols, two_cost_cover,
@@ -36,7 +37,6 @@ class TestCipInstance:
             np.array([[0.5, 1.0]]), [1.0], [np.array([2.0, 4.0])]
         )
         np.testing.assert_allclose(inst.costs[0], [0.5, 1.0])
-        assert inst.cost_scales == (4.0,)
 
     def test_rejects_entries_outside_unit_interval(self):
         with pytest.raises(InstanceError, match=r"\[0, 1\]"):
@@ -154,39 +154,35 @@ class TestStorage:
 
 
 class TestSparsityStats:
+    """The column sparsity a, and the group-row incidence t that minimax
+    rounding reads on a point's support (here the full support)."""
+
     def test_identity(self):
         inst = CipInstance.create(np.eye(3), np.ones(3), [np.ones(3)])
-        stats = sparsity_stats(inst)
-        assert (stats.a, stats.g, stats.t) == (1, 1.0, 1)
+        assert column_sparsity(inst) == 1
 
     def test_all_ones_single_group(self):
         inst = MipInstance.create(np.ones((2, 3)), [3])
-        stats = sparsity_stats(inst)
-        assert stats.a == 2
-        assert stats.g == pytest.approx(2.0)
-        assert stats.t == 2
+        assert column_sparsity(inst) == 2
+        assert _support_stats(inst, np.ones(3)) == (2, 2)
 
     def test_chain_on_random_minimax_instances(self):
         for seed in range(25):
             inst = random_mip(seed)
-            stats = sparsity_stats(inst)
+            a, t = _support_stats(inst, np.ones(inst.n_cols))
             max_group = max(
                 inst.group_slice(g).stop - inst.group_slice(g).start
                 for g in range(inst.n_groups)
             )
-            assert stats.g <= stats.a + 1e-12
-            assert stats.a <= stats.t
-            assert stats.t <= min(inst.m, stats.a * max_group)
+            assert a == max(column_sparsity(inst), 1)
+            assert a <= t
+            assert t <= min(inst.m, a * max_group)
 
     def test_matches_dense_recount(self):
         for seed in range(10):
             inst = random_cip(seed)
-            stats = sparsity_stats(inst)
             dense_a = int(np.max(np.count_nonzero(inst.a_matrix, axis=0)))
-            dense_g = float(np.max(inst.a_matrix.sum(axis=0)))
-            assert stats.a == dense_a
-            assert stats.g == pytest.approx(dense_g)
-            assert stats.t == dense_a  # covering instances report the column stat
+            assert column_sparsity(inst) == dense_a
 
 
 class TestSetCoverGenerator:
@@ -195,11 +191,11 @@ class TestSetCoverGenerator:
         # column holding everything; the wide column dominates the sparsity
         a = np.hstack([np.eye(4), np.ones((4, 1))])
         inst = CipInstance.create(a, np.ones(4), [np.ones(5)])
-        assert sparsity_stats(inst).a == 4
+        assert column_sparsity(inst) == 4
 
     def test_capped_set_size_caps_sparsity(self):
         inst = gen_set_cover(4, 5, 2, 1, seed=0)
-        assert sparsity_stats(inst).a <= 2
+        assert column_sparsity(inst) <= 2
 
     def test_deterministic_for_fixed_seed(self):
         one = gen_set_cover(8, 12, 4, 2, seed=9)
@@ -213,7 +209,7 @@ class TestSetCoverGenerator:
             assert np.all(np.count_nonzero(inst.a_matrix, axis=1) >= 4)
             assert np.all((inst.a_matrix == 0) | (inst.a_matrix == 1))
             assert np.all(inst.demands == 3.0)
-            assert sparsity_stats(inst).a <= 5
+            assert column_sparsity(inst) <= 5
 
     def test_rejects_impossible_parameters(self):
         with pytest.raises(GenerationError):
@@ -232,7 +228,7 @@ class TestFacilityGenerator:
     def test_sparsity_within_degree_budget(self):
         for seed in range(6):
             inst = gen_facility_location(12, 4, 2, seed=seed)
-            assert sparsity_stats(inst).a <= 5  # max_in_degree + self-loop
+            assert column_sparsity(inst) <= 5  # max_in_degree + self-loop
             assert np.all(inst.a_matrix.sum(axis=1) >= 2.0)
 
     def test_deterministic_for_fixed_seed(self):
@@ -259,11 +255,9 @@ class TestHypergraphGenerator:
     def test_generated_degree_statistics(self):
         for seed in range(8):
             inst = gen_hypergraph_partition(12, 10, 4, 2, seed=seed)
-            stats = sparsity_stats(inst)
             # vertex degree = number of rows a single slot column touches
             degree = int(np.max(np.count_nonzero(inst.a_matrix, axis=0)))
-            assert stats.a == degree
-            assert stats.g == pytest.approx(float(degree))
+            assert column_sparsity(inst) == degree
             assert degree <= 4
 
     def test_deterministic_for_fixed_seed(self):

@@ -13,12 +13,12 @@ from lllround import (
     CipInstance,
     MipInstance,
     choose_alpha_beta,
+    column_sparsity,
     exact_event_probs,
     make_estimator,
     make_scheme,
     parse_instance,
     solve_cip_lp,
-    sparsity_stats,
     verify_branch_inequality,
     verify_extended_lll,
     verify_fkg_and_antifkg,
@@ -37,7 +37,7 @@ def pair_row_scheme():
 def qualified_state(seed, n_max=10, m_max=5):
     inst = random_cip(seed, n_max=n_max, m_max=m_max)
     x = lp_point(inst)
-    alpha, beta = choose_alpha_beta(sparsity_stats(inst).a, float(inst.demands.min()))
+    alpha, beta = choose_alpha_beta(column_sparsity(inst), float(inst.demands.min()))
     scheme = make_scheme(inst, x, alpha)
     lam = alpha * beta * float(inst.costs[0] @ x) - scheme.floor_costs[0]
     return make_estimator(scheme, [lam], [1])

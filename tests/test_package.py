@@ -15,7 +15,7 @@ MODULES = (cip, lp, mip, model, oracle, tailbounds)
 def test_public_names_are_the_union_of_the_module_lists():
     names = [name for module in MODULES for name in module.__all__]
     assert lllround.__all__ == names
-    assert len(set(names)) == len(names) == 55
+    assert len(set(names)) == len(names) == 54
     assert "OracleError" in oracle.__all__
     for module in MODULES:
         for name in module.__all__:
