@@ -261,18 +261,20 @@ def _subset_terms(scheme: RoundingScheme, lambdas, ks, p: np.ndarray) -> tuple[_
         k = int(k)
         support = np.flatnonzero((cost > 0.0) & (p > 0.0)).tolist()
         # with fewer positive-cost random bits than k the table is empty and
-        # the term subtracts nothing
+        # the term subtracts nothing; only then may a budget of order 1 be 0
         cols = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
         ).reshape(-1, k)
+        if lam <= 0.0 and cols.size:
+            raise ParameterError(f"budget must be positive, got {lam}")
         # each subset's rows, sorted, keeping the first copy of each below u
         rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
         rows.sort(axis=1)
         keep = rows < u
         keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
         terms.append(_BudgetTerm(
-            # positive: make_estimator keeps lam > 0 at k = 1 and lam >= k above
-            denom=binomial_real(float(lam), k),
+            # positive, as lam >= k above order 1; 1 spares the empty table 0/0
+            denom=binomial_real(float(lam), k) if lam != 0.0 else 1.0,
             cost=cost,
             cols=cols,
             flat_rows=rows[keep],
@@ -320,7 +322,8 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
     """The estimator at the scheme's bit probabilities.  Raises
     ParameterError unless there is one budget and one subset order per cost
     vector, each order in [1, min(n, SUBSET_ORDER_CAP)], and each budget
-    positive at order 1 and at least the order above it."""
+    positive at order 1 (or 0 if no random bit has a positive cost) and at
+    least the order above it."""
     instance = scheme.instance
     lambdas = np.asarray(lambdas, dtype=float)
     ks = np.asarray(ks, dtype=np.int64)
@@ -332,7 +335,7 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
         if k > SUBSET_ORDER_CAP:
             raise ParameterError(f"subset order {k} exceeds the cap {SUBSET_ORDER_CAP}")
         if k == 1:
-            if lam <= 0.0:
+            if lam < 0.0:
                 raise ParameterError(f"budget must be positive, got {lam}")
         elif lam < k:
             raise ParameterError(f"budget {lam} below subset order {k}")
@@ -704,7 +707,8 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
         raise ParameterError("every total budget must be finite")
     scheme = make_scheme(instance, x, alpha)
     lambdas = [float(b) - fc for b, fc in zip(total_budgets, scheme.floor_costs, strict=True)]
-    if any(lam <= 0.0 for lam in lambdas):
+    if any(lam < 0.0 or lam == 0.0 and np.any((c > 0.0) & (scheme.frac > 0.0))
+           for lam, c in zip(lambdas, instance.costs)):
         raise ParameterError("a total budget falls below the floor cost; raise the budget")
     info = {
         "alpha": float(alpha),

@@ -6,9 +6,9 @@ the support of a fractional solution first — scale up, round coordinates
 independently, accept only trials whose row loads and group sums stay inside
 explicit envelopes, renormalize, repeat while the group/row interaction width
 t keeps falling — and returns at once when the point is already in its easy
-regime.  `las_vegas_mip` then retries independent categorical roundings until
-one meets the additive slack target (the slack follows from the tail-kernel
-inverse at failure budget 1/(e*t)), so it faces the reduced t.
+regime; it alone checks and measures a raw point.  `las_vegas_mip` retries
+categorical roundings of the returned `BootstrapResult` until one meets the
+additive slack target at the reduced t (tail-kernel inverse at 1/(e*t)).
 
 Logarithms in the bootstrap scalings are base 2.
 """
@@ -68,9 +68,13 @@ class BootstrapIteration:
 
 @dataclass
 class BootstrapResult:
+    """What `las_vegas_mip` rounds: a checked point x and its a, t, y_star."""
+
     x: np.ndarray  # the renormalized input, or the last point whose step lowered t
     a: int  # column sparsity on the support of x, at least 1
-    t_trace: list[int]
+    t: int  # interaction width on the support of x, at least 1
+    y_star: float  # max row load of x
+    t_trace: list[int]  # and y_trace: the input's, then each accepted step's, kept or not
     y_trace: list[float]
     iterations: list[BootstrapIteration] = field(default_factory=list)
     stop_reason: str = ""
@@ -145,9 +149,10 @@ class _GroupDraw:
         return z
 
 
-def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> LasVegasReport:
-    """Retry group rounding until the max row load meets the slack target
-    at the interaction width t of x_star's support.
+def las_vegas_mip(instance: MipInstance, start: BootstrapResult, max_tries: int,
+                  rng_seed) -> LasVegasReport:
+    """Retry group rounding of the bootstrap's checked point start.x until
+    the max row load meets the slack target at start.y_star and start.t.
 
     Each trial is one categorical draw per group (`_GroupDraw`, whose
     edges are built once), seeded independently as (rng_seed, trial) so
@@ -158,11 +163,8 @@ def las_vegas_mip(instance: MipInstance, x_star, max_tries: int, rng_seed) -> La
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    x = _checked_point(x_star, instance.n_cols, "slot")
-    groups = _GroupDraw.build(instance, x)
-    _, t = _support_stats(instance, x)
-    y_star = float(instance.loads(x).max())
-    target = mip_target(y_star, instance.m, t)
+    groups = _GroupDraw.build(instance, start.x)
+    target = mip_target(start.y_star, instance.m, start.t)
     best_value = math.inf
     best_z: np.ndarray | None = None
     best_trial = -1
@@ -214,7 +216,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
     x = x / np.repeat(_group_totals(instance, x)[1], instance.group_sizes)
     a, t = _support_stats(instance, x)
     y_star = float(instance.loads(x).max())
-    result = BootstrapResult(x=x, a=a, t_trace=[t], y_trace=[y_star])
+    result = BootstrapResult(x=x, a=a, t=t, y_star=y_star, t_trace=[t], y_trace=[y_star])
     rng = None  # built at the first step: most points are in the easy regime
     for _ in range(_outer_cap(t)):
         if _easy_regime(y_star, t, a):
@@ -265,7 +267,7 @@ def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult
             result.stop_reason = "t stopped decreasing"
             return result
         x, a, t, y_star = x_next, a_next, t_next, y_next
-        result.x, result.a = x, a
+        result.x, result.a, result.t, result.y_star = x, a, t, y_star
     result.stop_reason = "outer iteration cap"
     return result
 
@@ -278,14 +280,14 @@ def full_mip_pipeline(
 
     Returns the rounding report plus a JSON-ready summary comparing the
     achieved value against the slack target at the final interaction width
-    and against the sparsity-based target (which needs a >= 2 to be finite;
-    otherwise the width-based target is reported there too).
+    and against the sparsity-based target (which needs a >= 2 and a positive
+    load to be finite; otherwise the width-based target is reported there too).
     """
     boot = bootstrap_reduce(instance, x_star, rng_seed)
-    report = las_vegas_mip(instance, boot.x, max_tries, rng_seed)
+    report = las_vegas_mip(instance, boot, max_tries, rng_seed)
     y0 = boot.y_trace[0]
     mu = min(y0, float(instance.m))
-    if boot.a >= 2:
+    if boot.a >= 2 and mu > 0.0:
         target_t44 = y0 + 1.0 + mu * deviation_for_budget(mu, 1.0 / boot.a)
     else:
         target_t44 = report.target.target

@@ -761,6 +761,31 @@ class TestRoundCip:
         with pytest.raises(ParameterError, match="below the floor cost"):
             round_cip(inst, [2.0, 2.0], alpha=1.2, beta=1.1, total_budgets=[1.0])
 
+    def test_a_zero_budget_is_accepted_when_no_random_bit_costs(self):
+        # column 2 covers both rows at cost 0, so y* = 0 and the default
+        # budget is 0, as is the floor cost; column 2 stays random at cost 0
+        inst = CipInstance.create([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 1.0],
+                                  [np.array([1.0, 1.0, 0.0])])
+        x = lp_point(inst)
+        assert x.tolist() == [0.0, 0.0, 1.0]
+        scheme, lambdas, ks, info = choose_parameters(inst, x)
+        assert lambdas == [0.0] and info["total_budgets"] == [0.0] and scheme.frac[2] > 0.0
+        state = make_estimator(scheme, lambdas, ks)
+        assert len(state.terms) == 1 and state.terms[0].cols.shape[0] == 0
+        assert success_lower_bound(state) == 1.0
+        solution, _ = round_cip(inst, x)
+        assert solution.objective_values == (0.0,)
+
+    def test_a_zero_budget_is_rejected_when_a_random_bit_costs(self):
+        inst = CipInstance.create([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [1.0, 1.0], [np.ones(3)])
+        scheme = make_scheme(inst, [0.0, 0.0, 1.0], 1.5)  # floor cost 1, column 2 random
+        with pytest.raises(ParameterError, match="below the floor cost"):
+            choose_parameters(inst, [0.0, 0.0, 1.0], alpha=1.5, total_budgets=[1.0])
+        with pytest.raises(ParameterError, match="budget must be positive, got 0.0"):
+            make_estimator(scheme, [0.0], [1])
+        with pytest.raises(ParameterError, match="budget must be positive, got -0.5"):
+            make_estimator(scheme, [-0.5], [1])
+
 
 REFERENCE_CASES = {
     **{f"random-{seed}-ell{ell}": functools.partial(random_cip, seed, ell=ell)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lllround import (
     CipInstance,
     MipInstance,
+    bootstrap_reduce,
     choose_parameters,
     las_vegas_mip,
     parse_instance,
@@ -136,6 +137,27 @@ class TestRound:
                          "--out", str(tmp_path / "r.json")])
             assert code == 2
             assert "below the floor cost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["standard", "derandomize"])
+    def test_a_zero_budget_with_no_costly_random_bit_rounds_at_cost_0(self, tmp_path, mode):
+        inst = tmp_path / "inst.json"
+        inst.write_text(ZERO_COST_COVER)
+        out = tmp_path / "r.json"
+        assert main(["round", str(inst), "--mode", mode, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["lambda"] == [0.0] and doc["objectives"] == [0.0]
+
+    @pytest.mark.parametrize("mode", ["standard", "derandomize"])
+    def test_a_zero_budget_with_a_costly_random_bit_exits_2(self, tmp_path, capsys, mode):
+        # at alpha 1.5 the vertex [0, 0, 1] has floor cost 1 and column 2
+        # stays random at cost 1, so a total budget of 1 leaves it nothing
+        inst = tmp_path / "inst.json"
+        inst.write_text(ZERO_COST_COVER.replace("[1.0,1.0,0.0]", "[1.0,1.0,1.0]"))
+        code = main(["round", str(inst), "--mode", mode, "--alpha", "1.5", "--lambda", "1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a total budget falls below the floor cost; raise the budget\n")
 
     # the interpreter's default filter, under which a warning reaches the user
     @pytest.mark.filterwarnings("always::UserWarning")
@@ -640,7 +662,7 @@ class TestVerify:
         graph = gen(tmp_path, "--n-verts", "30", "--n-edges", "30", kind="hypergraph", seed=0)
         instance = parse_instance(graph.read_text())
         x = solve_mip_lp(instance).solution.x
-        slack = las_vegas_mip(instance, x, 1, 0).target.k
+        slack = las_vegas_mip(instance, bootstrap_reduce(instance, x, 0), 1, 0).target.k
         seen = []
         real = oracle_module.verify_extended_lll
         monkeypatch.setattr(oracle_module, "verify_extended_lll",
@@ -924,6 +946,14 @@ class TestBenchAndReplay:
 SHORT_COVER = '{"kind":"cip","m":1,"n":2,"A":[[0,0,1.0],[0,1,1.0]],"b":[1.0],"costs":[[1.0,1.0]]}'
 SHORT_POINT = [0.5, 0.4999995]
 
+# Column 2 covers both rows at cost 0: the relaxation costs 0, and so do the
+# default budget and the floor cost.
+ZERO_COST_COVER = ('{"kind":"cip","m":2,"n":3,"A":[[0,0,1.0],[0,2,1.0],[1,1,1.0],[1,2,1.0]],'
+                   '"b":[1.0,1.0],"costs":[[1.0,1.0,0.0]]}')
+# Slot 0 meets both rows, and its loads 1e-30 * 1e-300 underflow to 0.
+UNDERFLOW_PARTITION = '{"kind":"mip","m":2,"groups":[2],"A":[[0,0,1e-300],[1,0,1e-300]]}'
+UNDERFLOW_POINT = [1e-30, 1.0]
+
 # Small valid instances with empty columns, zero costs, one-slot groups and
 # zero-load slots.
 ENTRIES = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.05, 1.0)
@@ -1037,6 +1067,8 @@ class TestContractFuzzer:
            where=st.sampled_from(["file"] * 4 + ["missing-directory", "directory"]))
     @example(case=(SHORT_COVER, ["round", "--mode", "derandomize", "--alpha", "1.0000001"],
                    SHORT_POINT), where="file")
+    @example(case=(UNDERFLOW_PARTITION, ["round", "--mode", "mip"], UNDERFLOW_POINT),
+             where="file")
     @settings(derandomize=True, max_examples=150, deadline=None)
     @pytest.mark.filterwarnings("always")  # as the interpreter shows them to a user
     def test_exit_codes_messages_and_replay(self, case, where):

@@ -181,10 +181,15 @@ class TestGroupRound:
         assert np.array_equal(got, reference_group_round(inst, x, FixedDraws(draws)))
 
 
+def start_at(instance, x):
+    """The `BootstrapResult` that `las_vegas_mip` rounds, from the point x."""
+    return bootstrap_reduce(instance, x, rng_seed=0)
+
+
 class TestLasVegas:
     def test_disjoint_rows_succeed_immediately(self):
         inst = disjoint_pairs()
-        report = las_vegas_mip(inst, [0.5, 0.5, 0.5, 0.5], 100, rng_seed=0)
+        report = las_vegas_mip(inst, start_at(inst, [0.5, 0.5, 0.5, 0.5]), 100, rng_seed=0)
         assert report.success
         assert report.trials_used == 1
         assert report.best_trial == 0
@@ -193,23 +198,23 @@ class TestLasVegas:
 
     def test_best_trial_replays_to_the_reported_assignment(self):
         inst = random_mip(4)
-        x = uniform_group_weights(inst)
-        report = las_vegas_mip(inst, x, 50, rng_seed=11)
-        replayed = group_round(inst, x, [11, report.best_trial])
+        start = start_at(inst, uniform_group_weights(inst))
+        report = las_vegas_mip(inst, start, 50, rng_seed=11)
+        replayed = group_round(inst, start.x, [11, report.best_trial])
         assert np.array_equal(replayed, report.z)
         assert report.value == pytest.approx(float((inst.a_matrix @ report.z).max()))
 
     def test_more_tries_never_hurt(self):
         inst = random_mip(6)
-        x = uniform_group_weights(inst)
-        short = las_vegas_mip(inst, x, 1, rng_seed=3)
-        long = las_vegas_mip(inst, x, 50, rng_seed=3)
+        start = start_at(inst, uniform_group_weights(inst))
+        short = las_vegas_mip(inst, start, 1, rng_seed=3)
+        long = las_vegas_mip(inst, start, 50, rng_seed=3)
         assert long.value <= short.value + 1e-12
 
     def test_target_width_comes_from_the_support_of_the_point(self):
         inst = disjoint_pairs()
-        assert las_vegas_mip(inst, [1.0, 0.0, 1.0, 0.0], 10, 0).target.t == 1
-        assert las_vegas_mip(inst, [1.0, 0.0, 0.5, 0.5], 10, 0).target.t == 2
+        assert las_vegas_mip(inst, start_at(inst, [1.0, 0.0, 1.0, 0.0]), 10, 0).target.t == 1
+        assert las_vegas_mip(inst, start_at(inst, [1.0, 0.0, 0.5, 0.5]), 10, 0).target.t == 2
 
     def test_failure_is_reported_not_raised(self, monkeypatch):
         # Inject an unmeetable target: the loop must burn every trial, keep
@@ -219,7 +224,7 @@ class TestLasVegas:
 
         monkeypatch.setattr(mip_module, "mip_target", impossible_target)
         inst = random_mip(8)
-        report = las_vegas_mip(inst, uniform_group_weights(inst), 5, 0)
+        report = las_vegas_mip(inst, start_at(inst, uniform_group_weights(inst)), 5, 0)
         assert not report.success
         assert report.trials_used == 5
         assert report.value == pytest.approx(float((inst.a_matrix @ report.z).max()))
@@ -230,8 +235,9 @@ class TestLasVegas:
         monkeypatch.setattr(mip_module, "mip_target", lambda y_star, m, t: mip_module.MipTarget(
             y_star=y_star, t=t, k=0, target=y_star - 1.0))
         inst = gen_hypergraph_partition(30, 30, 4, 3, 2)
-        x = solve_mip_lp(inst).solution.x
-        report = las_vegas_mip(inst, x, 40, rng_seed=6)
+        start = start_at(inst, solve_mip_lp(inst).solution.x)
+        report = las_vegas_mip(inst, start, 40, rng_seed=6)
+        x = start.x
         values = [float(inst.loads(reference_group_round(inst, x, [6, trial])).max())
                   for trial in range(40)]
         best = 0
@@ -241,39 +247,45 @@ class TestLasVegas:
         assert (report.trials_used, report.best_trial, report.value) == (40, best, values[best])
         assert np.array_equal(report.z, reference_group_round(inst, x, [6, best]))
 
-    def test_input_validation(self):
-        inst = single_group_identity(3)
-        with pytest.raises(ValueError, match="sum to"):
-            las_vegas_mip(inst, [0.5, 0.4, 0.2], 1, 0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            las_vegas_mip(inst, [1.2, -0.2, 0.0], 1, 0)
-        with pytest.raises(ValueError, match="expected 3 values"):
-            las_vegas_mip(inst, [0.5, 0.5], 1, 0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 1"):
-            las_vegas_mip(single_group_identity(3), [0.5, bad, 0.5], 1, 0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_rejects_non_finite_points(self, bad):
-        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 2"):
-            las_vegas_mip(disjoint_pairs(), [0.5, 0.5, bad, 0.5], 10, rng_seed=0)
-
     @pytest.mark.parametrize("tries", [0, -1])
     def test_fewer_than_one_try_is_rejected(self, tries):
         inst = disjoint_pairs()
         with pytest.raises(ValueError, match="max_tries must be at least 1"):
-            las_vegas_mip(inst, [0.5, 0.5, 0.5, 0.5], tries, rng_seed=0)
+            las_vegas_mip(inst, start_at(inst, [0.5, 0.5, 0.5, 0.5]), tries, rng_seed=0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_generated_partition_instances_meet_the_target(self, seed):
         inst = gen_hypergraph_partition(10, 8, 3, 2, seed)
         lp = solve_mip_lp(inst)
         assert lp.status == "optimal"
-        report = las_vegas_mip(inst, lp.solution.x, 2000, rng_seed=seed)
+        report = las_vegas_mip(inst, start_at(inst, lp.solution.x), 2000, rng_seed=seed)
         assert report.success
         assert report.value <= math.ceil(report.target.target) + 1e-9
+
+
+@pytest.mark.parametrize("entry", [bootstrap_reduce, full_mip_pipeline])
+class TestRawPointChecks:
+    """`bootstrap_reduce` checks every raw point that minimax rounding takes,
+    on its own and as the first step of `full_mip_pipeline`."""
+
+    def test_input_validation(self, entry):
+        inst = single_group_identity(3)
+        with pytest.raises(ValueError, match="sum to"):
+            entry(inst, [0.5, 0.4, 0.2], 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            entry(inst, [1.2, -0.2, 0.0], 0)
+        with pytest.raises(ValueError, match="expected 3 values"):
+            entry(inst, [0.5, 0.5], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, entry, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 1"):
+            entry(single_group_identity(3), [0.5, bad, 0.5], 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, entry, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at slot 2"):
+            entry(disjoint_pairs(), [0.5, 0.5, bad, 0.5], 0)
 
 
 def bootstrap_digest(result) -> str:
@@ -299,6 +311,24 @@ def count_generators(monkeypatch) -> list:
     return built
 
 
+def flat_width_case():
+    """One 16-slot group whose one small-value step is accepted but keeps t."""
+    x = np.full(16, 0.2 / 15)
+    x[0] = 0.8
+    return single_group_identity(16), x, 1
+
+
+def two_step_case():
+    """Two groups of four slots on the same four rows; each group puts 0.005
+    on three slots, which the first scaled rounding mostly zeroes."""
+    a = np.zeros((4, 8))
+    for g in range(2):
+        for j in range(4):
+            a[j, 4 * g + j] = 1.0
+    x = np.array([0.985, 0.005, 0.005, 0.005, 0.005, 0.005, 0.005, 0.985])
+    return MipInstance.create(a, [4, 4]), x, 3
+
+
 class TestBootstrap:
     def test_small_instance_is_already_easy(self, monkeypatch):
         inst = random_mip(0)
@@ -312,11 +342,9 @@ class TestBootstrap:
         assert generators_built == []  # no step, so no generator
 
     def test_small_value_case_accepts_and_stops_on_flat_width(self, monkeypatch):
-        inst = single_group_identity(16)
-        x = np.full(16, 0.2 / 15)
-        x[0] = 0.8
+        inst, x, seed = flat_width_case()
         generators_built = count_generators(monkeypatch)
-        result = bootstrap_reduce(inst, x, rng_seed=1)
+        result = bootstrap_reduce(inst, x, rng_seed=seed)
         assert generators_built == [[1, 0xB007]]
         # the generator's stream, pinned: the step's y is its first draws
         assert bootstrap_digest(result) == (
@@ -335,15 +363,8 @@ class TestBootstrap:
         assert result.x.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_accepted_steps_renormalize_every_group_to_one(self):
-        # Two groups of four slots on the same four rows; each group puts
-        # 0.005 on three slots, which the first scaled rounding mostly zeroes.
-        a = np.zeros((4, 8))
-        for g in range(2):
-            for j in range(4):
-                a[j, 4 * g + j] = 1.0
-        inst = MipInstance.create(a, [4, 4])
-        x = np.array([0.985, 0.005, 0.005, 0.005, 0.005, 0.005, 0.005, 0.985])
-        result = bootstrap_reduce(inst, x, rng_seed=3)
+        inst, x, seed = two_step_case()
+        result = bootstrap_reduce(inst, x, rng_seed=seed)
         assert bootstrap_digest(result) == (
             "cdf76da6935e3665970fb519b7109593121aae6101104108e244b543e26dda9b")
         assert result.t_trace == [4, 3, 2]
@@ -354,6 +375,25 @@ class TestBootstrap:
             assert abs(result.x[inst.group_slice(g)].sum() - 1.0) <= 1e-12
         assert float(inst.loads(result.x).max()) == pytest.approx(result.y_trace[-1])
         assert (result.a, result.t_trace[-1]) == mip_module._support_stats(inst, result.x)
+
+    @pytest.mark.parametrize("case", ["easy", "flat-width", "two-step"])
+    def test_width_and_load_are_those_of_the_returned_point(self, case):
+        if case == "easy":
+            inst = random_mip(0)
+            x, seed = uniform_group_weights(inst), 0
+        else:
+            inst, x, seed = flat_width_case() if case == "flat-width" else two_step_case()
+        result = bootstrap_reduce(inst, x, rng_seed=seed)
+        assert result.t == mip_module._support_stats(inst, result.x)[1]
+        assert result.y_star == float(inst.loads(result.x).max())
+        if case == "flat-width":
+            # the step's point was dropped, so the traces end past the
+            # returned point; its support, and so t, could not grow
+            assert result.stop_reason == "t stopped decreasing"
+            assert result.y_star == result.y_trace[-2] != result.y_trace[-1]
+            assert result.t == result.t_trace[-2] == result.t_trace[-1]
+        else:
+            assert (result.t, result.y_star) == (result.t_trace[-1], result.y_trace[-1])
 
     def test_large_value_case_is_deterministic_on_integral_scaling(self):
         # Four groups, slot j of each group on row j: uniform weights load
@@ -432,6 +472,28 @@ class TestBootstrap:
 
 
 class TestFullPipeline:
+    def test_one_check_and_one_measurement_per_call(self, monkeypatch):
+        calls = {"_checked_point": 0, "_support_stats": 0}
+        for name in calls:
+            def counting(*args, real=getattr(mip_module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(mip_module, name, counting)
+        inst = random_mip(0)
+        report, summary = full_mip_pipeline(inst, uniform_group_weights(inst))
+        assert summary["t_trace"] == [report.target.t]  # the easy regime: no step
+        assert calls == {"_checked_point": 1, "_support_stats": 1}
+
+    def test_loads_that_underflow_to_zero_take_the_width_target(self):
+        # slot 0 meets both rows (a = 2), and its loads 1e-30 * 1e-300
+        # underflow to 0, so y* = 0 and both targets are 0 + k = 1
+        inst = MipInstance.create(np.array([[1e-300, 0.0], [1e-300, 0.0]]), [2])
+        report, summary = full_mip_pipeline(inst, [1e-30, 1.0])
+        assert mip_module._support_stats(inst, np.array([1e-30, 1.0]))[0] == 2
+        assert summary["target_t44"] == summary["target_t42"] == 1.0
+        assert report.success and summary["value"] == 0.0
+
     def test_disjoint_instance_summary(self):
         inst = disjoint_pairs()
         report, summary = full_mip_pipeline(inst, solve_mip_lp(inst).solution.x, rng_seed=0)
