@@ -241,7 +241,7 @@ def cmd_round(args, argv: list[str]) -> int:
         }
         value = solution.objective_values[0]
         target = info["total_budgets"][0]
-        ratio = value / y_star if y_star > 0 else math.inf
+        ratio = value / y_star if y_star > 0 else 1.0 if value == 0 else math.inf
         message = (f"mode={args.mode}  value={value:.6g}  target={target:.6g}  "
                    f"ratio={ratio:.4f}  feasible={doc['feasible']}")
     else:

@@ -6,9 +6,14 @@ the support of a fractional solution first — scale up, round coordinates
 independently, accept only trials whose row loads and group sums stay inside
 explicit envelopes, renormalize, repeat while the group/row interaction width
 t keeps falling — and returns at once when the point is already in its easy
-regime; it alone checks and measures a raw point.  `las_vegas_mip` retries
-categorical roundings of the returned `BootstrapResult` until one meets the
-additive slack target at the reduced t (tail-kernel inverse at 1/(e*t)).
+regime; it alone checks and measures a raw point.  `las_vegas_mip` rounds
+the returned `BootstrapResult` against the additive slack target at the
+reduced t (tail-kernel inverse at 1/(e*t)): its first trial is Raghavan's
+deterministic rounding by pessimistic estimators (JCSS 37, 1988) at base
+1 + delta, the deviation the target was certified at, and only when that
+misses the target does it retry categorical draws.  A run whose bootstrap
+takes no step and whose first trial meets the target never loads
+`numpy.random`.
 
 Logarithms in the bootstrap scalings are base 2.
 """
@@ -40,17 +45,23 @@ BOOTSTRAP_K0 = 2.0
 BOOTSTRAP_K1 = 4.0
 BOOTSTRAP_TRIALS = 200
 
+# Largest deviation a target carries: the estimator's base 1 + delta then
+# has finite powers, and the sum of a group's weighted powers stays finite.
+MAX_DEVIATION = 1e300
+
 
 @dataclass(frozen=True)
 class MipTarget:
     """Additive-slack target for one rounding attempt: best fractional max
-    load y_star plus the smallest integer slack the tail kernel certifies at
-    failure budget 1/(e*t)."""
+    load y_star plus the smallest integer slack k the tail kernel certifies at
+    failure budget 1/(e*t), and the relative deviation delta it certifies k
+    at (at most MAX_DEVIATION; 1 at y* = 0, where no deviation is needed)."""
 
     y_star: float
     t: int
     k: int
     target: float
+    delta: float
 
     def met_by(self, value: float) -> bool:
         return value <= math.ceil(self.target) + 1e-9
@@ -105,16 +116,28 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
 
 def mip_target(y_star: float, m: int, t: int) -> MipTarget:
     """Slack k = ceil(min(y*, m) * H(min(y*, m), 1/(e*t))), at least 1;
-    target y* + k.  At y* = 0 the support loads no row, and k is 1."""
+    target y* + k.
+
+    k = 1 is certified without the grid when the deviation 1/mu, at which
+    the slack is exactly 1, meets the budget.  Its bound is written as
+    exp(1 - (1 + mu) * log(1 + 1/mu)), which still goes to 0 where 1/mu
+    overflows to inf for a subnormal mu.  At y* = 0 the support loads no
+    row, k is 1 and delta is 1.
+    """
     if not 0.0 <= y_star < math.inf:
         raise ValueError(f"fractional value must be nonnegative and finite, got {y_star}")
     if t < 1 or m < 1:
         raise ValueError("need at least one row and interaction width 1")
     mu = min(y_star, float(m))
-    k = 1
-    if mu > 0.0:
-        k = max(math.ceil(mu * deviation_for_budget(mu, 1.0 / (math.e * t))), 1)
-    return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k)
+    budget = 1.0 / (math.e * t)
+    k, delta = 1, 1.0
+    if mu > 0.0 and 1.0 - (1.0 + mu) * math.log1p(1.0 / mu) <= math.log(budget):
+        delta = 1.0 / mu
+    elif mu > 0.0:
+        delta = deviation_for_budget(mu, budget)
+        k = max(math.ceil(mu * delta), 1)
+    return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k,
+                     delta=min(delta, MAX_DEVIATION))
 
 
 @dataclass(frozen=True)
@@ -149,29 +172,95 @@ class _GroupDraw:
         return z
 
 
+def _estimator_round(instance: MipInstance, x: np.ndarray, delta: float) -> np.ndarray:
+    """Raghavan's pessimistic-estimator rounding of the checked point x at
+    base beta = 1 + delta.
+
+    U = sum_i prod_g f_{g,i}, with f_{g,i} = 1 + sum_{s in g} x_s (beta^a_is - 1),
+    is E[sum_i beta^load_i] under one independent draw per group.  A group
+    whose point is integral (one support slot) keeps its slot; every other
+    group, in group order, is fixed to the support slot with the smallest U,
+    the lowest on ties.  U at x is the x-weighted mean of U over the group's
+    slots, so it never rises, and the max load ends at most log_beta U(x).
+    Each row carries log prod_g f_{g,i}, updated only on the fixed group's
+    rows, so no power of beta is multiplied out; a group that meets no row
+    takes its lowest support slot.
+    """
+    starts = np.array(instance.offsets)
+    sizes = np.array(instance.group_sizes)
+    group_of = np.repeat(np.arange(sizes.size), sizes)
+    live = x > 0.0
+    n_live = np.add.reduceat(live, starts)
+    z = (live & (n_live == 1)[group_of]).astype(float)
+    fractional = np.flatnonzero(n_live > 1).tolist()
+    if not fractional:
+        return z
+    m = instance.m
+    # nonzeros in column order, so that each group's are contiguous
+    order = np.argsort(instance.cols, kind="stable")
+    cols, rows = instance.cols[order], instance.rows[order]
+    exps = instance.vals[order] * math.log1p(delta)  # log beta^a_is
+    # one (group, row) pair per row a group meets, group by group
+    pairs, pair_of = np.unique(group_of[cols] * m + rows, return_inverse=True)
+    pair_rows = pairs % m
+    log_f = np.log1p(np.bincount(pair_of, weights=x[cols] * np.expm1(exps), minlength=pairs.size))
+    log_u = np.bincount(pair_rows, weights=log_f, minlength=m).tolist()
+    # group g's pairs, and its nonzeros, start at entry g of these
+    pair_starts = np.searchsorted(pairs, np.arange(sizes.size + 1) * m).tolist()
+    nz_starts = np.searchsorted(cols, np.append(starts, instance.n_cols)).tolist()
+    pair_rows, log_f, pair_of = pair_rows.tolist(), log_f.tolist(), pair_of.tolist()
+    cols, exps, live = cols.tolist(), exps.tolist(), live.tolist()
+    for g in fractional:
+        p0, p1 = pair_starts[g], pair_starts[g + 1]
+        on = pair_rows[p0:p1]
+        rest = [log_u[i] - f for i, f in zip(on, log_f[p0:p1])]  # log-products of the other groups
+        group = range(instance.offsets[g], instance.offsets[g] + instance.group_sizes[g])
+        gains = {s: [0.0] * len(on) for s in group if live[s]}
+        for k in range(nz_starts[g], nz_starts[g + 1]):
+            if cols[k] in gains:
+                gains[cols[k]][pair_of[k] - p0] = exps[k]
+        # U with slot s fixed, less the part every slot shares, is
+        # sum_i exp(rest_i) (beta^a_is - 1); it is scaled by exp(-shift) to
+        # stay finite, and summed in row order, so equal slots tie exactly
+        shift = max(rest, default=0.0) + max((e for v in gains.values() for e in v), default=0.0)
+        scale = [math.exp(r - shift) for r in rest]
+        best = min(gains, key=lambda s: sum(w * math.expm1(e) for w, e in zip(scale, gains[s])))
+        for i, r, e in zip(on, rest, gains[best]):
+            log_u[i] = r + e
+        z[best] = 1.0
+    return z
+
+
 def las_vegas_mip(instance: MipInstance, start: BootstrapResult, max_tries: int,
                   rng_seed) -> LasVegasReport:
-    """Retry group rounding of the bootstrap's checked point start.x until
-    the max row load meets the slack target at start.y_star and start.t.
+    """Round the bootstrap's checked point start.x until the max row load
+    meets the slack target at start.y_star and start.t.
 
-    Each trial is one categorical draw per group (`_GroupDraw`, whose
-    edges are built once), seeded independently as (rng_seed, trial) so
-    any prefix of the trial stream is reproducible.  The best value and the
-    earliest trial achieving it are tracked, and the loop stops early once
-    the target is met.  Failure to meet the target within max_tries is
+    Trial 0 is the deterministic pessimistic-estimator rounding
+    (`_estimator_round`) at base 1 + target.delta, so it does not depend on
+    rng_seed.  It certifies a union bound, not this target, so trials 1 to
+    max_tries - 1 retry one categorical draw per group (`_GroupDraw`, whose
+    edges are built at trial 1), seeded independently as (rng_seed, trial)
+    so any prefix of the trial stream is reproducible.  The best value and
+    the earliest trial achieving it are tracked, and the loop stops early
+    once the target is met.  Failure to meet the target within max_tries is
     reported in the success flag, not raised.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    groups = _GroupDraw.build(instance, start.x)
     target = mip_target(start.y_star, instance.m, start.t)
+    groups = None
     best_value = math.inf
     best_z: np.ndarray | None = None
     best_trial = -1
     trials_used = 0
     for trial in range(max_tries):
         trials_used = trial + 1
-        z = groups.draw(instance.n_cols, [rng_seed, trial])
+        if trial == 0:
+            z = _estimator_round(instance, start.x, target.delta)
+        else:
+            groups = groups or _GroupDraw.build(instance, start.x)
+            z = groups.draw(instance.n_cols, [rng_seed, trial])
         value = float(instance.loads(z).max())
         if value < best_value - 1e-9:
             best_value = value

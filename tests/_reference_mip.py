@@ -7,7 +7,9 @@ and once per grid index of the final bracket, as the program's search
 does; `reference_group_round` draws one group at a time, and
 `reference_crash_slots` forms a dense (rows x slots) max for every group,
 where the program works on whole arrays.  The program must give the same
-results bit for bit.
+results bit for bit.  `reference_estimator` evaluates Raghavan's
+pessimistic estimator densely, with every power of its base multiplied out,
+where the program keeps per-row logarithms; it agrees to rounding only.
 """
 
 import math
@@ -77,3 +79,15 @@ def reference_crash_slots(instance) -> tuple[list[int], np.ndarray]:
         loads += a[:, slot]
         slots.append(slot)
     return slots, loads
+
+
+def reference_estimator(instance, x, beta: float) -> float:
+    """U(x) = sum_i prod_g (1 + sum_{s in g} x_s (beta^a_is - 1)), one group
+    at a time over the dense matrix."""
+    a = instance.a_matrix
+    x = np.asarray(x, dtype=float)
+    u = np.ones(instance.m)
+    for g in range(instance.n_groups):
+        sl = instance.group_slice(g)
+        u *= 1.0 + (beta ** a[:, sl] - 1.0) @ x[sl]
+    return float(u.sum())

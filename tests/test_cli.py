@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,11 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lllround
 from lllround import (
     CipInstance,
     MipInstance,
     bootstrap_reduce,
     choose_parameters,
+    gen_hypergraph_partition,
+    gen_set_cover,
     las_vegas_mip,
     parse_instance,
     serialize_instance,
@@ -146,6 +152,33 @@ class TestRound:
         assert main(["round", str(inst), "--mode", mode, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["lambda"] == [0.0] and doc["objectives"] == [0.0]
+
+    @pytest.mark.parametrize("mode", ["standard", "derandomize"])
+    def test_a_rounding_that_costs_0_like_its_relaxation_has_ratio_1(self, tmp_path, capsys,
+                                                                      mode):
+        inst = tmp_path / "inst.json"
+        inst.write_text(ZERO_COST_COVER)
+        assert main(["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")]) == 0
+        assert capsys.readouterr().out == (
+            f"mode={mode}  value=0  target=0  ratio=1.0000  feasible=True\n")
+
+    @pytest.mark.parametrize("mode", ["mip", "derandomize"])
+    def test_a_run_that_draws_nothing_never_loads_numpy_random(self, tmp_path, mode):
+        # the partition meets its target at trial 0, the estimator's
+        # rounding, and a derandomized cover draws no bit
+        inst = tmp_path / "inst.json"
+        instance = (gen_hypergraph_partition(30, 30, 4, 3, 2) if mode == "mip"
+                    else gen_set_cover(30, 40, 5, 2, 1))
+        inst.write_text(serialize_instance(instance))
+        argv = ["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")]
+        script = ("import sys\nfrom lllround.cli import main\n"
+                  f"code = main({argv!r})\nprint(code, 'numpy.random' in sys.modules)")
+        src = Path(lllround.__file__).resolve().parent.parent
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        lines = proc.stdout.splitlines()
+        assert lines[-1] == "0 False", proc.stderr
+        assert mode != "mip" or "trials_used=1" in lines[0]
 
     @pytest.mark.parametrize("mode", ["standard", "derandomize"])
     def test_a_zero_budget_with_a_costly_random_bit_exits_2(self, tmp_path, capsys, mode):
@@ -373,8 +406,8 @@ class TestRound:
 
     @pytest.mark.parametrize("command", MIP_CHECKS)
     def test_a_tiny_relaxation_value_rounds_and_verifies(self, tmp_path, capsys, command):
-        # loads of 1e-300: the slack search doubles its deviation past 1e297
-        # before the bound meets the budget, and the slack is 1
+        # loads of 1e-300: the bound at the deviation 1/y* = 1e300 meets the
+        # budget, and the slack is 1
         inst = tmp_path / "tiny.json"
         inst.write_text(tiny_loads("1e-300"))
         out = tmp_path / "r.json"
@@ -384,14 +417,21 @@ class TestRound:
             doc = json.loads(out.read_text())
             assert (doc["value"], doc["target_t42"], doc["success"]) == (1e-300, 1.0, True)
 
+    @pytest.mark.parametrize("value", ["1e-307", "1e-320"])
     @pytest.mark.parametrize("command", MIP_CHECKS)
-    def test_a_slack_search_past_the_float_range_exits_2(self, tmp_path, capsys, command):
-        # loads of 1e-307: no deviation below the largest float meets the budget
+    def test_a_value_past_the_grid_search_rounds_at_slack_1(self, tmp_path, capsys, command,
+                                                            value):
+        # the grid search would pass the float range at loads of 1e-307; the
+        # bound at the deviation 1/y* certifies slack 1 without it, down to
+        # subnormal loads
         inst = tmp_path / "tinier.json"
-        inst.write_text(tiny_loads("1e-307"))
-        assert main([command[0], str(inst), *command[1:], "--out", str(tmp_path / "r.json")]) == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: no grid deviation within the float range meets budget ")
+        inst.write_text(tiny_loads(value))
+        out = tmp_path / "r.json"
+        assert main([command[0], str(inst), *command[1:], "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command[0] == "round":
+            doc = json.loads(out.read_text())
+            assert (doc["value"], doc["target_t42"], doc["success"]) == (float(value), 1.0, True)
 
     @pytest.mark.parametrize("command", MIP_CHECKS)
     def test_an_instance_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):

@@ -28,7 +28,7 @@ from lllround import serialize_instance, solve_cip_lp, solve_mip_lp
 from _builders import perfbench_workloads, lp_point, two_cost_set_cover
 
 GOLDEN = {
-    "minimax": "fe0ae5ad16dea7252764c03b44404612e76ae1d5e36e902a1083d1785ca47460",
+    "minimax": "b0dc5be10e594941a3960799342290c6c1bb860c35b27e538172d509156ab209",
     "cover-lp": "4f5888752d72df406e1028652cfe713457e8f0cb0442bdc96b57f759b0e58e36",
     "cover-multicost": "7f00f3a6bc7307b041b05ba21bb86efb1f596588b78b755d71737a6abdd7974d",
 }

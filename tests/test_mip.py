@@ -1,6 +1,7 @@
 """Minimax rounding: slack targets, categorical draws, the retry loop, and
 support reduction."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lllround
 import lllround.mip as mip_module
 from lllround import (
     MipInstance,
@@ -21,8 +23,8 @@ from lllround import (
     mip_target,
     solve_mip_lp,
 )
-from _builders import random_mip, uniform_group_weights
-from _reference_mip import reference_group_round
+from _builders import perfbench_workloads, random_mip, uniform_group_weights
+from _reference_mip import reference_estimator, reference_group_round
 
 
 def disjoint_pairs():
@@ -82,6 +84,23 @@ class TestMipTarget:
         delta = deviation_for_budget(mu, 1.0 / (math.e * t))
         assert out.k == max(math.ceil(mu * delta), 1)
         assert out.target == pytest.approx(y_star + out.k)
+        assert out.delta == delta
+
+    @pytest.mark.parametrize("y_star", [0.01, 1e-100, 1e-300, 1e-307, 1e-320, 5e-324])
+    def test_slack_one_is_certified_at_deviation_one_over_the_value(self, y_star):
+        # the grid search passes the float range from about 3e-318 to 1e-304
+        out = mip_target(y_star, 4, 2)
+        assert (out.k, out.target) == (1, y_star + 1.0)
+        assert out.delta == min(1.0 / y_star, mip_module.MAX_DEVIATION)
+        bound_at_one = math.exp(1.0 - (1.0 + y_star) * math.log1p(1.0 / y_star))
+        assert bound_at_one <= 1.0 / (2.0 * math.e)
+
+    @given(y_star=st.floats(0.0, 1e6), m=st.integers(1, 10**6), t=st.integers(1, 10**6))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_every_value_gets_a_finite_deviation(self, y_star, m, t):
+        out = mip_target(y_star, m, t)
+        assert 0.0 < out.delta <= mip_module.MAX_DEVIATION
+        assert out.k >= 1 and out.target == y_star + out.k
 
     def test_slack_grows_with_interaction_width(self):
         assert mip_target(3.0, 10, 1).k <= mip_target(3.0, 10, 100).k
@@ -97,7 +116,7 @@ class TestMipTarget:
     def test_zero_value_gets_slack_one(self):
         # a support that loads no row rounds to max load 0
         out = mip_target(0.0, 4, 2)
-        assert (out.k, out.target) == (1, 1.0)
+        assert (out.k, out.target, out.delta) == (1, 1.0, 1.0)
         assert out.met_by(0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -186,6 +205,14 @@ def start_at(instance, x):
     return bootstrap_reduce(instance, x, rng_seed=0)
 
 
+def impossible_targets(monkeypatch):
+    """From now on, every target lies 1 below its point's max load, and
+    keeps the deviation the real one is certified at."""
+    real = mip_module.mip_target
+    monkeypatch.setattr(mip_module, "mip_target", lambda y_star, m, t: dataclasses.replace(
+        real(y_star, m, t), k=0, target=y_star - 1.0))
+
+
 class TestLasVegas:
     def test_disjoint_rows_succeed_immediately(self):
         inst = disjoint_pairs()
@@ -197,10 +224,12 @@ class TestLasVegas:
         assert report.target.t == 2  # each group's two slots touch two rows
 
     def test_best_trial_replays_to_the_reported_assignment(self):
+        # the target is met at trial 0, which replays as the estimator's rounding
         inst = random_mip(4)
         start = start_at(inst, uniform_group_weights(inst))
         report = las_vegas_mip(inst, start, 50, rng_seed=11)
-        replayed = group_round(inst, start.x, [11, report.best_trial])
+        assert (report.best_trial, report.trials_used) == (0, 1)
+        replayed = mip_module._estimator_round(inst, start.x, report.target.delta)
         assert np.array_equal(replayed, report.z)
         assert report.value == pytest.approx(float((inst.a_matrix @ report.z).max()))
 
@@ -219,10 +248,7 @@ class TestLasVegas:
     def test_failure_is_reported_not_raised(self, monkeypatch):
         # Inject an unmeetable target: the loop must burn every trial, keep
         # the best assignment, and report failure through the flag.
-        def impossible_target(y_star, m, t):
-            return mip_module.MipTarget(y_star=y_star, t=t, k=0, target=y_star - 1.0)
-
-        monkeypatch.setattr(mip_module, "mip_target", impossible_target)
+        impossible_targets(monkeypatch)
         inst = random_mip(8)
         report = las_vegas_mip(inst, start_at(inst, uniform_group_weights(inst)), 5, 0)
         assert not report.success
@@ -231,21 +257,32 @@ class TestLasVegas:
 
     def test_trial_stream_is_the_group_round_stream(self, monkeypatch):
         # with an unmeetable target every trial runs; the best value and the
-        # earliest trial reaching it are those of the group-by-group draws
-        monkeypatch.setattr(mip_module, "mip_target", lambda y_star, m, t: mip_module.MipTarget(
-            y_star=y_star, t=t, k=0, target=y_star - 1.0))
+        # earliest trial reaching it are those of the estimator's rounding
+        # at trial 0 and of the group-by-group draws after it
+        impossible_targets(monkeypatch)
+        drawn = []
+        real_draw = mip_module._GroupDraw.draw
+
+        def recording_draw(self, n_cols, rng_seed):
+            drawn.append((rng_seed, real_draw(self, n_cols, rng_seed)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(mip_module._GroupDraw, "draw", recording_draw)
         inst = gen_hypergraph_partition(30, 30, 4, 3, 2)
         start = start_at(inst, solve_mip_lp(inst).solution.x)
         report = las_vegas_mip(inst, start, 40, rng_seed=6)
         x = start.x
-        values = [float(inst.loads(reference_group_round(inst, x, [6, trial])).max())
-                  for trial in range(40)]
+        rounded = [mip_module._estimator_round(inst, x, report.target.delta)]
+        rounded += [reference_group_round(inst, x, [6, trial]) for trial in range(1, 40)]
+        assert [seed for seed, _ in drawn] == [[6, trial] for trial in range(1, 40)]
+        assert all(np.array_equal(z, ref) for (_, z), ref in zip(drawn, rounded[1:]))
+        values = [float(inst.loads(z).max()) for z in rounded]
         best = 0
         for trial, value in enumerate(values):
             if value < values[best] - 1e-9:
                 best = trial
         assert (report.trials_used, report.best_trial, report.value) == (40, best, values[best])
-        assert np.array_equal(report.z, reference_group_round(inst, x, [6, best]))
+        assert np.array_equal(report.z, rounded[best])
 
     @pytest.mark.parametrize("tries", [0, -1])
     def test_fewer_than_one_try_is_rejected(self, tries):
@@ -261,6 +298,109 @@ class TestLasVegas:
         report = las_vegas_mip(inst, start_at(inst, lp.solution.x), 2000, rng_seed=seed)
         assert report.success
         assert report.value <= math.ceil(report.target.target) + 1e-9
+
+
+def random_point(instance, seed):
+    """A point with every group's weights summing to 1, about a third of
+    them zero, each group keeping at least one."""
+    rng = np.random.default_rng([seed, 1])
+    w = rng.uniform(0.0, 1.0, instance.n_cols) * (rng.random(instance.n_cols) < 0.67)
+    for g in range(instance.n_groups):
+        sl = instance.group_slice(g)
+        if w[sl].sum() == 0.0:
+            w[sl.start] = 1.0
+        w[sl] /= w[sl].sum()
+    return w
+
+
+def draw_only_las_vegas(instance, start, max_tries, rng_seed) -> float:
+    """The best max load of Las Vegas rounding by draws alone, every trial
+    seeded (rng_seed, trial) from trial 0 on, as it ran before trial 0 was
+    the estimator's rounding."""
+    target = mip_target(start.y_star, instance.m, start.t)
+    best = math.inf
+    for trial in range(max_tries):
+        best = min(best, float(instance.loads(group_round(instance, start.x,
+                                                          [rng_seed, trial])).max()))
+        if target.met_by(best):
+            break
+    return best
+
+
+def partitions_and_lp_points(name):
+    """(instance, LP point) pairs: the seed-0 or seed-3 `minimax` benchmark
+    workload, or the all-fractional 30-vertex partitions of seeds 0 to 19."""
+    if name.startswith("minimax"):
+        seed = int(name.split("-")[1])
+        instances = [inst for _, inst in perfbench_workloads().WORKLOADS["minimax"](lllround, seed)]
+    else:
+        instances = [gen_hypergraph_partition(30, 30, 4, 3, s) for s in range(20)]
+    return [(inst, solve_mip_lp(inst).solution.x) for inst in instances]
+
+
+class TestEstimatorRound:
+    """Trial 0: Raghavan's pessimistic-estimator rounding."""
+
+    @pytest.mark.parametrize("delta", [0.25, 1.0, math.e - 1.0, 30.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_u_never_rises_and_bounds_the_max_load(self, seed, delta):
+        inst = random_mip(seed, max_groups=6, max_slots=4)
+        x = random_point(inst, seed)
+        beta = 1.0 + delta
+        z = mip_module._estimator_round(inst, x, delta)
+        point = x.copy()
+        u = [reference_estimator(inst, point, beta)]
+        for sl in map(inst.group_slice, range(inst.n_groups)):
+            if np.count_nonzero(x[sl]) == 1:
+                continue  # an integral group keeps its slot
+            # the slot taken is a support slot with the smallest U
+            options = []
+            for s in np.flatnonzero(x[sl]):
+                trial = point.copy()
+                trial[sl] = 0.0
+                trial[sl.start + s] = 1.0
+                options.append(reference_estimator(inst, trial, beta))
+            point[sl] = z[sl]
+            u.append(reference_estimator(inst, point, beta))
+            assert x[sl][z[sl] == 1.0].item() > 0.0
+            assert u[-1] <= min(options) * (1.0 + 1e-12)
+            assert u[-1] <= u[-2] * (1.0 + 1e-12)
+        assert np.array_equal(point, z)
+        assert float(inst.loads(z).max()) <= math.log(u[0]) / math.log(beta) + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_an_integral_start_is_returned_as_it_is(self, seed):
+        inst = random_mip(seed, max_groups=6, max_slots=4)
+        rng = np.random.default_rng(seed)
+        z0 = np.zeros(inst.n_cols)
+        z0[[sl.start + rng.integers(sl.stop - sl.start)
+            for sl in map(inst.group_slice, range(inst.n_groups))]] = 1.0
+        assert np.array_equal(mip_module._estimator_round(inst, z0, 1.0), z0)
+        report = las_vegas_mip(inst, start_at(inst, z0), 10, rng_seed=seed)
+        assert np.array_equal(report.z, z0) and report.best_trial == 0
+
+    def test_a_group_that_meets_no_row_takes_its_lowest_support_slot(self):
+        inst = MipInstance.create(np.array([[1.0, 0.5, 0.0, 0.0, 0.0]]), [2, 3])
+        z = mip_module._estimator_round(inst, np.array([0.5, 0.5, 0.0, 0.3, 0.7]), 1.0)
+        assert z.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0]
+
+    def test_trial_0_does_not_depend_on_the_seed(self, monkeypatch):
+        inst = gen_hypergraph_partition(30, 30, 4, 3, 1)
+        start = start_at(inst, solve_mip_lp(inst).solution.x)
+        generators_built = count_generators(monkeypatch)
+        reports = [las_vegas_mip(inst, start, 1, rng_seed=seed) for seed in range(5)]
+        assert generators_built == []  # no draw, so no generator
+        assert all(np.array_equal(r.z, reports[0].z) for r in reports)
+        assert len({(r.value, r.best_trial) for r in reports}) == 1
+
+    @pytest.mark.parametrize("workload", ["minimax-0", "minimax-3", "partition-30"])
+    def test_no_worse_than_las_vegas_by_draws_alone(self, workload):
+        ours = theirs = 0.0
+        for inst, x in partitions_and_lp_points(workload):
+            start = start_at(inst, x)
+            ours += las_vegas_mip(inst, start, 10_000, rng_seed=0).value
+            theirs += draw_only_las_vegas(inst, start, 10_000, rng_seed=0)
+        assert ours <= theirs
 
 
 @pytest.mark.parametrize("entry", [bootstrap_reduce, full_mip_pipeline])
