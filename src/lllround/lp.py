@@ -1,9 +1,11 @@
 """Desk-scale linear relaxations.
 
 A primal simplex on a tableau of the nonbasic columns and the right-hand
-side; each pivot is one rank-1 update of it.  Every valid instance has a
-feasible relaxation, so each starts from a basis that is feasible by
-construction, and there is no phase 1:
+side; each pivot is one rank-1 update of it, added as a single BLAS
+product.  It leaves every entry as the outer product's update does, bit for
+bit and zeros included, since the tableau holds no -0 after its first
+pivot.  Every valid instance has a feasible relaxation, so each starts from
+a basis that is feasible by construction, and there is no phase 1:
 
 - A cover, min c.x s.t. A x >= b, x >= 0, is solved through its dual,
   max b.y s.t. A^T y <= c, y >= 0, from the slack basis: y = 0 is feasible
@@ -45,17 +47,25 @@ class LpReport:
 
 def _pivot(tableau: np.ndarray, basis: list[int], nonbasic: np.ndarray, row: int, col: int) -> None:
     """Pivot column `col`'s variable into the basis at `row`: the leaving
-    variable's unit column takes its place, then one rank-1 update.
+    variable's unit column takes its place, then one rank-1 update, added as
+    the BLAS product of the negated column and the pivot row.
 
     Each entry gets the value the pivot of the full tableau gives it, bit for
     bit: there every basic column is an exact unit vector whose zeros stay +0.
+    The product's inner dimension is 1, so each term is one rounded
+    multiplication (an FMA onto a zero also rounds once), and negation is
+    exact: every nonzero term is that of `np.outer`.  A zero term may come
+    back as +0 where `np.outer` gives -0, which changes only a -0 entry, and
+    the tableau holds none from its first pivot on: a cover's pivots are
+    positive, and the minimax W pivot clears the -0 of unloaded rows' -loads
+    and of its own division by -1.
     """
     column = tableau[:, col].copy()
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     tableau[row] /= column[row]
     column[row] = 0.0
-    tableau -= np.outer(column, tableau[row])
+    tableau += np.dot(-column[:, None], tableau[row][None, :])
     basis[row], nonbasic[col] = int(nonbasic[col]), basis[row]
 
 
@@ -95,11 +105,12 @@ def _run_simplex(tableau, basis, nonbasic, budget: int, stall_limit: int) -> tup
     throughout.  Returns (iterations used, status); mutates its arguments.
     """
     iterations = stalled = 0
+    costs, rhs = tableau[-1, :-1], tableau[:-1, -1]  # views: pivots update them in place
     while iterations < budget:
-        col = _entering(tableau[-1, :-1], nonbasic, stalled >= stall_limit)
+        col = _entering(costs, nonbasic, stalled >= stall_limit)
         if col < 0:
             return iterations, "optimal"
-        row, ratio = _leaving(tableau[:-1, col], tableau[:-1, -1], basis)
+        row, ratio = _leaving(tableau[:-1, col], rhs, basis)
         if row < 0:
             raise RuntimeError("objective unbounded; not reachable on valid instances")
         _pivot(tableau, basis, nonbasic, row, col)

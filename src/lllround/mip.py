@@ -108,7 +108,9 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
     live = x[instance.cols] > 0.0
     rows, cols = instance.rows[live], instance.cols[live]
     group_of = np.repeat(np.arange(instance.n_groups), instance.group_sizes)
-    touched = np.unique(group_of[cols] * instance.m + rows)
+    pairs = np.sort(group_of[cols] * instance.m + rows)
+    # distinct (group, row) pairs; a plain np.unique would import numpy.ma
+    touched = pairs[np.diff(pairs, prepend=-1) != 0]
     a = int(np.bincount(cols).max(initial=0))
     t = int(np.bincount(touched // instance.m).max(initial=0))
     return max(a, 1), max(t, 1)
@@ -377,7 +379,13 @@ def full_mip_pipeline(
     y0 = boot.y_trace[0]
     mu = min(y0, float(instance.m))
     if boot.a >= 2 and mu > 0.0:
-        target_t44 = y0 + 1.0 + mu * deviation_for_budget(mu, 1.0 / boot.a)
+        try:
+            slack = mu * deviation_for_budget(mu, 1.0 / boot.a)
+        except OverflowError:
+            # mu near the float range's floor: the bound at delta = 1/mu,
+            # about e * mu, meets any budget 1/a, as in `mip_target`
+            slack = 1.0
+        target_t44 = y0 + 1.0 + slack
     else:
         target_t44 = report.target.target
     summary = {

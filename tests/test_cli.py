@@ -165,19 +165,21 @@ class TestRound:
     @pytest.mark.parametrize("mode", ["mip", "derandomize"])
     def test_a_run_that_draws_nothing_never_loads_numpy_random(self, tmp_path, mode):
         # the partition meets its target at trial 0, the estimator's
-        # rounding, and a derandomized cover draws no bit
+        # rounding, and a derandomized cover draws no bit; neither run
+        # loads numpy.ma, which a plain np.unique imports
         inst = tmp_path / "inst.json"
         instance = (gen_hypergraph_partition(30, 30, 4, 3, 2) if mode == "mip"
                     else gen_set_cover(30, 40, 5, 2, 1))
         inst.write_text(serialize_instance(instance))
         argv = ["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")]
         script = ("import sys\nfrom lllround.cli import main\n"
-                  f"code = main({argv!r})\nprint(code, 'numpy.random' in sys.modules)")
+                  f"code = main({argv!r})\n"
+                  "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
         src = Path(lllround.__file__).resolve().parent.parent
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         lines = proc.stdout.splitlines()
-        assert lines[-1] == "0 False", proc.stderr
+        assert lines[-1] == "0 False False", proc.stderr
         assert mode != "mip" or "trials_used=1" in lines[0]
 
     @pytest.mark.parametrize("mode", ["standard", "derandomize"])
@@ -432,6 +434,20 @@ class TestRound:
         if command[0] == "round":
             doc = json.loads(out.read_text())
             assert (doc["value"], doc["target_t42"], doc["success"]) == (float(value), 1.0, True)
+
+    def test_a_sparsity_target_past_the_grid_search_takes_slack_1(self, tmp_path, capsys):
+        # slot 0 meets both rows (a = 2), so the sparsity-based target needs
+        # a deviation at loads of 1e-307, where the grid search passes the
+        # float range; the bound at the deviation 1/y* meets the budget 1/a
+        inst = tmp_path / "sparse_tiny.json"
+        inst.write_text('{"kind":"mip","m":2,"groups":[2,2],"A":[[0,0,1e-307],[0,2,1e-307],'
+                        '[1,0,1e-307],[1,1,1e-307],[1,3,1e-307]]}')
+        out = tmp_path / "r.json"
+        assert main(["round", str(inst), "--mode", "mip", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (len(captured.out.splitlines()), captured.err) == (1, "")
+        doc = json.loads(out.read_text())
+        assert (doc["target_t42"], doc["target_t44"], doc["success"]) == (1.0, 2.0, True)
 
     @pytest.mark.parametrize("command", MIP_CHECKS)
     def test_an_instance_too_large_to_allocate_exits_2(self, tmp_path, capsys, command):

@@ -300,6 +300,94 @@ class TestSameAsTheScalarSimplex:
                 _assert_is_the_full_tableau(tableau, basis, nonbasic, full, full_basis, exact=not scalar)
 
 
+def _negative_zeros(tableau):
+    return int(np.count_nonzero((tableau == 0.0) & np.signbit(tableau)))
+
+
+def _condensed_and_full(rng, w_pivot):
+    """A condensed tableau with its basis and nonbasic labels, and the full
+    tableau it stands for; the pivot (row, col) is positive, or -1 at the
+    max-load row in the minimax W pivot's form, whose right-hand side holds
+    the -0 of unloaded rows."""
+    rows, cols = int(rng.integers(1, 20)), int(rng.integers(1, 10))
+    labels = rng.permutation(rows + cols)
+    basis, nonbasic = labels[:rows].tolist(), labels[rows:].copy()
+    # coarse values cancel exactly and many zeros meet negative factors;
+    # none is -0
+    coarse = rng.choice([-2.0, -0.5, 0.0, 0.0, 0.25, 1.0, 3.0], (rows + 1, cols + 1))
+    tableau = np.where(rng.random(coarse.shape) < 0.3, rng.uniform(-2.0, 2.0, coarse.shape), coarse)
+    col = int(rng.integers(cols))
+    if w_pivot:
+        loads = rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)], rows)
+        groups = int(rng.integers(0, rows))
+        loads[:groups] = 0.0
+        row = groups + int(np.argmax(loads[groups:]))
+        tableau[:groups, -1] = 1.0
+        tableau[groups:-1, -1] = -loads[groups:]
+        tableau[:, col] = 0.0
+        tableau[groups:-1, col] = -1.0
+        tableau[-1, col] = 1.0
+        tableau[-1, :-1] = np.where(np.arange(cols) == col, 1.0, 0.0)
+        tableau[-1, -1] = 0.0
+    else:
+        row = int(rng.integers(rows))
+        tableau[row, col] = rng.choice([0.25, 1.0, 3.0, rng.uniform(1e-9, 5.0)])
+    full = np.zeros((rows + 1, rows + cols + 1))
+    full[:, nonbasic] = tableau[:, :-1]
+    full[:, -1] = tableau[:, -1]
+    full[np.arange(rows), basis] = 1.0
+    return tableau, basis, nonbasic, full, row, col
+
+
+class TestRankOneUpdate:
+    """The pivot's BLAS product against `np.outer`, and the absence of -0
+    that makes their zero terms interchangeable."""
+
+    @given(seed=st.integers(0, 2**32 - 1), w_pivot=st.booleans())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_pivot_is_the_dense_pivot_bit_for_bit(self, seed, w_pivot):
+        tableau, basis, nonbasic, full, row, col = _condensed_and_full(np.random.default_rng(seed),
+                                                                       w_pivot)
+        entering = int(nonbasic[col])
+        lp._pivot(tableau, basis, nonbasic, row, col)
+        dense_pivot(full, row, entering)
+        _assert_is_the_full_tableau(tableau, basis, nonbasic, full, basis)
+        assert _negative_zeros(tableau) == 0
+
+    @pytest.mark.parametrize("kind, build", EQUIVALENCE_CASES)
+    def test_no_pivot_leaves_a_negative_zero(self, monkeypatch, kind, build):
+        # the crash's W pivot included, so the sign of a zero term never counts
+        real_pivot = lp._pivot
+        left = []
+
+        def pivot(tableau, *args):
+            real_pivot(tableau, *args)
+            left.append(_negative_zeros(tableau))
+
+        monkeypatch.setattr(lp, "_pivot", pivot)
+        report = (solve_cip_lp if kind == "cip" else solve_mip_lp)(build())
+        assert len(left) == report.iterations + (kind == "mip") > 0
+        assert not any(left)
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300))
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    def test_blas_product_rounds_each_term_as_the_outer_product(self, seed, size):
+        # subnormal to 1e300, so the terms underflow, overflow or fall between;
+        # a BLAS that flushed subnormals or fused otherwise would move vertices
+        rng = np.random.default_rng(seed)
+
+        def vector():
+            v = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 997, size))
+            return np.where(rng.random(size) < 0.1, 0.0, v * rng.choice([-1.0, 1.0], size))
+
+        column, row = vector(), vector()
+        with np.errstate(over="ignore", under="ignore"):
+            got = np.dot(-column[:, None], row[None, :])
+            want = -np.outer(column, row)
+        nonzero = (got != 0.0) | (want != 0.0)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
 class TestSelectionRules:
     """One pivot of `_run_simplex` on a condensed tableau whose columns are
     in shuffled variable order, against the rules stated plainly."""
