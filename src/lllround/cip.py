@@ -5,7 +5,9 @@ The scheme scales a fractional cover by alpha, keeps the integer floors, and
 rounds the leftover bits independently.  The estimator lower-bounds the
 probability that every demand survives AND every cost increment stays under
 its budget; the fixing loop walks the bits one by one, always keeping the
-estimator positive, and so ends at a certified integral point.
+estimator positive, and so ends at a certified integral point.  Each budget
+term is elementary symmetric sums over the free bits, whose columns meet no
+unsatisfied row, times a subset table over the other bits.
 
 Cost budgets here cap the rounded increments c.(z - floor): the floor part is
 deterministic, so end-to-end callers convert a total budget by subtracting
@@ -44,8 +46,9 @@ __all__ = [
 
 NEAR_ONE_GUARD = 1e-12  # complement factors below this switch to direct handling
 BRANCH_TOL = 1e-9
-# Largest subset order the budget tables enumerate.  The order ceil(ln 2l)
-# first exceeds it at l = 202 cost vectors.
+# Largest subset order of a budget term.  Its table enumerates C(|T|, i)
+# subsets at each order i <= k of the bits T that meet an unsatisfied row, so
+# the cap bounds it; ceil(ln 2l) first exceeds it at l = 202 cost vectors.
 SUBSET_ORDER_CAP = 6
 
 
@@ -215,27 +218,43 @@ def _log_clear(chp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log(1 - chp), dead) of clamped row bounds: a dead row's bound is
     within NEAR_ONE_GUARD of 1, and its log_clear is 0."""
     dead = chp >= 1.0 - NEAR_ONE_GUARD
-    with np.errstate(divide="ignore"):
-        return np.where(dead, 0.0, np.log1p(-chp)), dead
+    return np.log1p(np.where(dead, 0.0, -chp)), dead
+
+
+def _suffix_sums(w: np.ndarray, k: int) -> np.ndarray:
+    """(rows + 1, columns, k + 1) table of e_0..e_k of each suffix w[s:] of
+    the rows of w, column by column.  Order i sums w_a * e_{i-1}(w[a+1:])
+    over a >= s: a reversed cumulative sum of nonnegative terms, so nothing
+    is ever subtracted."""
+    table = np.zeros((w.shape[0] + 1, w.shape[1], k + 1))
+    table[:, :, 0] = 1.0
+    for i in range(1, k + 1):
+        table[:-1, :, i] = np.cumsum((w * table[1:, :, i - 1])[::-1], axis=0)[::-1]
+    return table
 
 
 @dataclass(frozen=True, eq=False)
-class _BudgetTerm:
-    """One cost's order-k subsets of the columns with a positive cost and
-    p > 0: their columns, and per subset the ascending union of its
-    unsatisfied rows, as positions in `scheme.unsatisfied`, in `flat_rows`
-    with the subset that owns each entry in `owner`."""
+class _BudgetTerms:
+    """The budget terms of every cost at bit probabilities p.  A free bit,
+    whose column meets no unsatisfied row, adds no row to a subset, so cost
+    t's term is A_t = sum_{i<=k_t} e_{k_t-i}(w_F) * B_i: w_j = c_j p_j over
+    the free random bits F, and B_i the sum of w_S * exp(-seg_S) over the
+    order-i subsets S of the other random bits, T.  One table, shared by
+    the costs, holds each subset of T of order 1 to max k_t, ascending by
+    order (B_0 = 1 needs none): its columns, log w_S per cost and the
+    ascending union of its unsatisfied rows, as positions in
+    `scheme.unsatisfied`, in `flat_rows` with the subset that owns each
+    entry in `owner`."""
 
-    denom: float  # C(lambda, k)
-    cost: np.ndarray
-    cols: np.ndarray  # (n_subsets, k), in lexicographic order
+    denoms: np.ndarray  # C(lambda_t, k_t)
+    # (|F| + 1, costs, k + 1): row s holds the coefficients e_{k_t-i}, 0 above
+    # k_t, of F[s:]'s weights; F holds its bits below 1 first, ascending
+    free_factors: np.ndarray
+    cols: np.ndarray  # (n_subsets, k), lexicographic within each order, padded with n
+    one_hot: np.ndarray  # (n_subsets, k + 1), 1 at each subset's order: values @ it sums by order
+    log_w: np.ndarray  # (costs, n_subsets), -inf above the cost's order
     flat_rows: np.ndarray  # grouped by owner, ascending within a subset
     owner: np.ndarray
-
-    def log_weights(self, p: np.ndarray) -> np.ndarray:
-        """log prod_{j in S} c_j p_j of every subset; -inf prunes zeros."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.cost[self.cols] * p[self.cols]).sum(axis=1)
 
     def segment_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of values (one per unsatisfied row) over each subset's rows,
@@ -244,58 +263,68 @@ class _BudgetTerm:
                            minlength=self.cols.shape[0])
 
 
-def _subset_terms(scheme: RoundingScheme, lambdas, ks, p: np.ndarray) -> tuple[_BudgetTerm, ...]:
-    """The budget terms at bit probabilities p, one per criterion: the
-    order-k subsets of the columns with a positive cost and p > 0,
-    enumerated into arrays with the unsatisfied rows each subset touches.
-    Any other subset holds a bit at p = 0 and weighs exactly 0."""
+def _budget_terms(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
+                  p: np.ndarray) -> _BudgetTerms:
+    """The budget terms at bit probabilities p.  A bit with p_j = 0 enters
+    no term, and only the subsets of the random bits that meet an
+    unsatisfied row are enumerated, with their rows."""
     n, u = scheme.instance.n, scheme.unsatisfied.size
-    # each column's unsatisfied rows, padded with the sentinel u
+    costs, random = np.stack(scheme.instance.costs), p > 0.0
+    # with no positive-cost random bit a term subtracts nothing; only then
+    # may a budget of order 1 be 0
+    for lam, weighed in zip(lambdas.tolist(), np.any((costs > 0.0) & random, axis=1).tolist()):
+        if lam <= 0.0 and weighed:
+            raise ParameterError(f"budget must be positive, got {lam}")
+    weights = costs * p
     degree = np.diff(scheme.col_ptr)
-    padded = np.full((n, int(degree.max(initial=0))), u, dtype=np.int64)
+    meets = degree > 0
+    free = np.flatnonzero(random & ~meets)
+    free = free[np.argsort(p[free] == 1.0, kind="stable")]  # the order they are fixed at 0
+    k, i = int(ks.max()), np.arange(ks.max() + 1)
+    esym = _suffix_sums(weights[:, free].T, k)
+    # B_i's coefficient in cost t's term: e_{k_t - i} of the free weights, 0 above k_t
+    free_factors = (esym[:, np.arange(ks.size)[:, None], np.maximum(ks[:, None] - i, 0)]
+                    * (i <= ks[:, None]))
+    # each column's unsatisfied rows, padded with the sentinel u; row n pads
+    # the subsets below order k
+    padded = np.full((n + 1, int(degree.max(initial=0))), u, dtype=np.int64)
     entry_cols = np.repeat(np.arange(n), degree)
     depth = np.arange(scheme.col_slots.size) - scheme.col_ptr[entry_cols]
     padded[entry_cols, depth] = scheme.col_slots
-    terms = []
-    for cost, lam, k in zip(scheme.instance.costs, lambdas, ks, strict=True):
-        k = int(k)
-        support = np.flatnonzero((cost > 0.0) & (p > 0.0)).tolist()
-        # with fewer positive-cost random bits than k the table is empty and
-        # the term subtracts nothing; only then may a budget of order 1 be 0
-        cols = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(support, k)), dtype=np.int64
-        ).reshape(-1, k)
-        if lam <= 0.0 and cols.size:
-            raise ParameterError(f"budget must be positive, got {lam}")
-        # each subset's rows, sorted, keeping the first copy of each below u
-        rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
-        rows.sort(axis=1)
-        keep = rows < u
-        keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-        terms.append(_BudgetTerm(
-            # positive, as lam >= k above order 1; 1 spares the empty table 0/0
-            denom=binomial_real(float(lam), k) if lam != 0.0 else 1.0,
-            cost=cost,
-            cols=cols,
-            flat_rows=rows[keep],
-            owner=np.nonzero(keep)[0],
-        ))
-    return tuple(terms)
+    branched = np.flatnonzero(random & meets).tolist()
+    cols = np.fromiter(itertools.chain.from_iterable(
+        subset + (n,) * (k - size)
+        for size in range(1, k + 1) for subset in itertools.combinations(branched, size)
+    ), dtype=np.int64).reshape(-1, k)
+    # each subset's rows, sorted, keeping the first copy of each below u
+    rows = padded[cols].reshape(cols.shape[0], k * padded.shape[1])
+    rows.sort(axis=1)
+    keep = rows < u
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    order = np.count_nonzero(cols < n, axis=1)
+    with np.errstate(divide="ignore"):  # a subset holding a bit of cost 0 weighs exactly 0
+        log_w = np.log(np.hstack([weights, np.ones((ks.size, 1))])[:, cols]).sum(axis=2)
+    log_w[order > ks[:, None]] = -np.inf
+    # positive, as lam >= k above order 1; 1 spares an empty term 0/0
+    denoms = np.array([binomial_real(float(lam), int(kt)) if lam != 0.0 else 1.0
+                       for lam, kt in zip(lambdas, ks)])
+    return _BudgetTerms(denoms, free_factors, cols, (order[:, None] == i).astype(float), log_w,
+                        rows[keep], np.nonzero(keep)[0])
 
 
 @dataclass(frozen=True)
 class EstimatorState:
     """The estimator of one scheme and one family of budget terms at one
-    point: the bit probabilities, their row bounds and the budget terms'
-    subset tables over the point's random bits.  Frozen: `at` builds the
-    state at another point."""
+    point: the bit probabilities, their row bounds and the budget terms
+    over the point's random bits.  Frozen: `at` builds the state at
+    another point."""
 
     scheme: RoundingScheme
     p: np.ndarray
     lambdas: np.ndarray  # increment budgets, one per criterion
     ks: np.ndarray  # subset orders, one per criterion
     chp: np.ndarray  # clamped row failure bounds at p
-    terms: tuple[_BudgetTerm, ...] = field(repr=False)
+    budget: _BudgetTerms = field(repr=False)
 
     def at(self, p) -> "EstimatorState":
         """The state at bit probabilities p: itself if p equals self.p,
@@ -315,15 +344,17 @@ def _state_at(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
     chp = _row_bounds(scheme, p)
     chp.setflags(write=False)
     return EstimatorState(scheme=scheme, p=p, lambdas=lambdas, ks=ks, chp=chp,
-                          terms=_subset_terms(scheme, lambdas, ks, p))
+                          budget=_budget_terms(scheme, lambdas, ks, p))
 
 
 def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
-    """The estimator at the scheme's bit probabilities.  Raises
-    ParameterError unless there is one budget and one subset order per cost
-    vector, each order in [1, min(n, SUBSET_ORDER_CAP)], and each budget
-    positive at order 1 (or 0 if no random bit has a positive cost) and at
-    least the order above it."""
+    """The estimator at the scheme's bit probabilities, with its budget
+    terms: elementary symmetric sums over the free random bits and one
+    subset table over the others (`_BudgetTerms`).  Raises ParameterError
+    unless there is one budget and one subset order per cost vector, each
+    order in [1, min(n, SUBSET_ORDER_CAP)], and each budget positive at
+    order 1 (or 0 if no random bit has a positive cost) and at least the
+    order above it."""
     instance = scheme.instance
     lambdas = np.asarray(lambdas, dtype=float)
     ks = np.asarray(ks, dtype=np.int64)
@@ -342,37 +373,33 @@ def make_estimator(scheme: RoundingScheme, lambdas, ks) -> EstimatorState:
     return _state_at(scheme, lambdas, ks, scheme.frac)
 
 
-def _evaluate(state: EstimatorState) -> tuple[float, np.ndarray, float, list[np.ndarray]]:
+def _evaluate(state: EstimatorState) -> tuple[float, np.ndarray, float, np.ndarray]:
     """The estimator at the state's own point: (value, log_clear, total_log,
-    es).  The value is the all-rows-survive product minus the budget
+    e).  The value is the all-rows-survive product minus the budget
     overflow terms, with near-one row bounds handled exactly; a satisfied
     row holds for certain and contributes the factor 1.  log_clear is each
     unsatisfied row's log(1 - chp), 0 on a dead row, and total_log their
-    sum; es holds per budget term each subset's e_s = w_s(p) * exp(-seg_s),
+    sum; e holds per cost each table subset's e_s = w_s(p) * exp(-seg_s),
     seg_s summing log_clear over its rows, or 0 if it misses a dead row."""
-    p = state.p
+    budget = state.budget
     # dead rows carry an exact factor of 0, tracked by count instead
     log_clear, dead = _log_clear(state.chp[state.scheme.unsatisfied])
     n_dead = int(dead.sum())
     total_log = float(log_clear.sum())
     lead = math.exp(total_log) if n_dead == 0 else 0.0
-    subtracted = 0.0
-    es = []
-    for term in state.terms:
-        log_w = term.log_weights(p)
-        seg = term.segment_sums(log_clear)
-        # exp(-inf) = 0 drops the subsets with a zero weight; exp(total_log)
-        # stays inside, as factoring it out gives inf * 0 once it underflows
-        contrib = np.exp(log_w + (total_log - seg))
-        e = np.exp(log_w - seg)
-        if n_dead:
-            # a subset counts only if its rows hold every dead row
-            misses = term.segment_sums(dead.astype(np.int64)) != n_dead
-            contrib[misses] = 0.0
-            e[misses] = 0.0
-        subtracted += float(contrib.sum()) / term.denom
-        es.append(e)
-    return lead - subtracted, log_clear, total_log, es
+    seg = budget.segment_sums(log_clear)
+    # exp(total_log) stays inside, as factoring it out gives inf * 0 once it underflows
+    contrib = np.exp(budget.log_w + (total_log - seg))
+    e = np.exp(budget.log_w - seg)
+    if n_dead:
+        # a subset counts only if its rows hold every dead row
+        misses = budget.segment_sums(dead.astype(np.int64)) != n_dead
+        contrib[:, misses] = 0.0
+        e[:, misses] = 0.0
+    sums = contrib @ budget.one_hot
+    sums[:, 0] = lead  # the empty subset holds no row
+    subtracted = (budget.free_factors[0] * sums).sum(axis=1) / budget.denoms
+    return lead - float(subtracted.sum()), log_clear, total_log, e
 
 
 def success_lower_bound(state: EstimatorState) -> float:
@@ -441,34 +468,16 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges [starts[i], starts[i] + lengths[i]), concatenated."""
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(offsets[-1] + lengths[-1])
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
 
 
-def _compensated_add(total: float, error: float, step: float) -> tuple[float, float]:
+def _compensated_add(total, error, step):
     """total + step, with the rounding error of the addition added to error
-    (Neumaier's summation): the sum is total + error."""
+    (Knuth's two-sum, also elementwise): the sum is total + error."""
     new = total + step
-    if abs(total) >= abs(step):
-        return new, error + ((total - new) + step)
-    return new, error + ((step - new) + total)
-
-
-@dataclass(eq=False)
-class _TermSums:
-    """One budget term along the fixing path: each subset's
-    e_s = w_s(p) * exp(-seg_s), their compensated sum A = total + error,
-    and the subsets of each column, for `zero_run`, and of each unsatisfied
-    row (by its position in `scheme.unsatisfied`), for `branches`."""
-
-    term: _BudgetTerm
-    e: np.ndarray
-    total: float
-    error: float
-    col_ptr: np.ndarray  # column j's subsets are by_col[col_ptr[j]:col_ptr[j + 1]]
-    by_col: np.ndarray
-    row_ptr: np.ndarray  # unsatisfied row s's subsets are by_row[row_ptr[s]:row_ptr[s + 1]]
-    by_row: np.ndarray
+    back = new - total
+    return new, error + ((total - (new - back)) + (step - back))
 
 
 class _FixingSums:
@@ -476,43 +485,44 @@ class _FixingSums:
 
     They start from `_evaluate` at the state's point, whose value is
     `start`; a positive start leaves no row dead.  Per unsatisfied row they
-    keep log(1 - chp_i) and their sum `total_log`; per budget term, a
-    `_TermSums`.  The value is exp(total_log) * (1 - sum_t A_t / denom_t).
-    Both sums are compensated, so thousands of steps add no drift.
+    keep log(1 - chp_i) and their sum `total_log`; per cost, each table
+    subset's e_s and the order sums B_0..B_k as `sums + errors`.  The value
+    is exp(total_log) * (1 - sum_t A_t / denom_t), A_t over the free bits
+    not yet fixed.  The sums are compensated, so thousands of steps add no
+    drift.
 
     A branched bit j, whose column meets an unsatisfied row, moves the
     bounds of those rows (the scheme's `col_slots`), recomputed from the
-    scheme's `bound_*` arrays, and with them every subset that touches one.
-    Every subset holding j touches them too, so those subsets carry the
-    whole step: each takes e_s * f_s * exp(-dseg_s), with dseg_s the change
-    of seg_s and f_s the branch's bit / p_j on a subset holding j, 1 on any
-    other.  A branch that kills a row (clamps its bound at 1) has an exact
-    value of at most 0, and `derandomize` never keeps it, so it is priced
-    -inf instead.
+    scheme's `bound_*` arrays, and with them the B_i of every table subset
+    that touches one, the subsets holding j among them: each takes
+    e_s * f_s * exp(-dseg_s), with dseg_s the change of seg_s and f_s the
+    branch's bit / p_j on a subset holding j, 1 on any other.  A branch
+    that kills a row (clamps its bound at 1) has an exact value of at most
+    0, and `derandomize` never keeps it, so it is priced -inf instead.
 
-    A free bit, whose column meets no unsatisfied row, moves no row bound:
-    its 0-branch subtracts E_j, the sum of e_s over the subsets holding j,
-    from every A_t, and its 1-branch adds E_j / p_j - E_j >= 0.  Rounding
-    is monotone, so the 1-branch value never exceeds the 0-branch value,
-    the 0-branch value never falls below the current one, and the tie rule
-    keeps 0: `zero_run` fixes a run of free bits at 0 without pricing their
-    1-branches, and `branches` sees only the other bits.
+    A free bit, whose column meets no unsatisfied row, moves no row bound
+    and no subset: fixed at 0 it only advances `fixed`, the row of
+    `free_factors` the terms read.  Rounding is monotone, so its 1-branch
+    value never exceeds the 0-branch value, which never falls below the
+    current one, and the tie rule keeps 0: `zero_run` fixes a run of free
+    bits at 0 without pricing their 1-branches.
     """
 
     def __init__(self, state: EstimatorState):
         scheme = self.scheme = state.scheme
-        n, u = scheme.instance.n, scheme.unsatisfied.size
+        budget = self.budget = state.budget
         self.p = state.p.copy()
-        self.start, self.log_clear, self.total_log, es = _evaluate(state)
+        self.start, self.log_clear, self.total_log, self.e = _evaluate(state)
         self.total_log_error = 0.0
         self.bound_lengths = np.diff(scheme.bound_starts, append=scheme.bound_cols.size)
-        self.terms = []
-        for term, e in zip(state.terms, es):
-            n_subsets, k = term.cols.shape
-            col_ptr, by_col = _csr(term.cols.ravel(), np.arange(n_subsets * k) // k, n)
-            row_ptr, by_row = _csr(term.flat_rows, term.owner, u)
-            self.terms.append(_TermSums(term, e, float(e.sum()), 0.0, col_ptr, by_col, row_ptr,
-                                        by_row))
+        self.sums = self.e @ budget.one_hot
+        self.sums[:, 0] = 1.0
+        self.errors = np.zeros_like(self.sums)
+        self.fixed = 0
+        # each B_i's coefficient in the value's subtracted part: e_{k-i}(w_F) / denom
+        self.coefficients = (budget.free_factors[0] / budget.denoms[:, None]).ravel()
+        # unsatisfied row s's subsets are by_row[row_ptr[s]:row_ptr[s + 1]]
+        self.row_ptr, self.by_row = _csr(budget.flat_rows, budget.owner, scheme.unsatisfied.size)
         self._pending = None
 
     def branches(self, j: int) -> tuple[float, float]:
@@ -520,7 +530,7 @@ class _FixingSums:
         -inf for a branch that kills a row; `keep` then moves to one of
         them.  Each is priced over the subsets that touch a row of column
         j, the subsets holding j among them."""
-        scheme, p = self.scheme, self.p
+        scheme, p, budget = self.scheme, self.p, self.budget
         slots = scheme.col_slots[scheme.col_ptr[j]:scheme.col_ptr[j + 1]]
         # both branches' bounds on the rows of column j
         lengths = self.bound_lengths[slots]
@@ -532,68 +542,51 @@ class _FixingSums:
                                                      scheme.bound_shift[slots]))
         delta = log_clear - self.log_clear[slots]
         moved = delta.sum(axis=1)  # change of total_log in each branch
+        lengths = self.row_ptr[slots + 1] - self.row_ptr[slots]
+        touched, owner = np.unique(self.by_row[_spans(self.row_ptr[slots], lengths)],
+                                   return_inverse=True)
+        # per branch and subset, the change of seg over its moved rows
+        row_of = np.repeat(np.arange(slots.size), lengths)
+        dseg = np.bincount(np.concatenate([owner, owner + touched.size]),
+                           weights=delta[:, row_of].ravel(),
+                           minlength=2 * touched.size).reshape(2, -1)
         factor = [[0.0], [1.0 / p[j]]]  # of the subsets holding j
-        subtracted = np.zeros(2)
-        steps = []
-        for t in self.terms:
-            lengths = t.row_ptr[slots + 1] - t.row_ptr[slots]
-            touched, owner = np.unique(t.by_row[_spans(t.row_ptr[slots], lengths)],
-                                       return_inverse=True)
-            # per branch and subset, the change of seg over its moved rows
-            row_of = np.repeat(np.arange(slots.size), lengths)
-            dseg = np.bincount(np.concatenate([owner, owner + touched.size]),
-                               weights=delta[:, row_of].ravel(),
-                               minlength=2 * touched.size).reshape(2, -1)
-            before = t.e[touched]
-            after = (np.where(np.any(t.term.cols[touched] == j, axis=1), factor, 1.0) * before
-                     * np.exp(-dseg))
-            change = after.sum(axis=1) - before.sum()
-            subtracted += (t.total + (t.error + change)) / t.term.denom
-            steps.append((touched, after, change))
+        scale = np.where(np.any(budget.cols[touched] == j, axis=1), factor, 1.0) * np.exp(-dseg)
+        before = self.e[:, touched]
+        after = scale[:, None, :] * before  # per branch, cost and touched subset
+        change = (after - before) @ budget.one_hot[touched]
+        subtracted = (self.sums + (self.errors + change)).reshape(2, -1) @ self.coefficients
         total_log = self.total_log + (self.total_log_error + moved)
         values = np.where(dead.any(axis=1), -np.inf, np.exp(total_log) * (1.0 - subtracted))
-        self._pending = (j, slots, log_clear, moved, steps)
+        self._pending = (j, slots, log_clear, moved, touched, after, change)
         return float(values[0]), float(values[1])
 
     def keep(self, bit: float) -> None:
         """Move to the branch of the last `branches` call with the given
         bit, one that kills no row: its row bounds and its subsets' e_s."""
-        j, slots, log_clear, moved, steps = self._pending
+        j, slots, log_clear, moved, touched, after, change = self._pending
         b = int(bit)
         self.p[j] = bit
         self.log_clear[slots] = log_clear[b]
         self.total_log, self.total_log_error = _compensated_add(
             self.total_log, self.total_log_error, float(moved[b]))
-        for t, (touched, after, change) in zip(self.terms, steps):
-            t.e[touched] = after[b]
-            t.total, t.error = _compensated_add(t.total, t.error, float(change[b]))
+        self.e[:, touched] = after[b]
+        self.sums, self.errors = _compensated_add(self.sums, self.errors, change[b])
 
     def zero_run(self, run: np.ndarray) -> list[float]:
         """Fix the free bits of `run`, in order, at 0, and return the
         estimator value after each: the 0-branch values, in exact
-        arithmetic none below the one before, with the sums `keep` would
-        carry.  A free bit
-        moves no row, so only the subsets holding it change, and each
-        subset is zeroed by its first bit in the run."""
-        held = []
-        for t in self.terms:
-            lengths = t.col_ptr[run + 1] - t.col_ptr[run]
-            entries = t.by_col[_spans(t.col_ptr[run], lengths)]
-            subsets, first = np.unique(entries, return_index=True)
-            step_of = np.repeat(np.arange(run.size), lengths)[first]
-            held.append(np.bincount(step_of, weights=t.e[subsets], minlength=run.size).tolist())
-            t.e[subsets] = 0.0
+        arithmetic none below the one before.  Each bit only advances the
+        row of the free factors."""
         self.p[run] = 0.0
+        self.fixed += run.size
+        budget = self.budget
+        coefficients = (budget.free_factors[self.fixed - run.size + 1:self.fixed + 1]
+                        / budget.denoms[:, None]).reshape(run.size, -1)
+        self.coefficients = coefficients[-1]
         # total_log stays put, so one exponential serves the whole run
         scale = np.exp(self.total_log + self.total_log_error)
-        values = []
-        for step in zip(*held):
-            subtracted = 0.0
-            for t, held_sum in zip(self.terms, step):
-                subtracted += (t.total + (t.error - held_sum)) / t.term.denom
-                t.total, t.error = _compensated_add(t.total, t.error, -held_sum)
-            values.append(float(scale * (1.0 - subtracted)))
-        return values
+        return (scale * (1.0 - coefficients @ (self.sums + self.errors).ravel())).tolist()
 
 
 def derandomize(state: EstimatorState) -> RoundedSolution:
@@ -609,11 +602,12 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
     value is at most 0, is never kept.  A start at or below 0 certifies
     nothing, so the parameters are too tight: ParameterError.
 
-    The values come from `_FixingSums`, so a bit costs work on its column's
-    subsets and rows only.  A free bit, whose column meets no unsatisfied
-    row, keeps 0 without lowering the value (see `_FixingSums`), so each
-    run of consecutive free bits is fixed in one `zero_run`, which prices
-    only their 0-branches.  `evaluations` counts the values priced: the
+    The values come from `_FixingSums`, so a branched bit costs work on its
+    rows and the table subsets that touch them only.  A free bit, whose
+    column meets no unsatisfied row, keeps 0 without lowering the value
+    (see `_FixingSums`), so each run of consecutive free bits is fixed in
+    one `zero_run`, which prices only their 0-branches, from the free
+    factors' suffix tables.  `evaluations` counts the values priced: the
     start, one per free bit and two per branched bit.  The final point is
     re-validated: every demand covered and every cost increment within its
     budget, else an internal-consistency error.

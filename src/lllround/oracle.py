@@ -233,7 +233,9 @@ def verify_fkg_and_antifkg(
     p = np.asarray(p, dtype=float)
     row_block, cond_rows, cond_cols, anti_cols = (
         [int(v) for v in arg] for arg in (row_block, cond_rows, cond_cols, anti_cols))
-    touched = np.unique(instance.rows[np.isin(instance.cols, anti_cols)]).tolist()
+    # the rows anti_cols touch, once each; a plain np.unique would import numpy.ma
+    rows = np.sort(instance.rows[np.isin(instance.cols, anti_cols)])
+    touched = rows[np.diff(rows, prepend=-1) != 0].tolist()
     # two indicator columns count the ones among cond_cols and anti_cols
     marks = np.zeros((instance.n, 2))
     marks[cond_cols, 0] = 1.0

@@ -42,11 +42,11 @@ def two_cost_cover():
     return CipInstance.create(base.a_matrix, base.demands, [base.costs[0], np.linspace(0.5, 1.5, 16)])
 
 
-def four_cost_cover(n_sets, seed):
-    """A 4-cost cover shaped like the benchmark's multi-cost ones: 12
-    elements of demand 8, a first cost in [0.6, 1] and three more with
-    exactly 10% zeros."""
-    base = gen_set_cover(12, n_sets, 5, 8, seed)
+def four_cost_cover(n_sets, seed, n_elements=12, demand=8):
+    """A 4-cost cover with the benchmark's multi-cost cost recipe: by
+    default 12 elements of demand 8, as there; a first cost in [0.6, 1] and
+    three more with exactly 10% zeros."""
+    base = gen_set_cover(n_elements, n_sets, 5, demand, seed)
     rng = np.random.default_rng(seed)
     costs = [rng.uniform(0.6, 1.0, n_sets)]
     for _ in range(3):

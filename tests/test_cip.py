@@ -88,14 +88,6 @@ def random_subsets(terms, p):
     return out
 
 
-def unsatisfied_entries(scheme, flat_rows, starts, ends):
-    """A reference table's entries on unsatisfied rows: each row as its
-    position in `scheme.unsatisfied`, and the subset that owns it."""
-    owner = np.repeat(np.arange(starts.size), ends - starts)
-    kept = ~scheme.satisfied[flat_rows]
-    return np.searchsorted(scheme.unsatisfied, flat_rows[kept]), owner[kept]
-
-
 def evaluate_at(state, p):
     """Estimator value at an arbitrary bit-probability vector."""
     return success_lower_bound(state.at(p))
@@ -399,12 +391,17 @@ class TestSuccessEstimator:
             # their subsets keep positive weights
             p[row_cols(inst, 2)] = 0.01
         state = make_estimator(scheme, lambdas, ks).at(p)
-        first, second = state.terms
+        budget = state.budget
+        # the subsets the second cost weighs: those of its one positive column
+        weighed = budget.cols[np.isfinite(budget.log_w[1])].tolist()
         if case == "empty column at k = 1":
-            assert np.any(np.bincount(first.owner, minlength=len(first.cols)) == 0)
-            assert second.cols.shape == (1, 1)
+            # column 3 is free: it enters the free factors, not the table
+            assert 3 not in budget.cols and weighed == [[2]]
+            assert budget.free_factors[0, :, 0] == pytest.approx([0.9 * 0.5, 0.0])
         elif case == "support below k":
-            assert second.cols.shape == (0, 2) and second.flat_rows.size == 0
+            # the second cost weighs one subset, of order 1, and its free bit
+            # weighs 0, so nothing completes it to order 2: e_2, e_1, e_0
+            assert weighed == [[2, 5]] and budget.free_factors[0, 1].tolist() == [0.0, 0.0, 1.0]
         else:
             assert state.chp[2] == 1.0 and state.chp[:2].max() < 1.0 - 1e-12
         want = estimate_by_enumeration(scheme, p, lambdas, ks)
@@ -771,7 +768,9 @@ class TestRoundCip:
         scheme, lambdas, ks, info = choose_parameters(inst, x)
         assert lambdas == [0.0] and info["total_budgets"] == [0.0] and scheme.frac[2] > 0.0
         state = make_estimator(scheme, lambdas, ks)
-        assert len(state.terms) == 1 and state.terms[0].cols.shape[0] == 0
+        # column 2 is free and weighs 0: the table is empty, and e_1 is 0
+        assert state.budget.cols.shape[0] == 0
+        assert state.budget.free_factors[0, 0].tolist() == [0.0, 1.0]
         assert success_lower_bound(state) == 1.0
         solution, _ = round_cip(inst, x)
         assert solution.objective_values == (0.0,)
@@ -818,13 +817,19 @@ class TestAgainstReference:
         scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst),
                                                    **VERTEX_PARAMS.get(name, {}))
         state = make_estimator(scheme, lambdas, ks)
-        reference = random_subsets(reference_terms(scheme, lambdas, ks), scheme.frac)
-        for term, (_, _, cols, flat_rows, starts, ends) in zip(state.terms, reference,
-                                                                strict=True):
-            assert np.array_equal(term.cols, cols)
-            positions, owner = unsatisfied_entries(scheme, flat_rows, starts, ends)
-            assert np.array_equal(term.flat_rows, positions)
-            assert np.array_equal(term.owner, owner)
+        # the table holds the subsets of order 1 to k of the random bits that
+        # meet an unsatisfied row, padded with n, each with its unsatisfied rows
+        budget = state.budget
+        unsatisfied = [np.searchsorted(scheme.unsatisfied,
+                                       [i for i in col_rows(inst, j) if not scheme.satisfied[i]])
+                       for j in range(inst.n)]
+        branched = [j for j in range(inst.n) if scheme.frac[j] > 0.0 and unsatisfied[j].size]
+        subsets = [c for i in range(1, max(ks) + 1) for c in itertools.combinations(branched, i)]
+        assert budget.cols.tolist() == [list(c) + [inst.n] * (max(ks) - len(c)) for c in subsets]
+        assert budget.one_hot.argmax(axis=1).tolist() == [len(c) for c in subsets]
+        for s, c in enumerate(subsets):
+            want = sorted(set(np.concatenate([unsatisfied[j] for j in c]).tolist()))
+            assert budget.flat_rows[budget.owner == s].tolist() == want
         out = derandomize(state)
         z, trace = reference_derandomize(state)
         assert np.array_equal(out.z, z)
@@ -849,13 +854,16 @@ class TestAgainstReference:
     @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
     @pytest.mark.parametrize("seed", range(3))
     def test_tables_enumerate_the_random_bits_only(self, seed):
+        # every row is satisfied at the vertex, so every random bit is free:
+        # the free factors hold them all, and the table holds no subset
         inst = four_cost_cover(75, seed)
         scheme, lambdas, ks, _ = choose_parameters(inst, lp_point(inst))
-        state = make_estimator(scheme, lambdas, ks)
-        for cost, k, term in zip(inst.costs, ks, state.terms, strict=True):
-            random = int(np.count_nonzero((cost > 0.0) & (scheme.frac > 0.0)))
-            assert random < np.count_nonzero(cost > 0.0)
-            assert term.cols.shape == (math.comb(random, k), k)
+        assert np.all(scheme.satisfied)
+        budget = make_estimator(scheme, lambdas, ks).budget
+        random = int(np.count_nonzero(scheme.frac > 0.0))
+        assert random < inst.n
+        assert budget.free_factors.shape == (random + 1, len(ks), max(ks) + 1)
+        assert budget.cols.shape == (0, max(ks))
 
     @pytest.mark.filterwarnings("ignore:scaled means fall below:UserWarning")
     @pytest.mark.parametrize("name", ["random-34-ell2", "random-42-ell3", "two-cost",
@@ -869,9 +877,10 @@ class TestAgainstReference:
         p[rng.random(inst.n) < 0.2] = 0.0
         assert np.any((p > 0.0) & (scheme.frac == 0.0))
         there = state.at(p)
-        for cost, k, term in zip(inst.costs, ks, there.terms, strict=True):
-            random = int(np.count_nonzero((cost > 0.0) & (p > 0.0)))
-            assert term.cols.shape == (math.comb(random, k), k)
+        branched = int(np.count_nonzero(there.budget.one_hot.argmax(axis=1) == 1))
+        assert there.budget.free_factors.shape[0] - 1 + branched == np.count_nonzero(p > 0.0)
+        assert there.budget.cols.shape[0] == sum(math.comb(branched, i)
+                                                 for i in range(1, max(ks) + 1))
         want = reference_value(reference_terms(scheme, lambdas, ks), there.p, there.chp)
         assert success_lower_bound(there) == pytest.approx(want, rel=1e-12, abs=1e-12)
 

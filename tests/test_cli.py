@@ -61,6 +61,19 @@ def tiny_loads(value: str) -> str:
             f'"A":[[0,0,{value}],[0,2,{value}],[1,1,{value}],[1,3,{value}]]}}')
 
 
+def run_and_list_modules(argv) -> list[str]:
+    """Run the CLI on argv in a fresh interpreter; its output lines, the
+    last one the exit code and whether numpy.random and numpy.ma loaded."""
+    script = ("import sys\nfrom lllround.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
+    src = Path(lllround.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.stdout, proc.stderr
+    return proc.stdout.splitlines()
+
+
 class TestGen:
     def test_writes_instance_and_manifest(self, tmp_path, capsys):
         out = gen(tmp_path)
@@ -171,15 +184,9 @@ class TestRound:
         instance = (gen_hypergraph_partition(30, 30, 4, 3, 2) if mode == "mip"
                     else gen_set_cover(30, 40, 5, 2, 1))
         inst.write_text(serialize_instance(instance))
-        argv = ["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")]
-        script = ("import sys\nfrom lllround.cli import main\n"
-                  f"code = main({argv!r})\n"
-                  "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
-        src = Path(lllround.__file__).resolve().parent.parent
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-        lines = proc.stdout.splitlines()
-        assert lines[-1] == "0 False False", proc.stderr
+        lines = run_and_list_modules(
+            ["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")])
+        assert lines[-1] == "0 False False"
         assert mode != "mip" or "trials_used=1" in lines[0]
 
     @pytest.mark.parametrize("mode", ["standard", "derandomize"])
@@ -553,6 +560,14 @@ class TestSeed:
 
 
 class TestVerify:
+    def test_verify_on_a_cover_never_loads_numpy_ma(self, tmp_path):
+        # its checks draw shuffles, so numpy.random loads; numpy.ma must not
+        inst = tmp_path / "inst.json"
+        inst.write_text(serialize_instance(gen_set_cover(30, 40, 5, 2, 1)))
+        lines = run_and_list_modules(["verify", str(inst)])
+        assert any("conditional all-ones probability" in line for line in lines)
+        assert lines[-1] == "0 True False"
+
     def test_tail_checks_pass(self, tmp_path, capsys):
         target = tmp_path / "anything.json"
         target.write_text("{}")

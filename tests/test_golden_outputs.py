@@ -12,8 +12,9 @@ its `z` bytes, its trace's bytes and its evaluation count.  An LP that stops
 short of its optimum enters the digest as its status.
 
 Every random bit of the benchmark's covers is free (its column meets no
-unsatisfied row), so three covers whose fixing loop branches are pinned
-too, by their `z` bytes and evaluation counts.
+unsatisfied row), so four covers whose fixing loop branches are pinned
+too, by their `z` bytes and evaluation counts.  One of them has four costs
+(subset order 3) and mixes free bits with bits that branch.
 """
 
 import functools
@@ -25,7 +26,7 @@ import pytest
 import lllround
 from lllround import full_mip_pipeline, gen_set_cover, parse_instance, round_cip
 from lllround import serialize_instance, solve_cip_lp, solve_mip_lp
-from _builders import perfbench_workloads, lp_point, two_cost_set_cover
+from _builders import four_cost_cover, lp_point, perfbench_workloads, two_cost_set_cover
 
 GOLDEN = {
     "minimax": "b0dc5be10e594941a3960799342290c6c1bb860c35b27e538172d509156ab209",
@@ -33,10 +34,10 @@ GOLDEN = {
     "cover-multicost": "7f00f3a6bc7307b041b05ba21bb86efb1f596588b78b755d71737a6abdd7974d",
 }
 PATH_GOLDEN = {
-    "cover-lp": "bf9bda69b08bdd419349fe4d8e03511b0f297398d71875a6bac2e03f24ff4884",
+    "cover-lp": "1bccb69cbc4d8c1f9ebf6badd5d53292db871d919f16258cb09357103224c731",
     "cover-multicost": "aa1897686c1943c8e544ff8558689b4ade833dddc2b9d59fe93f8be4abf159dc",
 }
-BRANCHED_GOLDEN = "322963efdb4f5bc9d01f6e25e7ccc3bc496bdd39697f3ab2e6c745efbed8647f"
+BRANCHED_GOLDEN = "f6caf8c4bd9f962c2a3ea552659d0e397b261109362aa90f8944d0d8c07afec9"
 
 
 @functools.cache
@@ -80,11 +81,16 @@ def test_covers_that_branch_round_to_the_same_point_and_count():
     # (label, instance, fractional point, rounding parameters)
     vertex_200 = gen_set_cover(200, 200, 5, 2, 0)
     vertex_40 = two_cost_set_cover(40, 2)
+    # 11 of its 60 rows stay unsatisfied, and 65 of its 108 random bits are free
+    mixed = np.full(108, 0.7)
+    mixed[::3] = 1.5
     cases = [
         ("set-cover-400x720-flat", gen_set_cover(400, 720, 5, 2, 0), np.full(720, 0.7),
          dict(alpha=1.4)),
         ("set-cover-200x200", vertex_200, lp_point(vertex_200), dict(alpha=1.6, beta=3.0)),
         ("two-cost-set-cover-40x40", vertex_40, lp_point(vertex_40), dict(alpha=1.8, beta=3.0)),
+        ("four-cost-set-cover-60x108", four_cost_cover(108, 0, 60, 2), mixed,
+         dict(alpha=1.4, beta=3.0)),
     ]
     digest = hashlib.sha256()
     for label, inst, x, params in cases:
