@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,6 +51,9 @@ BRANCH_TOL = 1e-9
 # subsets at each order i <= k of the bits T that meet an unsatisfied row, so
 # the cap bounds it; ceil(ln 2l) first exceeds it at l = 202 cost vectors.
 SUBSET_ORDER_CAP = 6
+# Both parameter scans' factors: 1.02^i in [1, 64], each 1.02 times the last
+_SCALE_GRID = tuple(itertools.takewhile(lambda k: k <= 64.0 * 1.0000001, itertools.accumulate(
+    itertools.repeat(1.02), operator.mul, initial=1.0)))
 
 
 class EstimatorError(RuntimeError):
@@ -94,21 +98,24 @@ class RoundedSolution:
     z: np.ndarray
     feasible: bool
     objective_values: tuple[float, ...]
-    certificate: float | None = None  # final estimator value, when derandomized
     trace: tuple[float, ...] | None = None  # estimator value per fixing step
     evaluations: int | None = None  # estimator values priced, when derandomized
 
 
 def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     """Scale a feasible fractional cover by alpha and split it into floors
-    plus Bernoulli bits.  Requires alpha > 1 and finite, nonnegative
-    entries; raises InfeasibleError for a row short of its demand by more
-    than 1e-6 (`model._check_cover`), and ParameterError for a row whose
-    deviation falls outside (0, 1)."""
-    if alpha <= 1.0:
-        raise ValueError(f"scale factor must exceed 1, got {alpha}")
+    plus Bernoulli bits.  The one check of alpha: ParameterError unless it
+    is finite and above 1 and alpha * x is finite.  Raises ValueError for a
+    negative or non-finite entry, InfeasibleError for a row short of its
+    demand by more than 1e-6 (`model._check_cover`), and ParameterError for
+    a row whose deviation falls outside (0, 1)."""
+    if not (math.isfinite(alpha) and alpha > 1.0):
+        raise ParameterError(f"alpha must be finite and above 1, got {alpha}")
     x = _checked_point(x, instance.n, "column")
     _check_cover(instance, x)
+    # x >= 0 and rounding is monotone, so alpha * x overflows only if its top entry does
+    if not math.isfinite(alpha * float(x.max())):
+        raise ParameterError(f"alpha * x overflows the float range at alpha {alpha}")
     scaled = alpha * x
     floor = np.floor(scaled)
     frac = scaled - floor
@@ -155,10 +162,12 @@ def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
     """Cheapest (alpha, beta) with beta * (1 - q)^a > 1, q the per-row
     failure bound after scaling by alpha.
 
-    Scans K over a geometric grid in [1, 64] through two parameter families —
+    Scans K over the scale grid through two parameter families —
     (K * ln(a+1)/B, 2) and the symmetric (1 + K * sqrt(ln(a+1)/B)) pair — and
-    keeps the valid pair with the smallest product.  Results are memoized per
-    (a, B) in a bounded LRU cache; invalid arguments raise on every call.
+    keeps the valid pair with the smallest product; past B of about 1e35
+    every alpha rounds to 1 and none is valid (ParameterError).  Results are
+    memoized per (a, B) in a bounded LRU cache; invalid arguments raise on
+    every call.
     """
     if a < 1:
         raise ValueError(f"column sparsity must be at least 1, got {a}")
@@ -167,8 +176,7 @@ def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
     eps = math.log(a + 1.0) / min_demand
     best: tuple[float, float] | None = None
     best_product = math.inf
-    k = 1.0
-    while k <= 64.0 * 1.0000001:
+    for k in _SCALE_GRID:
         sym = 1.0 + k * math.sqrt(eps)
         for alpha, beta in ((k * eps, 2.0), (sym, sym)):
             if alpha <= 1.0 or beta <= 1.0:
@@ -177,8 +185,7 @@ def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
             if beta * (1.0 - q) ** a > 1.0 and alpha * beta < best_product:
                 best = (alpha, beta)
                 best_product = alpha * beta
-        k *= 1.02
-    if best is None:  # pragma: no cover - the symmetric family at K=64 is valid
+    if best is None:
         raise ParameterError("no valid scale pair in the searched grid")
     return best
 
@@ -412,33 +419,30 @@ def _subset_order(n_criteria: int) -> int:
     return math.ceil(math.log(2.0 * n_criteria))
 
 
-def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: float):
-    """Scale factor and subset orders for simultaneous budget caps.
+def multicriteria_params(objective_values, a: int, min_demand: float) -> float:
+    """Scale factor for simultaneous budget caps on l = len(objective_values)
+    costs, each budget term of order `_subset_order(l)`.
 
-    `objective_values` are the pre-scale fractional objectives y*_i; the
+    `objective_values` are the pre-scale fractional objectives y*_t; the
     implied means scale with the returned alpha, and each budget is meant to
     be 3x the scaled mean (relative overflow 2).  The scan multiplies the
-    base scale by K over a geometric grid in [1, 64] until the closed-form
-    start bound goes positive; failing that, the instance family is too
-    tight and a ParameterError suggests remedies.  The scan runs on Python
-    floats: the criteria are few, and numpy calls on so short an array cost
-    more than the arithmetic.
+    base scale by each factor of the scale grid (1.02^i in [1, 64]) until
+    the closed-form start bound goes positive; failing that, the instance
+    family is too tight and a ParameterError suggests remedies.  The scan
+    runs on Python floats: the costs are few, and numpy calls on so short
+    an array cost more than the arithmetic.
     """
-    if n_criteria < 1:
+    values = [float(y) for y in objective_values]
+    if not values:
         raise ValueError("need at least one criterion")
-    objective_values = np.asarray(objective_values, dtype=float)
-    if objective_values.shape != (n_criteria,):
-        raise ValueError(f"expected {n_criteria} objective values")
-    values = objective_values.tolist()
     if any(y <= 0.0 for y in values):
         raise ParameterError("objective values must be positive")
-    k = _subset_order(n_criteria)
-    ks = [k] * n_criteria
-    base = max((math.log(a) + math.log(math.log(2.0 * n_criteria))) / min_demand, 1.0)
+    ell = len(values)
+    k = _subset_order(ell)
+    base = max((math.log(a) + math.log(math.log(2.0 * ell))) / min_demand, 1.0)
     k_factorial = math.factorial(k)
-    factor = 1.0
     chosen = None
-    while factor <= 64.0 * 1.0000001:
+    for factor in _SCALE_GRID:
         alpha = factor * base
         if alpha > 1.0:
             q = lower_tail_bound(min_demand, alpha)
@@ -451,19 +455,18 @@ def multicriteria_params(objective_values, n_criteria: int, a: int, min_demand: 
                 if total < 1.0:
                     chosen = alpha
                     break
-        factor *= 1.02
     if chosen is None:
         raise ParameterError(
             "no scale factor up to 64x the base makes the start bound positive; "
             "increase the demands or reduce the column sparsity"
         )
-    threshold = math.log2(2.0 * n_criteria) ** 2
+    threshold = math.log2(2.0 * ell) ** 2
     if any(chosen * y < threshold for y in values):
         warnings.warn(
             f"scaled means fall below {threshold:.2f}; budget caps may be loose",
             stacklevel=2,
         )
-    return chosen, ks
+    return chosen
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -651,7 +654,6 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
         z=z,
         feasible=True,
         objective_values=objectives,
-        certificate=trace[-1],
         trace=tuple(trace),
         evaluations=len(trace) + branched,
     )
@@ -659,15 +661,17 @@ def derandomize(state: EstimatorState) -> RoundedSolution:
 
 def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
                       beta: float | None = None, total_budgets=None):
-    """The one place the rounding parameters of a fractional cover are fixed.
+    """The one place the rounding parameters of a fractional cover are fixed,
+    by one rule for any number l of costs.
 
-    Single-criterion default: (alpha, beta) from `choose_alpha_beta` and a
-    total budget of alpha * beta * y*.  Multi-criterion default: scale and
-    subset orders from `multicriteria_params`, beta = 3 and budgets beta
-    times the scaled means.  Total budgets are converted to increment budgets
-    by subtracting the floor costs of the scheme.  Raises ValueError for a
-    point with a negative or non-finite entry, and ParameterError for an
-    alpha that is not finite or not above 1, and for a beta or a total
+    The default alpha and beta come from `choose_alpha_beta` when l = 1;
+    otherwise alpha comes from `multicriteria_params` and beta is 3.  Every
+    budget term has order `_subset_order(l)`, which is 1 at l = 1, and the
+    default total budget of cost t is alpha * beta * y*_t.  `make_scheme`
+    checks alpha before any budget is priced.  Total budgets are converted
+    to increment budgets by subtracting the floor costs of the scheme.
+    Raises ValueError for a point with a negative or non-finite entry, the
+    errors of `make_scheme`, and ParameterError for a beta or a total
     budget that is not finite.
 
     Returns (scheme, increment budgets, subset orders, info dict).
@@ -675,31 +679,23 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
     x = _checked_point(x, instance.n, "column")
     a = column_sparsity(instance)
     min_demand = float(instance.demands.min())
-    objective_values = np.array([float(c @ x) for c in instance.costs])
-    ell = instance.n_criteria
-    if ell == 1:
-        if alpha is None or beta is None:
-            chosen_alpha, chosen_beta = choose_alpha_beta(a, min_demand)
-            alpha = alpha if alpha is not None else chosen_alpha
-            beta = beta if beta is not None else chosen_beta
-        ks = [1]
-        if total_budgets is None:
-            total_budgets = [alpha * beta * objective_values[0]]
-    else:
-        if alpha is None:
-            alpha, ks = multicriteria_params(objective_values, ell, a, min_demand)
-        else:
-            ks = [_subset_order(ell)] * ell
-        beta = 3.0 if beta is None else beta
-        if total_budgets is None:
-            total_budgets = [beta * alpha * y for y in objective_values]
-    if not (math.isfinite(alpha) and alpha > 1.0):
-        raise ParameterError(f"alpha must be finite and above 1, got {alpha}")
+    objective_values = [float(c @ x) for c in instance.costs]
+    ell = len(objective_values)
+    if ell == 1 and (alpha is None or beta is None):
+        chosen_alpha, chosen_beta = choose_alpha_beta(a, min_demand)
+        alpha = chosen_alpha if alpha is None else alpha
+        beta = chosen_beta if beta is None else beta
+    elif alpha is None:
+        alpha = multicriteria_params(objective_values, a, min_demand)
+    beta = 3.0 if beta is None else beta
+    scheme = make_scheme(instance, x, alpha)
     if not math.isfinite(beta):
         raise ParameterError(f"beta must be finite, got {beta}")
+    if total_budgets is None:
+        total_budgets = [alpha * beta * y for y in objective_values]
     if not all(math.isfinite(b) for b in total_budgets):
         raise ParameterError("every total budget must be finite")
-    scheme = make_scheme(instance, x, alpha)
+    ks = [_subset_order(ell)] * ell
     lambdas = [float(b) - fc for b, fc in zip(total_budgets, scheme.floor_costs, strict=True)]
     if any(lam < 0.0 or lam == 0.0 and np.any((c > 0.0) & (scheme.frac > 0.0))
            for lam, c in zip(lambdas, instance.costs)):
@@ -707,10 +703,10 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
     info = {
         "alpha": float(alpha),
         "beta": float(beta),
-        "ks": [int(k) for k in ks],
+        "ks": list(ks),
         "lambdas": [float(l) for l in lambdas],
         "total_budgets": [float(b) for b in total_budgets],
-        "y_star": [float(y) for y in objective_values],
+        "y_star": objective_values,
     }
     return scheme, lambdas, ks, info
 

@@ -117,17 +117,16 @@ def reference_derandomize(state):
     return scheme.floor + state.p, trace
 
 
-def reference_multicriteria_params(objective_values, n_criteria, a, min_demand):
-    """Scale factor and subset orders, each step's scaled means one array."""
-    if n_criteria < 1:
-        raise ValueError("need at least one criterion")
+def reference_multicriteria_params(objective_values, a, min_demand):
+    """Scale factor for l = len(objective_values) costs, each step's scaled
+    means one array, the scale grid grown in the loop."""
     objective_values = np.asarray(objective_values, dtype=float)
-    if objective_values.shape != (n_criteria,):
-        raise ValueError(f"expected {n_criteria} objective values")
+    if objective_values.size == 0:
+        raise ValueError("need at least one criterion")
     if np.any(objective_values <= 0.0):
         raise ParameterError("objective values must be positive")
+    n_criteria = objective_values.size
     k = _subset_order(n_criteria)
-    ks = [k] * n_criteria
     base = max((math.log(a) + math.log(math.log(2.0 * n_criteria))) / min_demand, 1.0)
     factor = 1.0
     chosen = None
@@ -161,7 +160,7 @@ def reference_multicriteria_params(objective_values, n_criteria, a, min_demand):
             f"scaled means fall below {threshold:.2f}; budget caps may be loose",
             stacklevel=2,
         )
-    return chosen, ks
+    return chosen
 
 
 def esym_mean_bound(n: int, mu: float, k: int) -> float:

@@ -4,6 +4,7 @@ the deterministic fixing loop."""
 import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -127,8 +128,19 @@ class TestMakeScheme:
 
     def test_alpha_at_most_one_rejected(self):
         inst = random_cip(0)
-        with pytest.raises(ValueError, match="must exceed 1"):
+        with pytest.raises(ParameterError, match="^alpha must be finite and above 1, got 1.0$"):
             make_scheme(inst, lp_point(inst), 1.0)
+
+    @pytest.mark.parametrize("alpha, point, message", [
+        (math.nan, [2.0, 2.0], "alpha must be finite and above 1, got nan"),
+        (math.inf, [2.0, 2.0], "alpha must be finite and above 1, got inf"),
+        (1e308, [2.0, 2.0], "alpha * x overflows the float range at alpha 1e+308"),
+        (2.0, [1e308, 0.0], "alpha * x overflows the float range at alpha 2.0"),
+    ], ids=["nan", "inf", "alpha-1e308", "x-1e308"])
+    def test_a_scale_that_is_not_finite_or_overflows_is_rejected(self, alpha, point, message):
+        inst = CipInstance.create([[1.0, 1.0]], [1.0], [np.ones(2)])
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            make_scheme(inst, point, alpha)
 
     def test_infeasible_point_rejected(self):
         inst = CipInstance.create([[1.0, 1.0]], [1.0], [np.ones(2)])
@@ -176,6 +188,11 @@ class TestChooseAlphaBeta:
         cheap = math.prod(choose_alpha_beta(2, 1.0))
         dear = math.prod(choose_alpha_beta(8, 1.0))
         assert dear >= cheap
+
+    def test_a_demand_beyond_1e35_leaves_no_valid_pair(self):
+        # every candidate alpha rounds to 1.0, so neither family qualifies
+        with pytest.raises(ParameterError, match="^no valid scale pair in the searched grid$"):
+            choose_alpha_beta(2, 1e36)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="column sparsity"):
@@ -438,16 +455,20 @@ class TestStandardCertificate:
 
 class TestMulticriteriaParams:
     def test_subset_orders_follow_the_criterion_count(self):
-        _, ks = multicriteria_params([10.0], 1, 2, 4.0)
-        assert ks == [1]
-        alpha, ks = multicriteria_params([40.0] * 20, 20, 2, 8.0)
-        assert ks == [4] * 20
-        assert alpha > 1.0
+        assert [cip._subset_order(ell) for ell in (1, 2, 4, 10, 20)] == [1, 2, 3, 3, 4]
+        alpha = multicriteria_params([40.0] * 20, 2, 8.0)
+        assert type(alpha) is float and alpha > 1.0
+        for ell, k in ((1, 1), (4, 3)):
+            inst = random_cip(3, ell=ell)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the scaled means are small
+                _, _, ks, info = choose_parameters(inst, lp_point(inst))
+            assert ks == info["ks"] == [k] * ell
 
     def test_scaled_means_feed_a_positive_start_bound(self):
         values = [6.0, 7.0, 5.5, 6.5]
-        alpha, ks = multicriteria_params(values, 4, 3, 6.0)
-        k = ks[0]
+        alpha = multicriteria_params(values, 3, 6.0)
+        k = cip._subset_order(len(values))
         q = lower_tail_bound(6.0, alpha)
         total = sum(
             (alpha * y) ** k / math.factorial(k) / binomial_real(3.0 * alpha * y, k) * (1.0 - q) ** (-3 * k)
@@ -457,20 +478,20 @@ class TestMulticriteriaParams:
 
     def test_warns_when_scaled_means_are_small(self):
         with pytest.warns(UserWarning, match="fall below"):
-            multicriteria_params([0.5, 0.5], 2, 2, 1.0)
+            multicriteria_params([0.5, 0.5], 2, 1.0)
 
     def test_hopeless_family_raises(self):
         with pytest.raises(ParameterError, match="no scale factor up to 64x"):
-            multicriteria_params([1e-6, 1e-6], 2, 3, 1.0)
+            multicriteria_params([1e-6, 1e-6], 3, 1.0)
 
     @staticmethod
     def outcome(params, *args):
-        """(alpha's bits and ks, or the ParameterError's message; warnings)."""
+        """(alpha's bits, or the ParameterError's message; warnings)."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                alpha, ks = params(*args)
-                result = (type(alpha), alpha.hex(), ks)
+                alpha = params(*args)
+                result = (type(alpha), alpha.hex())
             except ParameterError as exc:
                 result = ("ParameterError", str(exc))
         return result, [(w.category, str(w.message)) for w in caught]
@@ -486,17 +507,15 @@ class TestMulticriteriaParams:
     @example(values=[1e-6, 1e-6], a=3, min_demand=1.0)  # no scale factor
     @example(values=[1.0, 0.0], a=2, min_demand=1.0)  # nonpositive objective
     def test_float_scan_matches_the_numpy_reference(self, values, a, min_demand):
-        args = (values, len(values), a, min_demand)
+        args = (values, a, min_demand)
         assert self.outcome(multicriteria_params, *args) == self.outcome(
             reference_multicriteria_params, *args)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="at least one criterion"):
-            multicriteria_params([], 0, 2, 1.0)
-        with pytest.raises(ValueError, match="expected 3"):
-            multicriteria_params([1.0, 2.0], 3, 2, 1.0)
+            multicriteria_params([], 2, 1.0)
         with pytest.raises(ValueError, match="must be positive"):
-            multicriteria_params([1.0, 0.0], 2, 2, 1.0)
+            multicriteria_params([1.0, 0.0], 2, 1.0)
 
 
 class TestDerandomize:
@@ -517,7 +536,7 @@ class TestDerandomize:
         state = make_estimator(scheme, [1.0], [1])
         out = derandomize(state)
         assert np.array_equal(out.z, [2.0, 2.0])
-        assert out.certificate == pytest.approx(1.0)
+        assert out.trace[-1] == pytest.approx(1.0)
         assert out.trace == (pytest.approx(1.0),)
         _, info = round_cip(inst, [1.0, 1.0], alpha=2.0, total_budgets=[5.0])
         assert info["lambdas"] == [1.0]
@@ -527,7 +546,7 @@ class TestDerandomize:
         state = self.tie_break_setup(3.0)
         out = derandomize(state)
         assert np.array_equal(out.z, [1.0, 1.0, 1.0])
-        assert out.certificate == pytest.approx(1.0)
+        assert out.trace[-1] == pytest.approx(1.0)
         expected = (1 - 0.5 / 3, 1 - 0.25 / 3, 1.0, 1.0)
         assert out.trace == pytest.approx(expected)
         # floor cost 2, so a total budget of 5 leaves the increment budget 3

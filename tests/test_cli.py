@@ -478,6 +478,7 @@ class TestRound:
         (["--mode", "standard", "--alpha", "0.9"], "alpha must be finite and above 1, got 0.9"),
         (["--alpha", "nan"], "alpha must be finite and above 1, got nan"),
         (["--alpha", "inf"], "alpha must be finite and above 1, got inf"),
+        (["--alpha", "1e308"], "alpha * x overflows the float range at alpha 1e+308"),
         (["--beta", "nan"], "beta must be finite, got nan"),
         (["--lambda", "nan"], "every total budget must be finite"),
         (["--lambda", "inf"], "every total budget must be finite"),
@@ -526,6 +527,29 @@ class TestRound:
         err = capsys.readouterr().err
         assert err.startswith("error: row 0 ") and "alpha 1.0000001" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_demand_with_no_valid_scale_pair_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "huge-demand.json"
+        inst.write_text('{"kind":"cip","m":1,"n":2,"A":[[0,0,1.0],[0,1,0.5]],"b":[1e300],'
+                        '"costs":[[1.0,1.0]]}')
+        assert main(["round", str(inst), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "error: no valid scale pair in the searched grid\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_scaled_point_that_overflows_exits_2(self, tmp_path, capsys):
+        # one column of the vertex raised to 1e308: y* stays finite, alpha * x does not
+        inst = gen(tmp_path, seed=0)
+        x = lp_point(parse_instance(inst.read_text()))
+        x[int(np.argmax(x))] = 1e308
+        solution = tmp_path / "x.json"
+        solution.write_text(json.dumps({"x": x.tolist()}))
+        capsys.readouterr()
+        code = main(["round", str(inst), "--solution", str(solution), "--lambda", "1e300",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: alpha * x overflows the float range at alpha ")
         assert not (tmp_path / "r.json").exists()
 
     def test_kmax_option_is_gone(self, tmp_path):
@@ -851,6 +875,30 @@ class TestVerify:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("error: fixture records no valid check: ValueError(")
+
+
+    @pytest.mark.parametrize("check", ["phi", "fkg"])
+    def test_covering_fixture_whose_alpha_overflows_the_point_exits_2(
+        self, tmp_path, capsys, check
+    ):
+        # the relaxation's vertex holds 2.0, and 2 * 1e308 is past the float range
+        inst = gen(tmp_path, seed=0)
+        instance = parse_instance(inst.read_text())
+        scheme, lambdas, ks, _ = choose_parameters(instance, lp_point(instance))
+        assert lp_point(instance).max() == 2.0
+        capsys.readouterr()
+        doc = json.loads(inst.read_text())
+        doc.update(check=check, alpha=1e308, lambdas=lambdas, ks=ks, claim="made up",
+                   lhs=0.0, rhs=0.0, p=scheme.frac.tolist())
+        if check == "fkg":
+            doc.update(row_block=[0], cond_rows=[1], cond_cols=[4], anti_cols=[6, 11])
+        fixture = tmp_path / "overflow.json"
+        fixture.write_text(json.dumps(doc))
+        assert main(["verify", str(fixture)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: fixture records no valid check: ParameterError("
+                                "'alpha * x overflows the float range at alpha 1e+308')\n")
 
 
 class TestBenchAndReplay:

@@ -2,6 +2,7 @@
 round trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,59 @@ class TestMipInstance:
     def test_rejects_entries_outside_unit_interval(self):
         with pytest.raises(InstanceError):
             MipInstance.create(np.array([[0.5, 1.2]]), [2])
+
+
+CONSTRUCTOR_CASES = {
+    "matrix-not-2d": (CipInstance, ((3,),), "constraint matrix must be two-dimensional"),
+    "demands-wrong-shape": (CipInstance, ((2, 2), [1.0], [np.ones(2)]),
+                            "expected 2 demands, got shape (1,)"),
+    "cost-wrong-length": (CipInstance, ((1, 2), [1.0], [np.ones(3)]),
+                          "cost vector 0 must have length 2"),
+    "cost-all-zero": (CipInstance, ((1, 2), [1.0], [np.ones(2), np.zeros(2)]),
+                      "cost vector 1 must have a positive entry"),
+    "no-cost-vectors": (CipInstance, ((1, 2), [1.0], []), "at least one cost vector is required"),
+    "zero-rows": (CipInstance, ((0, 2), [], [np.ones(2)]),
+                  "instance needs at least one row and one column"),
+    "zero-columns": (CipInstance, ((1, 0), [1.0], [np.ones(0)]),
+                     "instance needs at least one row and one column"),
+    "mip-zero-rows": (MipInstance, ((0, 2), [2]),
+                      "instance needs at least one row and one column"),
+    "groups-miss-columns": (MipInstance, ((1, 3), [1, 1]),
+                            "group sizes sum to 2 but the matrix has 3 columns"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCTOR_CASES))
+def test_create_names_each_malformed_part(case):
+    cls, (shape, *rest), message = CONSTRUCTOR_CASES[case]
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        cls.create(np.ones(shape), *rest)
+
+
+@pytest.mark.parametrize("case", [c for c in CONSTRUCTOR_CASES if c != "matrix-not-2d"])
+def test_from_triplets_names_each_malformed_part(case):
+    cls, (shape, *rest), message = CONSTRUCTOR_CASES[case]
+    rows, cols = np.nonzero(np.ones(shape))
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        cls.from_triplets(shape, rows, cols, np.ones(rows.size), *rest)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [doc], "instance document must be a JSON object"),
+    (lambda doc: {**doc, "m": 0}, 'field "m" must be a positive integer'),
+    (lambda doc: {**doc, "m": "3"}, 'field "m" must be a positive integer'),
+    (lambda doc: {**doc, "n": 0}, 'field "n" must be a positive integer'),
+    (lambda doc: {**doc, "n": 2.0}, 'field "n" must be a positive integer'),
+    (lambda doc: {**doc, "b": doc["b"][:-1]}, 'field "b" must be a list of 6 demands'),
+    (lambda doc: {**doc, "b": 1.0}, 'field "b" must be a list of 6 demands'),
+    (lambda doc: {**doc, "A": {}}, 'field "A" must be a list of [row, col, value] triplets'),
+], ids=["not-object", "m-zero", "m-string", "n-zero", "n-float", "b-short", "b-scalar",
+        "A-not-list"])
+def test_parse_instance_names_each_malformed_field(edit, message):
+    doc = json.loads(serialize_instance(random_cip(seed=1)))
+    assert doc["m"] == 6
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_instance(json.dumps(edit(doc)))
 
 
 class TestStorage:
