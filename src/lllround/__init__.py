@@ -9,18 +9,37 @@ exhaustive verification oracles (:mod:`lllround.oracle`), and the
 command-line front end (:mod:`lllround.cli`).
 
 The package's public names are those its modules list in their `__all__`.
+Each module loads on first use (PEP 562): `import lllround` loads none of
+them, `lllround.model` loads `model` with its own imports, and a public name
+loads the modules of `_MODULES` in order until one exports it.  Asking for
+`__all__` loads all six.  So `lllround gen` loads `model` alone, and
+`lllround round` adds `lp` and the rounding modules its instance needs:
+`cip` and `tailbounds` for a cover, `mip` and `tailbounds` for a minimax
+program.  Only `verify` loads `oracle`.
 """
 
-from . import cip, lp, mip, model, oracle, tailbounds
-from .cip import *  # noqa: F403
-from .lp import *  # noqa: F403
-from .mip import *  # noqa: F403
-from .model import *  # noqa: F403
-from .oracle import *  # noqa: F403
-from .tailbounds import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *cip.__all__, *lp.__all__, *mip.__all__, *model.__all__, *oracle.__all__, *tailbounds.__all__
-]
+_MODULES = ("cip", "lp", "mip", "model", "oracle", "tailbounds")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = [public for module in _MODULES for public in __getattr__(module).__all__]
+    else:
+        for module in map(__getattr__, _MODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

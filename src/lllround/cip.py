@@ -90,7 +90,8 @@ class RoundingScheme:
 
     @property
     def floor_costs(self) -> tuple[float, ...]:
-        return tuple(float(c @ self.floor) for c in self.instance.costs)
+        with np.errstate(over="ignore"):  # inf past the float range: no budget covers it
+            return tuple(float(c @ self.floor) for c in self.instance.costs)
 
 
 @dataclass(frozen=True)
@@ -679,7 +680,8 @@ def choose_parameters(instance: CipInstance, x, alpha: float | None = None,
     x = _checked_point(x, instance.n, "column")
     a = column_sparsity(instance)
     min_demand = float(instance.demands.min())
-    objective_values = [float(c @ x) for c in instance.costs]
+    with np.errstate(over="ignore"):  # past the float range, alpha * x fails in make_scheme
+        objective_values = [float(c @ x) for c in instance.costs]
     ell = len(objective_values)
     if ell == 1 and (alpha is None or beta is None):
         chosen_alpha, chosen_beta = choose_alpha_beta(a, min_demand)

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cip, mip, model, oracle, tailbounds
-from .lp import InfeasibleError, ingest_solution, solve_cip_lp, solve_mip_lp
+import lllround
+from . import model
 
 __all__ = ["main", "entry"]
 
@@ -179,6 +179,7 @@ def _parse_lambdas(raw: str | None, ell: int) -> list[float] | None:
 
 def _relaxation(instance) -> model.FractionalSolution:
     """The LP vertex of either kind of instance; exit 3 at the iteration limit."""
+    from .lp import solve_cip_lp, solve_mip_lp
     solve = solve_cip_lp if isinstance(instance, model.CipInstance) else solve_mip_lp
     report = solve(instance)
     if report.status == "iteration-limit":
@@ -195,6 +196,8 @@ def _fractional_point(instance, args) -> model.FractionalSolution:
     if args.solution:
         try:
             raw = json.loads(Path(args.solution).read_text())
+            if not isinstance(raw, dict):
+                raise ValueError(f"the document must be a JSON object, got {json.dumps(raw):.60}")
             x = raw["x"]
             # JSON numbers only: a bool or a string would convert to another point
             if type(x) is not list or not all(type(v) in (int, float) for v in x):
@@ -204,6 +207,7 @@ def _fractional_point(instance, args) -> model.FractionalSolution:
             raise _CliFailure(
                 EXIT_USAGE, f'--solution must be JSON {{"x": [...], "objective": ...}}: {exc}'
             ) from exc
+        from .lp import ingest_solution
         return ingest_solution(instance, x)
     return _relaxation(instance)
 
@@ -221,6 +225,7 @@ def cmd_round(args, argv: list[str]) -> int:
     x = fractional.x
 
     if is_cip:
+        from . import cip
         y_star = float(fractional.objective_values[0])
         total_budgets = _parse_lambdas(args.lambdas, instance.n_criteria)
         if args.mode == "standard":
@@ -245,6 +250,7 @@ def cmd_round(args, argv: list[str]) -> int:
         message = (f"mode={args.mode}  value={value:.6g}  target={target:.6g}  "
                    f"ratio={ratio:.4f}  feasible={doc['feasible']}")
     else:
+        from . import mip
         _, doc = mip.full_mip_pipeline(instance, x, rng_seed=args.seed, max_tries=args.max_tries)
         message = (f"mode={args.mode}  value={doc['value']:.6g}  "
                    f"target={doc['target_t42']:.6g}  trials_used={doc['trials_used']}  "
@@ -254,10 +260,11 @@ def cmd_round(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _verify_tail() -> list[oracle.VerifyReport]:
+def _verify_tail() -> list[lllround.oracle.VerifyReport]:
     """Instance-free kernel self-checks: the inverse deviation re-satisfies
     its defining inequality, and scaling the mean down never loosens the
     kernel at matched absolute deviation."""
+    from . import oracle, tailbounds
     reports = []
     rng = np.random.default_rng(7)
     ok = True
@@ -284,7 +291,8 @@ def _verify_tail() -> list[oracle.VerifyReport]:
     return reports
 
 
-def _verify_cip(instance, seed: int, which: str) -> list[oracle.VerifyReport]:
+def _verify_cip(instance, seed: int, which: str) -> list[lllround.oracle.VerifyReport]:
+    from . import cip, oracle
     scheme, lambdas, ks, _ = cip.choose_parameters(instance, _relaxation(instance).x)
     reports: list[oracle.VerifyReport] = []
     rng = np.random.default_rng(seed)
@@ -308,9 +316,10 @@ def _verify_cip(instance, seed: int, which: str) -> list[oracle.VerifyReport]:
     return reports
 
 
-def _verify_mip(instance) -> list[oracle.VerifyReport]:
+def _verify_mip(instance) -> list[lllround.oracle.VerifyReport]:
     """The dependency check at the relaxation's vertex, with the slack k that
     Las Vegas rounding targets there."""
+    from . import mip, oracle
     x = _relaxation(instance).x
     _, t = mip._support_stats(instance, x)
     k = mip.mip_target(float(instance.loads(x).max()), instance.m, t).k
@@ -318,6 +327,7 @@ def _verify_mip(instance) -> list[oracle.VerifyReport]:
 
 
 def cmd_verify(args, argv: list[str]) -> int:
+    from . import oracle
     target = Path(args.target)
     try:
         doc = json.loads(target.read_text())
@@ -383,6 +393,7 @@ def _parse_ints(raw: str, flag: str, least: int) -> list[int]:
 
 def _bench_rows(args) -> tuple[list[dict], list[float]]:
     """The CSV rows of the sweep, and each row's wall time in seconds."""
+    from . import cip
     sizes = _parse_ints(args.sizes, "--sizes", 1)
     seeds = _parse_ints(args.seeds, "--seeds", 0)
     rows, wall_times = [], []
@@ -495,16 +506,21 @@ def _main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (model.ParseError, model.GenerationError, model.InstanceError,
-            cip.ParameterError, OverflowError) as exc:
+            OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
         print(f"error: instance too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleError as exc:
+    except model.InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except oracle.BudgetExceeded as exc:
+    # An except clause is evaluated only when an error reaches it, so these
+    # two load their module only for an error that no clause above took.
+    except lllround.cip.ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except lllround.oracle.BudgetExceeded as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

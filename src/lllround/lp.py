@@ -230,6 +230,8 @@ def ingest_solution(instance, x) -> FractionalSolution:
     x = np.maximum(x, 0.0)
     if isinstance(instance, CipInstance):
         _check_cover(instance, x)
-        return FractionalSolution(x=x, objective_values=tuple(float(c @ x) for c in instance.costs))
+        with np.errstate(over="ignore"):  # an infinite objective is rounding's to reject
+            objective_values = tuple(float(c @ x) for c in instance.costs)
+        return FractionalSolution(x=x, objective_values=objective_values)
     _group_totals(instance, x)
     return FractionalSolution(x=x, objective_values=(float(instance.loads(x).max()),))

@@ -266,9 +266,10 @@ def _group_totals(instance: MipInstance, x: np.ndarray) -> tuple[np.ndarray, np.
     padded = np.zeros((sizes.size, int(sizes.max())))
     padded[np.arange(padded.shape[1]) < sizes[:, None]] = x
     totals = np.empty(sizes.size)
-    for size in set(instance.group_sizes):
-        same = sizes == size
-        totals[same] = padded[same, :size].sum(axis=1)
+    with np.errstate(over="ignore"):  # a total past the float range is not 1 either
+        for size in set(instance.group_sizes):
+            same = sizes == size
+            totals[same] = padded[same, :size].sum(axis=1)
     off = np.flatnonzero(np.abs(totals - 1.0) > POINT_TOL)
     if off.size:
         raise InfeasibleError(f"group {off[0]} weights sum to {totals[off[0]]}, not 1")

@@ -61,17 +61,50 @@ def tiny_loads(value: str) -> str:
             f'"A":[[0,0,{value}],[0,2,{value}],[1,1,{value}],[1,3,{value}]]}}')
 
 
-def run_and_list_modules(argv) -> list[str]:
-    """Run the CLI on argv in a fresh interpreter; its output lines, the
-    last one the exit code and whether numpy.random and numpy.ma loaded."""
-    script = ("import sys\nfrom lllround.cli import main\n"
-              f"code = main({argv!r})\n"
+def run_and_list_modules(argv, run=None) -> list[str]:
+    """Run the CLI on argv in a fresh interpreter, or, given `run`, that
+    Python code instead (exit code None); its output lines, the last but
+    one the lllround modules loaded, the last the exit code and whether
+    numpy.random and numpy.ma loaded."""
+    run = run or f"from lllround.cli import main\ncode = main({argv!r})"
+    script = ("import sys\ncode = None\n" + run + "\n"
+              "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'lllround'))\n"
               "print(code, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules)")
     src = Path(lllround.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.stdout, proc.stderr
     return proc.stdout.splitlines()
+
+
+class TestModuleLoading:
+    """The package root loads a module on first use, so a run compiles only
+    the modules it calls."""
+
+    @pytest.mark.parametrize("run, loaded", [
+        ("import lllround", "lllround"),
+        ("import lllround\nlllround.model.gen_set_cover(12, 20, 5, 2, 0)",
+         "lllround lllround.model"),
+    ])
+    def test_the_package_root_loads_no_module_until_asked(self, run, loaded):
+        assert run_and_list_modules(None, run)[-2] == loaded
+
+    def test_gen_loads_only_the_model(self, tmp_path):
+        lines = run_and_list_modules(["gen", "--kind", "set-cover", "--out", str(tmp_path / "i.json")])
+        assert lines[-1].startswith("0 ")
+        assert lines[-2] == "lllround lllround.cli lllround.model"
+
+    @pytest.mark.parametrize("kind, mode, loaded", [
+        ("set-cover", "derandomize", "cip lp model tailbounds"),
+        ("hypergraph", "mip", "lp mip model tailbounds"),
+    ])
+    def test_round_loads_only_what_its_instance_needs(self, tmp_path, kind, mode, loaded):
+        inst = gen(tmp_path, kind=kind)
+        lines = run_and_list_modules(
+            ["round", str(inst), "--mode", mode, "--out", str(tmp_path / "r.json")])
+        assert lines[-1].startswith("0 ")
+        assert lines[-2].split() == sorted(["lllround", "lllround.cli",
+                                            *(f"lllround.{name}" for name in loaded.split())])
 
 
 class TestGen:
@@ -551,6 +584,55 @@ class TestRound:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: alpha * x overflows the float range at alpha ")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("mode", ["standard", "derandomize"])
+    @pytest.mark.parametrize("entry, lambdas, message", [
+        pytest.param(1e308, [], "alpha * x overflows the float range at alpha 3.1817108242704006",
+                     id="1e308"),
+        pytest.param(1e308, ["--lambda", "1e300"],
+                     "alpha * x overflows the float range at alpha 3.1817108242704006",
+                     id="1e308-lambda"),
+        pytest.param(1e307, [], "every total budget must be finite", id="1e307"),
+        pytest.param(1e307, ["--lambda", "1e300"],
+                     "a total budget falls below the floor cost; raise the budget", id="1e307-lambda"),
+    ])
+    def test_a_point_whose_costs_overflow_exits_2_with_one_line(
+            self, tmp_path, capsys, mode, entry, lambdas, message):
+        # the objective c @ x, and at 1e307 with --lambda the floor cost,
+        # pass the float range; that overflow is the error, not a warning
+        # before it
+        inst = gen(tmp_path, seed=0)
+        solution = tmp_path / "x.json"
+        solution.write_text(json.dumps({"x": [entry] * 20, "objective": 0}))
+        capsys.readouterr()
+        code = main(["round", str(inst), "--mode", mode, "--solution", str(solution), *lambdas,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_group_weights_that_overflow_exit_3_with_one_line(self, tmp_path, capsys):
+        inst = gen(tmp_path, kind="hypergraph", seed=0)
+        solution = tmp_path / "x.json"
+        n_cols = parse_instance(inst.read_text()).n_cols
+        solution.write_text(json.dumps({"x": [1e308] * n_cols}))
+        capsys.readouterr()
+        code = main(["round", str(inst), "--mode", "mip", "--solution", str(solution),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err == "infeasible: group 0 weights sum to inf, not 1\n"
+
+    @pytest.mark.parametrize("document", [[1, 2], "x", None, 3])
+    def test_a_solution_document_that_is_not_an_object_exits_2(self, tmp_path, capsys, document):
+        inst = gen(tmp_path)
+        solution = tmp_path / "x.json"
+        solution.write_text(json.dumps(document))
+        capsys.readouterr()
+        code = main(["round", str(inst), "--solution", str(solution),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            'error: --solution must be JSON {"x": [...], "objective": ...}: '
+            f"the document must be a JSON object, got {json.dumps(document)}\n")
 
     def test_kmax_option_is_gone(self, tmp_path):
         argv = ["round", str(gen(tmp_path)), "--kmax", "6", "--out", str(tmp_path / "r.json")]

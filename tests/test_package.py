@@ -22,6 +22,19 @@ def test_public_names_are_the_union_of_the_module_lists():
             assert getattr(lllround, name) is getattr(module, name)
 
 
+def test_the_root_reaches_every_library_module():
+    # the root loads a module on first use, from its own list: a file left
+    # off it would not be reachable as lllround.<name>
+    files = {path.stem for path in Path(lllround.__file__).parent.glob("*.py")}
+    assert sorted(lllround._MODULES) == sorted(files - {"__init__", "cli"})
+    assert lllround._MODULES == tuple(module.__name__.removeprefix("lllround.") for module in MODULES)
+
+
+def test_the_root_lists_its_modules_and_names_and_no_others():
+    assert {*lllround._MODULES, *lllround.__all__} <= set(dir(lllround))
+    assert not hasattr(lllround, "no_such_name")
+
+
 def test_every_public_name_is_used_by_the_package():
     # a name or attribute in some module's code, outside the definitions of
     # unused public names: a helper only they call is unused as well
