@@ -1,27 +1,22 @@
 """Minimax rounding: pick one slot per group so the worst row load stays
 near the fractional optimum.
 
-One path, `full_mip_pipeline`, in two layers.  `bootstrap_reduce` shrinks
-the support of a fractional solution first — scale up, round coordinates
-independently, accept only trials whose row loads and group sums stay inside
-explicit envelopes, renormalize, repeat while the group/row interaction width
-t keeps falling — and returns at once when the point is already in its easy
-regime; it alone checks and measures a raw point.  `las_vegas_mip` rounds
-the returned `BootstrapResult` against the additive slack target at the
-reduced t (tail-kernel inverse at 1/(e*t)): its first trial is Raghavan's
-deterministic rounding by pessimistic estimators (JCSS 37, 1988) at base
-1 + delta, the deviation the target was certified at, and only when that
-misses the target does it retry categorical draws.  A run whose bootstrap
-takes no step and whose first trial meets the target never loads
+One path, `full_mip_pipeline`, in two layers.  `bootstrap_reduce` checks a
+raw fractional point, renormalizes each group to sum to exactly 1, and
+measures its column sparsity a, interaction width t and max load y*; it is
+the one entry that takes a raw point.  `las_vegas_mip` rounds the returned
+`BootstrapResult` against the additive slack target at t (tail-kernel
+inverse at 1/(e*t)): its first trial is Raghavan's deterministic rounding by
+pessimistic estimators (JCSS 37, 1988) at base 1 + delta, the deviation the
+target was certified at, and only when that misses the target does it retry
+categorical draws.  A run whose first trial meets the target never loads
 `numpy.random`.
-
-Logarithms in the bootstrap scalings are base 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,13 +32,6 @@ __all__ = [
     "bootstrap_reduce",
     "full_mip_pipeline",
 ]
-
-# Support-reduction constants.  The guarantees behind them are asymptotic and
-# leave them free: K0 bounds the easy regime's width from below, K1 sets the
-# row and group-sum envelopes, and a step draws at most BOOTSTRAP_TRIALS trials.
-BOOTSTRAP_K0 = 2.0
-BOOTSTRAP_K1 = 4.0
-BOOTSTRAP_TRIALS = 200
 
 # Largest deviation a target carries: the estimator's base 1 + delta then
 # has finite powers, and the sum of a group's weighted powers stays finite.
@@ -67,28 +55,15 @@ class MipTarget:
         return value <= math.ceil(self.target) + 1e-9
 
 
-@dataclass
-class BootstrapIteration:
-    t: int
-    y_star: float
-    case: str  # "large" (y* >= 1) or "small" (t^(-1/7) < y* < 1)
-    scale: float
-    trials: int
-    accepted: bool
-
-
-@dataclass
+@dataclass(frozen=True)
 class BootstrapResult:
     """What `las_vegas_mip` rounds: a checked point x and its a, t, y_star."""
 
-    x: np.ndarray  # the renormalized input, or the last point whose step lowered t
+    x: np.ndarray  # the input, each group renormalized to sum to 1
     a: int  # column sparsity on the support of x, at least 1
     t: int  # interaction width on the support of x, at least 1
     y_star: float  # max row load of x
-    t_trace: list[int]  # and y_trace: the input's, then each accepted step's, kept or not
-    y_trace: list[float]
-    iterations: list[BootstrapIteration] = field(default_factory=list)
-    stop_reason: str = ""
+    iterations: tuple = ()  # always empty, as no step is taken; perfbench counts it
 
 
 @dataclass(frozen=True)
@@ -280,104 +255,35 @@ def las_vegas_mip(instance: MipInstance, start: BootstrapResult, max_tries: int,
     )
 
 
-def _easy_regime(y_star: float, t: int, a: int) -> bool:
-    return y_star >= t ** (1.0 / 7.0) or t <= BOOTSTRAP_K0 or t <= a**4
+def bootstrap_reduce(instance: MipInstance, x_star) -> BootstrapResult:
+    """Check a fractional point, renormalize each group to sum to exactly 1,
+    and measure its a, t and y*.
 
-
-def _outer_cap(t: int) -> int:
-    """Most support-reduction steps from width t: ceil(log2 log2 max(t, 4)) + 2."""
-    return math.ceil(math.log2(math.log2(max(t, 4)))) + 2
-
-
-def bootstrap_reduce(instance: MipInstance, x_star, rng_seed) -> BootstrapResult:
-    """Shrink the support of a fractional solution while roughly preserving
-    row loads, by repeated scale-up / independent-round / renormalize steps.
-
-    Each step scales the current point (by y*^2 * log^5 t when y* >= 1, by
-    log^5 t / y* when t^(-1/7) < y* < 1), rounds every coordinate to floor
-    or ceiling independently, and accepts the trial only when all row loads
-    sit inside a multiplicative envelope and all group sums inside an
-    additive one.  An accepted trial is renormalized so that each group sums
-    to exactly 1.  The loop stops when the interaction width t reaches the
-    easy regime, when y* drops to t^(-1/7), when a step's trials are all
-    rejected, or when a step does not lower t.  The traces record every
-    accepted step; the returned point is the last one that lowered t.
+    The paper shrinks t first by scale-up / independent-round / renormalize
+    steps.  Those steps are not taken: on every point tried, a step never
+    lowered the max load that trial 0 then reaches (CHANGES.md), so the
+    point is rounded at the input's own width.
     """
     x = _checked_point(x_star, instance.n_cols, "slot")
     x = x / np.repeat(_group_totals(instance, x)[1], instance.group_sizes)
     a, t = _support_stats(instance, x)
-    y_star = float(instance.loads(x).max())
-    result = BootstrapResult(x=x, a=a, t=t, y_star=y_star, t_trace=[t], y_trace=[y_star])
-    rng = None  # built at the first step: most points are in the easy regime
-    for _ in range(_outer_cap(t)):
-        if _easy_regime(y_star, t, a):
-            result.stop_reason = "easy regime"
-            return result
-        if y_star <= t ** (-1.0 / 7.0):
-            result.stop_reason = "tiny fractional value"
-            return result
-        log_t = math.log2(t)
-        if y_star >= 1.0:
-            case = "large"
-            scale = y_star**2 * log_t**5
-            row_cap = y_star**3 * log_t**5 * (1.0 + BOOTSTRAP_K1 / (y_star**1.5 * log_t**2))
-            sum_slack = BOOTSTRAP_K1 * y_star * log_t**3
-        else:
-            case = "small"
-            scale = log_t**5 / y_star
-            row_cap = log_t**5 * (1.0 + BOOTSTRAP_K1 / log_t**2)
-            sum_slack = BOOTSTRAP_K1 * log_t**3 / math.sqrt(y_star)
-        if rng is None:
-            rng = np.random.default_rng([rng_seed, 0xB007])
-        scaled = scale * x
-        floors = np.floor(scaled)
-        fracs = scaled - floors
-        accepted = None
-        trials = 0
-        for _ in range(BOOTSTRAP_TRIALS):
-            trials += 1
-            z = floors + (rng.random(instance.n_cols) < fracs)
-            sums = np.add.reduceat(z, instance.offsets)  # exact: z is integral
-            if (np.all(instance.loads(z) <= row_cap) and np.all(np.abs(sums - scale) <= sum_slack)
-                    and np.all(sums > 0.0)):
-                accepted = z
-                break
-        result.iterations.append(BootstrapIteration(
-            t=t, y_star=y_star, case=case, scale=scale, trials=trials,
-            accepted=accepted is not None,
-        ))
-        if accepted is None:
-            result.stop_reason = "trial budget exhausted"
-            return result
-        x_next = accepted / np.repeat(sums, instance.group_sizes)
-        a_next, t_next = _support_stats(instance, x_next)
-        y_next = float(instance.loads(x_next).max())
-        result.t_trace.append(t_next)
-        result.y_trace.append(y_next)
-        if t_next >= t:
-            result.stop_reason = "t stopped decreasing"
-            return result
-        x, a, t, y_star = x_next, a_next, t_next, y_next
-        result.x, result.a, result.t, result.y_star = x, a, t, y_star
-    result.stop_reason = "outer iteration cap"
-    return result
+    return BootstrapResult(x=x, a=a, t=t, y_star=float(instance.loads(x).max()))
 
 
 def full_mip_pipeline(
     instance: MipInstance, x_star, rng_seed=0, max_tries: int = 10_000
 ) -> tuple[LasVegasReport, dict]:
-    """Bootstrap support reduction of the fractional point x_star, followed
-    by the Las Vegas rounding loop at the reduced point.
+    """Check and renormalize the fractional point x_star, then round it by
+    the Las Vegas loop.
 
     Returns the rounding report plus a JSON-ready summary comparing the
-    achieved value against the slack target at the final interaction width
+    achieved value against the slack target at the point's interaction width
     and against the sparsity-based target (which needs a >= 2 and a positive
     load to be finite; otherwise the width-based target is reported there too).
     """
-    boot = bootstrap_reduce(instance, x_star, rng_seed)
+    boot = bootstrap_reduce(instance, x_star)
     report = las_vegas_mip(instance, boot, max_tries, rng_seed)
-    y0 = boot.y_trace[0]
-    mu = min(y0, float(instance.m))
+    mu = min(boot.y_star, float(instance.m))
     if boot.a >= 2 and mu > 0.0:
         try:
             slack = mu * deviation_for_budget(mu, 1.0 / boot.a)
@@ -385,7 +291,7 @@ def full_mip_pipeline(
             # mu near the float range's floor: the bound at delta = 1/mu,
             # about e * mu, meets any budget 1/a, as in `mip_target`
             slack = 1.0
-        target_t44 = y0 + 1.0 + slack
+        target_t44 = boot.y_star + 1.0 + slack
     else:
         target_t44 = report.target.target
     summary = {
@@ -393,7 +299,7 @@ def full_mip_pipeline(
         "target_t42": report.target.target,
         "target_t44": target_t44,
         "trials_used": report.trials_used,
-        "t_trace": [int(v) for v in boot.t_trace],
+        "t_trace": [boot.t],
         "success": bool(report.success),
     }
     return report, summary

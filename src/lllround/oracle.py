@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cip import EstimatorState, RoundingScheme, make_estimator, make_scheme, success_lower_bound
-from .lp import ingest_solution
-from .mip import _support_stats
+import lllround
 from .model import CipInstance, MipInstance, serialize_instance
 from .tailbounds import binomial_real, elementary_symmetric
 
@@ -106,7 +104,7 @@ def _with_fixture(report: VerifyReport, check: str, instance, p, **args) -> Veri
     return report
 
 
-def _estimator_args(state: EstimatorState) -> dict:
+def _estimator_args(state: lllround.cip.EstimatorState) -> dict:
     return {"alpha": float(state.scheme.alpha), "lambdas": [float(v) for v in state.lambdas],
             "ks": [int(k) for k in state.ks]}
 
@@ -150,7 +148,7 @@ def _random_bit_chunks(p: np.ndarray, columns: np.ndarray):
     _check_mass(mass_parts, "outcome")
 
 
-def exact_event_probs(scheme: RoundingScheme, p, lambdas=None) -> ExactProbs:
+def exact_event_probs(scheme: lllround.cip.RoundingScheme, p, lambdas=None) -> ExactProbs:
     """Exact per-row failure probabilities, the probability every row holds,
     and (with budgets) the probability of full success, by enumerating every
     outcome of the bits that are still random.  Chunk sums are combined with
@@ -177,8 +175,9 @@ def exact_event_probs(scheme: RoundingScheme, p, lambdas=None) -> ExactProbs:
     return ExactProbs(row_fail=row_fail, all_clear=all_clear, success=success)
 
 
-def verify_phi_domination(state: EstimatorState) -> VerifyReport:
+def verify_phi_domination(state: lllround.cip.EstimatorState) -> VerifyReport:
     """Exact success probability must dominate the estimator value."""
+    from .cip import success_lower_bound
     phi = success_lower_bound(state)
     probs = exact_event_probs(state.scheme, state.p, lambdas=state.lambdas)
     assert probs.success is not None
@@ -187,9 +186,10 @@ def verify_phi_domination(state: EstimatorState) -> VerifyReport:
     return _with_fixture(report, "phi", state.scheme.instance, state.p, **_estimator_args(state))
 
 
-def verify_branch_inequality(state: EstimatorState, j: int) -> VerifyReport:
+def verify_branch_inequality(state: lllround.cip.EstimatorState, j: int) -> VerifyReport:
     """The estimator at p must not exceed its expectation over branching
     bit j to 0 or 1."""
+    from .cip import success_lower_bound
     pj = float(state.p[j])
     if pj in (0.0, 1.0):
         return VerifyReport(
@@ -212,7 +212,7 @@ def verify_branch_inequality(state: EstimatorState, j: int) -> VerifyReport:
 
 
 def verify_fkg_and_antifkg(
-    scheme: RoundingScheme,
+    scheme: lllround.cip.RoundingScheme,
     p,
     row_block,
     cond_rows,
@@ -329,6 +329,7 @@ def verify_extended_lll(instance: MipInstance, x_star, k: int) -> VerifyReport:
     no event occurs must be at least (d / (d + 1))^m.  An unmet premise is
     reported as such, never as a failure.
     """
+    from .mip import _support_stats
     if k < 1:
         raise ValueError("slack must be at least 1")
     x = np.asarray(x_star, dtype=float)
@@ -406,10 +407,12 @@ def replay_fixture(doc: dict, instance, relaxation) -> list[VerifyReport]:
         raise ValueError(f"no {check!r} check runs on a {type(instance).__name__}")
     p = np.array(_recorded_list(doc, "p"), dtype=float)
     if check == "lll":
+        from .lp import ingest_solution
         return [verify_extended_lll(instance, ingest_solution(instance, p).x,
                                     _recorded(doc, "k", integer=True))]
     if p.shape != (instance.n,) or not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p must be {instance.n} probabilities in [0, 1]")
+    from .cip import make_estimator, make_scheme
     scheme = make_scheme(instance, relaxation(), _recorded(doc, "alpha"))
     if check == "fkg":
         m, n = instance.shape

@@ -282,7 +282,7 @@ def test_criterion_08_las_vegas_meets_the_slack_target():
         inst = gen_hypergraph_partition(12, 10, 4, 2, seed)
         lp = solve_mip_lp(inst)
         assert lp.status == "optimal"
-        report = las_vegas_mip(inst, bootstrap_reduce(inst, lp.solution.x, seed), 10_000,
+        report = las_vegas_mip(inst, bootstrap_reduce(inst, lp.solution.x), 10_000,
                                rng_seed=seed)
         value = float((inst.a_matrix @ report.z).max())
         assert report.value == pytest.approx(value)

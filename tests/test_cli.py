@@ -85,6 +85,10 @@ class TestModuleLoading:
         ("import lllround", "lllround"),
         ("import lllround\nlllround.model.gen_set_cover(12, 20, 5, 2, 0)",
          "lllround lllround.model"),
+        # the README's quick start: the root searches its modules in
+        # dependency order, so a model name loads the model alone
+        ("from lllround import gen_set_cover\ngen_set_cover(12, 20, 5, 2, 0)",
+         "lllround lllround.model"),
     ])
     def test_the_package_root_loads_no_module_until_asked(self, run, loaded):
         assert run_and_list_modules(None, run)[-2] == loaded
@@ -93,6 +97,13 @@ class TestModuleLoading:
         lines = run_and_list_modules(["gen", "--kind", "set-cover", "--out", str(tmp_path / "i.json")])
         assert lines[-1].startswith("0 ")
         assert lines[-2] == "lllround lllround.cli lllround.model"
+
+    def test_verify_tail_loads_no_rounding_module(self, tmp_path):
+        inst = gen(tmp_path)
+        lines = run_and_list_modules(["verify", str(inst), "--which", "tail"])
+        assert lines[-1].startswith("0 ")
+        assert lines[-2] == ("lllround lllround.cli lllround.model lllround.oracle "
+                             "lllround.tailbounds")
 
     @pytest.mark.parametrize("kind, mode, loaded", [
         ("set-cover", "derandomize", "cip lp model tailbounds"),
@@ -381,14 +392,13 @@ class TestRound:
         assert doc["success"] is True
         assert "trials_used=" in capsys.readouterr().out
 
-    def test_mip_mode_runs_a_bootstrap_step(self, tmp_path, monkeypatch):
+    def test_mip_mode_rounds_a_wide_point_without_a_step(self, tmp_path):
         # Group 0 puts one slot on each of 16 rows; groups 1..15 each hold
         # one slot of weight 0.7 on rows 1..15.  The LP spreads group 0 over
         # all 16 rows (y* = 0.71875, t = 16, column sparsity 1), outside the
-        # bootstrap's easy regime, so one support-reduction step runs; it
-        # does not lower t.
-        import lllround.mip as mip_module
-
+        # paper's easy regime.  No support-reduction step runs, so the trace
+        # holds the input's width alone, trial 0 meets the target, and no
+        # generator module loads.
         a = np.zeros((16, 31))
         for i in range(16):
             a[i, i] = 1.0
@@ -398,18 +408,15 @@ class TestRound:
         assert solve_mip_lp(instance).objective == pytest.approx(0.71875)
         path = tmp_path / "spread.json"
         path.write_text(serialize_instance(instance))
-        steps = []
-        real = mip_module.bootstrap_reduce
-        monkeypatch.setattr(mip_module, "bootstrap_reduce",
-                            lambda *args: steps.append(real(*args)) or steps[-1])
         out = tmp_path / "spread-round.json"
-        assert main(["round", str(path), "--mode", "mip", "--out", str(out)]) == 0
+        lines = run_and_list_modules(["round", str(path), "--mode", "mip", "--out", str(out)])
+        assert lines[-1] == "0 False False"
         doc = json.loads(out.read_text())
-        assert doc["t_trace"] == [16, 16]
+        assert doc["t_trace"] == [16]
+        assert doc["value"] == 1.0
+        assert doc["target_t42"] == 5.71875
+        assert doc["trials_used"] == 1
         assert doc["success"] is True
-        [result] = steps
-        assert result.y_trace[0] == pytest.approx(0.71875)
-        assert [it.accepted for it in result.iterations] == [True]
 
     def test_bootstrap_mode_is_gone(self, tmp_path):
         graph = gen(tmp_path, kind="hypergraph", name="graph.json")
@@ -711,12 +718,12 @@ class TestVerify:
     def test_injected_fault_writes_fixture_and_fixture_replays_clean(
         self, tmp_path, capsys, monkeypatch
     ):
-        import lllround.oracle as oracle_module
+        import lllround.cip as cip_module
 
-        real = oracle_module.success_lower_bound
+        real = cip_module.success_lower_bound
         for inst in (gen(tmp_path), two_cost(tmp_path)):
             fixture_path = tmp_path / f"bad-{inst.name}"
-            monkeypatch.setattr(oracle_module, "success_lower_bound", lambda state: 2.0)
+            monkeypatch.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
             code = main(["verify", str(inst), "--which", "phi", "--out", str(fixture_path)])
             assert code == 1
             stdout = capsys.readouterr().out
@@ -729,13 +736,13 @@ class TestVerify:
             assert fixture["lambdas"] == lambdas
             assert fixture["ks"] == ks
 
-            monkeypatch.setattr(oracle_module, "success_lower_bound", real)
+            monkeypatch.setattr(cip_module, "success_lower_bound", real)
             assert main(["verify", str(fixture_path)]) == 0
             replay_out = capsys.readouterr().out
             assert "PASS" in replay_out and "FAIL" not in replay_out
 
         # a fixture that cannot be written exits 2 with one line
-        monkeypatch.setattr(oracle_module, "success_lower_bound", lambda state: 2.0)
+        monkeypatch.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
         for out, reason in ((tmp_path / "absent" / "f.json", "No such file or directory"),
                             (tmp_path, "Is a directory")):
             assert main(["verify", str(inst), "--which", "phi", "--out", str(out)]) == 2
@@ -839,7 +846,7 @@ class TestVerify:
         graph = gen(tmp_path, "--n-verts", "30", "--n-edges", "30", kind="hypergraph", seed=0)
         instance = parse_instance(graph.read_text())
         x = solve_mip_lp(instance).solution.x
-        slack = las_vegas_mip(instance, bootstrap_reduce(instance, x, 0), 1, 0).target.k
+        slack = las_vegas_mip(instance, bootstrap_reduce(instance, x), 1, 0).target.k
         seen = []
         real = oracle_module.verify_extended_lll
         monkeypatch.setattr(oracle_module, "verify_extended_lll",
@@ -854,6 +861,7 @@ class TestVerify:
     def test_every_fixture_replays_the_check_that_wrote_it(
         self, tmp_path, capsys, monkeypatch, check
     ):
+        import lllround.cip as cip_module
         import lllround.oracle as oracle_module
 
         if check == "lll":
@@ -870,10 +878,10 @@ class TestVerify:
         fixture_path = tmp_path / "bad.json"
         with monkeypatch.context() as forced:
             if check == "phi":
-                forced.setattr(oracle_module, "success_lower_bound", lambda state: 2.0)
+                forced.setattr(cip_module, "success_lower_bound", lambda state: 2.0)
             elif check == "branch":  # both branches price below 0
-                value = oracle_module.success_lower_bound
-                forced.setattr(oracle_module, "success_lower_bound", lambda state: value(state)
+                value = cip_module.success_lower_bound
+                forced.setattr(cip_module, "success_lower_bound", lambda state: value(state)
                                if np.array_equal(state.p, state.scheme.frac) else -1.0)
             else:
                 forced.setattr(oracle_module, "INEQ_TOL", -2.0)

@@ -194,10 +194,10 @@ class TestIngestSolution:
         except InfeasibleError as exc:
             assert not feasible
             with pytest.raises(InfeasibleError, match=re.escape(str(exc))):
-                bootstrap_reduce(inst, x, 0)
+                bootstrap_reduce(inst, x)
         else:
             assert feasible
-            bootstrap_reduce(inst, x, 0)
+            bootstrap_reduce(inst, x)
         # a cover point short of a demand: the same error from both
         cover = CipInstance.create(np.eye(2), np.ones(2), [np.ones(2)])
         with pytest.raises(InfeasibleError) as ingested:

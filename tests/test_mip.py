@@ -1,8 +1,7 @@
 """Minimax rounding: slack targets, categorical draws, the retry loop, and
-support reduction."""
+the point check."""
 
 import dataclasses
-import hashlib
 import itertools
 import math
 
@@ -202,7 +201,7 @@ class TestGroupRound:
 
 def start_at(instance, x):
     """The `BootstrapResult` that `las_vegas_mip` rounds, from the point x."""
-    return bootstrap_reduce(instance, x, rng_seed=0)
+    return bootstrap_reduce(instance, x)
 
 
 def impossible_targets(monkeypatch):
@@ -411,29 +410,21 @@ class TestRawPointChecks:
     def test_input_validation(self, entry):
         inst = single_group_identity(3)
         with pytest.raises(ValueError, match="sum to"):
-            entry(inst, [0.5, 0.4, 0.2], 0)
+            entry(inst, [0.5, 0.4, 0.2])
         with pytest.raises(ValueError, match="nonnegative"):
-            entry(inst, [1.2, -0.2, 0.0], 0)
+            entry(inst, [1.2, -0.2, 0.0])
         with pytest.raises(ValueError, match="expected 3 values"):
-            entry(inst, [0.5, 0.5], 0)
+            entry(inst, [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_weights(self, entry, bad):
         with pytest.raises(ValueError, match=f"finite, got {bad} at slot 1"):
-            entry(single_group_identity(3), [0.5, bad, 0.5], 0)
+            entry(single_group_identity(3), [0.5, bad, 0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, entry, bad):
         with pytest.raises(ValueError, match=f"finite, got {bad} at slot 2"):
-            entry(disjoint_pairs(), [0.5, 0.5, bad, 0.5], 0)
-
-
-def bootstrap_digest(result) -> str:
-    """sha256 of the returned point's bytes and of both traces' bytes."""
-    digest = hashlib.sha256()
-    for part in (result.x, np.array(result.t_trace), np.array(result.y_trace)):
-        digest.update(part.tobytes())
-    return digest.hexdigest()
+            entry(disjoint_pairs(), [0.5, 0.5, bad, 0.5])
 
 
 def count_generators(monkeypatch) -> list:
@@ -452,130 +443,58 @@ def count_generators(monkeypatch) -> list:
 
 
 def flat_width_case():
-    """One 16-slot group whose one small-value step is accepted but keeps t."""
+    """One 16-slot group, outside the paper's easy regime (t = 16, y* =
+    0.8 < 16^(1/7)), where a support-reduction step used to run."""
     x = np.full(16, 0.2 / 15)
     x[0] = 0.8
-    return single_group_identity(16), x, 1
+    return single_group_identity(16), x
 
 
 def two_step_case():
     """Two groups of four slots on the same four rows; each group puts 0.005
-    on three slots, which the first scaled rounding mostly zeroes."""
+    on three slots, which two support-reduction steps used to zero."""
     a = np.zeros((4, 8))
     for g in range(2):
         for j in range(4):
             a[j, 4 * g + j] = 1.0
     x = np.array([0.985, 0.005, 0.005, 0.005, 0.005, 0.005, 0.005, 0.985])
-    return MipInstance.create(a, [4, 4]), x, 3
+    return MipInstance.create(a, [4, 4]), x
+
+
+BOOTSTRAP_CASES = ["easy", "flat-width", "two-step"]
+
+
+def bootstrap_case(case):
+    if case == "easy":
+        inst = random_mip(0)
+        return inst, uniform_group_weights(inst)
+    return flat_width_case() if case == "flat-width" else two_step_case()
 
 
 class TestBootstrap:
-    def test_small_instance_is_already_easy(self, monkeypatch):
-        inst = random_mip(0)
-        x = uniform_group_weights(inst)
+    @pytest.mark.parametrize("case", BOOTSTRAP_CASES)
+    def test_takes_no_step_and_builds_no_generator(self, monkeypatch, case):
+        inst, x = bootstrap_case(case)
         generators_built = count_generators(monkeypatch)
-        result = bootstrap_reduce(inst, x, rng_seed=0)
-        assert result.stop_reason == "easy regime"
-        assert result.iterations == []
-        assert len(result.t_trace) == 1
+        result = bootstrap_reduce(inst, x)
+        assert result.iterations == ()
         assert result.x == pytest.approx(x)
-        assert generators_built == []  # no step, so no generator
+        assert generators_built == []
 
-    def test_small_value_case_accepts_and_stops_on_flat_width(self, monkeypatch):
-        inst, x, seed = flat_width_case()
-        generators_built = count_generators(monkeypatch)
-        result = bootstrap_reduce(inst, x, rng_seed=seed)
-        assert generators_built == [[1, 0xB007]]
-        # the generator's stream, pinned: the step's y is its first draws
-        assert bootstrap_digest(result) == (
-            "a5dc512676c943182240fcdec297f887c906bb13e650390176139f5a98e7bd0d")
-        assert result.stop_reason == "t stopped decreasing"
-        assert len(result.iterations) == 1
-        it = result.iterations[0]
-        assert it.case == "small"
-        assert it.accepted
-        assert it.scale == pytest.approx(math.log2(16) ** 5 / 0.8, rel=1e-9)
-        assert result.t_trace == [16, 16]
-        assert len(result.y_trace) == 2
-        # the step kept t, so the point returned is the input, not the step's
-        assert result.x == pytest.approx(x)
-        assert result.a == mip_module._support_stats(inst, x)[0]
-        assert result.x.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_accepted_steps_renormalize_every_group_to_one(self):
-        inst, x, seed = two_step_case()
-        result = bootstrap_reduce(inst, x, rng_seed=seed)
-        assert bootstrap_digest(result) == (
-            "cdf76da6935e3665970fb519b7109593121aae6101104108e244b543e26dda9b")
-        assert result.t_trace == [4, 3, 2]
-        assert [it.accepted for it in result.iterations] == [True, True]
-        assert result.stop_reason == "easy regime"
-        assert not np.allclose(result.x, x)
-        for g in range(inst.n_groups):
-            assert abs(result.x[inst.group_slice(g)].sum() - 1.0) <= 1e-12
-        assert float(inst.loads(result.x).max()) == pytest.approx(result.y_trace[-1])
-        assert (result.a, result.t_trace[-1]) == mip_module._support_stats(inst, result.x)
-
-    @pytest.mark.parametrize("case", ["easy", "flat-width", "two-step"])
+    @pytest.mark.parametrize("case", BOOTSTRAP_CASES)
     def test_width_and_load_are_those_of_the_returned_point(self, case):
-        if case == "easy":
-            inst = random_mip(0)
-            x, seed = uniform_group_weights(inst), 0
-        else:
-            inst, x, seed = flat_width_case() if case == "flat-width" else two_step_case()
-        result = bootstrap_reduce(inst, x, rng_seed=seed)
-        assert result.t == mip_module._support_stats(inst, result.x)[1]
+        inst, x = bootstrap_case(case)
+        result = bootstrap_reduce(inst, x)
+        assert (result.a, result.t) == mip_module._support_stats(inst, result.x)
         assert result.y_star == float(inst.loads(result.x).max())
         if case == "flat-width":
-            # the step's point was dropped, so the traces end past the
-            # returned point; its support, and so t, could not grow
-            assert result.stop_reason == "t stopped decreasing"
-            assert result.y_star == result.y_trace[-2] != result.y_trace[-1]
-            assert result.t == result.t_trace[-2] == result.t_trace[-1]
-        else:
-            assert (result.t, result.y_star) == (result.t_trace[-1], result.y_trace[-1])
-
-    def test_large_value_case_is_deterministic_on_integral_scaling(self):
-        # Four groups, slot j of each group on row j: uniform weights load
-        # every row by 1, and the scale 1 * log2(4)^5 = 32 makes every scaled
-        # coordinate integral, so the first trial is accepted as-is and the
-        # renormalized point equals the input.
-        a = np.zeros((4, 16))
-        for g in range(4):
-            for j in range(4):
-                a[j, 4 * g + j] = 1.0
-        inst = MipInstance.create(a, [4, 4, 4, 4])
-        x = np.full(16, 0.25)
-        result = bootstrap_reduce(inst, x, rng_seed=9)
-        assert result.stop_reason == "t stopped decreasing"
-        it = result.iterations[0]
-        assert it.case == "large"
-        assert it.scale == 32.0
-        assert it.trials == 1 and it.accepted
-        assert result.x == pytest.approx(x)
-
-    def test_rejecting_every_trial_reports_exhaustion(self, monkeypatch):
-        # The group sum after rounding is an integer, but the scale has
-        # fractional part bounded away from 0; with a hair-thin sum envelope
-        # no trial can be accepted.
-        inst = single_group_identity(17)
-        x = np.full(17, 0.2 / 16)
-        x[0] = 0.8
-        scale = math.log2(17) ** 5 / 0.8
-        assert min(scale % 1.0, 1.0 - scale % 1.0) > 1e-3
-        monkeypatch.setattr(mip_module, "BOOTSTRAP_K1", 1e-9)
-        result = bootstrap_reduce(inst, x, rng_seed=5)
-        assert result.stop_reason == "trial budget exhausted"
-        assert len(result.iterations) == 1
-        assert result.iterations[0].trials == 200
-        assert not result.iterations[0].accepted
-        assert result.x == pytest.approx(x / x.sum())
+            assert (result.a, result.t) == (1, 16)
+            assert result.y_star == pytest.approx(0.8)
 
     @pytest.mark.parametrize("case", ["small-groups", "wide-groups"])
     def test_input_is_renormalized_group_by_group(self, case):
         # groups of 8 or more slots are summed in another order by a
-        # segment-wise `np.add.reduceat` than by their 1-D sum; a dense
-        # matrix (t = a) keeps the wide instance in the easy regime
+        # segment-wise `np.add.reduceat` than by their 1-D sum
         rng = np.random.default_rng(5)
         if case == "small-groups":
             inst = random_mip(5)
@@ -591,24 +510,17 @@ class TestBootstrap:
             for g in range(inst.n_groups):
                 sl = inst.group_slice(g)
                 expected[sl] = x[sl] / x[sl].sum()
-            result = bootstrap_reduce(inst, x, rng_seed=0)
-            assert result.stop_reason == "easy regime"
-            np.testing.assert_array_equal(result.x, expected)
+            np.testing.assert_array_equal(bootstrap_reduce(inst, x).x, expected)
 
     def test_group_sums_must_be_one(self):
         inst = single_group_identity(3)
         with pytest.raises(ValueError, match="group 0 weights sum"):
-            bootstrap_reduce(inst, [0.5, 0.3, 0.1], 0)
+            bootstrap_reduce(inst, [0.5, 0.3, 0.1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_points(self, bad):
         with pytest.raises(ValueError, match=f"finite, got {bad} at slot 0"):
-            bootstrap_reduce(single_group_identity(3), [bad, 0.5, 0.5], 0)
-
-    def test_outer_cap(self):
-        assert mip_module._outer_cap(2) == 3
-        assert mip_module._outer_cap(16) == 4
-        assert mip_module._outer_cap(2**16) == 6
+            bootstrap_reduce(single_group_identity(3), [bad, 0.5, 0.5])
 
 
 class TestFullPipeline:
@@ -622,7 +534,7 @@ class TestFullPipeline:
             monkeypatch.setattr(mip_module, name, counting)
         inst = random_mip(0)
         report, summary = full_mip_pipeline(inst, uniform_group_weights(inst))
-        assert summary["t_trace"] == [report.target.t]  # the easy regime: no step
+        assert summary["t_trace"] == [report.target.t]
         assert calls == {"_checked_point": 1, "_support_stats": 1}
 
     def test_loads_that_underflow_to_zero_take_the_width_target(self):

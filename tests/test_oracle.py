@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import lllround.cip as cip_module
 import lllround.oracle as oracle_module
 from lllround import (
     BudgetExceeded,
@@ -142,7 +143,7 @@ class TestPhiDomination:
 
     def test_injected_fault_produces_a_replayable_counterexample(self, monkeypatch):
         state = qualified_state(0)
-        monkeypatch.setattr(oracle_module, "success_lower_bound", lambda s: 2.0)
+        monkeypatch.setattr(cip_module, "success_lower_bound", lambda s: 2.0)
         report = verify_phi_domination(state)
         assert not report.passed
         fixture = report.counterexample

@@ -9,7 +9,7 @@ from pathlib import Path
 import lllround
 from lllround import cip, lp, mip, model, oracle, tailbounds
 
-MODULES = (cip, lp, mip, model, oracle, tailbounds)
+MODULES = (model, tailbounds, lp, cip, mip, oracle)
 
 
 def test_public_names_are_the_union_of_the_module_lists():
@@ -28,6 +28,19 @@ def test_the_root_reaches_every_library_module():
     files = {path.stem for path in Path(lllround.__file__).parent.glob("*.py")}
     assert sorted(lllround._MODULES) == sorted(files - {"__init__", "cli"})
     assert lllround._MODULES == tuple(module.__name__.removeprefix("lllround.") for module in MODULES)
+
+
+def test_library_modules_import_only_modules_before_them_at_their_top():
+    # the root searches _MODULES in order for a public name, so that order
+    # must be a dependency order: a later module imported at the top of an
+    # earlier one would load with every name of the earlier one
+    package = Path(lllround.__file__).parent
+    for position, name in enumerate(lllround._MODULES):
+        for node in ast.parse((package / f"{name}.py").read_text()).body:
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            for target in [node.module] if node.module else [a.name for a in node.names]:
+                assert target in lllround._MODULES[:position], f"{name}.py imports .{target}"
 
 
 def test_the_root_lists_its_modules_and_names_and_no_others():
