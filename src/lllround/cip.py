@@ -16,6 +16,7 @@ the floor cost first (see `choose_parameters`).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -51,9 +52,19 @@ BRANCH_TOL = 1e-9
 # subsets at each order i <= k of the bits T that meet an unsatisfied row, so
 # the cap bounds it; ceil(ln 2l) first exceeds it at l = 202 cost vectors.
 SUBSET_ORDER_CAP = 6
-# Both parameter scans' factors: 1.02^i in [1, 64], each 1.02 times the last
+# Both parameter searches' factors: 1.02^i in [1, 64], each 1.02 times the last
 _SCALE_GRID = tuple(itertools.takewhile(lambda k: k <= 64.0 * 1.0000001, itertools.accumulate(
     itertools.repeat(1.02), operator.mul, initial=1.0)))
+
+
+def _least_grid_index(holds) -> int | None:
+    """The least index of `_SCALE_GRID` whose factor meets `holds`, a
+    predicate false below some factor and true from it on; None if it fails
+    at the top.  Checks the top, then bisects: at most 9 calls for 211
+    factors."""
+    if not holds(_SCALE_GRID[-1]):
+        return None
+    return bisect.bisect_left(_SCALE_GRID, True, hi=len(_SCALE_GRID) - 1, key=holds)
 
 
 class EstimatorError(RuntimeError):
@@ -163,32 +174,35 @@ def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
     """Cheapest (alpha, beta) with beta * (1 - q)^a > 1, q the per-row
     failure bound after scaling by alpha.
 
-    Scans K over the scale grid through two parameter families —
-    (K * ln(a+1)/B, 2) and the symmetric (1 + K * sqrt(ln(a+1)/B)) pair — and
-    keeps the valid pair with the smallest product; past B of about 1e35
-    every alpha rounds to 1 and none is valid (ParameterError).  Results are
-    memoized per (a, B) in a bounded LRU cache; invalid arguments raise on
-    every call.
+    Two parameter families over the scale grid's factors K,
+    (K * ln(a+1)/B, 2) and the symmetric (1 + K * sqrt(ln(a+1)/B)) pair,
+    are each valid from some K on and dearer as K grows, so each offers its
+    least valid pair (`_least_grid_index`).  The cheaper one wins; on equal
+    products the smaller K, then the first family.  Past B of about 1e35
+    every alpha rounds to 1 and none is valid (ParameterError).  Results
+    are memoized per (a, B) in a bounded LRU cache; invalid arguments raise
+    on every call.
     """
     if a < 1:
         raise ValueError(f"column sparsity must be at least 1, got {a}")
     if min_demand < 1.0:
         raise ValueError(f"demand must be at least 1, got {min_demand}")
     eps = math.log(a + 1.0) / min_demand
-    best: tuple[float, float] | None = None
-    best_product = math.inf
-    for k in _SCALE_GRID:
-        sym = 1.0 + k * math.sqrt(eps)
-        for alpha, beta in ((k * eps, 2.0), (sym, sym)):
-            if alpha <= 1.0 or beta <= 1.0:
-                continue
-            q = lower_tail_bound(min_demand, alpha)
-            if beta * (1.0 - q) ** a > 1.0 and alpha * beta < best_product:
-                best = (alpha, beta)
-                best_product = alpha * beta
-    if best is None:
+    families = (lambda k: (k * eps, 2.0), lambda k: (1.0 + k * math.sqrt(eps),) * 2)
+
+    def valid(alpha: float, beta: float) -> bool:
+        return (alpha > 1.0 and beta > 1.0
+                and beta * (1.0 - lower_tail_bound(min_demand, alpha)) ** a > 1.0)
+
+    offers = []
+    for rank, family in enumerate(families):
+        index = _least_grid_index(lambda k: valid(*family(k)))
+        if index is not None:
+            alpha, beta = family(_SCALE_GRID[index])
+            offers.append((alpha * beta, index, rank, alpha, beta))
+    if not offers:
         raise ParameterError("no valid scale pair in the searched grid")
-    return best
+    return min(offers)[3:]
 
 
 def standard_round(scheme: RoundingScheme, rng_seed) -> RoundedSolution:
@@ -274,9 +288,10 @@ class _BudgetTerms:
 def _budget_terms(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
                   p: np.ndarray) -> _BudgetTerms:
     """The budget terms at bit probabilities p.  A bit with p_j = 0 enters
-    no term, and only the subsets of the random bits that meet an
-    unsatisfied row are enumerated, with their rows."""
-    n, u = scheme.instance.n, scheme.unsatisfied.size
+    no term.  The subset table enumerates the subsets of the random bits
+    that meet an unsatisfied row, with their rows (`_subset_table`); with no
+    such bit it is empty, of the same shapes and dtypes, and nothing is
+    enumerated."""
     costs, random = np.stack(scheme.instance.costs), p > 0.0
     # with no positive-cost random bit a term subtracts nothing; only then
     # may a budget of order 1 be 0
@@ -284,8 +299,7 @@ def _budget_terms(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
         if lam <= 0.0 and weighed:
             raise ParameterError(f"budget must be positive, got {lam}")
     weights = costs * p
-    degree = np.diff(scheme.col_ptr)
-    meets = degree > 0
+    meets = np.diff(scheme.col_ptr) > 0
     free = np.flatnonzero(random & ~meets)
     free = free[np.argsort(p[free] == 1.0, kind="stable")]  # the order they are fixed at 0
     k, i = int(ks.max()), np.arange(ks.max() + 1)
@@ -293,13 +307,31 @@ def _budget_terms(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
     # B_i's coefficient in cost t's term: e_{k_t - i} of the free weights, 0 above k_t
     free_factors = (esym[:, np.arange(ks.size)[:, None], np.maximum(ks[:, None] - i, 0)]
                     * (i <= ks[:, None]))
+    # positive, as lam >= k above order 1; 1 spares an empty term 0/0
+    denoms = np.array([binomial_real(float(lam), int(kt)) if lam != 0.0 else 1.0
+                       for lam, kt in zip(lambdas, ks)])
+    branched = np.flatnonzero(random & meets).tolist()
+    if branched:
+        return _BudgetTerms(denoms, free_factors, *_subset_table(scheme, weights, ks, branched))
+    empty = np.empty(0, dtype=np.int64)
+    return _BudgetTerms(denoms, free_factors, empty.reshape(0, k), np.empty((0, k + 1)),
+                        np.empty((ks.size, 0)), empty, empty)
+
+
+def _subset_table(scheme: RoundingScheme, weights: np.ndarray, ks: np.ndarray,
+                  branched: list[int]) -> tuple[np.ndarray, ...]:
+    """(cols, one_hot, log_w, flat_rows, owner) of `_BudgetTerms` over the
+    subsets of order 1 to max k_t of the `branched` bits, at bit weights
+    (costs, n)."""
+    n, u = scheme.instance.n, scheme.unsatisfied.size
+    degree = np.diff(scheme.col_ptr)
+    k, i = int(ks.max()), np.arange(ks.max() + 1)
     # each column's unsatisfied rows, padded with the sentinel u; row n pads
     # the subsets below order k
     padded = np.full((n + 1, int(degree.max(initial=0))), u, dtype=np.int64)
     entry_cols = np.repeat(np.arange(n), degree)
     depth = np.arange(scheme.col_slots.size) - scheme.col_ptr[entry_cols]
     padded[entry_cols, depth] = scheme.col_slots
-    branched = np.flatnonzero(random & meets).tolist()
     cols = np.fromiter(itertools.chain.from_iterable(
         subset + (n,) * (k - size)
         for size in range(1, k + 1) for subset in itertools.combinations(branched, size)
@@ -313,11 +345,7 @@ def _budget_terms(scheme: RoundingScheme, lambdas: np.ndarray, ks: np.ndarray,
     with np.errstate(divide="ignore"):  # a subset holding a bit of cost 0 weighs exactly 0
         log_w = np.log(np.hstack([weights, np.ones((ks.size, 1))])[:, cols]).sum(axis=2)
     log_w[order > ks[:, None]] = -np.inf
-    # positive, as lam >= k above order 1; 1 spares an empty term 0/0
-    denoms = np.array([binomial_real(float(lam), int(kt)) if lam != 0.0 else 1.0
-                       for lam, kt in zip(lambdas, ks)])
-    return _BudgetTerms(denoms, free_factors, cols, (order[:, None] == i).astype(float), log_w,
-                        rows[keep], np.nonzero(keep)[0])
+    return cols, (order[:, None] == i).astype(float), log_w, rows[keep], np.nonzero(keep)[0]
 
 
 @dataclass(frozen=True)
@@ -426,12 +454,15 @@ def multicriteria_params(objective_values, a: int, min_demand: float) -> float:
 
     `objective_values` are the pre-scale fractional objectives y*_t; the
     implied means scale with the returned alpha, and each budget is meant to
-    be 3x the scaled mean (relative overflow 2).  The scan multiplies the
-    base scale by each factor of the scale grid (1.02^i in [1, 64]) until
-    the closed-form start bound goes positive; failing that, the instance
-    family is too tight and a ParameterError suggests remedies.  The scan
-    runs on Python floats: the costs are few, and numpy calls on so short
-    an array cost more than the arithmetic.
+    be 3x the scaled mean (relative overflow 2).  Alpha is the base scale
+    times the least factor of the scale grid (1.02^i in [1, 64]) at which
+    the closed-form start bound goes positive, found by bisection
+    (`_least_grid_index`): the bound's subtracted sum falls as alpha rises.
+    Where its inflate (1 - q)^(-a k) passes the float range, alpha is not
+    valid.  If no factor is valid, the instance family is too tight and a
+    ParameterError suggests remedies.  The predicate runs on Python floats:
+    the costs are few, and numpy calls on so short an array cost more than
+    the arithmetic.
     """
     values = [float(y) for y in objective_values]
     if not values:
@@ -442,25 +473,31 @@ def multicriteria_params(objective_values, a: int, min_demand: float) -> float:
     k = _subset_order(ell)
     base = max((math.log(a) + math.log(math.log(2.0 * ell))) / min_demand, 1.0)
     k_factorial = math.factorial(k)
-    chosen = None
-    for factor in _SCALE_GRID:
+
+    def valid(factor: float) -> bool:
         alpha = factor * base
-        if alpha > 1.0:
-            q = lower_tail_bound(min_demand, alpha)
-            nus = [alpha * y for y in values]
-            if all(3.0 * nu > k - 1 for nu in nus):
-                inflate = (1.0 - q) ** (-a * k)
-                total = 0.0
-                for nu in nus:
-                    total += nu**k / k_factorial / binomial_real(3.0 * nu, k) * inflate
-                if total < 1.0:
-                    chosen = alpha
-                    break
-    if chosen is None:
+        if alpha <= 1.0:
+            return False
+        q = lower_tail_bound(min_demand, alpha)
+        nus = [alpha * y for y in values]
+        if not all(3.0 * nu > k - 1 for nu in nus):
+            return False
+        try:
+            inflate = (1.0 - q) ** (-a * k)
+        except (OverflowError, ZeroDivisionError):  # past the float range
+            return False
+        total = 0.0
+        for nu in nus:
+            total += nu**k / k_factorial / binomial_real(3.0 * nu, k) * inflate
+        return total < 1.0
+
+    index = _least_grid_index(valid)
+    if index is None:
         raise ParameterError(
             "no scale factor up to 64x the base makes the start bound positive; "
             "increase the demands or reduce the column sparsity"
         )
+    chosen = _SCALE_GRID[index] * base
     threshold = math.log2(2.0 * ell) ** 2
     if any(chosen * y < threshold for y in values):
         warnings.warn(
@@ -718,10 +755,15 @@ def round_cip(instance: CipInstance, x, alpha: float | None = None, beta: float 
     """End-to-end deterministic rounding of a feasible fractional cover, with
     the parameters from `choose_parameters`.
 
-    Returns (solution, info dict with the parameters used).
+    Returns (solution, info dict): the parameters used, and the work counts
+    `evaluations` (estimator values priced), `table_subsets` (rows of the
+    shared subset table) and `branched_bits` (random bits that meet an
+    unsatisfied row).
     """
     scheme, lambdas, ks, info = choose_parameters(instance, x, alpha, beta, total_budgets)
     state = make_estimator(scheme, lambdas, ks)
     solution = derandomize(state)
     info["evaluations"] = solution.evaluations
+    info["table_subsets"] = int(state.budget.cols.shape[0])
+    info["branched_bits"] = int(np.count_nonzero((state.p > 0.0) & (np.diff(scheme.col_ptr) > 0)))
     return solution, info

@@ -10,6 +10,7 @@ picks exactly one column per group, and minimizes the maximum row load.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 DEMAND_INTEGRALITY_TOL = 1e-9
+INDEX_MAX = int(np.iinfo(np.int64).max)  # of every index and dimension
 # A supplied fractional point may miss a demand or a group sum by this much.
 POINT_TOL = 1e-6
 
@@ -79,11 +81,20 @@ def _checked_point(x, n: int, what: str) -> np.ndarray:
 
 def _matrix_fields(shape, rows, cols, vals) -> dict:
     """Check the (row, col)-sorted nonzero triplets of an m x n matrix with
-    entries in (0, 1], and derive the row pointer."""
+    entries in (0, 1], and derive the row pointer.  Indices are int64, so
+    m, n and every triplet index must fit in it."""
     m, n = (int(d) for d in shape)
     if m < 1 or n < 1:
         raise InstanceError("instance needs at least one row and one column")
-    rows, cols = (_frozen(np.asarray(v, dtype=np.int64).reshape(-1)) for v in (rows, cols))
+    if max(m, n) > INDEX_MAX:
+        raise InstanceError(f"the {m} x {n} matrix passes the int64 index range")
+    try:
+        rows, cols = (_frozen(np.asarray(v, dtype=np.int64).reshape(-1)) for v in (rows, cols))
+    except OverflowError:  # an index past int64, so outside the matrix
+        pos, (i, j) = next((pos, ij) for pos, ij in enumerate(zip(rows, cols))
+                           if not (0 <= ij[0] < m and 0 <= ij[1] < n))
+        raise InstanceError(f"triplet {pos} at ({i}, {j}) lies outside the {m} x {n} "
+                            "matrix") from None
     vals = _frozen(np.asarray(vals, dtype=float).reshape(-1))
     if not rows.shape == cols.shape == vals.shape:
         raise InstanceError("need one row, one column and one value per triplet")
@@ -95,11 +106,12 @@ def _matrix_fields(shape, rows, cols, vals) -> dict:
     if bad.size:
         raise InstanceError(f"triplet {bad[0]} has value {vals[bad[0]]}: constraint entries "
                             "must lie in [0, 1], and zero entries are omitted")
-    keys = rows * n + cols
-    step = np.flatnonzero(np.diff(keys) <= 0)
+    # by (row, col) pairs, not a key row * n + col, which passes int64 with m * n
+    row_step, col_step = np.diff(rows), np.diff(cols)
+    step = np.flatnonzero((row_step < 0) | ((row_step == 0) & (col_step <= 0)))
     if step.size:
         pos = step[0] + 1
-        if keys[pos] == keys[pos - 1]:
+        if row_step[pos - 1] == col_step[pos - 1] == 0:
             raise InstanceError(f"triplet {pos} duplicates ({rows[pos]}, {cols[pos]})")
         raise InstanceError("triplets must be sorted by (row, col)")
     row_ptr = _frozen(np.searchsorted(rows, np.arange(m + 1)))
@@ -224,14 +236,17 @@ class MipInstance(_SparseMatrix):
         sizes = tuple(int(s) for s in group_sizes)
         if not sizes or min(sizes) < 1:
             raise InstanceError("need at least one group, and every group needs at least one slot")
+        ends = tuple(itertools.accumulate(sizes))
+        past = next((g for g, end in enumerate(ends) if end > INDEX_MAX), None)
+        if past is not None:
+            raise InstanceError(f"group sizes pass the int64 index range at group {past}")
         matrix = _matrix_fields(shape, rows, cols, vals)
-        if sum(sizes) != matrix["shape"][1]:
+        if ends[-1] != matrix["shape"][1]:
             raise InstanceError(
-                f"group sizes sum to {sum(sizes)} but the matrix has "
+                f"group sizes sum to {ends[-1]} but the matrix has "
                 f"{matrix['shape'][1]} columns"
             )
-        offsets = tuple(int(o) for o in np.cumsum((0,) + sizes[:-1]))
-        return cls(**matrix, group_sizes=sizes, offsets=offsets)
+        return cls(**matrix, group_sizes=sizes, offsets=(0,) + ends[:-1])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ Each subset's rows are one `np.unique` over its columns' rows, each
 segment sum is a difference of one global cumsum, and the row bounds are
 one loop over the rows.  `reference_multicriteria_params` is the
 multicriteria factor scan in its numpy form, over an array of the scaled
-means.  `standard_certificate` is the closed-form start check, a product
-bound below the estimator through `esym_mean_bound`.
+means, and `reference_choose_alpha_beta` the single-cost pair scan; both
+walk the scale grid factor by factor.  `standard_certificate` is the
+closed-form start check, a product bound below the estimator through
+`esym_mean_bound`.
 
 `table_terms`, `table_evaluate`, `TableFixingSums` and `table_derandomize`
 are the estimator in its table form: one table per cost of every order-k
@@ -117,9 +119,35 @@ def reference_derandomize(state):
     return scheme.floor + state.p, trace
 
 
+def reference_choose_alpha_beta(a, min_demand):
+    """(alpha, beta) by a linear scan of the scale grid, grown in the loop:
+    at each factor K the pair (K * eps, 2), then the symmetric pair, each
+    kept if valid and strictly cheaper than the best so far."""
+    if a < 1:
+        raise ValueError(f"column sparsity must be at least 1, got {a}")
+    if min_demand < 1.0:
+        raise ValueError(f"demand must be at least 1, got {min_demand}")
+    eps = math.log(a + 1.0) / min_demand
+    best, best_product = None, math.inf
+    k = 1.0
+    while k <= 64.0 * 1.0000001:
+        sym = 1.0 + k * math.sqrt(eps)
+        for alpha, beta in ((k * eps, 2.0), (sym, sym)):
+            if alpha <= 1.0 or beta <= 1.0:
+                continue
+            q = lower_tail_bound(min_demand, alpha)
+            if beta * (1.0 - q) ** a > 1.0 and alpha * beta < best_product:
+                best, best_product = (alpha, beta), alpha * beta
+        k *= 1.02
+    if best is None:
+        raise ParameterError("no valid scale pair in the searched grid")
+    return best
+
+
 def reference_multicriteria_params(objective_values, a, min_demand):
     """Scale factor for l = len(objective_values) costs, each step's scaled
-    means one array, the scale grid grown in the loop."""
+    means one array, the scale grid grown in the loop.  An inflate
+    (1 - q)^(-a k) past the float range makes a factor invalid."""
     objective_values = np.asarray(objective_values, dtype=float)
     if objective_values.size == 0:
         raise ValueError("need at least one criterion")
@@ -136,14 +164,13 @@ def reference_multicriteria_params(objective_values, a, min_demand):
             q = lower_tail_bound(min_demand, alpha)
             nus = alpha * objective_values
             if np.all(3.0 * nus > k - 1):
+                try:
+                    inflate = (1.0 - q) ** (-a * k)
+                except (OverflowError, ZeroDivisionError):  # past the float range
+                    inflate = math.inf
                 total = 0.0
                 for nu in nus:
-                    total += (
-                        nu**k
-                        / math.factorial(k)
-                        / binomial_real(3.0 * nu, k)
-                        * (1.0 - q) ** (-a * k)
-                    )
+                    total += nu**k / math.factorial(k) / binomial_real(3.0 * nu, k) * inflate
                 if total < 1.0:
                     chosen = alpha
                     break

@@ -3,6 +3,7 @@ subset table over the bits that meet an unsatisfied row, checked against
 the table form over every random bit (`_reference_estimator.table_*`),
 and the work the table does."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import lllround
 from lllround import (CipInstance, ParameterError, choose_parameters, derandomize, gen_set_cover,
-                      make_estimator, make_scheme, parse_instance, serialize_instance,
+                      make_estimator, make_scheme, parse_instance, round_cip, serialize_instance,
                       solve_cip_lp, success_lower_bound)
 from lllround import cip
 from _builders import four_cost_cover, lp_point, perfbench_workloads, random_cip
@@ -162,7 +163,8 @@ class TestBudgetRules:
 
 class TestWork:
     @pytest.mark.parametrize("name", ["cover-lp", "cover-multicost"])
-    def test_benchmark_covers_build_no_table_row(self, name):
+    def test_benchmark_covers_build_no_table_row(self, name, monkeypatch):
+        monkeypatch.setattr(cip, "_subset_table", lambda *args: pytest.fail("table built"))
         built = 0
         for _, inst in perfbench_workloads().WORKLOADS[name](lllround, 0):
             inst = parse_instance(serialize_instance(inst))
@@ -172,8 +174,48 @@ class TestWork:
             scheme, lambdas, ks, _ = choose_parameters(inst, report.solution.x)
             budget = make_estimator(scheme, lambdas, ks).budget
             assert budget.cols.shape[0] == 0 and budget.free_factors.shape[0] > 1
+            _, info = round_cip(inst, report.solution.x)
+            assert info["table_subsets"] == info["branched_bits"] == 0
             built += 1
         assert built >= 6
+
+    def test_the_empty_table_prices_as_the_table_path_forced(self):
+        # with no random bit on an unsatisfied row no subset is enumerated;
+        # the table machinery run over no bit gives the same arrays, value
+        # and path, bit for bit
+        fields = ("cols", "one_hot", "log_w", "flat_rows", "owner")
+        covers = 0
+        for _, inst in perfbench_workloads().WORKLOADS["cover-multicost"](lllround, 0):
+            inst = parse_instance(serialize_instance(inst))
+            scheme, lambdas, ks, _ = choose_parameters(inst, solve_cip_lp(inst).solution.x)
+            state = make_estimator(scheme, lambdas, ks)
+            weights = np.stack(inst.costs) * state.p
+            forced = dict(zip(fields, cip._subset_table(scheme, weights, state.ks, [])))
+            for name in fields:
+                skipped = getattr(state.budget, name)
+                assert (skipped.shape, skipped.dtype) == (forced[name].shape, forced[name].dtype)
+                assert skipped.size == 0
+            table_state = dataclasses.replace(
+                state, budget=dataclasses.replace(state.budget, **forced))
+            assert (success_lower_bound(table_state).hex()
+                    == success_lower_bound(state).hex())
+            want, got = derandomize(table_state), derandomize(state)
+            assert [v.hex() for v in got.trace] == [v.hex() for v in want.trace]
+            assert np.array_equal(got.z, want.z) and got.evaluations == want.evaluations
+            covers += 1
+        assert covers == 10
+
+    def test_round_cip_counts_the_table_and_the_branched_bits(self):
+        inst = four_cost_cover(108, 0, 60, 2)
+        x = np.full(108, 0.7)
+        x[::3] = 1.5
+        scheme, lambdas, ks, _ = choose_parameters(inst, x, alpha=1.4, beta=3.0)
+        budget = make_estimator(scheme, lambdas, ks).budget
+        branched = int(np.count_nonzero((scheme.frac > 0.0) & (np.diff(scheme.col_ptr) > 0)))
+        _, info = round_cip(inst, x, alpha=1.4, beta=3.0)
+        assert info["branched_bits"] == branched == 43
+        assert info["table_subsets"] == budget.cols.shape[0] == sum(
+            math.comb(branched, i) for i in (1, 2, 3))
 
     @pytest.mark.parametrize("x_every_third", [0.7, 1.5])
     def test_the_table_holds_the_subsets_of_the_bits_that_meet_an_unsatisfied_row(

@@ -1,17 +1,20 @@
 """Covering rounding: schemes, parameter choices, the success estimator, and
 the deterministic fixing loop."""
 
+import contextlib
 import functools
 import itertools
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lllround
 from lllround import (
     CipInstance,
     ParameterError,
@@ -25,17 +28,47 @@ from lllround import (
     make_estimator,
     make_scheme,
     multicriteria_params,
+    parse_instance,
     round_cip,
+    serialize_instance,
+    solve_cip_lp,
     standard_round,
     success_lower_bound,
 )
 from lllround import cip
 from lllround.cip import _row_bounds
-from _builders import (col_rows, four_cost_cover, lp_point, random_cip, row_cols, two_cost_cover,
-                      two_cost_set_cover)
-from _reference_estimator import (reference_derandomize, reference_multicriteria_params,
-                                  reference_row_bounds, reference_terms, reference_value,
-                                  standard_certificate)
+from _builders import (col_rows, four_cost_cover, lp_point, perfbench_workloads, random_cip,
+                      row_cols, two_cost_cover, two_cost_set_cover)
+from _reference_estimator import (reference_choose_alpha_beta, reference_derandomize,
+                                  reference_multicriteria_params, reference_row_bounds,
+                                  reference_terms, reference_value, standard_certificate)
+
+@contextlib.contextmanager
+def tail_bound_calls():
+    """The arguments of every `lower_tail_bound` call the parameter
+    searches make inside the block, as a list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lower_tail_bound(*args)
+
+    with mock.patch.object(cip, "lower_tail_bound", counted):
+        yield calls
+
+
+def outcome(params, *args):
+    """(the result's float hexes, or the error's type and message; warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = params(*args)
+            result = tuple((type(v), v.hex()) for v in
+                           (result if isinstance(result, tuple) else (result,)))
+        except (ParameterError, ValueError) as exc:
+            result = (type(exc).__name__, str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
 
 # Single row x1+...+x6 >= 2, x = 1/3 everywhere, scale 1.5: the leftover bits
 # are six fair coins against a residual demand of 2, so the exact failure
@@ -193,6 +226,19 @@ class TestChooseAlphaBeta:
         # every candidate alpha rounds to 1.0, so neither family qualifies
         with pytest.raises(ParameterError, match="^no valid scale pair in the searched grid$"):
             choose_alpha_beta(2, 1e36)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(a=st.integers(1, 64),
+           min_demand=st.one_of(st.floats(1.0, 1e40),
+                                st.floats(0.0, 40.0).map(lambda e: 10.0**e)))
+    @example(a=2, min_demand=1e36)  # no valid pair
+    @example(a=1, min_demand=1.0)
+    @example(a=64, min_demand=1e30)
+    def test_bisection_matches_the_linear_scan(self, a, min_demand):
+        with tail_bound_calls() as calls:
+            got = outcome(choose_alpha_beta.__wrapped__, a, min_demand)
+        assert got == outcome(reference_choose_alpha_beta, a, min_demand)
+        assert len(calls) <= 18  # 9 per family, against up to 422 for the scan
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="column sparsity"):
@@ -484,32 +530,42 @@ class TestMulticriteriaParams:
         with pytest.raises(ParameterError, match="no scale factor up to 64x"):
             multicriteria_params([1e-6, 1e-6], 3, 1.0)
 
-    @staticmethod
-    def outcome(params, *args):
-        """(alpha's bits, or the ParameterError's message; warnings)."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                alpha = params(*args)
-                result = (type(alpha), alpha.hex())
-            except ParameterError as exc:
-                result = ("ParameterError", str(exc))
-        return result, [(w.category, str(w.message)) for w in caught]
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
+    @settings(derandomize=True, max_examples=400, deadline=None)
     @given(
-        values=st.integers(2, 5).flatmap(
+        values=st.integers(1, 12).flatmap(
             lambda n: st.lists(st.floats(0.5, 40.0), min_size=n, max_size=n)),
-        a=st.integers(1, 8),
-        min_demand=st.floats(1.0, 12.0),
+        a=st.integers(1, 1000),
+        min_demand=st.floats(1.0, 1000.0),
     )
     @example(values=[0.5, 0.5], a=2, min_demand=1.0)  # warns
     @example(values=[1e-6, 1e-6], a=3, min_demand=1.0)  # no scale factor
     @example(values=[1.0, 0.0], a=2, min_demand=1.0)  # nonpositive objective
+    @example(values=[10.0] * 4, a=1000, min_demand=100.0)  # the inflate overflows low on the grid
+    @example(values=[10.0] * 12, a=1000, min_demand=50.0)  # and at the bisection's fifth factor
+    # base just above 1, so q = 1 at the grid's first factor, which the scan tries
+    @example(values=[10.0] * 4, a=1000,
+             min_demand=math.nextafter(math.log(1000.0) + math.log(math.log(8.0)), 0.0))
     def test_float_scan_matches_the_numpy_reference(self, values, a, min_demand):
         args = (values, a, min_demand)
-        assert self.outcome(multicriteria_params, *args) == self.outcome(
-            reference_multicriteria_params, *args)
+        with tail_bound_calls() as calls:
+            got = outcome(multicriteria_params, *args)
+        assert got == outcome(reference_multicriteria_params, *args)
+        assert len(calls) <= 9
+
+    def test_benchmark_covers_pay_at_most_9_tail_bounds(self):
+        # the grid scan paid 34 on each of these covers
+        covers = 0
+        for _, inst in perfbench_workloads().WORKLOADS["cover-multicost"](lllround, 0):
+            inst = parse_instance(serialize_instance(inst))
+            x = solve_cip_lp(inst).solution.x
+            with tail_bound_calls() as calls:
+                alpha = choose_parameters(inst, x)[3]["alpha"]
+            assert 1 <= len(calls) <= 9
+            args = ([float(c @ x) for c in inst.costs], column_sparsity(inst),
+                    float(inst.demands.min()))
+            assert alpha.hex() == reference_multicriteria_params(*args).hex()
+            covers += 1
+        assert covers == 10
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="at least one criterion"):
@@ -718,6 +774,7 @@ class TestRoundCip:
         out, info = round_cip(inst, x)
         assert set(info) == {
             "alpha", "beta", "ks", "lambdas", "total_budgets", "y_star", "evaluations",
+            "table_subsets", "branched_bits",
         }
         assert info["ks"] == [1]
         y = info["y_star"][0]

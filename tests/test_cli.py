@@ -649,6 +649,34 @@ class TestRound:
         assert main(["replay", str(manifest)]) == 2
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("command", [["round"], ["verify"]])
+    @pytest.mark.parametrize("text, entry", [
+        ('{"kind":"cip","m":1,"n":1,"A":[[0,1180591620717411303424,1.0]],"b":[1.0],'
+         '"costs":[[1.0]]}', "triplet 0 at (0, 1180591620717411303424) lies outside the 1 x 1 matrix"),
+        ('{"kind":"mip","m":1,"groups":[1180591620717411303424],"A":[[0,0,1.0]]}',
+         "group sizes pass the int64 index range at group 0"),
+    ], ids=["triplet", "groups"])
+    def test_an_integer_past_int64_is_a_malformed_instance(self, tmp_path, capsys, command,
+                                                            text, entry):
+        inst = tmp_path / "big.json"
+        inst.write_text(text)
+        assert main([*command, str(inst), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: malformed instance {inst}: {entry}\n"
+
+    def test_a_multicost_cover_whose_inflate_overflows_low_on_the_grid_rounds(
+            self, tmp_path, capsys):
+        # a = 200 rows per column and demand 50: (1 - q)^(-a k) passes the
+        # float range at the grid's first factors, which are then not valid
+        inst = tmp_path / "ones.json"
+        inst.write_text(serialize_instance(
+            CipInstance.create(np.ones((200, 60)), [50.0] * 200, [np.ones(60)] * 4)))
+        out = tmp_path / "r.json"
+        assert main(["round", str(inst), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "mode=derandomize  value=78  target=236.535  ratio=1.5600  feasible=True\n", "")
+        assert json.loads(out.read_text())["lambda"] == [236.5348896287097] * 4
+
     def test_missing_instance_file_exits_2(self, tmp_path):
         assert main(["round", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r.json")]) == 2

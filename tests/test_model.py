@@ -156,6 +156,43 @@ def test_parse_instance_names_each_malformed_field(edit, message):
         parse_instance(json.dumps(edit(doc)))
 
 
+class TestIndexRange:
+    """Indices and dimensions are int64: a JSON integer past that range is
+    a malformed instance named by its entry, never numpy's OverflowError."""
+
+    BIG = 2**70
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"kind":"cip","m":1,"n":1,"A":[[0,%d,1.0]],"b":[1.0],"costs":[[1.0]]}' % BIG,
+         f"triplet 0 at (0, {BIG}) lies outside the 1 x 1 matrix"),
+        ('{"kind":"cip","m":2,"n":1,"A":[[0,0,1.0],[-%d,0,1.0]],"b":[1.0,1.0],"costs":[[1.0]]}'
+         % BIG, f"triplet 1 at (-{BIG}, 0) lies outside the 2 x 1 matrix"),
+        ('{"kind":"mip","m":1,"groups":[%d],"A":[[0,0,1.0]]}' % BIG,
+         "group sizes pass the int64 index range at group 0"),
+        ('{"kind":"mip","m":1,"groups":[1,%d],"A":[[0,0,1.0]]}' % (2**63 - 1),
+         "group sizes pass the int64 index range at group 1"),
+        ('{"kind":"mip","m":%d,"groups":[1],"A":[[0,0,1.0]]}' % BIG,
+         f"the {BIG} x 1 matrix passes the int64 index range"),
+        ('{"kind":"cip","m":1,"n":%d,"A":[[0,0,1.0]],"b":[1.0],"costs":[[1.0]]}' % BIG,
+         f"the 1 x {BIG} matrix passes the int64 index range"),
+    ], ids=["col", "negative-row", "group", "group-sum", "mip-rows", "cip-columns"])
+    def test_parse_names_the_entry_past_int64(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_instance(text)
+
+    def test_sorted_triplets_pass_where_row_times_n_passes_int64(self):
+        # rows 0 and 2 of a 4 x (3 * 2^61) matrix: a key row * n + col
+        # wraps to a negative number at row 2, below row 0's
+        n = 3 * 2**61
+        inst = MipInstance.from_triplets((4, n), [0, 2], [0, 0], [1.0, 1.0], [n])
+        assert inst.shape == (4, n) and inst.offsets == (0,)
+        assert inst.row_ptr.tolist() == [0, 1, 1, 2, 2]
+        with pytest.raises(InstanceError, match="^triplets must be sorted by"):
+            MipInstance.from_triplets((4, n), [2, 0], [0, 0], [1.0, 1.0], [n])
+        with pytest.raises(InstanceError, match=r"^triplet 1 duplicates \(2, 5\)$"):
+            MipInstance.from_triplets((4, n), [2, 2], [5, 5], [1.0, 1.0], [n])
+
+
 class TestStorage:
     @pytest.mark.parametrize("inst", [gen_set_cover(12, 20, 5, 2, 0),
                                       gen_hypergraph_partition(10, 8, 4, 2, 0)])
