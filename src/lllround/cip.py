@@ -17,7 +17,6 @@ the floor cost first (see `choose_parameters`).
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import operator
@@ -169,7 +168,6 @@ def make_scheme(instance: CipInstance, x, alpha: float) -> RoundingScheme:
     )
 
 
-@functools.lru_cache(maxsize=256)
 def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
     """Cheapest (alpha, beta) with beta * (1 - q)^a > 1, q the per-row
     failure bound after scaling by alpha.
@@ -179,9 +177,7 @@ def choose_alpha_beta(a: int, min_demand: float) -> tuple[float, float]:
     are each valid from some K on and dearer as K grows, so each offers its
     least valid pair (`_least_grid_index`).  The cheaper one wins; on equal
     products the smaller K, then the first family.  Past B of about 1e35
-    every alpha rounds to 1 and none is valid (ParameterError).  Results
-    are memoized per (a, B) in a bounded LRU cache; invalid arguments raise
-    on every call.
+    every alpha rounds to 1 and none is valid (ParameterError).
     """
     if a < 1:
         raise ValueError(f"column sparsity must be at least 1, got {a}")
@@ -472,7 +468,6 @@ def multicriteria_params(objective_values, a: int, min_demand: float) -> float:
     ell = len(values)
     k = _subset_order(ell)
     base = max((math.log(a) + math.log(math.log(2.0 * ell))) / min_demand, 1.0)
-    k_factorial = math.factorial(k)
 
     def valid(factor: float) -> bool:
         alpha = factor * base
@@ -487,8 +482,8 @@ def multicriteria_params(objective_values, a: int, min_demand: float) -> float:
         except (OverflowError, ZeroDivisionError):  # past the float range
             return False
         total = 0.0
-        for nu in nus:
-            total += nu**k / k_factorial / binomial_real(3.0 * nu, k) * inflate
+        for nu in nus:  # nu^k / C(3 nu, k), whose k! cancels
+            total += math.prod(nu / (3.0 * nu - i) for i in range(k)) * inflate
         return total < 1.0
 
     index = _least_grid_index(valid)

@@ -8,12 +8,11 @@ readings (bench's per-row times, the creation time) live in manifests only,
 so every output is deterministic and a replay is a plain re-run.
 
 Exit codes: 0 success, 1 verification failure, 2 usage, malformed input,
-rounding parameters out of range (a slack search past the float range
-among them), an instance too large to allocate or an output that cannot
-be written, 3 a fractional point that misses a demand or a group sum by
-more than 1e-6, in every `round` mode (or a relaxation stopped at the
-simplex's iteration limit, which its message tells apart), 4 enumeration
-budget exceeded.
+rounding parameters out of range, an instance too large to allocate or
+an output that cannot be written, 3 a fractional point that misses a
+demand or a group sum by more than 1e-6, in every `round` mode (or a
+relaxation stopped at the simplex's iteration limit, which its message
+tells apart), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -261,8 +260,8 @@ def cmd_round(args, argv: list[str]) -> int:
 
 
 def _verify_tail() -> list[lllround.oracle.VerifyReport]:
-    """Instance-free kernel self-checks: the inverse deviation re-satisfies
-    its defining inequality, and scaling the mean down never loosens the
+    """Instance-free kernel self-checks: the slack is the least integer
+    that meets its budget, and scaling the mean down never loosens the
     kernel at matched absolute deviation."""
     from . import oracle, tailbounds
     reports = []
@@ -271,11 +270,11 @@ def _verify_tail() -> list[lllround.oracle.VerifyReport]:
     for _ in range(50):
         mu = float(rng.uniform(0.5, 40.0))
         p = float(rng.uniform(1e-6, 0.5))
-        delta = tailbounds.deviation_for_budget(mu, p)
-        lhs = math.ceil(mu * delta) * tailbounds.upper_tail_bound(mu, delta)
-        ok &= lhs <= p * (1.0 + 1e-12)
+        k = tailbounds.slack_for_budget(mu, p)
+        below, at = (j * tailbounds.upper_tail_bound(mu, j / mu) for j in (k - 1, k))
+        ok &= at <= p * (1.0 + 1e-12) and (k == 1 or below > p * (1.0 - 1e-12))
     reports.append(oracle.VerifyReport(
-        claim="inverse deviation re-satisfies its budget", passed=bool(ok),
+        claim="slack is the least integer meeting its budget", passed=bool(ok),
         lhs=0.0, rhs=0.0))
     ok = True
     for mu2 in np.linspace(1.0, 30.0, 20):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MipInstance, _checked_point, _group_totals
-from .tailbounds import deviation_for_budget
+from .tailbounds import slack_for_budget
 
 __all__ = [
     "MipTarget",
@@ -41,9 +41,10 @@ MAX_DEVIATION = 1e300
 @dataclass(frozen=True)
 class MipTarget:
     """Additive-slack target for one rounding attempt: best fractional max
-    load y_star plus the smallest integer slack k the tail kernel certifies at
-    failure budget 1/(e*t), and the relative deviation delta it certifies k
-    at (at most MAX_DEVIATION; 1 at y* = 0, where no deviation is needed)."""
+    load y_star plus the least integer slack k the tail kernel certifies at
+    failure budget 1/(e*t), and delta = k / min(y*, m), the relative
+    deviation that certifies k (at most MAX_DEVIATION; 1 at y* = 0, where
+    no deviation is needed)."""
 
     y_star: float
     t: int
@@ -92,27 +93,20 @@ def _support_stats(instance: MipInstance, x: np.ndarray) -> tuple[int, int]:
 
 
 def mip_target(y_star: float, m: int, t: int) -> MipTarget:
-    """Slack k = ceil(min(y*, m) * H(min(y*, m), 1/(e*t))), at least 1;
-    target y* + k.
+    """Slack k = `slack_for_budget`(min(y*, m), 1/(e*t)), certified at
+    deviation delta = k / min(y*, m); target y* + k.
 
-    k = 1 is certified without the grid when the deviation 1/mu, at which
-    the slack is exactly 1, meets the budget.  Its bound is written as
-    exp(1 - (1 + mu) * log(1 + 1/mu)), which still goes to 0 where 1/mu
-    overflows to inf for a subnormal mu.  At y* = 0 the support loads no
-    row, k is 1 and delta is 1.
+    At y* = 0 the support loads no row, k is 1 and delta is 1.
     """
     if not 0.0 <= y_star < math.inf:
         raise ValueError(f"fractional value must be nonnegative and finite, got {y_star}")
     if t < 1 or m < 1:
         raise ValueError("need at least one row and interaction width 1")
     mu = min(y_star, float(m))
-    budget = 1.0 / (math.e * t)
     k, delta = 1, 1.0
-    if mu > 0.0 and 1.0 - (1.0 + mu) * math.log1p(1.0 / mu) <= math.log(budget):
-        delta = 1.0 / mu
-    elif mu > 0.0:
-        delta = deviation_for_budget(mu, budget)
-        k = max(math.ceil(mu * delta), 1)
+    if mu > 0.0:
+        k = slack_for_budget(mu, 1.0 / (math.e * t))
+        delta = k / mu
     return MipTarget(y_star=float(y_star), t=int(t), k=k, target=float(y_star) + k,
                      delta=min(delta, MAX_DEVIATION))
 
@@ -285,13 +279,7 @@ def full_mip_pipeline(
     report = las_vegas_mip(instance, boot, max_tries, rng_seed)
     mu = min(boot.y_star, float(instance.m))
     if boot.a >= 2 and mu > 0.0:
-        try:
-            slack = mu * deviation_for_budget(mu, 1.0 / boot.a)
-        except OverflowError:
-            # mu near the float range's floor: the bound at delta = 1/mu,
-            # about e * mu, meets any budget 1/a, as in `mip_target`
-            slack = 1.0
-        target_t44 = boot.y_star + 1.0 + slack
+        target_t44 = boot.y_star + 1.0 + slack_for_budget(mu, 1.0 / boot.a)
     else:
         target_t44 = report.target.target
     summary = {

@@ -1,6 +1,7 @@
 """Tail-probability kernels and symmetric-polynomial estimators.
 
-Everything here is a small closed form over nonnegative reals.  The two
+Everything here is a small closed form over nonnegative reals, except
+`slack_for_budget`, an exact integer search over one.  The two
 probability-like kernels (`upper_tail_bound`, `lower_tail_bound`) are
 evaluated in log space and exponentiated at the boundary so they stay
 finite and inside [0, 1] for large means and aggressive scale factors.
@@ -8,25 +9,17 @@ finite and inside [0, 1] for large means and aggressive scale factors.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 from typing import Sequence
 
 __all__ = [
     "upper_tail_bound",
-    "deviation_for_budget",
+    "slack_for_budget",
     "lower_tail_bound",
     "binomial_real",
     "elementary_symmetric",
 ]
-
-#: Anchor and ratio of the geometric grid searched by `deviation_for_budget`.
-GRID_ANCHOR = 1e-6
-GRID_RATIO = 1.001
-
-# GRID_RATIO**_DOUBLING_STEPS is the first grid power >= 2, so advancing the
-# grid index by this amount (at least) doubles the candidate deviation.
-_DOUBLING_STEPS = math.ceil(math.log(2.0) / math.log(GRID_RATIO))
 
 
 def upper_tail_bound(mu: float, delta: float) -> float:
@@ -45,46 +38,31 @@ def upper_tail_bound(mu: float, delta: float) -> float:
     return math.exp(min(exponent, 0.0))
 
 
-def _grid(index: int) -> float:
-    return GRID_ANCHOR * GRID_RATIO**index
+def slack_for_budget(mu: float, budget: float) -> int:
+    """Least integer k >= 1 with k * upper_tail_bound(mu, k/mu) <= budget.
 
-
-def _inside(mu: float, budget: float, delta: float) -> bool:
-    return math.ceil(mu * delta) * upper_tail_bound(mu, delta) <= budget
-
-
-@functools.lru_cache(maxsize=1024)  # bounded: mu is a continuous y*
-def deviation_for_budget(mu: float, budget: float) -> float:
-    """Smallest grid deviation delta with ceil(mu*delta) * bound <= budget.
-
-    The candidate deviations form a geometric grid anchored at 1e-6 with
-    ratio 1.001.  Probes at every 694th grid index (each doubles the
-    deviation) bracket the answer, and the first grid point of the final
-    bracket that satisfies the inequality is returned; the ceil factor makes
-    the predicate non-monotone at integer boundaries, so a point below the
-    bracket may satisfy it too.  The bound decays to 0, so the probes go on
-    until one meets the budget; OverflowError if the next grid point would
-    pass the float range first, as it does for means from about 1e-317 to
-    1e-304 (below them mu*delta rounds to 0, which meets any budget).
-    Results are memoized per (mu, budget) in a bounded LRU cache; invalid
-    arguments raise on every call.
+    The bound's exponent at delta = k/mu is written k - (mu + k) *
+    log1p(k/mu): it stays finite, or goes to -inf where k/mu overflows for
+    a subnormal mu, so no k overflows.  log g(k) = log k + k - (mu + k) *
+    log1p(k/mu) has derivative 1/k - log1p(k/mu), which falls as k grows,
+    so log g is strictly concave and its sublevel sets are the complement
+    of an interval.  Once k = 1 misses the budget, the k that meet it are
+    therefore upward-closed: doubling brackets the least one, and bisection
+    finds it exactly.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mean must be positive and finite, got {mu}")
     if not 0.0 < budget < 1.0:
         raise ValueError(f"budget must lie in (0, 1), got {budget}")
-    if _inside(mu, budget, GRID_ANCHOR):
-        return GRID_ANCHOR
-    high = _DOUBLING_STEPS
-    try:
-        while not _inside(mu, budget, _grid(high)):
-            high += _DOUBLING_STEPS
-    except OverflowError:
-        raise OverflowError(f"no grid deviation within the float range meets budget {budget} "
-                            f"at mean {mu}") from None
-    # the bracket (high - _DOUBLING_STEPS, high] ends at a probe that meets the budget
-    bracket = range(high - _DOUBLING_STEPS + 1, high + 1)
-    return next(delta for delta in map(_grid, bracket) if _inside(mu, budget, delta))
+    log_budget = math.log(budget)
+
+    def meets(k: int) -> bool:
+        return math.log(k) + k - (mu + k) * math.log1p(k / mu) <= log_budget
+
+    low, high = 0, 1
+    while not meets(high):
+        low, high = high, 2 * high
+    return bisect.bisect_left(range(high), True, lo=low + 1, key=meets)
 
 
 def lower_tail_bound(min_demand: float, alpha: float) -> float:

@@ -169,8 +169,11 @@ def reference_multicriteria_params(objective_values, a, min_demand):
                 except (OverflowError, ZeroDivisionError):  # past the float range
                     inflate = math.inf
                 total = 0.0
-                for nu in nus:
-                    total += nu**k / math.factorial(k) / binomial_real(3.0 * nu, k) * inflate
+                for nu in nus:  # nu^k / C(3 nu, k) = prod_{i<k} nu / (3 nu - i)
+                    term = 1.0
+                    for i in range(k):
+                        term *= nu / (3.0 * nu - i)
+                    total += term * inflate
                 if total < 1.0:
                     chosen = alpha
                     break

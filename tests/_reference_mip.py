@@ -2,12 +2,11 @@
 form, kept as test-only references for `lllround.tailbounds`,
 `lllround.mip` and `lllround.lp`.
 
-`reference_deviation_for_budget` evaluates the tail bound once per probe
-and once per grid index of the final bracket, as the program's search
-does; `reference_group_round` draws one group at a time, and
-`reference_crash_slots` forms a dense (rows x slots) max for every group,
-where the program works on whole arrays.  The program must give the same
-results bit for bit.  `reference_estimator` evaluates Raghavan's
+`reference_slack_for_budget` tries k = 1, 2, ... in turn, where the
+program doubles and bisects; `reference_group_round` draws one group at a
+time, and `reference_crash_slots` forms a dense (rows x slots) max for
+every group, where the program works on whole arrays.  The program must
+give the same results bit for bit.  `reference_estimator` evaluates Raghavan's
 pessimistic estimator densely, with every power of its base multiplied out,
 where the program keeps per-row logarithms; it agrees to rounding only.
 """
@@ -16,36 +15,16 @@ import math
 
 import numpy as np
 
-from lllround import upper_tail_bound
-from lllround.tailbounds import GRID_ANCHOR, GRID_RATIO
-
-DOUBLING_STEPS = math.ceil(math.log(2.0) / math.log(GRID_RATIO))
 GROUP_SUM_TOL = 1e-6
 
 
-def reference_deviation_for_budget(mu: float, budget: float) -> float:
-    """Smallest grid deviation delta with ceil(mu*delta) * bound <= budget:
-    doubling probes, as many as it takes, bracket it, then a linear scan of
-    the bracket returns the first satisfying grid point."""
-
-    def inside(delta: float) -> bool:
-        return math.ceil(mu * delta) * upper_tail_bound(mu, delta) <= budget
-
-    def grid(index: int) -> float:
-        return GRID_ANCHOR * GRID_RATIO**index
-
-    if inside(GRID_ANCHOR):
-        return GRID_ANCHOR
-    low = 0
-    high = DOUBLING_STEPS
-    while not inside(grid(high)):  # OverflowError once the grid passes the float range
-        low = high
-        high += DOUBLING_STEPS
-    for index in range(low + 1, high + 1):
-        delta = grid(index)
-        if inside(delta):
-            return delta
-    raise AssertionError("bracket end satisfied the budget")
+def reference_slack_for_budget(mu: float, budget: float) -> int:
+    """Least integer k >= 1 whose bound at deviation k/mu, times k, meets
+    the budget: the program's test, tried at k = 1, 2, ... in turn."""
+    k = 1
+    while math.log(k) + k - (mu + k) * math.log1p(k / mu) > math.log(budget):
+        k += 1
+    return k
 
 
 def reference_group_round(instance, x_star, rng_seed) -> np.ndarray:

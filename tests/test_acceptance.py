@@ -19,7 +19,6 @@ from lllround import (
     bootstrap_reduce,
     choose_alpha_beta,
     column_sparsity,
-    deviation_for_budget,
     elementary_symmetric,
     gen_facility_location,
     gen_hypergraph_partition,
@@ -29,6 +28,7 @@ from lllround import (
     make_estimator,
     make_scheme,
     round_cip,
+    slack_for_budget,
     solve_cip_lp,
     solve_mip_lp,
     upper_tail_bound,
@@ -61,15 +61,17 @@ def test_criterion_01_tail_kernel_and_inverse():
     for _ in range(50):
         mu = float(rng.uniform(0.5, 40.0))
         budget = float(rng.uniform(1e-6, 0.5))
-        delta = deviation_for_budget(mu, budget)
-        assert math.ceil(mu * delta) * upper_tail_bound(mu, delta) <= budget * (1 + 1e-12)
+        k = slack_for_budget(mu, budget)
+        assert k * upper_tail_bound(mu, k / mu) <= budget * (1 + 1e-12)
+        # and k is least: k - 1 misses the budget, up to the same tolerance
+        assert k == 1 or (k - 1) * upper_tail_bound(mu, (k - 1) / mu) > budget * (1 - 1e-12)
     for mu2 in np.linspace(1.0, 30.0, 20):
         for frac in np.linspace(0.05, 1.0, 20):
             mu1 = float(frac * mu2)
             for delta in np.linspace(0.05, 3.0, 10):
                 lhs = upper_tail_bound(mu1, mu2 * delta / mu1)
                 assert lhs <= upper_tail_bound(mu2, float(delta)) * (1 + 1e-9)
-    finish(1, "kernel closed form, inverse re-satisfaction, mean rescaling grid",
+    finish(1, "kernel closed form, least slack meeting its budget, mean rescaling grid",
            started, 1.0)
 
 

@@ -236,15 +236,22 @@ class TestChooseAlphaBeta:
     @example(a=64, min_demand=1e30)
     def test_bisection_matches_the_linear_scan(self, a, min_demand):
         with tail_bound_calls() as calls:
-            got = outcome(choose_alpha_beta.__wrapped__, a, min_demand)
+            got = outcome(choose_alpha_beta, a, min_demand)
         assert got == outcome(reference_choose_alpha_beta, a, min_demand)
         assert len(calls) <= 18  # 9 per family, against up to 422 for the scan
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="column sparsity"):
-            choose_alpha_beta(0, 1.0)
-        with pytest.raises(ValueError, match="demand"):
-            choose_alpha_beta(2, 0.5)
+    @pytest.mark.parametrize("a", [1, 2, 5, 8])
+    @pytest.mark.parametrize("min_demand", [1.0, 2.0, 3.5, 12.0])
+    def test_pairs_match_the_reference_scan_bit_for_bit(self, a, min_demand):
+        assert outcome(choose_alpha_beta, a, min_demand) == outcome(
+            reference_choose_alpha_beta, a, min_demand)
+
+    @pytest.mark.parametrize("a, min_demand, message", [
+        (0, 1.0, "column sparsity"), (0, 2.0, "column sparsity"),
+        (2, 0.5, "demand"), (5, 0.5, "demand")])
+    def test_domain_errors(self, a, min_demand, message):
+        with pytest.raises(ValueError, match=message):
+            choose_alpha_beta(a, min_demand)
 
 
 class TestStandardRound:
@@ -521,6 +528,15 @@ class TestMulticriteriaParams:
             for y in values
         )
         assert total < 1.0
+
+    @pytest.mark.parametrize("value", [1e103, 1e200])
+    def test_scaled_means_past_1e102_stay_finite(self, value):
+        # the term nu^k / C(3 nu, k) is a product of ratios nu / (3 nu - i),
+        # as the power nu**k would overflow past about 1e102 at k = 3
+        args = ([value] * 4, 2, 10.0)
+        alpha = multicriteria_params(*args)
+        assert alpha == pytest.approx(1.6084, abs=1e-4)
+        assert alpha.hex() == reference_multicriteria_params(*args).hex()
 
     def test_warns_when_scaled_means_are_small(self):
         with pytest.warns(UserWarning, match="fall below"):

@@ -468,11 +468,10 @@ class TestRound:
 
     @pytest.mark.parametrize("value", ["1e-307", "1e-320"])
     @pytest.mark.parametrize("command", MIP_CHECKS)
-    def test_a_value_past_the_grid_search_rounds_at_slack_1(self, tmp_path, capsys, command,
+    def test_a_value_near_the_float_floor_rounds_at_slack_1(self, tmp_path, capsys, command,
                                                             value):
-        # the grid search would pass the float range at loads of 1e-307; the
-        # bound at the deviation 1/y* certifies slack 1 without it, down to
-        # subnormal loads
+        # the bound at the deviation 1/y* certifies slack 1 down to subnormal
+        # loads, where 1/y* overflows to inf and the bound's exponent to -inf
         inst = tmp_path / "tinier.json"
         inst.write_text(tiny_loads(value))
         out = tmp_path / "r.json"
@@ -482,10 +481,10 @@ class TestRound:
             doc = json.loads(out.read_text())
             assert (doc["value"], doc["target_t42"], doc["success"]) == (float(value), 1.0, True)
 
-    def test_a_sparsity_target_past_the_grid_search_takes_slack_1(self, tmp_path, capsys):
+    def test_a_sparsity_target_near_the_float_floor_takes_slack_1(self, tmp_path, capsys):
         # slot 0 meets both rows (a = 2), so the sparsity-based target needs
-        # a deviation at loads of 1e-307, where the grid search passes the
-        # float range; the bound at the deviation 1/y* meets the budget 1/a
+        # a slack at loads of 1e-307; the bound at the deviation 1/y* meets
+        # the budget 1/a
         inst = tmp_path / "sparse_tiny.json"
         inst.write_text('{"kind":"mip","m":2,"groups":[2,2],"A":[[0,0,1e-307],[0,2,1e-307],'
                         '[1,0,1e-307],[1,1,1e-307],[1,3,1e-307]]}')
@@ -677,6 +676,20 @@ class TestRound:
             "mode=derandomize  value=78  target=236.535  ratio=1.5600  feasible=True\n", "")
         assert json.loads(out.read_text())["lambda"] == [236.5348896287097] * 4
 
+    def test_a_multicost_cover_with_means_past_1e102_rounds(self, tmp_path, capsys):
+        # scaled means of about 1e103, where a power nu**3 in the multi-cost
+        # start bound would pass the float range
+        inst = tmp_path / "ones.json"
+        inst.write_text(serialize_instance(
+            CipInstance.create(np.ones((200, 60)), [50.0] * 200, [np.ones(60)] * 4)))
+        solution = tmp_path / "x.json"
+        solution.write_text(json.dumps({"x": [1e103] * 60}))
+        out = tmp_path / "r.json"
+        assert main(["round", str(inst), "--solution", str(solution), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "feasible=True" in captured.out
+        assert json.loads(out.read_text())["feasible"] is True
+
     def test_missing_instance_file_exits_2(self, tmp_path):
         assert main(["round", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "r.json")]) == 2
@@ -735,7 +748,7 @@ class TestVerify:
         assert main(["verify", str(graph)]) == 0  # --which all: the lll and tail checks
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert [l.split()[1] for l in out.splitlines()] == ["no-bad-event", "inverse", "kernel"]
+        assert [l.split()[1] for l in out.splitlines()] == ["no-bad-event", "slack", "kernel"]
 
     def test_which_kind_mismatch_exits_2(self, tmp_path):
         cover = gen(tmp_path)

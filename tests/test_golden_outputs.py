@@ -33,7 +33,7 @@ from lllround import serialize_instance, solve_cip_lp, solve_mip_lp
 from _builders import four_cost_cover, lp_point, perfbench_workloads, two_cost_set_cover
 
 GOLDEN = {
-    "minimax": "b0dc5be10e594941a3960799342290c6c1bb860c35b27e538172d509156ab209",
+    "minimax": "53d5dfb7292a6fa423dce1d02bd9c0af1480e65a370cb1d2a1ef2af2864aa512",
     "cover-lp": "4f5888752d72df406e1028652cfe713457e8f0cb0442bdc96b57f759b0e58e36",
     "cover-multicost": "7f00f3a6bc7307b041b05ba21bb86efb1f596588b78b755d71737a6abdd7974d",
 }

@@ -15,11 +15,11 @@ import lllround.mip as mip_module
 from lllround import (
     MipInstance,
     bootstrap_reduce,
-    deviation_for_budget,
     full_mip_pipeline,
     gen_hypergraph_partition,
     las_vegas_mip,
     mip_target,
+    slack_for_budget,
     solve_mip_lp,
 )
 from _builders import perfbench_workloads, random_mip, uniform_group_weights
@@ -80,14 +80,13 @@ class TestMipTarget:
     def test_slack_comes_from_the_tail_inverse(self, y_star, m, t):
         out = mip_target(y_star, m, t)
         mu = min(y_star, float(m))
-        delta = deviation_for_budget(mu, 1.0 / (math.e * t))
-        assert out.k == max(math.ceil(mu * delta), 1)
+        assert out.k == slack_for_budget(mu, 1.0 / (math.e * t))
         assert out.target == pytest.approx(y_star + out.k)
-        assert out.delta == delta
+        assert out.delta == out.k / mu
 
     @pytest.mark.parametrize("y_star", [0.01, 1e-100, 1e-300, 1e-307, 1e-320, 5e-324])
     def test_slack_one_is_certified_at_deviation_one_over_the_value(self, y_star):
-        # the grid search passes the float range from about 3e-318 to 1e-304
+        # 1/y* overflows to inf below about 1e-308, where delta is capped
         out = mip_target(y_star, 4, 2)
         assert (out.k, out.target) == (1, y_star + 1.0)
         assert out.delta == min(1.0 / y_star, mip_module.MAX_DEVIATION)
@@ -545,6 +544,15 @@ class TestFullPipeline:
         assert mip_module._support_stats(inst, np.array([1e-30, 1.0]))[0] == 2
         assert summary["target_t44"] == summary["target_t42"] == 1.0
         assert report.success and summary["value"] == 0.0
+
+    def test_sparsity_target_is_one_past_the_slack_at_budget_one_over_a(self):
+        inst = gen_hypergraph_partition(20, 20, 4, 2, 1)
+        x = solve_mip_lp(inst).solution.x
+        boot = bootstrap_reduce(inst, x)
+        _, summary = full_mip_pipeline(inst, x)
+        assert boot.a >= 2 and boot.y_star > 0.0
+        slack = slack_for_budget(min(boot.y_star, float(inst.m)), 1.0 / boot.a)
+        assert summary["target_t44"] == boot.y_star + 1.0 + slack
 
     def test_disjoint_instance_summary(self):
         inst = disjoint_pairs()

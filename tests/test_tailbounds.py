@@ -1,4 +1,4 @@
-"""Numeric-kernel checks: closed forms, the deviation solver's contract, and
+"""Numeric-kernel checks: closed forms, the slack search's contract, and
 tail domination against exhaustive reference computations."""
 
 import itertools
@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from lllround import (
     binomial_real,
-    deviation_for_budget,
     elementary_symmetric,
     lower_tail_bound,
+    slack_for_budget,
     upper_tail_bound,
 )
-from lllround.tailbounds import GRID_ANCHOR, GRID_RATIO
 from _reference_estimator import esym_mean_bound
-from _reference_mip import reference_deviation_for_budget
+from _reference_mip import reference_slack_for_budget
 
 # Frozen by exact rational enumeration: sum_{j=15..20} C(20,j) / 2^20.
 EXACT_BINOMIAL_20_HALF_TAIL_AT_15 = 5425 / 262144
@@ -116,55 +115,59 @@ class TestUpperTailBound:
         assert 0.0 <= value <= 1.0
 
 
-def _budget_holds(mu, delta, p):
-    return math.ceil(mu * delta) * upper_tail_bound(mu, delta) <= p
+def _budget_holds(mu, k, p):
+    return k * upper_tail_bound(mu, k / mu) <= p
 
 
-class TestDeviationForBudget:
+def _is_least(mu, k, p):
+    """k meets the budget p and k - 1 misses it, or k is 1."""
+    return _budget_holds(mu, k, p) and (k == 1 or not _budget_holds(mu, k - 1, p))
+
+
+# the pipeline's (mu, budget) pairs: budgets 1/(e t) for the widths the
+# minimax workload meets, and 1/a for its sparsity target
+PIPELINE_KEYS = [(mu, budget) for mu in (0.3, 1.0, 2.0, 2.0000000000000004, 7.5, 40.0)
+                 for budget in [1.0 / (math.e * t) for t in (1, 3, 8)] + [0.25, 0.5]]
+
+
+class TestSlackForBudget:
     def test_resatisfies_defining_inequality(self):
-        delta = deviation_for_budget(1.0, 0.5)
-        assert _budget_holds(1.0, delta, 0.5)
+        k = slack_for_budget(1.0, 0.5)
+        assert type(k) is int and _is_least(1.0, k, 0.5)
 
-    def test_resatisfies_on_grid(self):
+    def test_is_the_least_integer_meeting_the_budget(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             mu = float(rng.uniform(0.05, 300.0))
             p = float(rng.uniform(1e-6, 0.9))
-            delta = deviation_for_budget(mu, p)
-            assert delta > 0.0
-            assert _budget_holds(mu, delta, p)
+            assert _is_least(mu, slack_for_budget(mu, p), p)
 
     def test_large_mean_stays_in_sqrt_regime(self):
         # loose sanity envelope: ten times the sqrt(log/mean) scale
-        delta = deviation_for_budget(100.0, 0.01)
+        delta = slack_for_budget(100.0, 0.01) / 100.0
         assert delta < 1.0
         assert delta <= 10.0 * math.sqrt(math.log(200.0) / 100.0)
 
-    def test_smaller_budget_needs_more_deviation(self):
+    def test_smaller_budget_needs_more_slack(self):
         for mu in (1.0, 10.0, 100.0):
-            assert deviation_for_budget(mu, 0.01) >= deviation_for_budget(mu, 0.1)
+            assert slack_for_budget(mu, 0.01) >= slack_for_budget(mu, 0.1)
 
-    def test_rejects_bad_domains(self):
-        with pytest.raises(ValueError):
-            deviation_for_budget(0.0, 0.5)
-        with pytest.raises(ValueError):
-            deviation_for_budget(1.0, 0.0)
-        with pytest.raises(ValueError):
-            deviation_for_budget(1.0, 1.0)
+    @pytest.mark.parametrize("mu, budget", [
+        (0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5),
+        (1.0, 0.0), (1.0, 1.0)])
+    def test_rejects_bad_domains(self, mu, budget):
+        with pytest.raises(ValueError, match="mean must be positive|budget must lie"):
+            slack_for_budget(mu, budget)
 
-    @pytest.mark.parametrize("mu", [1e-13, 1e-14, 1e-100, 1e-300])
-    def test_tiny_means_double_until_the_bound_meets_the_budget(self, mu):
-        budget = 1.0 / (2.0 * math.e)
-        delta = deviation_for_budget(mu, budget)
-        assert _budget_holds(mu, delta, budget)
-        assert delta == reference_deviation_for_budget(mu, budget)
+    @pytest.mark.parametrize("mu", [1e-13, 1e-100, 1e-300, 1e-307, 1e-316, 1e-320, 5e-324])
+    def test_tiny_means_take_slack_1(self, mu):
+        # k/mu overflows to inf below about 1e-308, and the exponent goes to -inf
+        for budget in (1.0 / math.e, 1.0 / (2.0 * math.e), 1.0 / (4096 * math.e)):
+            assert slack_for_budget(mu, budget) == 1
 
-    @pytest.mark.parametrize("mu", [1e-307, 1e-316])
-    def test_a_deviation_past_the_float_range_raises(self, mu):
-        with pytest.raises(OverflowError, match="within the float range meets budget"):
-            deviation_for_budget(mu, 1.0 / math.e)
-        with pytest.raises(OverflowError):
-            reference_deviation_for_budget(mu, 1.0 / math.e)
+    @pytest.mark.parametrize("mu, budget", PIPELINE_KEYS)
+    def test_pipeline_keys_match_the_linear_scan(self, mu, budget):
+        assert slack_for_budget(mu, budget) == reference_slack_for_budget(mu, budget)
 
     @given(
         mu=st.floats(min_value=0.01, max_value=500.0),
@@ -172,23 +175,17 @@ class TestDeviationForBudget:
     )
     @settings(deadline=None, max_examples=60)
     def test_contract_holds_everywhere(self, mu, p):
-        delta = deviation_for_budget(mu, p)
-        assert _budget_holds(mu, delta, p)
+        assert _is_least(mu, slack_for_budget(mu, p), p * (1.0 + 1e-12))
 
 
-_MEANS = st.floats(min_value=1e-3, max_value=1e3)
-# the mip slack's 1/(e*t), the sparsity target's 1/a, budgets near 1, and
-# budgets below 1e-6
+# means from subnormal to 1e6, spread evenly in the exponent too
+_MEANS = st.one_of(st.floats(min_value=1e-320, max_value=1e6),
+                   st.floats(min_value=-320.0, max_value=6.0).map(lambda e: 10.0**e))
+# the mip slack's 1/(e*t) and the sparsity target's 1/a
 _BUDGETS = st.one_of(
-    st.integers(1, 10_000).map(lambda t: 1.0 / (math.e * t)),
-    st.integers(2, 10_000).map(lambda a: 1.0 / a),
-    st.floats(min_value=0.9, max_value=1.0 - 1e-15, exclude_max=True),
-    st.floats(min_value=1e-300, max_value=1e-6),
+    st.integers(1, 4096).map(lambda t: 1.0 / (math.e * t)),
+    st.integers(2, 64).map(lambda a: 1.0 / a),
 )
-
-
-def _grid(index):
-    return GRID_ANCHOR * GRID_RATIO**index
 
 
 def _nudged(value, ulps):
@@ -196,59 +193,33 @@ def _nudged(value, ulps):
     return float(np.nextafter(value, math.inf * ulps)) if ulps else value
 
 
-class TestDeviationMatchesTheScalarSearch:
-    """The search returns the reference scan's grid point, bit for bit,
-    including where its test sits on a rounding margin."""
+class TestSlackMatchesTheLinearScan:
+    """Doubling and bisection return the linear scan's k, including where
+    the budget sits on the value at some k."""
 
     @given(mu=_MEANS, budget=_BUDGETS)
     @settings(derandomize=True, max_examples=400, deadline=None)
-    def test_same_grid_point(self, mu, budget):
-        assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
+    def test_same_slack(self, mu, budget):
+        assert slack_for_budget(mu, budget) == reference_slack_for_budget(mu, budget)
 
-    @given(
-        point=st.integers(6_912, 14_000).flatmap(
-            lambda i: st.tuples(st.just(i), st.integers(1, min(60, int(1e3 * _grid(i)))))),
-        budget=st.one_of(_BUDGETS, st.sampled_from([-1, 0, 1])),
-    )
+    @given(mu=st.floats(min_value=1e-3, max_value=1e6), k=st.integers(1, 2_000),
+           nudge=st.sampled_from([-1, 0, 1]))
     @settings(derandomize=True, max_examples=300, deadline=None)
-    def test_mean_times_a_grid_point_on_an_integer(self, point, budget):
-        # mu * delta lands on (or within an ulp of) the integer q at that
-        # grid point; an integral `budget` nudges the bound's value there
-        index, q = point
-        mu = q / _grid(index)
-        if isinstance(budget, int):
-            budget = _nudged(math.ceil(mu * _grid(index)) * upper_tail_bound(mu, _grid(index)), budget)
-            assume(0.0 < budget < 1.0)
-        assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
-
-    @given(mu=_MEANS, index=st.integers(0, 14_000), nudge=st.sampled_from([-1, 0, 1]))
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    def test_budget_on_the_value_at_a_grid_point(self, mu, index, nudge):
-        budget = _nudged(math.ceil(mu * _grid(index)) * upper_tail_bound(mu, _grid(index)), nudge)
+    def test_budget_on_the_value_at_an_integer(self, mu, k, nudge):
+        log_value = math.log(k) + k - (mu + k) * math.log1p(k / mu)
+        budget = _nudged(math.exp(log_value), nudge)
         assume(0.0 < budget < 1.0)
-        assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
+        assert slack_for_budget(mu, budget) == reference_slack_for_budget(mu, budget)
 
-    def test_grid_points_where_numpy_rounds_otherwise(self):
-        # where numpy's power misses Python's by an ulp, mu * delta can land
-        # on an integer in one and just past it in the other; the budget is
-        # the scalar value there, so that ceil decides the grid point
-        indices = np.arange(6_912, 14_000)
-        python = np.array([_grid(i) for i in indices.tolist()])
-        differ = GRID_ANCHOR * GRID_RATIO**indices != python
-        cases = 0
-        for delta in python[differ].tolist():
-            for q in (1, 2, 3, 5, 8):
-                mu = q / delta
-                budget = math.ceil(mu * delta) * upper_tail_bound(mu, delta)
-                if 1e-3 <= mu <= 1e3 and budget < 1.0:
-                    cases += 1
-                    assert deviation_for_budget(mu, budget) == reference_deviation_for_budget(mu, budget)
-        assert cases or not differ.any()
-
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_means(self, mu):
-        with pytest.raises(ValueError, match=f"positive and finite, got {mu}"):
-            deviation_for_budget(mu, 0.1)
+    @pytest.mark.parametrize("mu", [1e-3, 0.5, 2.0, 40.0, 1e3, 1e6])
+    def test_log_bound_keeps_falling_once_it_falls(self, mu):
+        # log g(k) = log k + k - (mu + k) log1p(k/mu) is strictly concave, so
+        # the k meeting a budget below g(1) are upward-closed; the computed
+        # values keep that shape past the peak, which lies near sqrt(mu)
+        logs = [math.log(k) + k - (mu + k) * math.log1p(k / mu) for k in range(1, 6_000)]
+        steps = np.diff(logs)
+        falling = np.flatnonzero(steps < 0.0)
+        assert falling.size and np.all(steps[falling[0]:] < 0.0)
 
 
 class TestLowerTailBound:
