@@ -9,7 +9,6 @@ finite and inside [0, 1] for large means and aggressive scale factors.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Sequence
 
@@ -39,16 +38,20 @@ def upper_tail_bound(mu: float, delta: float) -> float:
 
 
 def slack_for_budget(mu: float, budget: float) -> int:
-    """Least integer k >= 1 with k * upper_tail_bound(mu, k/mu) <= budget.
+    """Least integer k >= 1 with log k + k - (mu + k) * log1p(k/mu) <=
+    log(budget), the log form of k * upper_tail_bound(mu, k/mu) <= budget.
 
-    The bound's exponent at delta = k/mu is written k - (mu + k) *
-    log1p(k/mu): it stays finite, or goes to -inf where k/mu overflows for
-    a subnormal mu, so no k overflows.  log g(k) = log k + k - (mu + k) *
-    log1p(k/mu) has derivative 1/k - log1p(k/mu), which falls as k grows,
-    so log g is strictly concave and its sublevel sets are the complement
-    of an interval.  Once k = 1 misses the budget, the k that meet it are
-    therefore upward-closed: doubling brackets the least one, and bisection
-    finds it exactly.
+    The search evaluates exactly that float predicate, so the k it returns
+    meets it and k - 1 misses it (or k is 1); the direct product form can
+    disagree with it by rounding.  The exponent k - (mu + k) * log1p(k/mu)
+    stays finite, or goes to -inf where k/mu overflows for a subnormal mu,
+    so no k overflows.  log g(k) has derivative 1/k - log1p(k/mu), which
+    falls as k grows, so log g is strictly concave and its sublevel sets
+    are the complement of an interval.  Once k = 1 misses the budget, the
+    k that meet it are therefore upward-closed: doubling brackets the least
+    one, and bisection over Python ints finds it exactly.  Past means of
+    about 1e16 the exponent cancels badly, and the float predicate's least
+    k drifts from the real one (by about 1% at 1e30).
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mean must be positive and finite, got {mu}")
@@ -59,10 +62,13 @@ def slack_for_budget(mu: float, budget: float) -> int:
     def meets(k: int) -> bool:
         return math.log(k) + k - (mu + k) * math.log1p(k / mu) <= log_budget
 
-    low, high = 0, 1
+    low, high = 0, 1  # low misses the budget, or is 0; high meets it
     while not meets(high):
         low, high = high, 2 * high
-    return bisect.bisect_left(range(high), True, lo=low + 1, key=meets)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if meets(mid) else (mid, high)
+    return high
 
 
 def lower_tail_bound(min_demand: float, alpha: float) -> float:

@@ -1,6 +1,7 @@
 """Numeric-kernel checks: closed forms, the slack search's contract, and
 tail domination against exhaustive reference computations."""
 
+import decimal
 import itertools
 import math
 
@@ -115,13 +116,38 @@ class TestUpperTailBound:
         assert 0.0 <= value <= 1.0
 
 
+def _log_value(mu, k):
+    """log(k * upper_tail_bound(mu, k/mu)) in the form `slack_for_budget`
+    states and evaluates it."""
+    return math.log(k) + k - (mu + k) * math.log1p(k / mu)
+
+
 def _budget_holds(mu, k, p):
-    return k * upper_tail_bound(mu, k / mu) <= p
+    return _log_value(mu, k) <= math.log(p)
 
 
 def _is_least(mu, k, p):
     """k meets the budget p and k - 1 misses it, or k is 1."""
     return _budget_holds(mu, k, p) and (k == 1 or not _budget_holds(mu, k - 1, p))
+
+
+def _exact_least_slack(mu, budget):
+    """The least k of the same inequality in 60-digit decimal arithmetic,
+    found by doubling and bisection as the log of k * bound is concave."""
+    ctx = decimal.Context(prec=60)
+    mean, log_budget = decimal.Decimal(mu), ctx.ln(decimal.Decimal(budget))
+
+    def meets(k):
+        k = decimal.Decimal(k)
+        return ctx.ln(k) + k - ctx.multiply(mean + k, ctx.ln(1 + ctx.divide(k, mean))) <= log_budget
+
+    low, high = 0, 1
+    while not meets(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if meets(mid) else (mid, high)
+    return high
 
 
 # the pipeline's (mu, budget) pairs: budgets 1/(e t) for the widths the
@@ -165,6 +191,20 @@ class TestSlackForBudget:
         for budget in (1.0 / math.e, 1.0 / (2.0 * math.e), 1.0 / (4096 * math.e)):
             assert slack_for_budget(mu, budget) == 1
 
+    @pytest.mark.parametrize("mu", [1e37, 1e100, 1.7976931348623157e308])
+    def test_huge_means_search_past_the_machine_word(self, mu):
+        # the doubling bracket passes 2**63 here, and the bisection runs on
+        # Python ints
+        k = slack_for_budget(mu, 1.0 / math.e)
+        assert k > 2**63 and _is_least(mu, k, 1.0 / math.e)
+
+    @pytest.mark.parametrize("mu", [1e-300, 1e-3, 0.3, 40.0, 1e4, 1e8, 1e12, 1e15])
+    def test_matches_exact_arithmetic_below_1e16(self, mu):
+        # the float predicate's least k is the real one up to means of 1e15;
+        # past about 1e16 the exponent's cancellation moves it
+        for budget in (1.0 / math.e, 1.0 / (4096 * math.e), 1.0 / 64, 1e-300, 0.999):
+            assert slack_for_budget(mu, budget) == _exact_least_slack(mu, budget)
+
     @pytest.mark.parametrize("mu, budget", PIPELINE_KEYS)
     def test_pipeline_keys_match_the_linear_scan(self, mu, budget):
         assert slack_for_budget(mu, budget) == reference_slack_for_budget(mu, budget)
@@ -175,16 +215,34 @@ class TestSlackForBudget:
     )
     @settings(deadline=None, max_examples=60)
     def test_contract_holds_everywhere(self, mu, p):
-        assert _is_least(mu, slack_for_budget(mu, p), p * (1.0 + 1e-12))
+        assert _is_least(mu, slack_for_budget(mu, p), p)
+
+    @given(
+        mu=st.floats(min_value=0.01, max_value=500.0),
+        p=st.floats(min_value=1e-6, max_value=0.99),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_product_form_agrees_up_to_rounding(self, mu, p):
+        # cross-check against the kernel itself: k * bound(mu, k/mu) rounds
+        # otherwise than the log form, so it agrees to a relative 1e-12
+        k = slack_for_budget(mu, p)
+        assert k * upper_tail_bound(mu, k / mu) <= p * (1.0 + 1e-12)
+        assert k == 1 or (k - 1) * upper_tail_bound(mu, (k - 1) / mu) > p * (1.0 - 1e-12)
 
 
 # means from subnormal to 1e6, spread evenly in the exponent too
 _MEANS = st.one_of(st.floats(min_value=1e-320, max_value=1e6),
                    st.floats(min_value=-320.0, max_value=6.0).map(lambda e: 10.0**e))
-# the mip slack's 1/(e*t) and the sparsity target's 1/a
+# the mip slack's 1/(e*t) and the sparsity target's 1/a at the widths and
+# sparsities the pipeline meets and well past them, budgets near 1, and
+# budgets below 1e-6
 _BUDGETS = st.one_of(
     st.integers(1, 4096).map(lambda t: 1.0 / (math.e * t)),
     st.integers(2, 64).map(lambda a: 1.0 / a),
+    st.integers(1, 10_000).map(lambda t: 1.0 / (math.e * t)),
+    st.integers(2, 10_000).map(lambda a: 1.0 / a),
+    st.floats(min_value=0.9, max_value=1.0 - 1e-15, exclude_max=True),
+    st.floats(min_value=1e-300, max_value=1e-6),
 )
 
 
@@ -206,8 +264,7 @@ class TestSlackMatchesTheLinearScan:
            nudge=st.sampled_from([-1, 0, 1]))
     @settings(derandomize=True, max_examples=300, deadline=None)
     def test_budget_on_the_value_at_an_integer(self, mu, k, nudge):
-        log_value = math.log(k) + k - (mu + k) * math.log1p(k / mu)
-        budget = _nudged(math.exp(log_value), nudge)
+        budget = _nudged(math.exp(_log_value(mu, k)), nudge)
         assume(0.0 < budget < 1.0)
         assert slack_for_budget(mu, budget) == reference_slack_for_budget(mu, budget)
 
@@ -216,7 +273,7 @@ class TestSlackMatchesTheLinearScan:
         # log g(k) = log k + k - (mu + k) log1p(k/mu) is strictly concave, so
         # the k meeting a budget below g(1) are upward-closed; the computed
         # values keep that shape past the peak, which lies near sqrt(mu)
-        logs = [math.log(k) + k - (mu + k) * math.log1p(k / mu) for k in range(1, 6_000)]
+        logs = [_log_value(mu, k) for k in range(1, 6_000)]
         steps = np.diff(logs)
         falling = np.flatnonzero(steps < 0.0)
         assert falling.size and np.all(steps[falling[0]:] < 0.0)
